@@ -373,17 +373,19 @@ def criterion_7(
     zreps = bpz_residual(Frame(zstate, base_x=BASE_X), grid[: max(5, grid_points // 5)], scheme)
     reports.extend(zreps)
     worst_degenerate = max(r.max_rel_residual for r in zreps)
-    elapsed = time.time() - t_start
-    passed = worst <= tol and worst_degenerate <= tol_degenerate and elapsed <= budget_s
+    # the wall time decides the verdict but stays out of the (deterministic) report
+    in_budget = time.time() - t_start <= budget_s
+    passed = worst <= tol and worst_degenerate <= tol_degenerate and in_budget
     return CheckResult(
         criterion="C7",
         passed=passed,
         detail=(
             f"max relative residual over 4 equations x {n_frames} frames x {grid_points} points "
             f"= {worst:.3e} (tol {tol:.0e}); degenerate {worst_degenerate:.3e} "
-            f"(tol {tol_degenerate:.0e}); {elapsed:.1f}s of {budget_s:.0f}s"
+            f"(tol {tol_degenerate:.0e}); {'within' if in_budget else 'over'} the "
+            f"{budget_s:.0f}s wall-time budget"
         ),
-        metrics={"max_rel": worst, "max_rel_degenerate": worst_degenerate, "elapsed_s": elapsed},
+        metrics={"max_rel": worst, "max_rel_degenerate": worst_degenerate},
         reports=reports,
     )
 

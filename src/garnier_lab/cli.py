@@ -114,9 +114,17 @@ def _criterion_kwargs(cid: str, cfg: dict) -> dict:
     return kwargs
 
 
+def _load_initial_state(cls, cfg: dict):
+    """Parse the initial_state block; a malformed one is a configuration error."""
+    try:
+        return cls.from_json(cfg["initial_state"])
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise ConfigInvalid(f"malformed state ({type(exc).__name__}: {exc})", field="initial_state") from exc
+
+
 def _custom_schlesinger_check(cfg: dict) -> CheckResult:
     """Conservation check on a user-supplied state and (t1, t2) path."""
-    state = SchlesingerState.from_json(cfg["initial_state"])
+    state = _load_initial_state(SchlesingerState, cfg)
     paths = cfg.get("paths") or {}
     wps = paths.get("t_path")
     if wps:
@@ -145,7 +153,7 @@ def _custom_schlesinger_check(cfg: dict) -> CheckResult:
 def _custom_pvi_check(cfg: dict) -> CheckResult:
     # NotOnReduction propagates (exit code 3) when the state/parameters are
     # incompatible with the reduction; this is the documented surfacing path
-    state = PGState.from_json(cfg["initial_state"])
+    state = _load_initial_state(PGState, cfg)
     return acceptance.criterion_10(initial_state=state)
 
 

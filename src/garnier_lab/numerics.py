@@ -6,9 +6,12 @@ This is the substrate every other module builds on:
 * polyline paths in C^d with affine singularity clearance checks,
 * an adaptive Dormand-Prince 5(4) integrator for states of complex numbers,
   with exact landing on requested parameter values and an optional
-  fixed-step mode (used for tiny finite-difference stencil hops, where a
-  deterministic step sequence keeps the integration error a smooth function
-  of the endpoint),
+  fixed-step mode,
+* a batched fixed-step mode (:func:`dp_fixed_batch`) that runs many
+  independent problems in lockstep, each with its own step count, through
+  the same Dormand-Prince step; it serves the tiny finite-difference stencil
+  hops, where a deterministic step sequence keeps the integration error a
+  smooth function of the endpoint,
 * central finite-difference schemes of order 2/4 with optional Richardson
   extrapolation, shared-stencil combination helpers and a mixed-derivative
   evaluator.
@@ -40,15 +43,14 @@ __all__ = [
     "PathPlan",
     "AffineConstraint",
     "ode_integrate",
+    "dp_fixed_batch",
     "FDScheme",
     "fd_derivative",
     "fd_mixed",
     "stencil_multipliers",
     "combine_stencil",
-    "mat2",
     "det2",
     "inv2",
-    "mat_norm",
     "continue_log",
 ]
 
@@ -60,10 +62,6 @@ DEFAULT_ATOL = 1e-14
 # 2x2 complex matrices
 # ---------------------------------------------------------------------------
 
-def mat2(a11, a12, a21, a22) -> np.ndarray:
-    return np.array([[a11, a12], [a21, a22]], dtype=complex)
-
-
 def det2(m: np.ndarray) -> complex:
     return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
@@ -74,11 +72,6 @@ def inv2(m: np.ndarray, min_det: float = 0.0) -> np.ndarray:
     if abs(d) <= min_det:
         raise ValueError(f"2x2 matrix is singular to tolerance (|det| = {abs(d):.3e})")
     return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex) / d
-
-
-def mat_norm(m: np.ndarray) -> float:
-    """Max-abs entry norm, the drift measure used throughout."""
-    return float(np.max(np.abs(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +224,6 @@ class PathPlan:
         )
 
 
-def path_between(a, b, exclusion_radius: float = 0.05) -> PathPlan:
-    return PathPlan([a, b], exclusion_radius)
-
-
 # ---------------------------------------------------------------------------
 # Dormand-Prince 5(4) with exact sample landing
 # ---------------------------------------------------------------------------
@@ -298,7 +287,7 @@ def ode_integrate(
     # checkpoints: each segment end plus requested samples inside it
     checkpoints = sorted(set(path.breaks[1:]) | set(want))
 
-    def fv(k_seg: int, s: float, yv: np.ndarray) -> np.ndarray:
+    def fv(s: float, yv: np.ndarray) -> np.ndarray:
         pt = path.point(s)
         vel = path.velocity(k_seg)
         if path.scalar:
@@ -309,22 +298,21 @@ def ode_integrate(
     n_steps = 0
     h = None
     for s_target in checkpoints:
-        k_seg = path._segment_of(0.5 * (s_cur + s_target))
+        k_seg = path._segment_of(0.5 * (s_cur + s_target))  # read by fv
         span = s_target - s_cur
         if span <= 0:
             continue
         if fixed_steps is not None:
             n = max(1, int(fixed_steps))
             hs = span / n
-            k1 = fv(k_seg, s_cur, y)
+            k1 = fv(s_cur, y)
             for i in range(n):
-                s0 = s_cur + i * hs
-                y, _err, k1 = _dp_step(fv, k_seg, s0, y, hs, k1)
+                y, _err, k1 = _dp_step(fv, s_cur + i * hs, y, hs, k1)
             s_cur = s_target
         else:
-            k1 = fv(k_seg, s_cur, y)
+            k1 = fv(s_cur, y)
             if h is None:
-                h = _initial_step(fv, k_seg, s_cur, y, k1, rtol, atol, span)
+                h = _initial_step(fv, s_cur, y, k1, rtol, atol, span)
             h = min(h, span)
             while s_cur < s_target - 1e-15:
                 h = min(h, s_target - s_cur)
@@ -333,7 +321,7 @@ def ode_integrate(
                         "step size underflow during path integration",
                         location=path.point(s_cur),
                     )
-                y_new, err, k_last = _dp_step(fv, k_seg, s_cur, y, h, k1)
+                y_new, err, k_last = _dp_step(fv, s_cur, y, h, k1)
                 en = _error_norm(err, y, y_new, rtol, atol)
                 n_steps += 1
                 if n_steps > max_steps:
@@ -355,26 +343,55 @@ def ode_integrate(
     return out
 
 
-def _dp_step(fv, k_seg, s0, y, h, k1):
+def dp_fixed_batch(field: Callable, y0, n_steps) -> np.ndarray:
+    """Integrate B independent problems dy/ds = field(rows, s, y) over s in [0, 1].
+
+    Row k takes ``n_steps[k]`` >= 1 equal steps of the fixed-step
+    Dormand-Prince scheme of :func:`ode_integrate`, with its own FSAL stage;
+    all rows advance in lockstep and a row retires, unchanged from then on,
+    once its count is spent. ``field`` receives the indices ``rows`` of the
+    live rows, their parameters ``s`` with shape (len(rows), 1) and their
+    states ``y`` with shape (len(rows), d), and returns dy/ds in y's shape.
+
+    Returns the (B, d) array of end states.
+    """
+    y = np.array(y0, dtype=complex)
+    n = np.asarray(n_steps, dtype=int)
+    h = 1.0 / n[:, None]
+    k1 = field(np.arange(len(y)), np.zeros_like(h), y)
+    for i in range(int(n.max(initial=0))):
+        rows = np.flatnonzero(n > i)
+        y[rows], _err, k1[rows] = _dp_step(
+            lambda s, yv: field(rows, s, yv), i * h[rows], y[rows], h[rows], k1[rows]
+        )
+    return y
+
+
+def _dp_step(f, s0, y, h, k1):
+    """One Dormand-Prince 5(4) step of dy/ds = f(s, y) from s0 with step h.
+
+    ``y`` may carry a leading batch axis, with ``s0`` and ``h`` then per-row
+    columns; returns (y(s0 + h), error estimate, FSAL stage f(s0 + h, y1)).
+    """
     k = [k1]
     for i in range(1, 6):
         acc = y + h * sum(a * kk for a, kk in zip(_DP_A[i], k))
-        k.append(fv(k_seg, s0 + _DP_C[i] * h, acc))
+        k.append(f(s0 + _DP_C[i] * h, acc))
     y1 = y + h * sum(a * kk for a, kk in zip(_DP_A[6], k))
-    k7 = fv(k_seg, s0 + h, y1)  # FSAL stage, reused as k1 of the next step
+    k7 = f(s0 + h, y1)  # FSAL stage, reused as k1 of the next step
     k.append(k7)
     err = h * sum(e * kk for e, kk in zip(_DP_E, k))
     return y1, err, k7
 
 
-def _initial_step(fv, k_seg, s0, y, k1, rtol, atol, span) -> float:
+def _initial_step(fv, s0, y, k1, rtol, atol, span) -> float:
     scale = atol + rtol * np.abs(y)
     d0 = float(np.sqrt(np.mean(np.abs(y / scale) ** 2)))
     d1 = float(np.sqrt(np.mean(np.abs(k1 / scale) ** 2)))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)
     y1 = y + h0 * k1
-    k2 = fv(k_seg, s0 + h0, y1)
+    k2 = fv(s0 + h0, y1)
     d2 = float(np.sqrt(np.mean(np.abs((k2 - k1) / scale) ** 2))) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)

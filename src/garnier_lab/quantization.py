@@ -15,10 +15,11 @@ every multivalued gauge factor. On top of it live the residual engines:
 * the scalar second-order equation in x satisfied by the first component
   of the shifted wavefunction, with its apparent singularities.
 
-Derivatives are central finite differences with shared stencils; stencil
-hops are integrated with a fixed (deterministic) step count so the
-integration error stays a smooth function of the endpoint and does not
-pollute second differences.
+Derivatives are central finite differences with shared stencils. All
+spatial stencil hops of one grid point are integrated in one batched solve
+(:meth:`Frame.phi_nodes`), each hop with a fixed (deterministic) step count
+so the integration error stays a smooth function of the endpoint and does
+not pollute second differences.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .numerics import (
     combine_stencil,
     continue_log,
     det2,
+    dp_fixed_batch,
     inv2,
     ode_integrate,
     quad_roots,
@@ -303,7 +305,6 @@ class Frame:
         x: complex,
         tnode: TNode | None = None,
         anchor: PhiNode | None = None,
-        fixed: bool = False,
         cache: bool = True,
     ) -> PhiNode:
         """Transport Phi (and the gauge logs) to x along a straight segment."""
@@ -319,27 +320,65 @@ class Frame:
             return anchor
         t = tnode.t
         A = tnode.A
-        seg = PathPlan([anchor.x, x], self.exclusion)
-        seg.validate_against(
-            [AffineConstraint((1,), t[i], f"x = t{i+1}") for i in range(4)]
-        )
+        seg = self._hop_segment(x, tnode, anchor)
 
         def fld(z, v, yv):
             m = np.einsum("i,iab->ab", 1.0 / (z - t), A)
             return (v * (m @ yv.reshape(2, 2))).ravel()
 
-        fixed_steps = self._nsteps(abs(x - anchor.x)) if fixed else None
-        traj = ode_integrate(
-            fld, anchor.phi.ravel(), seg, rtol=self.rtol, atol=self.atol, fixed_steps=fixed_steps
-        )
-        phi = traj[-1][1].reshape(2, 2)
-        logs = np.array(
-            [continue_log(anchor.logs[i], anchor.x - t[i], x - t[i]) for i in range(4)]
-        )
-        node = PhiNode(x=x, t=t.copy(), phi=phi, logs=logs)
+        traj = ode_integrate(fld, anchor.phi.ravel(), seg, rtol=self.rtol, atol=self.atol)
+        node = self._hop_node(x, tnode, anchor, traj[-1][1].reshape(2, 2))
         if base_time and cache:
             self._phi_cache[x] = node
         return node
+
+    def phi_nodes(self, hops: Sequence[tuple[complex, TNode, PhiNode]]) -> list[PhiNode]:
+        """Transport Phi along every stencil hop (x, tnode, anchor) in one batched solve.
+
+        Each hop runs from anchor.x to x at the times of its tnode, is checked
+        against the x = t_i exclusion discs like :meth:`phi_node` and takes
+        ``_nsteps(|x - anchor.x|)`` fixed Dormand-Prince steps; a hop that
+        ends at its anchor returns the anchor. Nothing is cached.
+        """
+        hops = [(complex(x), tnode, anchor) for x, tnode, anchor in hops]
+        moving = [k for k, (x, _tn, anchor) in enumerate(hops) if x != anchor.x]
+        live = [hops[k] for k in moving]
+        for hop in live:
+            self._hop_segment(*hop)
+        x0 = np.array([a.x for _x, _tn, a in live], dtype=complex)
+        dx = np.array([x for x, _tn, _a in live], dtype=complex) - x0
+        t = np.array([tn.t for _x, tn, _a in live], dtype=complex).reshape(-1, 4)
+        A = np.array([tn.A for _x, tn, _a in live], dtype=complex).reshape(-1, 4, 2, 2)
+        phi0 = np.array([a.phi for _x, _tn, a in live], dtype=complex).reshape(-1, 4)
+
+        def fld(rows, s, yv):
+            # the fixed-step field of phi_node, one row per hop
+            z = x0[rows] + s[:, 0] * dx[rows]
+            m = np.einsum("bi,biac->bac", 1.0 / (z[:, None] - t[rows]), A[rows])
+            return (dx[rows, None, None] * (m @ yv.reshape(-1, 2, 2))).reshape(-1, 4)
+
+        n_steps = [self._nsteps(abs(d)) for d in dx]
+        phi1 = dp_fixed_batch(fld, phi0, n_steps).reshape(-1, 2, 2)
+        out = [anchor for _x, _tn, anchor in hops]
+        for k, hop, phi in zip(moving, live, phi1):
+            out[k] = self._hop_node(*hop, phi)
+        return out
+
+    def _hop_segment(self, x: complex, tnode: TNode, anchor: PhiNode) -> PathPlan:
+        """Straight path anchor.x -> x, rejected if it enters an x = t_i disc."""
+        seg = PathPlan([anchor.x, x], self.exclusion)
+        seg.validate_against(
+            [AffineConstraint((1,), tnode.t[i], f"x = t{i+1}") for i in range(4)]
+        )
+        return seg
+
+    def _hop_node(self, x: complex, tnode: TNode, anchor: PhiNode, phi: np.ndarray) -> PhiNode:
+        """The node at x: Phi from a hop, gauge logs continued from the anchor."""
+        t = tnode.t
+        logs = np.array(
+            [continue_log(anchor.logs[i], anchor.x - t[i], x - t[i]) for i in range(4)]
+        )
+        return PhiNode(x=x, t=t.copy(), phi=phi, logs=logs)
 
     def _nsteps(self, length: float) -> int:
         return max(6, int(math.ceil(length / self.stencil_step_length)))
@@ -555,26 +594,20 @@ def _y_derivs(
     mults2 = stencil_multipliers(scheme, (1, 2))
     mults1 = stencil_multipliers(scheme, (1,))
 
-    # x-stencil
+    # x- and y-stencils: every hop in one batched transport
     hx = scheme.scaled_step(x)
-    vals_x = {}
-    for m in mults2:
-        if m == 0.0:
-            vals_x[m] = y_center
-            continue
-        nxm = frame.phi_node(x + m * hx, anchor=nx0, fixed=True, cache=False)
+    hy = scheme.scaled_step(y)
+    offs = [m for m in mults2 if m != 0.0]
+    nodes = frame.phi_nodes(
+        [(x + m * hx, tnode, nx0) for m in offs] + [(y + m * hy, tnode, ny0) for m in offs]
+    )
+    vals_x = {0.0: y_center}
+    vals_y = {0.0: y_center}
+    for m, nxm, nym in zip(offs, nodes[: len(offs)], nodes[len(offs) :]):
         vals_x[m] = frame.Y_of(tnode, nxm, ny0)
+        vals_y[m] = frame.Y_of(tnode, nx0, nym)
     yx = combine_stencil(vals_x, hx, scheme, 1)
     yxx = combine_stencil(vals_x, hx, scheme, 2)
-
-    hy = scheme.scaled_step(y)
-    vals_y = {}
-    for m in mults2:
-        if m == 0.0:
-            vals_y[m] = y_center
-            continue
-        nym = frame.phi_node(y + m * hy, anchor=ny0, fixed=True, cache=False)
-        vals_y[m] = frame.Y_of(tnode, nx0, nym)
     yy = combine_stencil(vals_y, hy, scheme, 1)
     yyy = combine_stencil(vals_y, hy, scheme, 2)
 
@@ -701,16 +734,6 @@ class VDerivs:
     Vt: dict[int, np.ndarray]
 
 
-def _v_value(frame: Frame, tnode, zeta, eta, hint, ab, anchors=None, fixed=True):
-    """V at (zeta, eta) for the time tuple of tnode; returns (V, (x, y))."""
-    t = tnode.t
-    x, y = zeta_eta_inverse(zeta, eta, t[0], t[1], hint)
-    ax, ay = anchors if anchors is not None else (frame.base_node, frame.base_node)
-    nx = frame.phi_node(x, tnode=tnode, anchor=ax, fixed=fixed, cache=False)
-    ny = frame.phi_node(y, tnode=tnode, anchor=ay, fixed=fixed, cache=False)
-    return frame.V_of(tnode, nx, ny, ab), (x, y)
-
-
 def _branch_safe_step(base_h, var0, zeta, eta, t1, t2, x0, y0, which: str) -> float:
     """Clamp a stencil step by the distance to the x = y collision locus.
 
@@ -745,72 +768,70 @@ def _v_derivs(
     x0, y0 = zeta_eta_inverse(zeta, eta, t[0], t[1], hint)
     nx0 = frame.phi_node(x0)
     ny0 = frame.phi_node(y0)
-    v_center = frame.V_of(tnode, nx0, ny0, ab)
-    anchors = (nx0, ny0)
 
     mults2 = stencil_multipliers(scheme, (1, 2))
     mults1 = stencil_multipliers(scheme, (1,))
     hz = _branch_safe_step(scheme.scaled_step(zeta), zeta, zeta, eta, t[0], t[1], x0, y0, "zeta")
     he = _branch_safe_step(scheme.scaled_step(eta), eta, zeta, eta, t[0], t[1], x0, y0, "eta")
 
-    def v_at(zz, ee, hint_pt):
-        return _v_value(frame, tnode, zz, ee, hint_pt, ab, anchors)
+    # 1. stencil points: key -> (tnode, x, y, anchor of x, anchor of y)
+    points: dict[tuple, tuple] = {}
 
-    # 1-d stencils in zeta and eta, hints chained outward from the center
-    vals_z = {0.0: v_center}
-    z_hints = {0.0: (x0, y0)}
-    for sign in (1.0, -1.0):
-        hint_pt = (x0, y0)
-        for m in sorted([m for m in mults2 if m * sign > 0], key=abs):
-            val, hint_pt = v_at(zeta + m * hz, eta, hint_pt)
-            vals_z[m] = val
-            z_hints[m] = hint_pt
-    vz = combine_stencil(vals_z, hz, scheme, 1)
-    vzz = combine_stencil(vals_z, hz, scheme, 2)
-
-    vals_e = {0.0: v_center}
-    for sign in (1.0, -1.0):
-        hint_pt = (x0, y0)
-        for m in sorted([m for m in mults2 if m * sign > 0], key=abs):
-            val, hint_pt = v_at(zeta, eta + m * he, hint_pt)
-            vals_e[m] = val
-    ve = combine_stencil(vals_e, he, scheme, 1)
-    vee = combine_stencil(vals_e, he, scheme, 2)
-
-    # mixed derivative: nested first differences over a tensor stencil
-    outer = {}
-    for mz in mults1:
-        if mz == 0.0:
-            continue
-        inner = {}
-        row_hint = z_hints.get(mz)
-        if row_hint is None:
-            _, row_hint = v_at(zeta + mz * hz, eta, (x0, y0))
+    def chain(key, ms, zeta_eta_at, start):
+        """Invert the offsets of each sign outward from start, hint by hint."""
         for sign in (1.0, -1.0):
-            hint_pt = row_hint
-            for me in sorted([m for m in mults1 if m * sign > 0], key=abs):
-                val, hint_pt = v_at(zeta + mz * hz, eta + me * he, hint_pt)
-                inner[me] = val
-        outer[mz] = combine_stencil(inner, he, scheme, 1)
-    vze = combine_stencil(outer, hz, scheme, 1)
+            hint_pt = start
+            for m in sorted([m for m in ms if m * sign > 0], key=abs):
+                hint_pt = zeta_eta_inverse(*zeta_eta_at(m), t[0], t[1], hint_pt)
+                points[key + (m,)] = (tnode, *hint_pt, nx0, ny0)
 
-    # t1/t2 derivatives at fixed (zeta, eta)
-    vt: dict[int, np.ndarray] = {}
+    chain(("z",), mults2, lambda m: (zeta + m * hz, eta), (x0, y0))
+    chain(("e",), mults2, lambda m: (zeta, eta + m * he), (x0, y0))
+    # tensor stencil of the mixed derivative, each row hinted by its zeta point
+    for mz in mults1:
+        if mz != 0.0:
+            row_hint = points["z", mz][1:3]
+            chain(("ze", mz), mults1, lambda me: (zeta + mz * hz, eta + me * he), row_hint)
+    # t1/t2 stencils at fixed (zeta, eta): the bundle moves, then the preimages
+    ht = {}
     for ddir in (0, 1):
-        hd = _branch_safe_step(
+        ht[ddir] = _branch_safe_step(
             scheme.scaled_step(t[ddir]), t[ddir], zeta, eta, t[0], t[1], x0, y0,
             "t1" if ddir == 0 else "t2",
         )
-        vals_t = {0.0: v_center}
         for m in mults1:
             if m == 0.0:
                 continue
             t_new = t.copy()
-            t_new[ddir] += m * hd
+            t_new[ddir] += m * ht[ddir]
             tn, (nxm, nym) = frame.shift_t(tnode, [nx0, ny0], t_new)
-            val, _ = _v_value(frame, tn, zeta, eta, (x0, y0), ab, anchors=(nxm, nym))
-            vals_t[m] = val
-        vt[ddir] = combine_stencil(vals_t, hd, scheme, 1)
+            xm, ym = zeta_eta_inverse(zeta, eta, tn.t[0], tn.t[1], (x0, y0))
+            points["t", ddir, m] = (tn, xm, ym, nxm, nym)
+
+    # 2. one batched transport for every hop of the grid point
+    nodes = frame.phi_nodes(
+        [hop for tn, x, y, ax, ay in points.values() for hop in ((x, tn, ax), (y, tn, ay))]
+    )
+
+    # 3. V at each stencil point, then the stencil combinations
+    v_center = frame.V_of(tnode, nx0, ny0, ab)
+    vals = {
+        key: frame.V_of(tn, nodes[2 * k], nodes[2 * k + 1], ab)
+        for k, (key, (tn, *_rest)) in enumerate(points.items())
+    }
+
+    def line(*prefix):
+        return {key[-1]: v for key, v in vals.items() if key[:-1] == prefix}
+
+    vals_z = {0.0: v_center, **line("z")}
+    vz = combine_stencil(vals_z, hz, scheme, 1)
+    vzz = combine_stencil(vals_z, hz, scheme, 2)
+    vals_e = {0.0: v_center, **line("e")}
+    ve = combine_stencil(vals_e, he, scheme, 1)
+    vee = combine_stencil(vals_e, he, scheme, 2)
+    outer = {mz: combine_stencil(line("ze", mz), he, scheme, 1) for mz in mults1 if mz != 0.0}
+    vze = combine_stencil(outer, hz, scheme, 1)
+    vt = {d: combine_stencil({0.0: v_center, **line("t", d)}, ht[d], scheme, 1) for d in (0, 1)}
     return VDerivs(zeta=zeta, eta=eta, x=x0, y=y0, V=v_center, Vz=vz, Vzz=vzz, Ve=ve, Vee=vee, Vze=vze, Vt=vt)
 
 
@@ -905,7 +926,7 @@ def garx_residual(
     K2 = hamiltonian_K(2, go)
     th = frame.theta.theta
     tnode = frame.base_tnode
-    mults = stencil_multipliers(scheme, (1, 2))
+    offs = [m for m in stencil_multipliers(scheme, (1, 2)) if m != 0.0]
 
     def z_mat(node: PhiNode) -> np.ndarray:
         pref = np.exp(sum((th[i] / 2.0) * node.logs[i] for i in range(4)))
@@ -922,11 +943,8 @@ def garx_residual(
     for x in x_samples:
         nx0 = frame.phi_node(x)
         hx = scheme.scaled_step(x)
-        nodes = {}
-        for m in mults:
-            nodes[m] = nx0 if m == 0.0 else frame.phi_node(
-                x + m * hx, anchor=nx0, fixed=True, cache=False
-            )
+        hopped = frame.phi_nodes([(x + m * hx, tnode, nx0) for m in offs])
+        nodes = {0.0: nx0, **dict(zip(offs, hopped))}
         vals = {m: z_mat(n)[0, :] for m, n in nodes.items()}
         z0 = vals[0.0]
         z1 = combine_stencil(vals, hx, scheme, 1)

@@ -4,6 +4,8 @@ Each test prints one PASS/FAIL line; run with `pytest -s tests/test_acceptance.p
 to see them, or `garnier-lab verify-all` for the CLI equivalent.
 """
 
+import time
+
 import pytest
 
 from garnier_lab.acceptance import CRITERIA
@@ -41,8 +43,10 @@ def test_criterion_06_bridge_coherence():
 
 
 def test_criterion_07_bpz_verification():
-    result = _run("C7")
-    assert result.metrics["elapsed_s"] <= 300.0
+    # the wall time stays out of the report; the budget is checked here too
+    t0 = time.perf_counter()
+    _run("C7")
+    assert time.perf_counter() - t0 <= 300.0
 
 
 def test_criterion_08_quantized_go():

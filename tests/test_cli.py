@@ -35,12 +35,11 @@ def test_gen_pg_passes_fuchs(capsys):
     assert state.params is not None
 
 
-def test_run_zero_matrices_passes(tmp_path):
-    # zero residues conserve everything exactly
-    zero_state = {
+def _zero_state() -> dict:
+    return {
         "t1": [0.3, 0.05],
         "t2": [0.62, -0.04],
-        "matrices": [[[0.0, 0.0]] * 4] * 4,
+        "matrices": [[[0.0, 0.0]] * 4 for _ in range(4)],
         "norm": "B",
         "theta": {
             "theta1": [0.0, 0.0],
@@ -51,7 +50,11 @@ def test_run_zero_matrices_passes(tmp_path):
             "jordan_diagonal": True,
         },
     }
-    cfg = {"spec": 1, "mode": "schlesinger", "initial_state": zero_state}
+
+
+def test_run_zero_matrices_passes(tmp_path):
+    # zero residues conserve everything exactly
+    cfg = {"spec": 1, "mode": "schlesinger", "initial_state": _zero_state()}
     report = run_scenario(cfg)
     assert report["passed"]
     assert report["checks"][0]["metrics"]["max_drift"] < 1e-13
@@ -86,6 +89,30 @@ def test_run_invalid_configs_exit_2(tmp_path):
     assert main(["run", "--config", str(bad3)]) == 2
 
 
+@pytest.mark.parametrize("defect", ["missing_matrices", "bad_norm", "nan_entry"])
+def test_run_malformed_initial_state_exits_2(tmp_path, capsys, defect):
+    # a broken state block is a configuration error, not a check failure
+    state = _zero_state()
+    if defect == "missing_matrices":
+        del state["matrices"]
+    elif defect == "bad_norm":
+        state["norm"] = "C"
+    else:
+        state["matrices"][1][2] = [float("nan"), 0.0]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"spec": 1, "mode": "schlesinger", "initial_state": state}))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "initial_state" in capsys.readouterr().err
+
+
+def test_run_malformed_pvi_initial_state_exits_2(tmp_path):
+    state = gen_pg(random_theta_pg(11), 12).to_json()
+    del state["q"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"spec": 1, "mode": "pvi", "initial_state": state}))
+    assert main(["run", "--config", str(cfg)]) == 2
+
+
 def test_run_pvi_off_reduction_exits_3(tmp_path):
     # generic exponents violate the resonance: NotOnReduction surfaces
     # before any integration as the numerical-singularity exit code
@@ -102,6 +129,15 @@ def test_run_reports_are_deterministic(tmp_path):
     write_report(run_scenario(dict(cfg)), p1)
     write_report(run_scenario(dict(cfg)), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_run_bpz_reports_are_byte_identical(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"spec": 1, "seed": 5, "scale": {"n_frames": 1, "grid_points": 1}}))
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outs:
+        assert main(["run", "--mode", "bpz", "--config", str(cfg), "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_run_csv_dump(tmp_path):

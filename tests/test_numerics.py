@@ -18,6 +18,7 @@ from garnier_lab.numerics import (
     PathPlan,
     combine_stencil,
     continue_log,
+    dp_fixed_batch,
     fd_derivative,
     fd_mixed,
     ode_integrate,
@@ -163,6 +164,35 @@ def test_integrate_fixed_steps_deterministic():
     b = ode_integrate(lambda z, v, y: v * y, np.array([1.0 + 0j]), path, fixed_steps=12)[-1][1]
     assert np.array_equal(a, b)
     assert abs(a[0] - np.exp(0.3)) < 1e-10
+
+
+def test_dp_fixed_batch_matches_per_row_fixed_steps():
+    # rows with different step counts on their own segments, nonlinear field
+    starts = np.array([0.1 + 0.2j, -0.3 + 0.05j, 0.4 - 0.1j])
+    ends = np.array([0.35 + 0.1j, -0.1 + 0.3j, 0.2 + 0.25j])
+    n_steps = [6, 17, 9]
+    y0 = np.array([[1.0 + 0.5j, 0.2 - 0.1j], [0.7 - 0.2j, 1.1 + 0.3j], [-0.4 + 0.9j, 0.5 + 0.5j]])
+
+    def rhs(z, v, y):
+        return v * np.array([y[0] * y[1] + np.sin(z), -y[0] ** 2 + z * y[1]])
+
+    seen = []
+
+    def batch_field(rows, s, y):
+        seen.append((rows.copy(), s[:, 0].copy()))
+        z = starts[rows] + s[:, 0] * (ends - starts)[rows]
+        return rhs(z, (ends - starts)[rows], y.T).T
+
+    got = dp_fixed_batch(batch_field, y0, n_steps)
+    for k, n in enumerate(n_steps):
+        ref = ode_integrate(
+            rhs, y0[k], PathPlan([complex(starts[k]), complex(ends[k])], 0.05), fixed_steps=n
+        )[-1][1]
+        assert np.max(np.abs(got[k] - ref)) <= 1e-15 * np.max(np.abs(ref))
+        # a retired row is never evaluated again: 6 stages per step plus the first
+        evals = [s[list(rows).index(k)] for rows, s in seen if k in rows]
+        assert len(evals) == 6 * n + 1
+        assert max(evals) <= 1.0 + 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,17 @@ from garnier_lab.errors import (
     BranchAmbiguity,
     DiagonalCollision,
     NotOnReduction,
+    PathViolation,
     PoleEvaluation,
 )
-from garnier_lab.numerics import FDScheme, PathPlan, combine_stencil, inv2, stencil_multipliers
+from garnier_lab.numerics import (
+    FDScheme,
+    PathPlan,
+    combine_stencil,
+    inv2,
+    ode_integrate,
+    stencil_multipliers,
+)
 from garnier_lab.schlesinger import SchlesingerState, ThetaGO, gen_schlesinger_b
 from garnier_lab.quantization import (
     LAB_FD,
@@ -432,6 +440,57 @@ def test_residual_csv_layout(tmp_path, zero_frame):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "re_x,im_x,re_y,im_y,equation_id,abs_residual,rel_residual"
     assert len(lines) == 1 + len(reps)
+
+
+def test_phi_nodes_batch_matches_hops_alone(frame):
+    base = frame.base_tnode
+    nx = frame.phi_node(0.35 + 1.0j)
+    ny = frame.phi_node(1.15 + 1.45j)
+    t_new = base.t.copy()
+    t_new[0] += 2e-3
+    tn, (nxs, nys) = frame.shift_t(base, [nx, ny], t_new)
+    hops = [
+        (nx.x + 4e-3, base, nx),
+        (ny.x - 2e-3j, base, ny),
+        (nxs.x + 1e-3 - 1e-3j, tn, nxs),
+        (nys.x + 3e-3j, tn, nys),
+        (nx.x, base, nx),  # no move: the anchor itself
+    ]
+    batch = frame.phi_nodes(hops)
+    assert batch[-1] is nx
+
+    def agree(a, b):  # same arithmetic: equal up to a few ulp on any platform
+        return np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
+
+    for (x, tn_k, anchor), node in zip(hops[:-1], batch):
+        (alone,) = frame.phi_nodes([(x, tn_k, anchor)])
+        assert agree(node.phi, alone.phi) and agree(node.logs, alone.logs)
+        assert np.array_equal(node.t, tn_k.t)
+
+        # the loop reference: one fixed-step solve of the same hop
+        def field(z, v, y):
+            m = np.einsum("i,iab->ab", 1.0 / (z - tn_k.t), tn_k.A)
+            return (v * (m @ y.reshape(2, 2))).ravel()
+
+        fixed = ode_integrate(
+            field,
+            anchor.phi.ravel(),
+            PathPlan([anchor.x, x], frame.exclusion),
+            fixed_steps=frame._nsteps(abs(x - anchor.x)),
+        )[-1][1]
+        assert agree(node.phi.ravel(), fixed)
+        # and the adaptive transport agrees to integrator accuracy
+        ref = frame.phi_node(x, tnode=tn_k, anchor=anchor, cache=False)
+        assert np.max(np.abs(node.phi - ref.phi)) < 1e-11
+        assert np.max(np.abs(node.logs - ref.logs)) < 1e-13
+
+
+def test_phi_nodes_rejects_hop_into_exclusion_disc(frame):
+    # the second hop ends 0.02 from t3 = 1, inside the 0.04 exclusion disc
+    base = frame.base_tnode
+    hops = [(BASE_X + 1e-3, base, frame.base_node), (1.0 + 0.02j, base, frame.base_node)]
+    with pytest.raises(PathViolation):
+        frame.phi_nodes(hops)
 
 
 def test_branch_coherence_of_gauge_logs(frame):
