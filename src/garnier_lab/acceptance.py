@@ -583,12 +583,13 @@ def criterion_11(closed_tol: float = 1e-6, s_tol: float = 1e-9, seed0: int = 110
     worst_s = 0.0
     for i in (0, 1):
         h = scheme.scaled_step(t[i])
-        vals = {}
+        t_news = []
         for m in mults:
             t_new = t.copy()
             t_new[i] += m * h
-            tn, _ = frame.shift_t(frame.base_tnode, [], t_new)
-            vals[m] = frame.gauge_exponent(tn)
+            t_news.append(t_new)
+        moved = frame.shift_t(frame.base_tnode, [], t_news)
+        vals = {m: frame.gauge_exponent(tn) for m, (tn, _) in zip(mults, moved)}
         ds = combine_stencil(vals, h, scheme, 1)
         stated = (th[i] / 2.0) * sum(th[j] / (t[i] - t[j]) for j in range(4) if j != i)
         worst_s = max(worst_s, abs(ds - stated))

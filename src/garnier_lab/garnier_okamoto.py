@@ -25,7 +25,6 @@ from .errors import (
 from .numerics import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
-    AffineConstraint,
     FDScheme,
     PathPlan,
     combine_stencil,
@@ -33,7 +32,7 @@ from .numerics import (
     quad_roots,
     stencil_multipliers,
 )
-from .schlesinger import T3, T4, SchlesingerState, ThetaGO
+from .schlesinger import T3, T4, SchlesingerState, ThetaGO, time_constraints
 
 __all__ = [
     "GOState",
@@ -232,16 +231,6 @@ def go_vector_field(g: GOState, scheme: FDScheme | None = None) -> dict[str, np.
     return {"dlam": dlam, "dmu": dmu}
 
 
-def _go_constraints(g: GOState) -> list[AffineConstraint]:
-    return [
-        AffineConstraint((1, -1), 0.0, "t1 = t2"),
-        AffineConstraint((1, 0), T3, "t1 = 1"),
-        AffineConstraint((1, 0), T4, "t1 = 0"),
-        AffineConstraint((0, 1), T3, "t2 = 1"),
-        AffineConstraint((0, 1), T4, "t2 = 0"),
-    ]
-
-
 def integrate_go(
     g0: GOState,
     path: PathPlan,
@@ -254,7 +243,7 @@ def integrate_go(
     """Integrate the Garnier-Okamoto flow along a (t1, t2) path."""
     if path.dim != 2:
         raise ValueError("expected a (t1, t2) path")
-    path.validate_against(_go_constraints(g0))
+    path.validate_against(time_constraints())
     scheme = scheme or GO_FD
 
     def field(point, velocity, y):

@@ -10,8 +10,8 @@ This is the substrate every other module builds on:
 * a batched fixed-step mode (:func:`dp_fixed_batch`) that runs many
   independent problems in lockstep, each with its own step count, through
   the same Dormand-Prince step; it serves the tiny finite-difference stencil
-  hops, where a deterministic step sequence keeps the integration error a
-  smooth function of the endpoint,
+  hops in space and in time, where a deterministic step sequence keeps the
+  integration error a smooth function of the endpoint,
 * central finite-difference schemes of order 2/4 with optional Richardson
   extrapolation, shared-stencil combination helpers and a mixed-derivative
   evaluator.
@@ -354,6 +354,10 @@ def dp_fixed_batch(field: Callable, y0, n_steps) -> np.ndarray:
     states ``y`` with shape (len(rows), d), and returns dy/ds in y's shape.
 
     Returns the (B, d) array of end states.
+
+    Users: ``quantization.Frame.phi_nodes`` (the spatial stencil hops of Phi,
+    one row per hop) and ``quantization.Frame.shift_t`` (the time stencil
+    hops of the (A, ln tau, Phi) bundle, one row per shifted time tuple).
     """
     y = np.array(y0, dtype=complex)
     n = np.asarray(n_steps, dtype=int)

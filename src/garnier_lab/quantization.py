@@ -17,9 +17,12 @@ every multivalued gauge factor. On top of it live the residual engines:
 
 Derivatives are central finite differences with shared stencils. All
 spatial stencil hops of one grid point are integrated in one batched solve
-(:meth:`Frame.phi_nodes`), each hop with a fixed (deterministic) step count
-so the integration error stays a smooth function of the endpoint and does
-not pollute second differences.
+(:meth:`Frame.phi_nodes`), and so are all its time hops, which move the
+whole bundle (A, ln tau, Phi at the attached points) to every shifted time
+tuple (:meth:`Frame.shift_t`). Each hop takes a fixed (deterministic) step
+count so the integration error stays a smooth function of the endpoint and
+does not pollute second differences. Long time paths use the adaptive
+:meth:`Frame.shift_t_adaptive`.
 """
 
 from __future__ import annotations
@@ -86,6 +89,12 @@ LAB_FD = FDScheme(order=4, step=2e-3, richardson=True)
 QPG_FD = FDScheme(order=4, step=5e-4, richardson=True)
 
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+# collision sets t_i = t_j of a time hop in (t1, t2, t3, t4)
+_TIME_COLLISIONS = tuple(
+    AffineConstraint(tuple((k == i) - (k == j) for k in range(4)), 0.0, f"t{i+1} = t{j+1}")
+    for i, j in _PAIRS
+)
 
 
 # ---------------------------------------------------------------------------
@@ -389,58 +398,114 @@ class Frame:
         self,
         tnode: TNode,
         nodes: Sequence[PhiNode],
-        t_new: np.ndarray,
-        fixed: bool = True,
+        t_news: Sequence[np.ndarray],
+    ) -> list[tuple[TNode, list[PhiNode]]]:
+        """Move the bundle (A, ln tau, attached Phi nodes) to every t_new in one batched solve.
+
+        The rows share their start state and differ only in the velocity
+        t_new - tnode.t. Each hop is checked against the singular sets of
+        :meth:`_time_segment` before anything is integrated and takes
+        ``_nsteps(|t_new - tnode.t|)`` fixed Dormand-Prince steps; a row whose
+        t_new equals tnode.t returns (tnode, nodes).
+        """
+        nodes = list(nodes)
+        t_news = [np.asarray(t_new, dtype=complex) for t_new in t_news]
+        moving = [k for k, t_new in enumerate(t_news) if np.any(t_new != tnode.t)]
+        for k in moving:
+            self._time_segment(tnode, nodes, t_news[k])
+        dt = np.array([t_news[k] - tnode.t for k in moving], dtype=complex).reshape(-1, 4)
+        field = self._bundle_field(nodes)
+
+        def rows_field(rows, s, y):
+            return field(tnode.t + s * dt[rows], dt[rows], y)
+
+        y0 = np.tile(self._bundle_state(tnode, nodes), (len(moving), 1))
+        n_steps = [self._nsteps(float(np.sqrt(np.sum(np.abs(d) ** 2)))) for d in dt]
+        y1 = dp_fixed_batch(rows_field, y0, n_steps)
+        out = [(tnode, list(nodes)) for _t in t_news]
+        for k, y in zip(moving, y1):
+            out[k] = self._bundle_nodes(tnode, nodes, t_news[k], y)
+        return out
+
+    def shift_t_adaptive(
+        self, tnode: TNode, nodes: Sequence[PhiNode], t_new: np.ndarray
     ) -> tuple[TNode, list[PhiNode]]:
-        """Move the whole bundle (A, ln tau, attached Phi nodes) to t_new."""
+        """Move the bundle to one t_new with the adaptive integrator (long time paths)."""
+        nodes = list(nodes)
         t_new = np.asarray(t_new, dtype=complex)
-        t_old = tnode.t
-        if np.all(t_new == t_old):
-            return tnode, list(nodes)
-        xs = np.array([n.x for n in nodes], dtype=complex)
-        n_pts = len(xs)
+        if np.all(t_new == tnode.t):
+            return tnode, nodes
+        seg = self._time_segment(tnode, nodes, t_new)
+        field = self._bundle_field(nodes)
 
-        def pack(A, ln_tau, phis):
-            return np.concatenate([A.ravel(), [ln_tau], *[p.ravel() for p in phis]])
+        def one_row(point, velocity, y):
+            t = np.array([point], dtype=complex)
+            return field(t, np.array([velocity], dtype=complex), y[None])[0]
 
-        def unpack(y):
-            A = y[:16].reshape(4, 2, 2)
-            ln_tau = y[16]
-            phis = [y[17 + 4 * k : 21 + 4 * k].reshape(2, 2) for k in range(n_pts)]
-            return A, ln_tau, phis
+        y0 = self._bundle_state(tnode, nodes)
+        traj = ode_integrate(one_row, y0, seg, rtol=self.rtol, atol=self.atol)
+        return self._bundle_nodes(tnode, nodes, t_new, traj[-1][1])
 
-        def fld(point, velocity, y):
-            t = np.asarray(point, dtype=complex)
-            v = np.asarray(velocity, dtype=complex)
-            A, _lt, phis = unpack(y)
-            dA, dtau = flow_derivative(A, t, v)
-            out = [dA.ravel(), [dtau]]
-            for xk, ph in zip(xs, phis):
-                coef = -v / (xk - t)
-                out.append((np.einsum("i,iab->ab", coef, A) @ ph).ravel())
-            return np.concatenate(out)
-
-        seg = PathPlan([tuple(t_old), tuple(t_new)], self.exclusion / 4)
-        length = float(np.sqrt(np.sum(np.abs(t_new - t_old) ** 2)))
-        fixed_steps = self._nsteps(length) if fixed else None
-        y0 = pack(tnode.A, tnode.ln_tau, [n.phi for n in nodes])
-        traj = ode_integrate(
-            fld, y0, seg, rtol=self.rtol, atol=self.atol, fixed_steps=fixed_steps
+    def _time_segment(self, tnode: TNode, nodes: Sequence[PhiNode], t_new: np.ndarray) -> PathPlan:
+        """Straight path tnode.t -> t_new, rejected if it enters a t_i = t_j or t_i = x_k disc."""
+        seg = PathPlan([tuple(tnode.t), tuple(t_new)], self.exclusion / 4)
+        seg.validate_against(
+            [
+                *_TIME_COLLISIONS,
+                *(
+                    AffineConstraint(tuple(int(k == i) for k in range(4)), n.x, f"t{i+1} = x")
+                    for n in nodes
+                    for i in range(4)
+                ),
+            ]
         )
-        A1, lt1, phis1 = unpack(traj[-1][1])
+        return seg
+
+    @staticmethod
+    def _bundle_field(nodes: Sequence[PhiNode]):
+        """d/ds of bundle rows (A, ln tau, Phi at each node) as the times move.
+
+        ``field(t, v, y)`` takes per-row times t and velocities v of shape
+        (B, 4) and states y of shape (B, 17 + 4 len(nodes)).
+        """
+        xs = np.array([n.x for n in nodes], dtype=complex)
+
+        def field(t, v, y):
+            b = len(y)
+            A = y[:, :16].reshape(b, 4, 2, 2)
+            dA, dtau = flow_derivative(A, t, v)
+            coef = -v[:, None, :] / (xs[None, :, None] - t[:, None, :])
+            dphi = np.einsum("bki,biac->bkac", coef, A) @ y[:, 17:].reshape(b, len(xs), 2, 2)
+            return np.concatenate(
+                [dA.reshape(b, 16), dtau[:, None], dphi.reshape(b, 4 * len(xs))], axis=1
+            )
+
+        return field
+
+    @staticmethod
+    def _bundle_state(tnode: TNode, nodes: Sequence[PhiNode]) -> np.ndarray:
+        return np.concatenate([tnode.A.ravel(), [tnode.ln_tau], *[n.phi.ravel() for n in nodes]])
+
+    @staticmethod
+    def _bundle_nodes(
+        tnode: TNode, nodes: Sequence[PhiNode], t_new: np.ndarray, y: np.ndarray
+    ) -> tuple[TNode, list[PhiNode]]:
+        """The TNode and Phi nodes at t_new from an end state, logs continued from tnode."""
+        t_old = tnode.t
         pair_logs = np.array(
             [
                 continue_log(tnode.pair_logs[k], t_old[i] - t_old[j], t_new[i] - t_new[j])
                 for k, (i, j) in enumerate(_PAIRS)
             ]
         )
-        new_tnode = TNode(t=t_new.copy(), A=A1, ln_tau=complex(lt1), pair_logs=pair_logs)
+        new_tnode = TNode(t=t_new.copy(), A=y[:16].reshape(4, 2, 2), ln_tau=complex(y[16]), pair_logs=pair_logs)
         new_nodes = []
-        for n, ph in zip(nodes, phis1):
+        for k, n in enumerate(nodes):
             logs = np.array(
                 [continue_log(n.logs[i], n.x - t_old[i], n.x - t_new[i]) for i in range(4)]
             )
-            new_nodes.append(PhiNode(x=n.x, t=t_new.copy(), phi=ph, logs=logs))
+            phi = y[17 + 4 * k : 21 + 4 * k].reshape(2, 2)
+            new_nodes.append(PhiNode(x=n.x, t=t_new.copy(), phi=phi, logs=logs))
         return new_tnode, new_nodes
 
     # -- wavefunctions ------------------------------------------------------
@@ -516,7 +581,7 @@ def transport_phi(
         t_end = t_path.points[-1]
         t_new = frame.base_tnode.t.copy()
         t_new[0], t_new[1] = t_end[0], t_end[1]
-        frame.shift_t(frame.base_tnode, [frame.base_node], t_new, fixed=False)
+        frame.shift_t_adaptive(frame.base_tnode, [frame.base_node], t_new)
     return frame
 
 
@@ -525,11 +590,11 @@ def phi_via(frame: Frame, x: complex, t12: tuple[complex, complex], order: str =
     t_new = frame.base_tnode.t.copy()
     t_new[0], t_new[1] = t12
     if order == "tx":
-        tn, (nb,) = frame.shift_t(frame.base_tnode, [frame.base_node], t_new, fixed=False)
+        tn, (nb,) = frame.shift_t_adaptive(frame.base_tnode, [frame.base_node], t_new)
         return frame.phi_node(x, tnode=tn, anchor=nb, cache=False).phi
     if order == "xt":
         nx = frame.phi_node(x)
-        _tn, (nx2,) = frame.shift_t(frame.base_tnode, [nx], t_new, fixed=False)
+        _tn, (nx2,) = frame.shift_t_adaptive(frame.base_tnode, [nx], t_new)
         return nx2.phi
     raise ValueError("order must be 'tx' or 'xt'")
 
@@ -551,9 +616,9 @@ def zero_curvature_loop(
     t1v[t_index] += dt
     n0 = frame.phi_node(x0)
     n1 = frame.phi_node(x1, anchor=n0, cache=False)
-    tn_up, (n1_up,) = frame.shift_t(frame.base_tnode, [n1], t1v, fixed=False)
+    tn_up, (n1_up,) = frame.shift_t_adaptive(frame.base_tnode, [n1], t1v)
     n0_up = frame.phi_node(x0, tnode=tn_up, anchor=n1_up, cache=False)
-    _tn_dn, (n0_back,) = frame.shift_t(tn_up, [n0_up], t0, fixed=False)
+    _tn_dn, (n0_back,) = frame.shift_t_adaptive(tn_up, [n0_up], t0)
     diff = n0_back.phi - n0.phi
     return float(np.max(np.abs(diff)))
 
@@ -564,6 +629,13 @@ def zero_curvature_loop(
 
 def _norm_max(mats: Iterable[np.ndarray]) -> float:
     return max(float(np.max(np.abs(m))) for m in mats)
+
+
+def _shifted(t: np.ndarray, d: int, dt: float) -> np.ndarray:
+    """The time tuple t with t_{d+1} moved by dt."""
+    t_new = t.copy()
+    t_new[d] += dt
+    return t_new
 
 
 @dataclass
@@ -611,20 +683,15 @@ def _y_derivs(
     yy = combine_stencil(vals_y, hy, scheme, 1)
     yyy = combine_stencil(vals_y, hy, scheme, 2)
 
-    yt: dict[int, np.ndarray] = {}
+    # t-stencils: every bundle hop in one batched transport
     t0 = tnode.t
-    for d in t_dirs:
-        hd = scheme.scaled_step(t0[d])
-        vals_t = {}
-        for m in mults1:
-            if m == 0.0:
-                vals_t[m] = y_center
-                continue
-            t_new = t0.copy()
-            t_new[d] += m * hd
-            tn, (nxm, nym) = frame.shift_t(tnode, [nx0, ny0], t_new)
-            vals_t[m] = frame.Y_of(tn, nxm, nym)
-        yt[d] = combine_stencil(vals_t, hd, scheme, 1)
+    ht = {d: scheme.scaled_step(t0[d]) for d in t_dirs}
+    keys = [(d, m) for d in t_dirs for m in mults1 if m != 0.0]
+    moved = frame.shift_t(tnode, [nx0, ny0], [_shifted(t0, d, m * ht[d]) for d, m in keys])
+    vals_t = {d: {0.0: y_center} for d in t_dirs}
+    for (d, m), (tn, (nxm, nym)) in zip(keys, moved):
+        vals_t[d][m] = frame.Y_of(tn, nxm, nym)
+    yt = {d: combine_stencil(vals_t[d], ht[d], scheme, 1) for d in t_dirs}
     return YDerivs(x=x, y=y, t=t0, Y=y_center, Yx=yx, Yxx=yxx, Yy=yy, Yyy=yyy, Yt=yt)
 
 
@@ -792,21 +859,20 @@ def _v_derivs(
         if mz != 0.0:
             row_hint = points["z", mz][1:3]
             chain(("ze", mz), mults1, lambda me: (zeta + mz * hz, eta + me * he), row_hint)
-    # t1/t2 stencils at fixed (zeta, eta): the bundle moves, then the preimages
-    ht = {}
-    for ddir in (0, 1):
-        ht[ddir] = _branch_safe_step(
+    # t1/t2 stencils at fixed (zeta, eta): the bundle moves in one batched
+    # transport, then the preimages
+    ht = {
+        ddir: _branch_safe_step(
             scheme.scaled_step(t[ddir]), t[ddir], zeta, eta, t[0], t[1], x0, y0,
             "t1" if ddir == 0 else "t2",
         )
-        for m in mults1:
-            if m == 0.0:
-                continue
-            t_new = t.copy()
-            t_new[ddir] += m * ht[ddir]
-            tn, (nxm, nym) = frame.shift_t(tnode, [nx0, ny0], t_new)
-            xm, ym = zeta_eta_inverse(zeta, eta, tn.t[0], tn.t[1], (x0, y0))
-            points["t", ddir, m] = (tn, xm, ym, nxm, nym)
+        for ddir in (0, 1)
+    }
+    keys = [(ddir, m) for ddir in (0, 1) for m in mults1 if m != 0.0]
+    moved = frame.shift_t(tnode, [nx0, ny0], [_shifted(t, d, m * ht[d]) for d, m in keys])
+    for (ddir, m), (tn, (nxm, nym)) in zip(keys, moved):
+        xm, ym = zeta_eta_inverse(zeta, eta, tn.t[0], tn.t[1], (x0, y0))
+        points["t", ddir, m] = (tn, xm, ym, nxm, nym)
 
     # 2. one batched transport for every hop of the grid point
     nodes = frame.phi_nodes(

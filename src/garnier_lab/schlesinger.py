@@ -29,7 +29,6 @@ __all__ = [
     "schlesinger_rhs",
     "flow_derivative",
     "tau_logderiv",
-    "tau_logderiv_all",
     "integrate_schlesinger",
     "shift_normalization",
     "connection_matrix",
@@ -193,7 +192,13 @@ def flow_derivative(A: np.ndarray, tvec: np.ndarray, v: np.ndarray) -> tuple[np.
     dA_j/ds = sum_{i != j} (v_i - v_j) [A_i, A_j] / (t_i - t_j) and
     dln(tau)/ds = sum_{i != j} v_i tr(A_i A_j) / (t_i - t_j); the tau term
     assumes traceless (B) normalization but is returned unconditionally.
+
+    With a leading batch axis (A of shape (B, 4, 2, 2), tvec and v of shape
+    (B, 4)) every row is an independent state and dln(tau)/ds is a (B,)
+    array; each row repeats the arithmetic of the unbatched call on that row.
     """
+    if A.ndim == 4:
+        return _flow_derivative_batch(A, tvec, v)
     P = np.einsum("iab,jbc->ijac", A, A)
     C = P - P.transpose(1, 0, 2, 3)
     dt = tvec[:, None] - tvec[None, :]
@@ -204,6 +209,23 @@ def flow_derivative(A: np.ndarray, tvec: np.ndarray, v: np.ndarray) -> tuple[np.
     dA = np.einsum("ij,ijab->jab", G, C)
     T = np.einsum("ijaa->ij", P)
     dtau = complex(np.einsum("i,ij,ij->", v, W, T))
+    return dA, dtau
+
+
+def _flow_derivative_batch(A: np.ndarray, tvec: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the unbatched body with a leading row axis; kept apart so the
+    # unbatched call (adaptive flows) pays nothing for it
+    P = np.einsum("niab,njbc->nijac", A, A)
+    C = P - P.transpose(0, 2, 1, 3, 4)
+    diag = np.arange(4)
+    dt = tvec[:, :, None] - tvec[:, None, :]
+    dt[:, diag, diag] = 1.0
+    W = 1.0 / dt
+    W[:, diag, diag] = 0.0
+    G = (v[:, :, None] - v[:, None, :]) * W
+    dA = np.einsum("nij,nijab->njab", G, C)
+    T = np.einsum("nijaa->nij", P)
+    dtau = np.einsum("ni,nij,nij->n", v, W, T)
     return dA, dtau
 
 
@@ -222,22 +244,18 @@ def schlesinger_rhs(state: SchlesingerState) -> tuple[np.ndarray, np.ndarray]:
     return d1, d2
 
 
-def tau_logderiv_all(A: np.ndarray, tvec: np.ndarray) -> np.ndarray:
-    """(ln tau)'_{t_i} for all four times."""
-    P = np.einsum("iab,jbc->ijac", A, A)
-    T = np.einsum("ijaa->ij", P)
-    dt = tvec[:, None] - tvec[None, :]
-    np.fill_diagonal(dt, 1.0)
-    W = 1.0 / dt
-    np.fill_diagonal(W, 0.0)
-    return (T * W).sum(axis=1)
-
 def tau_logderiv(state: SchlesingerState) -> tuple[complex, complex]:
     """(d ln tau / dt1, d ln tau / dt2) for a B-normalized state."""
     if state.norm != "B":
         raise ValueError("tau log-derivative is defined on the traceless (B) normalization")
     state.check_times()
-    g = tau_logderiv_all(state.A, state.tvec)
+    P = np.einsum("iab,jbc->ijac", state.A, state.A)
+    T = np.einsum("ijaa->ij", P)
+    dt = state.tvec[:, None] - state.tvec[None, :]
+    np.fill_diagonal(dt, 1.0)
+    W = 1.0 / dt
+    np.fill_diagonal(W, 0.0)
+    g = (T * W).sum(axis=1)
     return complex(g[0]), complex(g[1])
 
 

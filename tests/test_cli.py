@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from garnier_lab.cli import main, run_scenario, write_report
+from garnier_lab.cli import MODES, main, run_scenario, write_report
 from garnier_lab.errors import ConfigInvalid
 from garnier_lab.poly_garnier import PGState, gen_pg, random_theta_pg
 from garnier_lab.schlesinger import SchlesingerState
@@ -137,6 +137,18 @@ def test_run_bpz_reports_are_byte_identical(tmp_path):
     outs = [tmp_path / "a.json", tmp_path / "b.json"]
     for out in outs:
         assert main(["run", "--mode", "bpz", "--config", str(cfg), "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_run_reports_are_byte_identical_in_every_mode(tmp_path, mode):
+    # minimal scale; the verdict itself is not the point, the bytes are
+    scale = {"n_states": 1, "n_frames": 1, "n_traj": 1, "grid_points": 1}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"spec": 1, "seed": 3, "scale": scale}))
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outs:
+        assert main(["run", "--mode", mode, "--config", str(cfg), "--out", str(out)]) in (0, 1)
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 

@@ -18,7 +18,8 @@ from garnier_lab.numerics import (
     ode_integrate,
     stencil_multipliers,
 )
-from garnier_lab.schlesinger import SchlesingerState, ThetaGO, gen_schlesinger_b
+from garnier_lab import quantization
+from garnier_lab.schlesinger import SchlesingerState, ThetaGO, flow_derivative, gen_schlesinger_b
 from garnier_lab.quantization import (
     LAB_FD,
     QPG_FD,
@@ -158,12 +159,13 @@ def test_gauge_exponent_derivative_matches_stated_sum(frame):
     th = frame.theta.theta
     t = frame.base_tnode.t
     h = scheme.scaled_step(t[0])
-    vals = {}
+    t_news = []
     for m in mults:
         t_new = t.copy()
         t_new[0] += m * h
-        tn, _ = frame.shift_t(frame.base_tnode, [], t_new)
-        vals[m] = frame.gauge_exponent(tn)
+        t_news.append(t_new)
+    moved = frame.shift_t(frame.base_tnode, [], t_news)
+    vals = {m: frame.gauge_exponent(tn) for m, (tn, _) in zip(mults, moved)}
     ds = combine_stencil(vals, h, scheme, 1)
     want = (th[0] / 2.0) * sum(th[j] / (t[0] - t[j]) for j in (1, 2, 3))
     assert abs(ds - want) < 1e-9
@@ -448,7 +450,7 @@ def test_phi_nodes_batch_matches_hops_alone(frame):
     ny = frame.phi_node(1.15 + 1.45j)
     t_new = base.t.copy()
     t_new[0] += 2e-3
-    tn, (nxs, nys) = frame.shift_t(base, [nx, ny], t_new)
+    ((tn, (nxs, nys)),) = frame.shift_t(base, [nx, ny], [t_new])
     hops = [
         (nx.x + 4e-3, base, nx),
         (ny.x - 2e-3j, base, ny),
@@ -491,6 +493,107 @@ def test_phi_nodes_rejects_hop_into_exclusion_disc(frame):
     hops = [(BASE_X + 1e-3, base, frame.base_node), (1.0 + 0.02j, base, frame.base_node)]
     with pytest.raises(PathViolation):
         frame.phi_nodes(hops)
+
+
+def _bundle_alone(frame, tnode, nodes, t_new, fixed_steps):
+    """Reference bundle solve: one ode_integrate of the packed (A, ln tau, Phi...) state."""
+
+    def field(point, velocity, y):
+        t = np.asarray(point, dtype=complex)
+        v = np.asarray(velocity, dtype=complex)
+        A = y[:16].reshape(4, 2, 2)
+        dA, dtau = flow_derivative(A, t, v)
+        out = [dA.ravel(), [dtau]]
+        for k, n in enumerate(nodes):
+            coef = -v / (n.x - t)
+            out.append((np.einsum("i,iab->ab", coef, A) @ y[17 + 4 * k : 21 + 4 * k].reshape(2, 2)).ravel())
+        return np.concatenate(out)
+
+    y0 = np.concatenate([tnode.A.ravel(), [tnode.ln_tau], *[n.phi.ravel() for n in nodes]])
+    seg = PathPlan([tuple(tnode.t), tuple(t_new)], frame.exclusion / 4)
+    return ode_integrate(field, y0, seg, fixed_steps=fixed_steps)[-1][1]
+
+
+def _bundle_vector(tn, nodes):
+    return np.concatenate([tn.A.ravel(), [tn.ln_tau], *[n.phi.ravel() for n in nodes]])
+
+
+def test_shift_t_batch_matches_each_alone(frame, monkeypatch):
+    base = frame.base_tnode
+    nx = frame.phi_node(0.35 + 1.0j)
+    ny = frame.phi_node(1.15 + 1.45j)
+    moves = [(0, 1e-3), (1, -4e-3j), (2, 6e-3 + 2e-3j), (3, -5e-3), (0, 2.5e-3 - 1e-3j)]
+    t_news = []
+    for d, dt in moves:
+        t_new = base.t.copy()
+        t_new[d] += dt
+        t_news.append(t_new)
+    t_news.append(base.t.copy())  # no move: the inputs themselves
+
+    def agree(a, b):  # same arithmetic: equal up to a few ulp on any platform
+        return np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
+
+    real_batch = quantization.dp_fixed_batch
+    for nodes in ([], [nx], [nx, ny]):
+        calls = []
+
+        def counting(field, y0, n_steps):
+            hits = np.zeros(len(y0), dtype=int)
+
+            def counted(rows, s, y):
+                hits[rows] += 1
+                return field(rows, s, y)
+
+            calls.append((hits, list(n_steps)))
+            return real_batch(counted, y0, n_steps)
+
+        monkeypatch.setattr(quantization, "dp_fixed_batch", counting)
+        batch = frame.shift_t(base, nodes, t_news)
+        monkeypatch.setattr(quantization, "dp_fixed_batch", real_batch)
+        (hits, n_steps), = calls
+        assert len(set(n_steps)) >= 4  # rows with different step counts
+        assert hits.tolist() == [6 * n + 1 for n in n_steps]
+        tn_still, nodes_still = batch[-1]
+        assert tn_still is base and all(a is b for a, b in zip(nodes_still, nodes))
+
+        for t_new, n, (tn, moved) in zip(t_news, n_steps, batch):
+            assert n == frame._nsteps(float(np.sqrt(np.sum(np.abs(t_new - base.t) ** 2))))
+            assert np.array_equal(tn.t, t_new) and all(np.array_equal(m.t, t_new) for m in moved)
+            got = _bundle_vector(tn, moved)
+            assert agree(got, _bundle_alone(frame, base, nodes, t_new, n))
+            ((tn1, moved1),) = frame.shift_t(base, nodes, [t_new])
+            assert agree(got, _bundle_vector(tn1, moved1))
+            assert np.array_equal(tn.pair_logs, tn1.pair_logs)
+            for m, m1 in zip(moved, moved1):
+                assert np.array_equal(m.logs, m1.logs)
+            # the adaptive transport agrees to integrator accuracy
+            tn2, moved2 = frame.shift_t_adaptive(base, nodes, t_new)
+            assert np.max(np.abs(got - _bundle_vector(tn2, moved2))) < 1e-11
+            assert np.array_equal(tn.pair_logs, tn2.pair_logs)
+
+
+def test_time_hop_rejected_in_singular_disc(frame, monkeypatch):
+    def no_integration(*_args, **_kwargs):
+        raise AssertionError("integrated before the hop was checked")
+
+    base = frame.base_tnode
+    t = base.t
+    near = frame.phi_node(t[0] + 0.05, cache=False)  # outside the 0.04 x-disc of t1
+    monkeypatch.setattr(quantization, "dp_fixed_batch", no_integration)
+    monkeypatch.setattr(quantization, "ode_integrate", no_integration)
+    ok = t.copy()
+    ok[1] += 1e-3
+    onto_node = t.copy()
+    onto_node[0] += 0.045  # ends 0.005 from x: inside the 0.01 time-hop disc
+    onto_t2 = t.copy()
+    onto_t2[0] = t[1] - 0.005  # ends 0.005 from t1 = t2
+    onto_t4 = t.copy()
+    onto_t4[3] = t[1] + 0.004j  # the frozen t4 moved next to t2
+    for bad, nodes in ((onto_node, [near]), (onto_t2, []), (onto_t4, [])):
+        with pytest.raises(PathViolation):
+            frame.shift_t(base, nodes, [ok, bad])
+        with pytest.raises(PathViolation):
+            frame.shift_t_adaptive(base, nodes, bad)
 
 
 def test_branch_coherence_of_gauge_logs(frame):

@@ -120,6 +120,22 @@ def test_integrate_rejects_paths_through_collisions(b_state):
         integrate_schlesinger(b_state, bad)
 
 
+def test_flow_derivative_batch_rows_match_unbatched(b_state, rng):
+    from garnier_lab.schlesinger import flow_derivative
+
+    n = 5
+    A = b_state.A + 0.05 * (rng.standard_normal((n, 4, 2, 2)) + 1j * rng.standard_normal((n, 4, 2, 2)))
+    t = b_state.tvec + 0.02 * (rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4)))
+    v = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+    dA, dtau = flow_derivative(A, t, v)
+    assert dA.shape == (n, 4, 2, 2) and dtau.shape == (n,)
+    for k in range(n):
+        dA_k, dtau_k = flow_derivative(A[k], t[k], v[k])
+        # same arithmetic row by row: equal up to a few ulp on any platform
+        assert np.max(np.abs(dA[k] - dA_k)) <= 1e-15 * np.max(np.abs(dA_k))
+        assert abs(dtau[k] - dtau_k) <= 1e-15 * abs(dtau_k)
+
+
 def test_integrate_matches_scipy_oracle(b_state):
     # independent route: solve_ivp on the real-ified system along the same
     # straight segment
