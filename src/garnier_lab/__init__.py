@@ -70,7 +70,6 @@ from .quantization import (
     kevol_residual,
     quantized_pg_residual,
     solve_alpha_beta,
-    transport_phi,
     write_residual_csv,
     zero_curvature_loop,
     zeta_eta_inverse,

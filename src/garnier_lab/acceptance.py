@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .garnier_okamoto import extract_go, go_vector_field
-from .numerics import FDScheme, PathPlan, combine_stencil, stencil_multipliers
+from .numerics import FDScheme, PathPlan, combine_stencil, fd_derivative, stencil_multipliers
 from .poly_garnier import (
     PGState,
     gen_pg,
@@ -50,10 +50,11 @@ from .quantization import (
     quantized_pg_residual,
     solve_alpha_beta,
     zero_curvature_loop,
+    zeta_eta_inverse,
     zeta_eta_map,
 )
 
-__all__ = ["CheckResult", "CRITERIA", "run_criteria", "star_points", "default_grid"]
+__all__ = ["CheckResult", "CRITERIA", "star_points", "default_grid"]
 
 
 @dataclass
@@ -169,29 +170,26 @@ def criterion_2(n_frames: int = 5, tol: float = 1e-8, seed0: int = 200):
 
 def criterion_3(n_states: int = 5, tol: float = 1e-6, seed0: int = 300):
     scheme = FDScheme(order=4, step=1e-4, richardson=True)
-    mults = [m for m in stencil_multipliers(scheme, (1,)) if m != 0.0]
     worst = 0.0
     for k in range(n_states):
         q0 = shift_normalization(_seeded_b_state(seed0 + k), "BtoQ")
         g0 = extract_go(q0)
         vf = go_vector_field(g0)
         for d in (0, 1):
-            h = scheme.scaled_step((q0.t1, q0.t2)[d])
-            vals_lam, vals_mu = {}, {}
-            for m in mults:
+
+            def lam_mu_at(td):
+                """[lambda, mu] of the flowed state with t_{d+1} moved to td."""
                 tgt = [q0.t1, q0.t2]
-                tgt[d] += m * h
+                tgt[d] = td
                 seg = PathPlan([(q0.t1, q0.t2), tuple(tgt)], 0.01)
-                st = integrate_schlesinger(q0, seg, fixed_steps=32)[-1][1]
-                g = extract_go(st)
+                g = extract_go(integrate_schlesinger(q0, seg, fixed_steps=32)[-1][1])
                 lam, mu = list(g.lam), list(g.mu)
                 if abs(lam[0] - g0.lam[0]) > abs(lam[1] - g0.lam[0]):
                     lam.reverse()
                     mu.reverse()
-                vals_lam[m] = np.array(lam)
-                vals_mu[m] = np.array(mu)
-            dlam = combine_stencil(vals_lam, h, scheme, 1)
-            dmu = combine_stencil(vals_mu, h, scheme, 1)
+                return np.array([lam, mu])
+
+            dlam, dmu = fd_derivative(lam_mu_at, (q0.t1, q0.t2)[d], scheme)
             scale = max(np.max(np.abs(dlam)), np.max(np.abs(dmu)))
             err = max(
                 float(np.max(np.abs(dlam - vf["dlam"][d]))),
@@ -212,7 +210,6 @@ def criterion_3(n_states: int = 5, tol: float = 1e-6, seed0: int = 300):
 
 def criterion_4(n_states: int = 200, tol: float = 1e-8, seed0: int = 400):
     scheme = FDScheme(order=4, step=1e-5, richardson=True)
-    mults = stencil_multipliers(scheme, (1,))
     worst = 0.0
     worst_pair = 0.0
     for k in range(n_states):
@@ -221,11 +218,9 @@ def criterion_4(n_states: int = 200, tol: float = 1e-8, seed0: int = 400):
         D = pg_rhs_explicit(s)
 
         def partial(i, name):
-            h = scheme.scaled_step(getattr(s, name))
-            vals = {}
-            for m in mults:
-                vals[m] = hamiltonian_HGar(i, replace(s, **{name: getattr(s, name) + m * h}))
-            return combine_stencil(vals, h, scheme, 1)
+            return fd_derivative(
+                lambda w: hamiltonian_HGar(i, replace(s, **{name: w})), getattr(s, name), scheme
+            )
 
         ham = np.array(
             [
@@ -259,7 +254,6 @@ def _s_matrices_of(st: PGState, ln_u: complex):
 
 def criterion_5(n_traj: int = 5, tol: float = 1e-6, eig_tol: float = 1e-10, seed0: int = 500):
     scheme = FDScheme(order=4, step=1e-5, richardson=True)
-    mults = [m for m in stencil_multipliers(scheme, (1,)) if m != 0.0]
     worst = 0.0
     worst_eig = 0.0
     for k in range(n_traj):
@@ -281,15 +275,16 @@ def criterion_5(n_traj: int = 5, tol: float = 1e-6, eig_tol: float = 1e-10, seed
                 )
             # FD time-derivatives of S_xi vs the deformation equations
             for d in (0, 1):
-                h = scheme.scaled_step(tvec[d])
-                vals = {}
-                for m in mults:
+
+                def s_matrices_at(td):
+                    """S_xi of the flowed state with t_{d+1} moved to td."""
                     tgt = [st.t1, st.t2]
-                    tgt[d] += m * h
+                    tgt[d] = td
                     seg = PathPlan([(st.t1, st.t2), tuple(tgt)], 0.005)
                     _s2, st2, dlnu = integrate_pg(st, seg, with_lnu=True, fixed_steps=24)[-1]
-                    vals[m] = _s_matrices_of(st2, lnu + dlnu)
-                dS = combine_stencil(vals, h, scheme, 1)
+                    return _s_matrices_of(st2, lnu + dlnu)
+
+                dS = fd_derivative(s_matrices_at, tvec[d], scheme)
                 v = np.zeros(4, dtype=complex)
                 v[d] = 1.0
                 rhs, _ = flow_derivative(S0, tvec, v)
@@ -474,8 +469,6 @@ def criterion_9(
         grid = []
         for x, y in xy:
             zeta, eta = zeta_eta_map(x, y, state.t1, state.t2)
-            from .quantization import zeta_eta_inverse
-
             xx, yy = zeta_eta_inverse(zeta, eta, state.t1, state.t2, (x, y))
             worst_round = max(worst_round, abs(xx - x) + abs(yy - y))
             grid.append((zeta, eta, (x, y)))
@@ -522,22 +515,17 @@ def criterion_10(
     drift = max(abs(st.q1 + st.q2 - 1.0) for _s, st in traj)
 
     scheme = FDScheme(order=4, step=1e-5, richardson=True)
-    mults = [m for m in stencil_multipliers(scheme, (1,)) if m != 0.0]
     worst_ham = 0.0
     for _s, st in traj[1:-1]:
         pv = pvi_reduce(st, tol=1e-6)
-        h = scheme.scaled_step(pv.omega)
-        vq, vp = {}, {}
-        for m in mults:
-            om = pv.omega + m * h
-            t1m = omega_to_t1(om, st.t2)
-            seg = PathPlan([(st.t1, st.t2), (t1m, st.t2)], 1e-7)
-            stm = integrate_pg(st, seg, fixed_steps=16)[-1][1]
-            pvm = pvi_reduce(stm, tol=1e-5)
-            vq[m] = pvm.Q
-            vp[m] = pvm.P
-        dQ = combine_stencil(vq, h, scheme, 1)
-        dP = combine_stencil(vp, h, scheme, 1)
+
+        def q_p_at(om):
+            """[Q, P] of the flow moved along t1 to omega = om."""
+            seg = PathPlan([(st.t1, st.t2), (omega_to_t1(om, st.t2), st.t2)], 1e-7)
+            pvm = pvi_reduce(integrate_pg(st, seg, fixed_steps=16)[-1][1], tol=1e-5)
+            return np.array([pvm.Q, pvm.P])
+
+        dQ, dP = fd_derivative(q_p_at, pv.omega, scheme)
         rq, rp = pvi_rhs(pv.omega, pv.Q, pv.P, th)
         scale = max(abs(dQ), abs(dP), 1.0)
         worst_ham = max(worst_ham, abs(dQ - rq) / scale, abs(dP - rp) / scale)
@@ -562,18 +550,12 @@ def criterion_11(closed_tol: float = 1e-6, s_tol: float = 1e-9, seed0: int = 110
     scheme = FDScheme(order=4, step=1e-5, richardson=True)
     mults = [m for m in stencil_multipliers(scheme, (1,)) if m != 0.0]
 
-    def lnderiv_at(dt1, dt2):
-        if dt1 == 0 and dt2 == 0:
-            return tau_logderiv(s0)
-        seg = PathPlan([(s0.t1, s0.t2), (s0.t1 + dt1, s0.t2 + dt2)], 0.005)
+    def lnderiv_at(t1, t2):
+        seg = PathPlan([(s0.t1, s0.t2), (t1, t2)], 0.005)
         return tau_logderiv(integrate_schlesinger(s0, seg, fixed_steps=24)[-1][1])
 
-    h = scheme.scaled_step(s0.t2)
-    vals = {m: lnderiv_at(0.0, m * h)[0] for m in mults}
-    d12 = combine_stencil(vals, h, scheme, 1)
-    h = scheme.scaled_step(s0.t1)
-    vals = {m: lnderiv_at(m * h, 0.0)[1] for m in mults}
-    d21 = combine_stencil(vals, h, scheme, 1)
+    d12 = fd_derivative(lambda t2: lnderiv_at(s0.t1, t2)[0], s0.t2, scheme)
+    d21 = fd_derivative(lambda t1: lnderiv_at(t1, s0.t2)[1], s0.t1, scheme)
     closed_gap = abs(d12 - d21)
 
     # gauge exponent: finite difference of the closed form vs the stated sum
@@ -645,10 +627,3 @@ CRITERIA = {
     "C12": criterion_12,
 }
 
-
-def run_criteria(ids=None, **overrides) -> list[CheckResult]:
-    out = []
-    for cid in ids or CRITERIA:
-        kwargs = overrides.get(cid, {}) if isinstance(overrides.get(cid), dict) else {}
-        out.append(CRITERIA[cid](**kwargs))
-    return out

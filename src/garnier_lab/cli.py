@@ -17,7 +17,9 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -161,31 +163,36 @@ def run_scenario(cfg: dict) -> dict:
     """Execute one scenario and return the report as a plain dict."""
     cfg = _validate_config(dict(cfg))
     mode = cfg["mode"]
-    checks: list[CheckResult] = []
-    timings: dict[str, float] = {}
-    if cfg.get("initial_state") is not None and mode == "schlesinger":
-        t0 = time.time()
-        checks.append(_custom_schlesinger_check(cfg))
-        timings["C1"] = time.time() - t0
-    elif cfg.get("initial_state") is not None and mode == "pvi":
-        t0 = time.time()
-        checks.append(_custom_pvi_check(cfg))
-        timings["C10"] = time.time() - t0
+    if cfg.get("initial_state") is not None:  # validated: only these two modes take one
+        cid, check = {"schlesinger": ("C1", _custom_schlesinger_check), "pvi": ("C10", _custom_pvi_check)}[mode]
+        jobs = [(cid, partial(check, cfg))]
     else:
-        for cid in MODES[mode]:
-            t0 = time.time()
-            checks.append(CRITERIA[cid](**_criterion_kwargs(cid, cfg)))
-            timings[cid] = time.time() - t0
-    report = {
+        jobs = [(cid, partial(CRITERIA[cid], **_criterion_kwargs(cid, cfg))) for cid in MODES[mode]]
+    timings: dict[str, float] = {}
+    checks = list(_timed(jobs, timings))
+    return _build_report({k: cfg[k] for k in sorted(cfg) if k != "output"}, checks, timings)
+
+
+def _timed(jobs, timings: dict[str, float]) -> Iterator[CheckResult]:
+    """Run (criterion id, job) pairs in order, yielding each result; wall times go into ``timings``."""
+    for cid, job in jobs:
+        t0 = time.time()
+        result = job()
+        timings[cid] = time.time() - t0
+        yield result
+
+
+def _build_report(config: dict, checks: list[CheckResult], timings: dict[str, float]) -> dict:
+    """The report of ``run`` and ``verify-all``; keys starting with "_" stay out of the file."""
+    return {
         "spec": 1,
-        "config": {k: cfg[k] for k in sorted(cfg) if k != "output"},
+        "config": config,
         "checks": [c.to_json() for c in checks],
         "verdicts": {c.criterion: bool(c.passed) for c in checks},
         "passed": bool(all(c.passed for c in checks)),
+        "_timings_s": timings,  # written only when requested
+        "_checks": checks,
     }
-    report["_timings_s"] = timings  # stripped by write_report unless requested
-    report["_reports"] = [r for c in checks for r in c.reports]
-    return report
 
 
 def write_report(report: dict, path, timings: bool = False) -> None:
@@ -195,12 +202,18 @@ def write_report(report: dict, path, timings: bool = False) -> None:
     Path(path).write_text(json.dumps(clean, indent=2) + "\n")
 
 
-def _print_verdicts(checks: list[dict] | list[CheckResult]) -> None:
+def _write_outputs(report: dict, out, args) -> None:
+    """Write the report to ``out`` (if set) and, with --csv, the per-point residuals beside it."""
+    if out:
+        write_report(report, out, timings=args.timings)
+        if args.csv:
+            reports = [r for c in report["_checks"] for r in c.reports]
+            write_residual_csv(reports, Path(out).with_suffix(".csv"))
+
+
+def _print_verdicts(checks: list[CheckResult]) -> None:
     for c in checks:
-        cid = c["criterion"] if isinstance(c, dict) else c.criterion
-        ok = c["passed"] if isinstance(c, dict) else c.passed
-        detail = c["detail"] if isinstance(c, dict) else c.detail
-        print(f"[{'PASS' if ok else 'FAIL'}] {cid}: {detail}")
+        print(f"[{'PASS' if c.passed else 'FAIL'}] {c.criterion}: {c.detail}")
 
 
 def _cmd_gen(args) -> int:
@@ -251,39 +264,21 @@ def _cmd_run(args) -> int:
     if args.out:
         cfg["output"] = args.out
     report = run_scenario(cfg)
-    out = cfg.get("output")
-    if out:
-        write_report(report, out, timings=args.timings)
-        if args.csv:
-            write_residual_csv(report["_reports"], Path(out).with_suffix(".csv"))
-    _print_verdicts(report["checks"])
+    _write_outputs(report, cfg.get("output"), args)
+    _print_verdicts(report["_checks"])
     return 0 if report["passed"] else 1
 
 
 def _cmd_verify_all(args) -> int:
+    seed = {} if args.seed is None else {"seed0": args.seed}
+    jobs = [(cid, partial(fn, **({} if cid == "C12" else seed))) for cid, fn in CRITERIA.items()]
     results = []
-    timings = {}
-    for cid, fn in CRITERIA.items():
-        t0 = time.time()
-        kwargs = {}
-        if args.seed is not None and cid != "C12":
-            kwargs["seed0"] = args.seed
-        results.append(fn(**kwargs))
-        timings[cid] = time.time() - t0
-        _print_verdicts(results[-1:])
-    report = {
-        "spec": 1,
-        "config": {"mode": "verify-all", "seed": args.seed},
-        "checks": [c.to_json() for c in results],
-        "verdicts": {c.criterion: bool(c.passed) for c in results},
-        "passed": bool(all(c.passed for c in results)),
-        "_timings_s": timings,
-        "_reports": [r for c in results for r in c.reports],
-    }
-    if args.out:
-        write_report(report, args.out, timings=args.timings)
-        if args.csv:
-            write_residual_csv(report["_reports"], Path(args.out).with_suffix(".csv"))
+    timings: dict[str, float] = {}
+    for result in _timed(jobs, timings):
+        _print_verdicts([result])
+        results.append(result)
+    report = _build_report({"mode": "verify-all", "seed": args.seed}, results, timings)
+    _write_outputs(report, args.out, args)
     print(f"verify-all: {'PASS' if report['passed'] else 'FAIL'} "
           f"({sum(c.passed for c in results)}/{len(results)} criteria)")
     return 0 if report["passed"] else 1

@@ -237,14 +237,11 @@ def integrate_go(
     samples: Sequence[float] | None = None,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-    scheme: FDScheme | None = None,
-    fixed_steps: int | None = None,
 ) -> list[tuple[float, GOState]]:
     """Integrate the Garnier-Okamoto flow along a (t1, t2) path."""
     if path.dim != 2:
         raise ValueError("expected a (t1, t2) path")
     path.validate_against(time_constraints())
-    scheme = scheme or GO_FD
 
     def field(point, velocity, y):
         t1, t2 = point
@@ -252,14 +249,14 @@ def integrate_go(
         if abs(lam[0] - lam[1]) < 1e-10 * (1 + abs(lam[0])):
             raise ConditionIVViolated("lambda collision during integration")
         g = GOState(t1, t2, lam, (y[2], y[3]), g0.theta)
-        vf = go_vector_field(g, scheme)
+        vf = go_vector_field(g)
         v = np.array(velocity, dtype=complex)
         dlam = v @ vf["dlam"]
         dmu = v @ vf["dmu"]
         return np.concatenate([dlam, dmu])
 
     y0 = np.array([*g0.lam, *g0.mu], dtype=complex)
-    traj = ode_integrate(field, y0, path, rtol=rtol, atol=atol, samples=samples, fixed_steps=fixed_steps)
+    traj = ode_integrate(field, y0, path, rtol=rtol, atol=atol, samples=samples)
     out = []
     for s, y in traj:
         t1, t2 = path.point(s)

@@ -13,14 +13,17 @@ This is the substrate every other module builds on:
   hops in space and in time, where a deterministic step sequence keeps the
   integration error a smooth function of the endpoint,
 * central finite-difference schemes of order 2/4 with optional Richardson
-  extrapolation, shared-stencil combination helpers and a mixed-derivative
-  evaluator.
+  extrapolation: :func:`fd_derivative` is the one path for a derivative in
+  one direction (its evaluator may return a scalar or an array), and
+  :func:`stencil_multipliers` with :func:`combine_stencil` serve the batched
+  stencils that must evaluate every offset of several directions at once.
 
 All operations are pure functions of their inputs.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
@@ -30,6 +33,7 @@ import numpy as np
 
 from .errors import (
     DegenerateQuadratic,
+    GarnierLabError,
     PathViolation,
     PoleEvaluation,
     SingularityApproach,
@@ -46,7 +50,6 @@ __all__ = [
     "dp_fixed_batch",
     "FDScheme",
     "fd_derivative",
-    "fd_mixed",
     "stencil_multipliers",
     "combine_stencil",
     "det2",
@@ -102,6 +105,9 @@ def quad_roots(a: complex, b: complex, c: complex) -> tuple[complex, complex]:
         return r, r
     r1 = q / a
     r2 = c / q
+    # roots of equal magnitude can come out an ulp the wrong way round
+    if abs(r1) < abs(r2):
+        r1, r2 = r2, r1
     return r1, r2
 
 
@@ -182,14 +188,8 @@ class PathPlan:
         self.breaks = [a / self.total_length for a in acc]
         self.breaks[-1] = 1.0
 
-    @property
-    def waypoints(self):
-        if self.scalar:
-            return [p[0] for p in self.points]
-        return list(self.points)
-
     def _segment_of(self, s: float) -> int:
-        k = int(np.searchsorted(self.breaks, s, side="right")) - 1
+        k = bisect.bisect_right(self.breaks, s) - 1
         return min(max(k, 0), len(self.seg_lengths) - 1)
 
     def point(self, s: float) -> tuple[complex, ...]:
@@ -494,10 +494,13 @@ def combine_stencil(values: Mapping[float, np.ndarray], h: float, scheme: FDSche
 
 
 def fd_derivative(f: Callable, z: complex, scheme: FDScheme | None = None, deriv: int = 1):
-    """Central finite-difference derivative of a scalar- or matrix-valued f.
+    """Central finite-difference derivative of f at z in one direction.
 
-    Error model: O(h^order), improved to O(h^(order+2)) with Richardson;
-    h = scheme.step * (1 + |z|).
+    f may return a scalar or an array; each value enters the stencil exactly
+    as f returns it. Error model: O(h^order), improved to O(h^(order+2))
+    with Richardson; h = scheme.step * (1 + |z|). A ``GarnierLabError``
+    raised by f propagates unchanged; any other exception becomes a
+    ``StencilFailure`` naming the offset.
     """
     scheme = scheme or FDScheme()
     if deriv not in (1, 2):
@@ -506,20 +509,12 @@ def fd_derivative(f: Callable, z: complex, scheme: FDScheme | None = None, deriv
     values = {}
     for m in stencil_multipliers(scheme, (deriv,)):
         try:
-            values[m] = np.asarray(f(z + m * h), dtype=complex)
+            values[m] = f(z + m * h)
+        except GarnierLabError:
+            raise
         except Exception as exc:  # noqa: BLE001 - re-raised with stencil context
             raise StencilFailure(f"stencil evaluation failed at offset {m}*h: {exc}") from exc
     return combine_stencil(values, h, scheme, deriv)
-
-
-def fd_mixed(f2: Callable, z1: complex, z2: complex, scheme: FDScheme | None = None):
-    """Mixed second derivative d^2 f / dz1 dz2 by nested first differences."""
-    scheme = scheme or FDScheme()
-
-    def inner(w1):
-        return fd_derivative(lambda w2: f2(w1, w2), z2, scheme, deriv=1)
-
-    return fd_derivative(inner, z1, scheme, deriv=1)
 
 
 # ---------------------------------------------------------------------------

@@ -43,8 +43,6 @@ from .errors import (
 )
 from .garnier_okamoto import extract_go, garx_coefficients, hamiltonian_K
 from .numerics import (
-    DEFAULT_ATOL,
-    DEFAULT_RTOL,
     AffineConstraint,
     FDScheme,
     PathPlan,
@@ -67,7 +65,6 @@ __all__ = [
     "PhiNode",
     "TNode",
     "Frame",
-    "transport_phi",
     "zero_curvature_loop",
     "ResidualReport",
     "write_residual_csv",
@@ -87,6 +84,13 @@ LAB_FD = FDScheme(order=4, step=2e-3, richardson=True)
 # (zeta, eta) chart) than the poles are in the (x, y) chart, so the
 # quantized polynomial-Garnier stencils need a finer step
 QPG_FD = FDScheme(order=4, step=5e-4, richardson=True)
+
+# radius of the x = t_i discs a spatial hop must avoid and of the x = y
+# diagonal guard; a time hop keeps a quarter of it from its singular sets
+EXCLUSION = 0.04
+
+# length of one fixed Dormand-Prince step of a stencil hop
+STENCIL_STEP_LENGTH = 5e-4
 
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
@@ -266,6 +270,11 @@ def _report(equation_id, points, rows, scheme) -> ResidualReport:
     )
 
 
+def _nsteps(length: float) -> int:
+    """Fixed-step count of a stencil hop of the given length."""
+    return max(6, int(math.ceil(length / STENCIL_STEP_LENGTH)))
+
+
 class Frame:
     """Base-normalized Phi, ln tau and branch charts for one B-state.
 
@@ -273,25 +282,13 @@ class Frame:
     branch continuity by anchoring its logs to previously computed nodes.
     """
 
-    def __init__(
-        self,
-        state: SchlesingerState,
-        base_x: complex,
-        rtol: float = DEFAULT_RTOL,
-        atol: float = DEFAULT_ATOL,
-        exclusion: float = 0.04,
-        stencil_step_length: float = 5e-4,
-    ):
+    def __init__(self, state: SchlesingerState, base_x: complex):
         if state.norm != "B":
             raise ValueError("frames are built over traceless (B) states")
         state.validate(tol=1e-8)
         self.state = state.copy()
         self.theta = state.theta
         self.base_x = complex(base_x)
-        self.rtol = rtol
-        self.atol = atol
-        self.exclusion = exclusion
-        self.stencil_step_length = stencil_step_length
         t = state.tvec
         self.base_tnode = TNode(
             t=t.copy(),
@@ -335,7 +332,7 @@ class Frame:
             m = np.einsum("i,iab->ab", 1.0 / (z - t), A)
             return (v * (m @ yv.reshape(2, 2))).ravel()
 
-        traj = ode_integrate(fld, anchor.phi.ravel(), seg, rtol=self.rtol, atol=self.atol)
+        traj = ode_integrate(fld, anchor.phi.ravel(), seg)
         node = self._hop_node(x, tnode, anchor, traj[-1][1].reshape(2, 2))
         if base_time and cache:
             self._phi_cache[x] = node
@@ -366,7 +363,7 @@ class Frame:
             m = np.einsum("bi,biac->bac", 1.0 / (z[:, None] - t[rows]), A[rows])
             return (dx[rows, None, None] * (m @ yv.reshape(-1, 2, 2))).reshape(-1, 4)
 
-        n_steps = [self._nsteps(abs(d)) for d in dx]
+        n_steps = [_nsteps(abs(d)) for d in dx]
         phi1 = dp_fixed_batch(fld, phi0, n_steps).reshape(-1, 2, 2)
         out = [anchor for _x, _tn, anchor in hops]
         for k, hop, phi in zip(moving, live, phi1):
@@ -375,7 +372,7 @@ class Frame:
 
     def _hop_segment(self, x: complex, tnode: TNode, anchor: PhiNode) -> PathPlan:
         """Straight path anchor.x -> x, rejected if it enters an x = t_i disc."""
-        seg = PathPlan([anchor.x, x], self.exclusion)
+        seg = PathPlan([anchor.x, x], EXCLUSION)
         seg.validate_against(
             [AffineConstraint((1,), tnode.t[i], f"x = t{i+1}") for i in range(4)]
         )
@@ -388,9 +385,6 @@ class Frame:
             [continue_log(anchor.logs[i], anchor.x - t[i], x - t[i]) for i in range(4)]
         )
         return PhiNode(x=x, t=t.copy(), phi=phi, logs=logs)
-
-    def _nsteps(self, length: float) -> int:
-        return max(6, int(math.ceil(length / self.stencil_step_length)))
 
     # -- time transport -----------------------------------------------------
 
@@ -420,7 +414,7 @@ class Frame:
             return field(tnode.t + s * dt[rows], dt[rows], y)
 
         y0 = np.tile(self._bundle_state(tnode, nodes), (len(moving), 1))
-        n_steps = [self._nsteps(float(np.sqrt(np.sum(np.abs(d) ** 2)))) for d in dt]
+        n_steps = [_nsteps(float(np.sqrt(np.sum(np.abs(d) ** 2)))) for d in dt]
         y1 = dp_fixed_batch(rows_field, y0, n_steps)
         out = [(tnode, list(nodes)) for _t in t_news]
         for k, y in zip(moving, y1):
@@ -443,12 +437,12 @@ class Frame:
             return field(t, np.array([velocity], dtype=complex), y[None])[0]
 
         y0 = self._bundle_state(tnode, nodes)
-        traj = ode_integrate(one_row, y0, seg, rtol=self.rtol, atol=self.atol)
+        traj = ode_integrate(one_row, y0, seg)
         return self._bundle_nodes(tnode, nodes, t_new, traj[-1][1])
 
     def _time_segment(self, tnode: TNode, nodes: Sequence[PhiNode], t_new: np.ndarray) -> PathPlan:
         """Straight path tnode.t -> t_new, rejected if it enters a t_i = t_j or t_i = x_k disc."""
-        seg = PathPlan([tuple(tnode.t), tuple(t_new)], self.exclusion / 4)
+        seg = PathPlan([tuple(tnode.t), tuple(t_new)], EXCLUSION / 4)
         seg.validate_against(
             [
                 *_TIME_COLLISIONS,
@@ -526,7 +520,7 @@ class Frame:
 
     def Y_of(self, tnode: TNode, nx: PhiNode, ny: PhiNode) -> np.ndarray:
         """Gauged two-point function Y = M / ((x-y) prod [...]^{theta_i/2} e^S)."""
-        if abs(nx.x - ny.x) < self.exclusion:
+        if abs(nx.x - ny.x) < EXCLUSION:
             raise DiagonalCollision("x and y collided")
         d = det2(nx.phi)
         if abs(d) < 1e-12:
@@ -558,31 +552,6 @@ class Frame:
         got = np.log(d)
         # compare exp to sidestep the 2*pi*i ambiguity of the principal log
         return abs(np.exp(got - expected) - 1.0)
-
-
-def transport_phi(
-    state: SchlesingerState,
-    x_path: PathPlan,
-    t_path: PathPlan | None = None,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-) -> Frame:
-    """Build a frame based at the starts of the given paths and warm it up.
-
-    The x-path waypoints are reachable spatial points (Phi is cached at each);
-    the optional (t1, t2) path end is reached by the time transport once, as
-    a smoke test of the bundle integration.
-    """
-    frame = Frame(state, base_x=x_path.waypoints[0], rtol=rtol, atol=atol)
-    anchor = frame.base_node
-    for wp in x_path.waypoints[1:]:
-        anchor = frame.phi_node(wp, anchor=anchor)
-    if t_path is not None:
-        t_end = t_path.points[-1]
-        t_new = frame.base_tnode.t.copy()
-        t_new[0], t_new[1] = t_end[0], t_end[1]
-        frame.shift_t_adaptive(frame.base_tnode, [frame.base_node], t_new)
-    return frame
 
 
 def phi_via(frame: Frame, x: complex, t12: tuple[complex, complex], order: str = "tx") -> np.ndarray:
@@ -801,25 +770,21 @@ class VDerivs:
     Vt: dict[int, np.ndarray]
 
 
-def _branch_safe_step(base_h, var0, zeta, eta, t1, t2, x0, y0, which: str) -> float:
-    """Clamp a stencil step by the distance to the x = y collision locus.
+def _branch_safe_step(scheme: FDScheme, point, direction, hint) -> float:
+    """Stencil step along ``direction`` in (zeta, eta, t1, t2), clamped by the x = y locus.
 
+    ``point`` is (zeta, eta, t1, t2) and ``hint`` its preimage (x0, y0).
     V(zeta, eta, t) branches where the two preimages collide; the chart's
     smoothness radius there is roughly |x - y| / |d(x - y)/d(var)|, probed
     by one extra inversion. The step is kept at a small fraction of it.
     """
+    var0 = np.dot(direction, point)
     probe = 1e-6 * (1.0 + abs(var0))
-    if which == "zeta":
-        x1, y1 = zeta_eta_inverse(zeta + probe, eta, t1, t2, (x0, y0))
-    elif which == "eta":
-        x1, y1 = zeta_eta_inverse(zeta, eta + probe, t1, t2, (x0, y0))
-    elif which == "t1":
-        x1, y1 = zeta_eta_inverse(zeta, eta, t1 + probe, t2, (x0, y0))
-    else:
-        x1, y1 = zeta_eta_inverse(zeta, eta, t1, t2 + probe, (x0, y0))
+    x0, y0 = hint
+    x1, y1 = zeta_eta_inverse(*(p + probe * e for p, e in zip(point, direction)), hint)
     rate = abs((x1 - y1) - (x0 - y0)) / probe
     radius = abs(x0 - y0) / (2.0 * rate + 1e-30)
-    return min(base_h, radius / 50.0)
+    return min(scheme.scaled_step(var0), radius / 50.0)
 
 
 def _v_derivs(
@@ -838,8 +803,10 @@ def _v_derivs(
 
     mults2 = stencil_multipliers(scheme, (1, 2))
     mults1 = stencil_multipliers(scheme, (1,))
-    hz = _branch_safe_step(scheme.scaled_step(zeta), zeta, zeta, eta, t[0], t[1], x0, y0, "zeta")
-    he = _branch_safe_step(scheme.scaled_step(eta), eta, zeta, eta, t[0], t[1], x0, y0, "eta")
+    point = (zeta, eta, t[0], t[1])
+    axes = np.eye(4)  # directions zeta, eta, t1, t2
+    hz = _branch_safe_step(scheme, point, axes[0], (x0, y0))
+    he = _branch_safe_step(scheme, point, axes[1], (x0, y0))
 
     # 1. stencil points: key -> (tnode, x, y, anchor of x, anchor of y)
     points: dict[tuple, tuple] = {}
@@ -861,13 +828,7 @@ def _v_derivs(
             chain(("ze", mz), mults1, lambda me: (zeta + mz * hz, eta + me * he), row_hint)
     # t1/t2 stencils at fixed (zeta, eta): the bundle moves in one batched
     # transport, then the preimages
-    ht = {
-        ddir: _branch_safe_step(
-            scheme.scaled_step(t[ddir]), t[ddir], zeta, eta, t[0], t[1], x0, y0,
-            "t1" if ddir == 0 else "t2",
-        )
-        for ddir in (0, 1)
-    }
+    ht = {ddir: _branch_safe_step(scheme, point, axes[2 + ddir], (x0, y0)) for ddir in (0, 1)}
     keys = [(ddir, m) for ddir in (0, 1) for m in mults1 if m != 0.0]
     moved = frame.shift_t(tnode, [nx0, ny0], [_shifted(t, d, m * ht[d]) for d, m in keys])
     for (ddir, m), (tn, (nxm, nym)) in zip(keys, moved):

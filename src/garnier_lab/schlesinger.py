@@ -186,46 +186,30 @@ class SchlesingerState:
 # deformation flow
 # ---------------------------------------------------------------------------
 
-def flow_derivative(A: np.ndarray, tvec: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, complex]:
+# off-diagonal mask and the identity that keeps the diagonal of t_i - t_j nonzero
+_EYE4 = np.eye(4)
+_OFF4 = 1.0 - _EYE4
+
+
+def flow_derivative(A: np.ndarray, tvec: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, complex | np.ndarray]:
     """Directional derivative of (A_1..A_4, ln tau) along dt/ds = v.
 
     dA_j/ds = sum_{i != j} (v_i - v_j) [A_i, A_j] / (t_i - t_j) and
     dln(tau)/ds = sum_{i != j} v_i tr(A_i A_j) / (t_i - t_j); the tau term
     assumes traceless (B) normalization but is returned unconditionally.
 
-    With a leading batch axis (A of shape (B, 4, 2, 2), tvec and v of shape
-    (B, 4)) every row is an independent state and dln(tau)/ds is a (B,)
-    array; each row repeats the arithmetic of the unbatched call on that row.
+    Any leading batch shape is allowed: A of shape (..., 4, 2, 2) with tvec
+    and v of shape (..., 4) give dA of A's shape and dln(tau)/ds of shape
+    (...); every row is an independent state and repeats the arithmetic of
+    an unbatched call on that row.
     """
-    if A.ndim == 4:
-        return _flow_derivative_batch(A, tvec, v)
-    P = np.einsum("iab,jbc->ijac", A, A)
-    C = P - P.transpose(1, 0, 2, 3)
-    dt = tvec[:, None] - tvec[None, :]
-    np.fill_diagonal(dt, 1.0)
-    W = 1.0 / dt
-    np.fill_diagonal(W, 0.0)
-    G = (v[:, None] - v[None, :]) * W
-    dA = np.einsum("ij,ijab->jab", G, C)
-    T = np.einsum("ijaa->ij", P)
-    dtau = complex(np.einsum("i,ij,ij->", v, W, T))
-    return dA, dtau
-
-
-def _flow_derivative_batch(A: np.ndarray, tvec: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # the unbatched body with a leading row axis; kept apart so the
-    # unbatched call (adaptive flows) pays nothing for it
-    P = np.einsum("niab,njbc->nijac", A, A)
-    C = P - P.transpose(0, 2, 1, 3, 4)
-    diag = np.arange(4)
-    dt = tvec[:, :, None] - tvec[:, None, :]
-    dt[:, diag, diag] = 1.0
-    W = 1.0 / dt
-    W[:, diag, diag] = 0.0
-    G = (v[:, :, None] - v[:, None, :]) * W
-    dA = np.einsum("nij,nijab->njab", G, C)
-    T = np.einsum("nijaa->nij", P)
-    dtau = np.einsum("ni,nij,nij->n", v, W, T)
+    P = np.einsum("...iab,...jbc->...ijac", A, A)
+    C = P - np.swapaxes(P, -3, -4)
+    W = _OFF4 / (tvec[..., :, None] - tvec[..., None, :] + _EYE4)
+    G = (v[..., :, None] - v[..., None, :]) * W
+    dA = np.einsum("...ij,...ijab->...jab", G, C)
+    T = np.einsum("...ijaa->...ij", P)
+    dtau = np.einsum("...i,...ij,...ij->...", v, W, T)
     return dA, dtau
 
 
@@ -251,10 +235,7 @@ def tau_logderiv(state: SchlesingerState) -> tuple[complex, complex]:
     state.check_times()
     P = np.einsum("iab,jbc->ijac", state.A, state.A)
     T = np.einsum("ijaa->ij", P)
-    dt = state.tvec[:, None] - state.tvec[None, :]
-    np.fill_diagonal(dt, 1.0)
-    W = 1.0 / dt
-    np.fill_diagonal(W, 0.0)
+    W = _OFF4 / (state.tvec[:, None] - state.tvec[None, :] + _EYE4)
     g = (T * W).sum(axis=1)
     return complex(g[0]), complex(g[1])
 

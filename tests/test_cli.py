@@ -1,10 +1,13 @@
 """Command-line front end: gen, run, verify dispatch, exit codes, formats."""
 
+import functools
 import json
 
 import numpy as np
 import pytest
 
+from garnier_lab import cli
+from garnier_lab.acceptance import CheckResult, criterion_6
 from garnier_lab.cli import MODES, main, run_scenario, write_report
 from garnier_lab.errors import ConfigInvalid
 from garnier_lab.poly_garnier import PGState, gen_pg, random_theta_pg
@@ -198,3 +201,30 @@ def test_validate_enforces_fuchs_on_theta_block():
     good = dict(bad, thinf2=[-1.5, 0.0])
     cfg = {"spec": 1, "mode": "bridge", "theta": good, "scale": {"n_states": 2}}
     assert run_scenario(cfg)["passed"]
+
+
+def _failing_check(**_kwargs):
+    return CheckResult(criterion="CX", passed=False, detail="fails on purpose")
+
+
+@pytest.mark.parametrize("failing", [False, True])
+def test_verify_all_wiring(tmp_path, monkeypatch, capsys, failing):
+    # two cheap criteria stand in for the full set
+    cheap = {"C6": functools.partial(criterion_6, n_states=2)}
+    if failing:
+        cheap["CX"] = _failing_check
+    monkeypatch.setattr(cli, "CRITERIA", cheap)
+    plain, timed, run = tmp_path / "plain.json", tmp_path / "timed.json", tmp_path / "run.json"
+    code = main(["verify-all", "--out", str(plain), "--csv"])
+    assert code == (1 if failing else 0)
+    assert main(["verify-all", "--out", str(timed), "--timings"]) == code
+    assert main(["run", "--mode", "bridge", "--out", str(run)]) == 0
+    out = capsys.readouterr().out
+    assert f"verify-all: {'FAIL' if failing else 'PASS'} (1/{len(cheap)} criteria)" in out
+    report = json.loads(plain.read_text())
+    assert list(report) == list(json.loads(run.read_text()))
+    assert list(report["verdicts"]) == list(cheap)
+    assert report["config"] == {"mode": "verify-all", "seed": None}
+    assert "timings_s" in json.loads(timed.read_text())
+    assert plain.with_suffix(".csv").read_text().startswith("re_x,im_x,re_y,im_y,")
+    assert not timed.with_suffix(".csv").exists()

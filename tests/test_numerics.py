@@ -20,7 +20,6 @@ from garnier_lab.numerics import (
     continue_log,
     dp_fixed_batch,
     fd_derivative,
-    fd_mixed,
     ode_integrate,
     quad_roots,
     stencil_multipliers,
@@ -67,6 +66,14 @@ def test_quad_roots_vieta_property(rng):
         scale = 1 + abs(b) + abs(c)
         assert abs(a * r1 * r2 - c) < 1e-12 * scale
         assert abs(a * (r1 + r2) + b) < 1e-12 * scale
+
+
+def test_quad_roots_equal_magnitudes_keep_order():
+    # roots +-2.1213i have equal magnitude; the formulas put the larger one
+    # second by an ulp unless the order is restored
+    r1, r2 = quad_roots(2, 0, 9)
+    assert abs(r1) >= abs(r2)
+    assert abs(r1 * r2 - 4.5) < 1e-15 * 4.5
 
 
 # ---------------------------------------------------------------------------
@@ -237,20 +244,35 @@ def test_fd_second_derivative():
     assert err < 1e-9
 
 
-def test_fd_mixed_derivative():
-    scheme = FDScheme(order=4, step=1e-3, richardson=True)
-    z, w = 0.4 + 0.1j, -0.2 + 0.3j
-    got = fd_mixed(lambda a, b: np.exp(a * b), z, w, scheme)
-    want = (1 + z * w) * np.exp(z * w)
-    assert abs(got - want) < 1e-9
-
-
 def test_fd_stencil_failure_wraps_exceptions():
     def bad(z):
         raise ZeroDivisionError("boom")
 
     with pytest.raises(StencilFailure):
         fd_derivative(bad, 0.0)
+
+
+def test_fd_lets_package_errors_through():
+    # a typed failure of the evaluator keeps its type (and its exit code)
+    err = PathViolation("hop enters a disc")
+
+    def bad(z):
+        raise err
+
+    with pytest.raises(PathViolation) as info:
+        fd_derivative(bad, 0.0)
+    assert info.value is err
+
+
+def test_fd_vector_evaluator_matches_each_component():
+    # one array-valued evaluator gives each component's scalar derivative
+    scheme = FDScheme(order=4, step=1e-3, richardson=True)
+    z = 0.3 + 0.1j
+    both = fd_derivative(lambda w: np.array([np.exp(w), np.sin(w)]), z, scheme)
+    for got, f in zip(both, (np.exp, np.sin)):
+        # same arithmetic: equal up to a few ulp on any platform
+        alone = fd_derivative(f, z, scheme)
+        assert abs(got - alone) <= 1e-15 * abs(alone)
 
 
 def test_combine_stencil_shares_offsets():

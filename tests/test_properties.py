@@ -1,4 +1,5 @@
-"""Property tests over random inputs: space-variable map, quadratic roots, continuous log."""
+"""Property tests over random inputs: space-variable map, quadratic roots, continuous log,
+seeded Schlesinger data and the coordinate bridge."""
 
 import cmath
 
@@ -7,7 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from garnier_lab.numerics import continue_log, quad_roots
+from garnier_lab.poly_garnier import bridge_lambda_from_q, bridge_q_from_lambda
 from garnier_lab.quantization import zeta_eta_inverse, zeta_eta_map
+from garnier_lab.schlesinger import gen_schlesinger_b, shift_normalization
 
 
 def _complex(lo_re, hi_re, lo_im, hi_im):
@@ -23,6 +26,8 @@ def _complex(lo_re, hi_re, lo_im, hi_im):
 _POINT = _complex(-0.5, 1.5, 0.5, 2.0)
 _TIME = _complex(0.1, 0.9, -0.1, 0.1)
 _COEF = _complex(-10.0, 10.0, -10.0, 10.0)
+_THETA = _complex(-0.7, 0.7, -0.3, 0.3)
+_Q = _complex(-0.8, 0.8, -0.4, 0.4)
 
 # derandomized: the same examples on every run, nothing written to disk
 _SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -43,7 +48,7 @@ def test_quad_roots_vieta(a, b, c):
     assume(abs(a) > 1e-3)
     r1, r2 = quad_roots(a, b, c)
     eps = np.finfo(float).eps
-    assert abs(r1) >= abs(r2) * (1 - 4 * eps)  # equal-magnitude roots tie to rounding
+    assert abs(r1) >= abs(r2)
     # the product is accurate to relative rounding error, the sum to the
     # rounding error of the larger root
     assert abs(r1 * r2 - c / a) <= 16 * eps * abs(c / a)
@@ -67,3 +72,29 @@ def test_continue_log_is_continuous_along_the_chord(w0, w1, sheet):
     # ... and independently of where the chord is split
     mid = w0 + 0.37 * d
     assert abs(continue_log(continue_log(l0, w0, mid), mid, w1) - l1) <= 1e-12 * (1 + abs(l1))
+
+
+@_SETTINGS
+@given(st.lists(_THETA, min_size=4, max_size=4), st.integers(0, 2**31 - 1))
+def test_gen_schlesinger_b_invariants(theta, seed):
+    s = gen_schlesinger_b(theta, seed=seed)
+    B = s.A
+    size = 1.0 + float(np.max(np.abs(B)))
+    for b, th in zip(B, theta):
+        assert abs(b[0, 0] + b[1, 1]) <= 1e-13 * size
+        assert abs(b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0] + th * th / 4.0) <= 1e-13 * size**2
+    k_inf = s.theta.k_inf
+    assert np.max(np.abs(B.sum(axis=0) - np.diag([k_inf / 2.0, -k_inf / 2.0]))) <= 1e-13 * size
+    assert abs(k_inf) >= 0.05  # the eigenvalue gap of B_inf
+    q = shift_normalization(s, "BtoQ")
+    assert abs(np.einsum("i,i->", q.tvec, q.A[:, 0, 1])) >= 0.05  # |x_lead|
+
+
+@_SETTINGS
+@given(_Q, _Q, _TIME, _TIME)
+def test_bridge_round_trip_off_the_reduction_locus(q1, q2, t1, t2):
+    assume(abs(1.0 - q1 - q2) > 0.05 and abs(t1 - t2) > 0.1)
+    lam1, lam2 = bridge_lambda_from_q(q1, q2, t1, t2)
+    assume(abs(lam1 - 1.0) > 0.05 and abs(lam2 - 1.0) > 0.05)  # poles of the inverse bridge
+    qq1, qq2 = bridge_q_from_lambda(lam1, lam2, t1, t2)
+    assert abs(qq1 - q1) + abs(qq2 - q2) <= 1e-11 * (1.0 + abs(q1) + abs(q2))

@@ -33,7 +33,6 @@ from garnier_lab.quantization import (
     phi_via,
     quantized_pg_residual,
     solve_alpha_beta,
-    transport_phi,
     write_residual_csv,
     zero_curvature_loop,
     zeta_eta_inverse,
@@ -82,13 +81,6 @@ def test_transport_det_trace_identity(frame):
     # traceless residues: det Phi must stay 1 along x
     node = frame.phi_node(1.2 + 1.6j)
     assert frame.det_phi_residual(node) < 1e-9
-
-
-def test_transport_phi_factory(b_state):
-    x_path = PathPlan([BASE_X, 0.9 + 1.3j, 1.3 + 1.7j], 0.04)
-    t_path = PathPlan([(b_state.t1, b_state.t2), (b_state.t1 + 0.1j, b_state.t2 - 0.08j)], 0.04)
-    fr = transport_phi(b_state, x_path, t_path)
-    assert (0.9 + 1.3j) in fr._phi_cache and (1.3 + 1.7j) in fr._phi_cache
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +469,8 @@ def test_phi_nodes_batch_matches_hops_alone(frame):
         fixed = ode_integrate(
             field,
             anchor.phi.ravel(),
-            PathPlan([anchor.x, x], frame.exclusion),
-            fixed_steps=frame._nsteps(abs(x - anchor.x)),
+            PathPlan([anchor.x, x], quantization.EXCLUSION),
+            fixed_steps=quantization._nsteps(abs(x - anchor.x)),
         )[-1][1]
         assert agree(node.phi.ravel(), fixed)
         # and the adaptive transport agrees to integrator accuracy
@@ -510,7 +502,7 @@ def _bundle_alone(frame, tnode, nodes, t_new, fixed_steps):
         return np.concatenate(out)
 
     y0 = np.concatenate([tnode.A.ravel(), [tnode.ln_tau], *[n.phi.ravel() for n in nodes]])
-    seg = PathPlan([tuple(tnode.t), tuple(t_new)], frame.exclusion / 4)
+    seg = PathPlan([tuple(tnode.t), tuple(t_new)], quantization.EXCLUSION / 4)
     return ode_integrate(field, y0, seg, fixed_steps=fixed_steps)[-1][1]
 
 
@@ -557,7 +549,7 @@ def test_shift_t_batch_matches_each_alone(frame, monkeypatch):
         assert tn_still is base and all(a is b for a, b in zip(nodes_still, nodes))
 
         for t_new, n, (tn, moved) in zip(t_news, n_steps, batch):
-            assert n == frame._nsteps(float(np.sqrt(np.sum(np.abs(t_new - base.t) ** 2))))
+            assert n == quantization._nsteps(float(np.sqrt(np.sum(np.abs(t_new - base.t) ** 2))))
             assert np.array_equal(tn.t, t_new) and all(np.array_equal(m.t, t_new) for m in moved)
             got = _bundle_vector(tn, moved)
             assert agree(got, _bundle_alone(frame, base, nodes, t_new, n))
