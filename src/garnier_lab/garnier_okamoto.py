@@ -3,7 +3,10 @@
 (lambda_1, lambda_2) are the zeros of the (1,2)-entry of the connection
 matrix, the momenta mu_k are partial-fraction sums of the (1,1) residue
 entries, and the two Hamiltonians K_i drive the commuting flows in
-(t_1, t_2). The scalar second-order equation satisfied by the first
+(t_1, t_2). The Hamilton field of that flow is the closed-form gradient of
+K_i, so no finite differences run inside the ODE right-hand side; the
+acceptance criterion C3 checks it against finite differences of the
+extracted flow. The scalar second-order equation satisfied by the first
 component of the gauged wavefunction provides an independent cross-check;
 its rational coefficients are assembled here.
 """
@@ -22,16 +25,7 @@ from .errors import (
     PoleEvaluation,
     TimeCollision,
 )
-from .numerics import (
-    DEFAULT_ATOL,
-    DEFAULT_RTOL,
-    FDScheme,
-    PathPlan,
-    combine_stencil,
-    ode_integrate,
-    quad_roots,
-    stencil_multipliers,
-)
+from .numerics import DEFAULT_ATOL, DEFAULT_RTOL, PathPlan, ode_integrate, quad_roots
 from .schlesinger import T3, T4, SchlesingerState, ThetaGO, time_constraints
 
 __all__ = [
@@ -44,8 +38,6 @@ __all__ = [
     "integrate_go",
     "garx_coefficients",
 ]
-
-GO_FD = FDScheme(order=4, step=1e-5, richardson=True)
 
 
 @dataclass
@@ -167,6 +159,15 @@ def extract_go(state: SchlesingerState) -> GOState:
 # Hamiltonians and flow
 # ---------------------------------------------------------------------------
 
+def _check_k_domain(ti, tn, lam) -> None:
+    """The typed errors of K_i: t_i in {0, 1, t_other} or lambda_1 = lambda_2."""
+    if abs(ti) < 1e-12 or abs(ti - 1.0) < 1e-12 or abs(ti - tn) < 1e-12:
+        raise TimeCollision("t_i collides with {0, 1, t_other}")
+    l1, l2 = lam
+    if abs(l1 - l2) < 1e-12 * (1 + abs(l1)):
+        raise ConditionIVViolated("lambda_1 = lambda_2 in K_i")
+
+
 def _k_value(i: int, t1, t2, lam, mu, theta: ThetaGO) -> complex:
     """K_i as a function of the phase-space point; i in {1, 2}."""
     th = theta.theta
@@ -174,11 +175,8 @@ def _k_value(i: int, t1, t2, lam, mu, theta: ThetaGO) -> complex:
     ts = (t1, t2)
     ti = ts[i - 1]
     tn = ts[i % 2]  # the other time
-    if abs(ti) < 1e-12 or abs(ti - 1.0) < 1e-12 or abs(ti - tn) < 1e-12:
-        raise TimeCollision("t_i collides with {0, 1, t_other}")
+    _check_k_domain(ti, tn, lam)
     l1, l2 = lam
-    if abs(l1 - l2) < 1e-12 * (1 + abs(l1)):
-        raise ConditionIVViolated("lambda_1 = lambda_2 in K_i")
     Mi = -((l1 - ti) * (l2 - ti)) / ((ti - tn) * (ti - 1.0) * ti)
     total = 0.0 + 0.0j
     for k in (0, 1):
@@ -200,35 +198,60 @@ def hamiltonian_K(i: int, g: GOState) -> complex:
     return _k_value(i, g.t1, g.t2, g.lam, g.mu, g.theta)
 
 
-def go_vector_field(g: GOState, scheme: FDScheme | None = None) -> dict[str, np.ndarray]:
-    """Hamilton equations of K_1, K_2 via finite differences of K.
+def _k_gradient(i: int, g: GOState) -> tuple[list[complex], list[complex]]:
+    """(dK_i/dlambda_k, dK_i/dmu_k) for k = 1, 2, in closed form.
 
-    Returns {"dlam": D, "dmu": E} with D[j-1, k-1] = d lambda_k / d t_j and
-    E[j-1, k-1] = d mu_k / d t_j.
+    K_i = M_i * sum_k M_ki F_k, as in ``_k_value``, with F_k = mu_k^2 -
+    S_k mu_k + kappa/(lambda_k (lambda_k - 1)) and the pole sum S_k =
+    sum_m c_m/(lambda_k - t_m) over t = (t_1, t_2, 1, 0), c_m = theta_m less
+    1 at m = i. M_i depends on both lambdas, M_ki = p(lambda_k)/(lambda_k -
+    lambda_o) with p(l) = (l - t_n)(l - 1) l on both, F_k on lambda_k alone;
+    dM_ki/dlambda_k is written as (p' - M_ki)/(lambda_k - lambda_o), so
+    nothing divides by lambda_k - t_n.
     """
-    scheme = scheme or GO_FD
-    dlam = np.zeros((2, 2), dtype=complex)
-    dmu = np.zeros((2, 2), dtype=complex)
-    mults = stencil_multipliers(scheme, (1,))
-    for j in (1, 2):
-        for k in (0, 1):
-            # dK_j/dmu_k
-            h = scheme.scaled_step(g.mu[k])
-            vals = {}
-            for m in mults:
-                mu = list(g.mu)
-                mu[k] += m * h
-                vals[m] = _k_value(j, g.t1, g.t2, g.lam, tuple(mu), g.theta)
-            dlam[j - 1, k] = combine_stencil(vals, h, scheme, 1)
-            # dK_j/dlambda_k
-            h = scheme.scaled_step(g.lam[k])
-            vals = {}
-            for m in mults:
-                lam = list(g.lam)
-                lam[k] += m * h
-                vals[m] = _k_value(j, g.t1, g.t2, tuple(lam), g.mu, g.theta)
-            dmu[j - 1, k] = -combine_stencil(vals, h, scheme, 1)
-    return {"dlam": dlam, "dmu": dmu}
+    th = g.theta.theta
+    kappa = g.theta.kappa
+    ts = (g.t1, g.t2)
+    ti = ts[i - 1]
+    tn = ts[i % 2]
+    _check_k_domain(ti, tn, g.lam)
+    l1, l2 = g.lam
+    den = (ti - tn) * (ti - 1.0) * ti
+    Mi = -((l1 - ti) * (l2 - ti)) / den
+    dMi = (-(l2 - ti) / den, -(l1 - ti) / den)
+    c1, c2, c3, c4 = th[0] - (i == 1), th[1] - (i == 2), th[2], th[3]
+    M, dM_own, dM_cross, F, dF, dK_dmu = [], [], [], [], [], []
+    for k in (0, 1):
+        lk, lo, mk = g.lam[k], g.lam[1 - k], g.mu[k]
+        r1, r2, r3, r4 = 1.0 / (lk - g.t1), 1.0 / (lk - g.t2), 1.0 / (lk - 1.0), 1.0 / lk
+        S = c1 * r1 + c2 * r2 + c3 * r3 + c4 * r4
+        dS = -(c1 * r1 * r1 + c2 * r2 * r2 + c3 * r3 * r3 + c4 * r4 * r4)
+        p = (lk - tn) * (lk - 1.0) * lk
+        dp = (lk - 1.0) * lk + (lk - tn) * lk + (lk - tn) * (lk - 1.0)
+        Mk = p / (lk - lo)
+        M.append(Mk)
+        dM_own.append((dp - Mk) / (lk - lo))  # d M_ki / d lambda_k
+        dM_cross.append(Mk / (lk - lo))  # d M_ki / d lambda_o
+        F.append(mk * mk - S * mk + kappa * r3 * r4)
+        dF.append(-dS * mk - kappa * r3 * r4 * (r3 + r4))
+        dK_dmu.append(Mi * Mk * (2.0 * mk - S))
+    total = M[0] * F[0] + M[1] * F[1]
+    dK_dlam = [
+        dMi[k] * total + Mi * (dM_own[k] * F[k] + M[k] * dF[k] + dM_cross[1 - k] * F[1 - k])
+        for k in (0, 1)
+    ]
+    return dK_dlam, dK_dmu
+
+
+def go_vector_field(g: GOState) -> dict[str, np.ndarray]:
+    """Hamilton equations of K_1, K_2 from the closed-form gradient of K.
+
+    Returns {"dlam": D, "dmu": E} with D[j-1, k-1] = d lambda_k / d t_j =
+    dK_j/dmu_k and E[j-1, k-1] = d mu_k / d t_j = -dK_j/dlambda_k. Raises
+    the typed errors of K_j: ``TimeCollision`` and ``ConditionIVViolated``.
+    """
+    (dl1, dm1), (dl2, dm2) = _k_gradient(1, g), _k_gradient(2, g)
+    return {"dlam": np.array([dm1, dm2], dtype=complex), "dmu": -np.array([dl1, dl2], dtype=complex)}
 
 
 def integrate_go(

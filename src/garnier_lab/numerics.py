@@ -216,13 +216,6 @@ class PathPlan:
                         f"'{con.label}' (exclusion radius {self.exclusion_radius})"
                     )
 
-    def clearance(self, constraints: Sequence[AffineConstraint]) -> float:
-        return min(
-            con.segment_min(p0, p1)
-            for p0, p1 in zip(self.points[:-1], self.points[1:])
-            for con in constraints
-        )
-
 
 # ---------------------------------------------------------------------------
 # Dormand-Prince 5(4) with exact sample landing
@@ -247,6 +240,14 @@ _DP_E = (
     22.0 / 525.0,
     -1.0 / 40.0,
 )
+
+
+# the nonzero terms of the weight rows with a zero (stage 2): the zero term
+# would come second in the sum, where adding 0*k to a finite stage is exact
+# (the running sum is never -0.0 after sum's integer start), so dropping it
+# keeps every bit
+_DP_A6_NZ = tuple((j, a) for j, a in enumerate(_DP_A[6]) if a != 0.0)
+_DP_E_NZ = tuple((j, e) for j, e in enumerate(_DP_E) if e != 0.0)
 
 
 def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, rtol: float, atol: float) -> float:
@@ -288,8 +289,12 @@ def ode_integrate(
     checkpoints = sorted(set(path.breaks[1:]) | set(want))
 
     def fv(s: float, yv: np.ndarray) -> np.ndarray:
-        pt = path.point(s)
-        vel = path.velocity(k_seg)
+        # the interval's segment k_seg: [s0, s1) -> p0 + f*dp, as PathPlan.point
+        if s0 <= s < s1:
+            f = (s - s0) / ds
+            pt = tuple(a + f * d for a, d in zip(p0, dp))
+        else:  # a stage on or past a break: PathPlan.point picks the segment
+            pt = path.point(s)
         if path.scalar:
             return np.asarray(field(pt[0], vel[0], yv), dtype=complex).ravel()
         return np.asarray(field(pt, vel, yv), dtype=complex).ravel()
@@ -298,10 +303,16 @@ def ode_integrate(
     n_steps = 0
     h = None
     for s_target in checkpoints:
-        k_seg = path._segment_of(0.5 * (s_cur + s_target))  # read by fv
         span = s_target - s_cur
         if span <= 0:
             continue
+        # per-interval constants read by fv
+        k_seg = path._segment_of(0.5 * (s_cur + s_target))
+        s0, s1 = path.breaks[k_seg], path.breaks[k_seg + 1]
+        ds = s1 - s0
+        p0 = path.points[k_seg]
+        dp = tuple(b - a for a, b in zip(p0, path.points[k_seg + 1]))
+        vel = path.velocity(k_seg)
         if fixed_steps is not None:
             n = max(1, int(fixed_steps))
             hs = span / n
@@ -381,10 +392,10 @@ def _dp_step(f, s0, y, h, k1):
     for i in range(1, 6):
         acc = y + h * sum(a * kk for a, kk in zip(_DP_A[i], k))
         k.append(f(s0 + _DP_C[i] * h, acc))
-    y1 = y + h * sum(a * kk for a, kk in zip(_DP_A[6], k))
+    y1 = y + h * sum(a * k[j] for j, a in _DP_A6_NZ)
     k7 = f(s0 + h, y1)  # FSAL stage, reused as k1 of the next step
     k.append(k7)
-    err = h * sum(e * kk for e, kk in zip(_DP_E, k))
+    err = h * sum(e * k[j] for j, e in _DP_E_NZ)
     return y1, err, k7
 
 

@@ -1,12 +1,16 @@
 """Coordinate extraction, the two Hamiltonians, the flow, scalar-equation
 coefficients."""
 
+import mpmath
 import numpy as np
 import pytest
 
-from garnier_lab.errors import ConditionIIIViolated, ConditionIVViolated
+from garnier_lab import garnier_okamoto
+from garnier_lab.acceptance import LONG_T_PATH, _seeded_b_state
+from garnier_lab.errors import ConditionIIIViolated, ConditionIVViolated, TimeCollision
 from garnier_lab.garnier_okamoto import (
     GOState,
+    _k_value,
     extract_go,
     extract_lambda,
     extract_mu,
@@ -15,7 +19,7 @@ from garnier_lab.garnier_okamoto import (
     hamiltonian_K,
     integrate_go,
 )
-from garnier_lab.numerics import FDScheme, PathPlan, combine_stencil, stencil_multipliers
+from garnier_lab.numerics import PathPlan
 from garnier_lab.schlesinger import SchlesingerState, ThetaGO, integrate_schlesinger, shift_normalization
 
 T1, T2 = 0.3 + 0.05j, 0.62 - 0.04j
@@ -181,15 +185,70 @@ def test_field_linear_momentum_coefficient_at_zero_mu():
             pole = sum((th[m - 1] - (1 if m == j else 0)) / (lk - ts[m - 1]) for m in (1, 2))
             pole += th[2] / (lk - 1) + th[3] / lk
             want = -Mj * Mkj * pole
-            assert abs(vf["dlam"][j - 1, k] - want) < 1e-9
+            assert abs(vf["dlam"][j - 1, k] - want) < 1e-12
 
 
-def test_field_momentum_equation_is_minus_lambda_partial():
-    # definition restated: -dK_j/dlambda_k from two step sizes agree
+def test_field_matches_mpmath_gradient():
+    # dlambda_k/dt_j = dK_j/dmu_k and dmu_k/dt_j = -dK_j/dlambda_k against
+    # mpmath.diff of K_j at 40 digits, over C3's seeds and beyond
+    with mpmath.workdps(40):
+        for seed in range(300, 340):
+            g = extract_go(shift_normalization(_seeded_b_state(seed), "BtoQ"))
+            vf = go_vector_field(g)
+            lam = [mpmath.mpc(v) for v in g.lam]
+            mu = [mpmath.mpc(v) for v in g.mu]
+            for j in (1, 2):
+                for k in (0, 1):
+
+                    def k_of_mu(z):
+                        m = list(mu)
+                        m[k] = z
+                        return _k_value(j, g.t1, g.t2, lam, m, g.theta)
+
+                    def k_of_lam(z):
+                        lm = list(lam)
+                        lm[k] = z
+                        return _k_value(j, g.t1, g.t2, lm, mu, g.theta)
+
+                    for got, want in (
+                        (vf["dlam"][j - 1, k], complex(mpmath.diff(k_of_mu, mu[k]))),
+                        (vf["dmu"][j - 1, k], -complex(mpmath.diff(k_of_lam, lam[k]))),
+                    ):
+                        assert abs(got - want) <= 1e-12 * abs(want), (seed, j, k)
+
+
+@pytest.mark.parametrize(
+    "t1, lam, err",
+    [
+        (0.0, None, TimeCollision),
+        (1.0, None, TimeCollision),
+        (T2, None, TimeCollision),
+        (T1, (0.15 + 0.45j, 0.15 + 0.45j), ConditionIVViolated),
+    ],
+    ids=["t1=0", "t1=1", "t1=t2", "lambda1=lambda2"],
+)
+def test_field_raises_the_typed_errors_of_k(t1, lam, err):
     g = _go_state()
-    a = go_vector_field(g, FDScheme(order=4, step=1e-5, richardson=True))
-    b = go_vector_field(g, FDScheme(order=4, step=2e-5, richardson=True))
-    assert np.max(np.abs(a["dmu"] - b["dmu"])) < 1e-8
+    bad = GOState(t1, g.t2, lam=lam or g.lam, mu=g.mu, theta=g.theta)
+    with pytest.raises(err):
+        _k_value(1, bad.t1, bad.t2, bad.lam, bad.mu, bad.theta)
+    with pytest.raises(err):
+        go_vector_field(bad)
+
+
+def test_go_flow_field_call_count(monkeypatch):
+    # work counter: integrate_go at rtol 1e-12 from C3's seed-300 state along
+    # a tenth of the first C1 leg makes exactly 410 field calls (the count of
+    # the finite-difference field it replaced); a field that forced step
+    # rejections would change it
+    g0 = extract_go(shift_normalization(_seeded_b_state(300), "BtoQ"))
+    (t1, t2), (u1, u2) = LONG_T_PATH[:2]
+    path = PathPlan([(t1, t2), (t1 + 0.1 * (u1 - t1), t2 + 0.1 * (u2 - t2))], 0.05)
+    calls = []
+    field = garnier_okamoto.go_vector_field
+    monkeypatch.setattr(garnier_okamoto, "go_vector_field", lambda g: calls.append(1) or field(g))
+    integrate_go(g0, path, rtol=1e-12)
+    assert len(calls) == 410
 
 
 def test_flow_matches_schlesinger_extraction(b_state):
