@@ -195,7 +195,10 @@ def _k_value(i: int, t1, t2, lam, mu, theta: ThetaGO) -> complex:
 def hamiltonian_K(i: int, g: GOState) -> complex:
     if i not in (1, 2):
         raise ValueError("i must be 1 or 2")
-    return _k_value(i, g.t1, g.t2, g.lam, g.mu, g.theta)
+    try:
+        return _k_value(i, g.t1, g.t2, g.lam, g.mu, g.theta)
+    except ZeroDivisionError as exc:  # only lambda_k - t_m is left unguarded
+        raise PoleEvaluation("lambda_k sits on a pole of K_i") from exc
 
 
 def _k_gradient(i: int, g: GOState) -> tuple[list[complex], list[complex]]:
@@ -248,9 +251,13 @@ def go_vector_field(g: GOState) -> dict[str, np.ndarray]:
 
     Returns {"dlam": D, "dmu": E} with D[j-1, k-1] = d lambda_k / d t_j =
     dK_j/dmu_k and E[j-1, k-1] = d mu_k / d t_j = -dK_j/dlambda_k. Raises
-    the typed errors of K_j: ``TimeCollision`` and ``ConditionIVViolated``.
+    the typed errors of K_j: ``TimeCollision``, ``ConditionIVViolated`` and
+    ``PoleEvaluation`` (lambda_k on a pole; caught, so the flow pays nothing).
     """
-    (dl1, dm1), (dl2, dm2) = _k_gradient(1, g), _k_gradient(2, g)
+    try:
+        (dl1, dm1), (dl2, dm2) = _k_gradient(1, g), _k_gradient(2, g)
+    except ZeroDivisionError as exc:
+        raise PoleEvaluation("lambda_k sits on a pole of K_i") from exc
     return {"dlam": np.array([dm1, dm2], dtype=complex), "dmu": -np.array([dl1, dl2], dtype=complex)}
 
 

@@ -3,15 +3,19 @@
 This is the substrate every other module builds on:
 
 * stable quadratic roots over the complex numbers,
-* polyline paths in C^d with affine singularity clearance checks,
+* polyline paths in C^d with affine singularity clearance checks (and a
+  vectorized screen over many segments, :func:`segments_near`),
 * an adaptive Dormand-Prince 5(4) integrator for states of complex numbers,
   with exact landing on requested parameter values and an optional
   fixed-step mode,
 * a batched fixed-step mode (:func:`dp_fixed_batch`) that runs many
   independent problems in lockstep, each with its own step count, through
   the same Dormand-Prince step; it serves the tiny finite-difference stencil
-  hops in space and in time, where a deterministic step sequence keeps the
-  integration error a smooth function of the endpoint,
+  hops in time, where a deterministic step sequence keeps the integration
+  error a smooth function of the endpoint,
+* the same two schemes for linear systems y' = v * C(s) y
+  (:func:`linear_adaptive`, :func:`linear_fixed_batch`), which evaluate C at
+  all six stage points of a step in one call, bit for bit as the generic ones,
 * central finite-difference schemes of order 2/4 with optional Richardson
   extrapolation: :func:`fd_derivative` is the one path for a derivative in
   one direction (its evaluator may return a scalar or an array), and
@@ -46,8 +50,11 @@ __all__ = [
     "quad_roots",
     "PathPlan",
     "AffineConstraint",
+    "segments_near",
     "ode_integrate",
     "dp_fixed_batch",
+    "linear_adaptive",
+    "linear_fixed_batch",
     "FDScheme",
     "fd_derivative",
     "stencil_multipliers",
@@ -59,6 +66,7 @@ __all__ = [
 
 DEFAULT_RTOL = 1e-12
 DEFAULT_ATOL = 1e-14
+MAX_STEPS = 2_000_000  # attempted adaptive steps before SingularityApproach
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +162,18 @@ class AffineConstraint:
         return abs(w0 + s * dw)
 
 
+def segments_near(w0, w1, radius: float) -> np.ndarray:
+    """Rows whose segments w0 -> w1 of affine values (last axis) may come within radius of 0.
+
+    :meth:`AffineConstraint.segment_min` over all rows at once; rows not clear
+    by more than a hair (1e-9 relative) are left to ``validate_against``.
+    """
+    dw = w1 - w0
+    denom = np.abs(dw) ** 2
+    s = np.clip(-(w0.real * dw.real + w0.imag * dw.imag) / np.where(denom == 0.0, 1.0, denom), 0.0, 1.0)
+    return np.flatnonzero(np.min(np.abs(w0 + s * dw), axis=-1) < radius * (1.0 + 1e-9))
+
+
 class PathPlan:
     """Polyline in C^d with an exclusion radius around declared singular sets.
 
@@ -242,17 +262,12 @@ _DP_E = (
 )
 
 
-# the nonzero terms of the weight rows with a zero (stage 2): the zero term
-# would come second in the sum, where adding 0*k to a finite stage is exact
-# (the running sum is never -0.0 after sum's integer start), so dropping it
-# keeps every bit
-_DP_A6_NZ = tuple((j, a) for j, a in enumerate(_DP_A[6]) if a != 0.0)
-_DP_E_NZ = tuple((j, e) for j, e in enumerate(_DP_E) if e != 0.0)
+_DP_C6 = np.array(_DP_C[1:])  # stages 2..6 and the FSAL point, in units of h
 
 
 def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, rtol: float, atol: float) -> float:
     scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
+    return float(np.sqrt(np.add.reduce(np.abs(err / scale) ** 2, axis=None) / err.size))
 
 
 def ode_integrate(
@@ -263,7 +278,7 @@ def ode_integrate(
     atol: float = DEFAULT_ATOL,
     samples: Sequence[float] | None = None,
     fixed_steps: int | None = None,
-    max_steps: int = 2_000_000,
+    max_steps: int = MAX_STEPS,
 ) -> list[tuple[float, np.ndarray]]:
     """Integrate dy/ds = field(point, velocity, y) along a polyline path.
 
@@ -299,6 +314,9 @@ def ode_integrate(
             return np.asarray(field(pt[0], vel[0], yv), dtype=complex).ravel()
         return np.asarray(field(pt, vel, yv), dtype=complex).ravel()
 
+    def step(s, yv, h, k1):
+        return _dp_step(lambda j, acc: fv(s + _DP_C[j] * h, acc), yv, h, k1)
+
     s_cur = 0.0
     n_steps = 0
     h = None
@@ -313,45 +331,49 @@ def ode_integrate(
         p0 = path.points[k_seg]
         dp = tuple(b - a for a, b in zip(p0, path.points[k_seg + 1]))
         vel = path.velocity(k_seg)
+        k1 = fv(s_cur, y)
         if fixed_steps is not None:
             n = max(1, int(fixed_steps))
             hs = span / n
-            k1 = fv(s_cur, y)
             for i in range(n):
-                y, _err, k1 = _dp_step(fv, s_cur + i * hs, y, hs, k1)
+                y, k = step(s_cur + i * hs, y, hs, k1)
+                k1 = k[6]
             s_cur = s_target
         else:
-            k1 = fv(s_cur, y)
             if h is None:
                 h = _initial_step(fv, s_cur, y, k1, rtol, atol, span)
             h = min(h, span)
-            while s_cur < s_target - 1e-15:
-                h = min(h, s_target - s_cur)
-                if h < 1e-14:
-                    raise SingularityApproach(
-                        "step size underflow during path integration",
-                        location=path.point(s_cur),
-                    )
-                y_new, err, k_last = _dp_step(fv, s_cur, y, h, k1)
-                en = _error_norm(err, y, y_new, rtol, atol)
-                n_steps += 1
-                if n_steps > max_steps:
-                    raise SingularityApproach(
-                        "step budget exhausted", location=path.point(s_cur)
-                    )
-                if en <= 1.0:
-                    s_cur += h
-                    y = y_new
-                    k1 = k_last
-                    grow = 0.9 * en ** -0.2 if en > 0 else 5.0
-                    h *= min(5.0, max(0.2, grow))
-                else:
-                    h *= max(0.2, 0.9 * en ** -0.2)
+            s_cur, y, h, n_steps = _advance(step, s_cur, s_target, y, k1, h, rtol, atol, n_steps, max_steps, path.point)
         if s_target in want or s_target == 1.0:
             out.append((s_target, y.copy()))
     if out[-1][0] != 1.0:
         out.append((1.0, y.copy()))
     return out
+
+
+def _advance(step, s, s_end, y, k1, h, rtol, atol, n_steps, max_steps, where):
+    """Error-controlled steps ``step(s, y, h, k1) -> (y1, stages)`` from s to s_end.
+
+    The one accept/grow rule of the adaptive drivers; returns (s, y, h, n_steps).
+    """
+    while s < s_end - 1e-15:
+        h = min(h, s_end - s)
+        if h < 1e-14:
+            raise SingularityApproach("step size underflow during path integration", location=where(s))
+        y_new, k = step(s, y, h, k1)
+        en = _error_norm(_dp_error(h, k), y, y_new, rtol, atol)
+        n_steps += 1
+        if n_steps > max_steps:
+            raise SingularityApproach("step budget exhausted", location=where(s))
+        if en <= 1.0:
+            s += h
+            y = y_new
+            k1 = k[6]
+            grow = 0.9 * en ** -0.2 if en > 0 else 5.0
+            h *= min(5.0, max(0.2, grow))
+        else:
+            h *= max(0.2, 0.9 * en ** -0.2)
+    return s, y, h, n_steps
 
 
 def dp_fixed_batch(field: Callable, y0, n_steps) -> np.ndarray:
@@ -363,40 +385,91 @@ def dp_fixed_batch(field: Callable, y0, n_steps) -> np.ndarray:
     once its count is spent. ``field`` receives the indices ``rows`` of the
     live rows, their parameters ``s`` with shape (len(rows), 1) and their
     states ``y`` with shape (len(rows), d), and returns dy/ds in y's shape.
+    Rows run in the order of descending step count, so the live states are
+    a prefix slice. Returns the (B, d) end states.
 
-    Returns the (B, d) array of end states.
-
-    Users: ``quantization.Frame.phi_nodes`` (the spatial stencil hops of Phi,
-    one row per hop) and ``quantization.Frame.shift_t`` (the time stencil
-    hops of the (A, ln tau, Phi) bundle, one row per shifted time tuple).
+    User: ``quantization.Frame.shift_t`` (one row per shifted time tuple).
     """
-    y = np.array(y0, dtype=complex)
     n = np.asarray(n_steps, dtype=int)
+    order = np.array(sorted(range(len(n)), key=lambda k: -n[k]), dtype=int)  # stable
+    n = n[order]
+    y = np.array(y0, dtype=complex)[order]
     h = 1.0 / n[:, None]
-    k1 = field(np.arange(len(y)), np.zeros_like(h), y)
+    k1 = field(order, np.zeros_like(h), y)
     for i in range(int(n.max(initial=0))):
-        rows = np.flatnonzero(n > i)
-        y[rows], _err, k1[rows] = _dp_step(
-            lambda s, yv: field(rows, s, yv), i * h[rows], y[rows], h[rows], k1[rows]
-        )
+        live = int(np.count_nonzero(n > i))
+        rows, hl, s0 = order[:live], h[:live], i * h[:live]
+        y[:live], k = _dp_step(lambda j, yv: field(rows, s0 + _DP_C[j] * hl, yv), y[:live], hl, k1[:live])
+        k1[:live] = k[6]
+    out = np.empty_like(y)
+    out[order] = y
+    return out
+
+
+def linear_adaptive(coef: Callable, v: complex, y0) -> np.ndarray:
+    """y(1) of the linear system dy/ds = v * coef(s) @ y, y(0) = y0, adaptively.
+
+    ``coef(s)`` returns the matrices at an array of parameters s, stacked on
+    its shape: all six stage points of a step in one call. Bit for bit the end
+    state of :func:`ode_integrate` (default tolerances) for the same field on
+    a one-segment path. User: ``quantization.Frame.phi_node``.
+    """
+
+    def fv(s, yv):
+        return v * (coef(np.array([s]))[0] @ yv)
+
+    def step(s, yv, h, k1):
+        m = coef(s + _DP_C6 * h)
+        return _dp_step(lambda j, acc: v * (m[j - 1] @ acc), yv, h, k1)
+
+    k1 = fv(0.0, y0)
+    h = min(_initial_step(fv, 0.0, y0, k1, DEFAULT_RTOL, DEFAULT_ATOL, 1.0), 1.0)
+    return _advance(step, 0.0, 1.0, y0, k1, h, DEFAULT_RTOL, DEFAULT_ATOL, 0, MAX_STEPS, float)[1]
+
+
+def linear_fixed_batch(coef: Callable, v, y0, n_steps) -> np.ndarray:
+    """End states of B linear systems dy/ds = v[k] * coef(s) @ y[k] in fixed lockstep steps.
+
+    :func:`dp_fixed_batch` for y (B, m, m) and v (B, 1, 1), bit for bit, with
+    ``n_steps`` non-increasing so that the live rows are a prefix: ``coef(s)``
+    gets s of shape (stages, live) and returns (stages, live, m, m).
+    User: ``quantization.Frame.phi_nodes``.
+    """
+    n = np.asarray(n_steps, dtype=int)
+    if np.any(n[1:] > n[:-1]):
+        raise ValueError("n_steps must not increase along the rows")
+    y = np.array(y0, dtype=complex)
+    h = 1.0 / n
+    k1 = v * (coef(np.zeros((1, len(n))))[0] @ y)
+    for i in range(int(n.max(initial=0))):
+        live = int(np.count_nonzero(n > i))
+        m, vl, hl = coef(i * h[:live] + _DP_C6[:, None] * h[:live]), v[:live], h[:live, None, None]
+        y[:live], k = _dp_step(lambda j, acc: vl * (m[j - 1] @ acc), y[:live], hl, k1[:live])
+        k1[:live] = k[6]
     return y
 
 
-def _dp_step(f, s0, y, h, k1):
-    """One Dormand-Prince 5(4) step of dy/ds = f(s, y) from s0 with step h.
+def _dp_step(f, y, h, k1):
+    """One Dormand-Prince 5(4) step of size h from y, given its first stage k1.
 
-    ``y`` may carry a leading batch axis, with ``s0`` and ``h`` then per-row
-    columns; returns (y(s0 + h), error estimate, FSAL stage f(s0 + h, y1)).
+    ``f(j, acc)`` is the right-hand side at stage point s0 + _DP_C[j] * h
+    (j = 6: the FSAL point s0 + h); ``y`` may carry a leading batch axis, with
+    ``h`` then a per-row column. Returns (y1, stages k1..k7), k7 = f(6, y1).
     """
-    k = [k1]
-    for i in range(1, 6):
-        acc = y + h * sum(a * kk for a, kk in zip(_DP_A[i], k))
-        k.append(f(s0 + _DP_C[i] * h, acc))
-    y1 = y + h * sum(a * k[j] for j, a in _DP_A6_NZ)
-    k7 = f(s0 + h, y1)  # FSAL stage, reused as k1 of the next step
-    k.append(k7)
-    err = h * sum(e * k[j] for j, e in _DP_E_NZ)
-    return y1, err, k7
+    a2, a3, a4, a5, a6, b = _DP_A[1:]
+    k2 = f(1, y + h * (a2[0] * k1))
+    k3 = f(2, y + h * (a3[0] * k1 + a3[1] * k2))
+    k4 = f(3, y + h * (a4[0] * k1 + a4[1] * k2 + a4[2] * k3))
+    k5 = f(4, y + h * (a5[0] * k1 + a5[1] * k2 + a5[2] * k3 + a5[3] * k4))
+    k6 = f(5, y + h * (a6[0] * k1 + a6[1] * k2 + a6[2] * k3 + a6[3] * k4 + a6[4] * k5))
+    y1 = y + h * (b[0] * k1 + b[2] * k3 + b[3] * k4 + b[4] * k5 + b[5] * k6)
+    return y1, (k1, k2, k3, k4, k5, k6, f(6, y1))
+
+
+def _dp_error(h, k):
+    """The 5(4) error estimate of a step from its stages (_DP_E[1] = 0)."""
+    e = _DP_E
+    return h * (e[0] * k[0] + e[2] * k[2] + e[3] * k[3] + e[4] * k[4] + e[5] * k[5] + e[6] * k[6])
 
 
 def _initial_step(fv, s0, y, k1, rtol, atol, span) -> float:

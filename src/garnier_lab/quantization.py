@@ -15,14 +15,16 @@ every multivalued gauge factor. On top of it live the residual engines:
 * the scalar second-order equation in x satisfied by the first component
   of the shifted wavefunction, with its apparent singularities.
 
-Derivatives are central finite differences with shared stencils. All
-spatial stencil hops of one grid point are integrated in one batched solve
-(:meth:`Frame.phi_nodes`), and so are all its time hops, which move the
-whole bundle (A, ln tau, Phi at the attached points) to every shifted time
-tuple (:meth:`Frame.shift_t`). Each hop takes a fixed (deterministic) step
-count so the integration error stays a smooth function of the endpoint and
-does not pollute second differences. Long time paths use the adaptive
-:meth:`Frame.shift_t_adaptive`.
+Phi moves in x by the linear kernel of :mod:`numerics`, which evaluates
+M(x) = sum_i A_i/(x - t_i) (one body, ``_pole_matrix``) at all six stage
+points of a Dormand-Prince step at once. Derivatives are central finite
+differences with shared stencils. All spatial stencil hops of one grid
+point are integrated in one batched solve (:meth:`Frame.phi_nodes`), and so
+are all its time hops, which move the whole bundle (A, ln tau, Phi at the
+attached points) to every shifted time tuple (:meth:`Frame.shift_t`). Each
+hop takes a fixed (deterministic) step count so the integration error stays
+a smooth function of the endpoint and does not pollute second differences.
+Long time paths use the adaptive :meth:`Frame.shift_t_adaptive`.
 """
 
 from __future__ import annotations
@@ -51,8 +53,11 @@ from .numerics import (
     det2,
     dp_fixed_batch,
     inv2,
+    linear_adaptive,
+    linear_fixed_batch,
     ode_integrate,
     quad_roots,
+    segments_near,
     stencil_multipliers,
 )
 from .schlesinger import SchlesingerState, ThetaGO, flow_derivative, shift_normalization
@@ -93,6 +98,7 @@ EXCLUSION = 0.04
 STENCIL_STEP_LENGTH = 5e-4
 
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_PAIR_I, _PAIR_J = np.array(_PAIRS).T
 
 # collision sets t_i = t_j of a time hop in (t1, t2, t3, t4)
 _TIME_COLLISIONS = tuple(
@@ -275,6 +281,11 @@ def _nsteps(length: float) -> int:
     return max(6, int(math.ceil(length / STENCIL_STEP_LENGTH)))
 
 
+def _pole_matrix(z, t, A) -> np.ndarray:
+    """M(z) = sum_i A_i / (z - t_i) of Phi_x = M Phi; t (..., 4), A (..., 4, 2, 2) broadcast on z."""
+    return np.einsum("...i,...iab->...ab", 1.0 / (z[..., None] - t), A)
+
+
 class Frame:
     """Base-normalized Phi, ln tau and branch charts for one B-state.
 
@@ -324,16 +335,10 @@ class Frame:
             return self._phi_cache[x]
         if x == anchor.x:
             return anchor
-        t = tnode.t
-        A = tnode.A
-        seg = self._hop_segment(x, tnode, anchor)
-
-        def fld(z, v, yv):
-            m = np.einsum("i,iab->ab", 1.0 / (z - t), A)
-            return (v * (m @ yv.reshape(2, 2))).ravel()
-
-        traj = ode_integrate(fld, anchor.phi.ravel(), seg)
-        node = self._hop_node(x, tnode, anchor, traj[-1][1].reshape(2, 2))
+        self._hop_segment(x, tnode, anchor)
+        x0, dx = anchor.x, x - anchor.x
+        phi = linear_adaptive(lambda s: _pole_matrix(x0 + s * dx, tnode.t, tnode.A), dx, anchor.phi)
+        node = self._hop_node(x, tnode, anchor, phi)
         if base_time and cache:
             self._phi_cache[x] = node
         return node
@@ -342,41 +347,39 @@ class Frame:
         """Transport Phi along every stencil hop (x, tnode, anchor) in one batched solve.
 
         Each hop runs from anchor.x to x at the times of its tnode, is checked
-        against the x = t_i exclusion discs like :meth:`phi_node` and takes
-        ``_nsteps(|x - anchor.x|)`` fixed Dormand-Prince steps; a hop that
-        ends at its anchor returns the anchor. Nothing is cached.
+        against the x = t_i exclusion discs like :meth:`phi_node` (screened
+        together first) and takes ``_nsteps(|x - anchor.x|)`` fixed
+        Dormand-Prince steps, longest first; a hop that ends at its anchor
+        returns the anchor. Nothing is cached.
         """
         hops = [(complex(x), tnode, anchor) for x, tnode, anchor in hops]
         moving = [k for k, (x, _tn, anchor) in enumerate(hops) if x != anchor.x]
-        live = [hops[k] for k in moving]
-        for hop in live:
-            self._hop_segment(*hop)
-        x0 = np.array([a.x for _x, _tn, a in live], dtype=complex)
-        dx = np.array([x for x, _tn, _a in live], dtype=complex) - x0
-        t = np.array([tn.t for _x, tn, _a in live], dtype=complex).reshape(-1, 4)
-        A = np.array([tn.A for _x, tn, _a in live], dtype=complex).reshape(-1, 4, 2, 2)
-        phi0 = np.array([a.phi for _x, _tn, a in live], dtype=complex).reshape(-1, 4)
-
-        def fld(rows, s, yv):
-            # the fixed-step field of phi_node, one row per hop
-            z = x0[rows] + s[:, 0] * dx[rows]
-            m = np.einsum("bi,biac->bac", 1.0 / (z[:, None] - t[rows]), A[rows])
-            return (dx[rows, None, None] * (m @ yv.reshape(-1, 2, 2))).reshape(-1, 4)
-
+        x0 = np.array([hops[k][2].x for k in moving], dtype=complex)
+        dx = np.array([hops[k][0] for k in moving], dtype=complex) - x0
         n_steps = [_nsteps(abs(d)) for d in dx]
-        phi1 = dp_fixed_batch(fld, phi0, n_steps).reshape(-1, 2, 2)
+        order = sorted(range(len(moving)), key=lambda r: -n_steps[r])  # stable
+        moving, x0, dx, n_steps = [moving[r] for r in order], x0[order], dx[order], [n_steps[r] for r in order]
+        t = np.array([hops[k][1].t for k in moving], dtype=complex).reshape(-1, 4)
+        for r in segments_near(x0[:, None] - t, (x0 + dx)[:, None] - t, EXCLUSION):
+            self._hop_segment(*hops[moving[r]])
+        A = np.array([hops[k][1].A for k in moving], dtype=complex).reshape(-1, 4, 2, 2)
+        phi0 = np.array([hops[k][2].phi for k in moving], dtype=complex).reshape(-1, 2, 2)
+
+        def coef(s):  # s: (stages, live) for the live prefix of the hops
+            n = s.shape[-1]
+            return _pole_matrix(x0[:n] + s * dx[:n], t[:n], A[:n])
+
+        phi1 = linear_fixed_batch(coef, dx[:, None, None], phi0, n_steps)
         out = [anchor for _x, _tn, anchor in hops]
-        for k, hop, phi in zip(moving, live, phi1):
-            out[k] = self._hop_node(*hop, phi)
+        for k, phi in zip(moving, phi1):
+            out[k] = self._hop_node(*hops[k], phi)
         return out
 
-    def _hop_segment(self, x: complex, tnode: TNode, anchor: PhiNode) -> PathPlan:
-        """Straight path anchor.x -> x, rejected if it enters an x = t_i disc."""
-        seg = PathPlan([anchor.x, x], EXCLUSION)
-        seg.validate_against(
+    def _hop_segment(self, x: complex, tnode: TNode, anchor: PhiNode) -> None:
+        """Reject the straight path anchor.x -> x if it enters an x = t_i disc."""
+        PathPlan([anchor.x, x], EXCLUSION).validate_against(
             [AffineConstraint((1,), tnode.t[i], f"x = t{i+1}") for i in range(4)]
         )
-        return seg
 
     def _hop_node(self, x: complex, tnode: TNode, anchor: PhiNode, phi: np.ndarray) -> PhiNode:
         """The node at x: Phi from a hop, gauge logs continued from the anchor."""
@@ -398,16 +401,23 @@ class Frame:
 
         The rows share their start state and differ only in the velocity
         t_new - tnode.t. Each hop is checked against the singular sets of
-        :meth:`_time_segment` before anything is integrated and takes
-        ``_nsteps(|t_new - tnode.t|)`` fixed Dormand-Prince steps; a row whose
-        t_new equals tnode.t returns (tnode, nodes).
+        :meth:`_time_segment` (screened together first) before anything is
+        integrated and takes ``_nsteps(|t_new - tnode.t|)`` fixed
+        Dormand-Prince steps; a row whose t_new equals tnode.t returns
+        (tnode, nodes).
         """
         nodes = list(nodes)
         t_news = [np.asarray(t_new, dtype=complex) for t_new in t_news]
         moving = [k for k, t_new in enumerate(t_news) if np.any(t_new != tnode.t)]
-        for k in moving:
-            self._time_segment(tnode, nodes, t_news[k])
-        dt = np.array([t_news[k] - tnode.t for k in moving], dtype=complex).reshape(-1, 4)
+        t0 = tnode.t
+        t1 = np.array([t_news[k] for k in moving], dtype=complex).reshape(-1, 4)
+        xs = np.array([n.x for n in nodes], dtype=complex)
+        # affine values of the sets t_i = t_j and t_i = x_k at both ends of each row
+        w0 = np.concatenate([t0[_PAIR_I] - t0[_PAIR_J], (t0[:, None] - xs).ravel()])
+        w1 = np.concatenate([t1[:, _PAIR_I] - t1[:, _PAIR_J], (t1[:, :, None] - xs).reshape(len(t1), 4 * len(xs))], axis=1)
+        for r in segments_near(w0, w1, EXCLUSION / 4):
+            self._time_segment(tnode, nodes, t_news[moving[r]])
+        dt = t1 - t0
         field = self._bundle_field(nodes)
 
         def rows_field(rows, s, y):

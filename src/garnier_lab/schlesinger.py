@@ -10,6 +10,7 @@ live here, together with a seeded generator of admissible initial data.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -65,7 +66,7 @@ class ThetaGO:
     def chi(self) -> complex:
         return -0.5 * (self.sum_theta + self.theta_inf - 1.0)
 
-    @property
+    @cached_property  # read on every Garnier-Okamoto field call
     def kappa(self) -> complex:
         return 0.25 * ((self.sum_theta - 1.0) ** 2 - self.theta_inf**2)
 

@@ -7,7 +7,7 @@ import pytest
 
 from garnier_lab import garnier_okamoto
 from garnier_lab.acceptance import LONG_T_PATH, _seeded_b_state
-from garnier_lab.errors import ConditionIIIViolated, ConditionIVViolated, TimeCollision
+from garnier_lab.errors import ConditionIIIViolated, ConditionIVViolated, PoleEvaluation, TimeCollision
 from garnier_lab.garnier_okamoto import (
     GOState,
     _k_value,
@@ -234,6 +234,19 @@ def test_field_raises_the_typed_errors_of_k(t1, lam, err):
         _k_value(1, bad.t1, bad.t2, bad.lam, bad.mu, bad.theta)
     with pytest.raises(err):
         go_vector_field(bad)
+
+
+@pytest.mark.parametrize("pole", [T1, T2, 1.0, 0.0], ids=["t1", "t2", "1", "0"])
+@pytest.mark.parametrize("k", [0, 1])
+def test_k_and_field_raise_pole_evaluation_on_a_pole(pole, k):
+    # lambda_k exactly on a pole divides by zero in Python complex arithmetic
+    g = _go_state()
+    lam = list(g.lam)
+    lam[k] = pole
+    bad = GOState(g.t1, g.t2, lam=tuple(lam), mu=g.mu, theta=g.theta)
+    for evaluate in (lambda: hamiltonian_K(1, bad), lambda: hamiltonian_K(2, bad), lambda: go_vector_field(bad)):
+        with pytest.raises(PoleEvaluation):
+            evaluate()
 
 
 def test_go_flow_field_call_count(monkeypatch):

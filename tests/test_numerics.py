@@ -12,6 +12,7 @@ from garnier_lab.errors import (
     SingularityApproach,
     StencilFailure,
 )
+from garnier_lab import numerics
 from garnier_lab.numerics import (
     AffineConstraint,
     FDScheme,
@@ -20,8 +21,10 @@ from garnier_lab.numerics import (
     continue_log,
     dp_fixed_batch,
     fd_derivative,
+    linear_fixed_batch,
     ode_integrate,
     quad_roots,
+    segments_near,
     stencil_multipliers,
 )
 
@@ -200,6 +203,67 @@ def test_dp_fixed_batch_matches_per_row_fixed_steps():
         evals = [s[list(rows).index(k)] for rows, s in seen if k in rows]
         assert len(evals) == 6 * n + 1
         assert max(evals) <= 1.0 + 1e-15
+
+
+def _dp_step_generator_sums(f, s0, y, h, k1):
+    """Reference Dormand-Prince step: every stage sum a generator ``sum`` over the full rows."""
+    k = [k1]
+    for i in range(1, 6):
+        acc = y + h * sum(a * kk for a, kk in zip(numerics._DP_A[i], k))
+        k.append(f(s0 + numerics._DP_C[i] * h, acc))
+    y1 = y + h * sum(a * kk for a, kk in zip(numerics._DP_A[6], k))
+    k.append(f(s0 + h, y1))
+    err = h * sum(e * kk for e, kk in zip(numerics._DP_E, k))
+    return y1, err, k[6]
+
+
+@pytest.mark.parametrize("batch", [None, 5])
+def test_dp_step_matches_generator_sums(rng, batch):
+    shape = (3,) if batch is None else (batch, 3)
+    y = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    h = 0.03 if batch is None else rng.uniform(0.01, 0.05, size=(batch, 1))
+    s0 = 0.2 if batch is None else rng.uniform(0.0, 0.5, size=(batch, 1))
+
+    def rhs(s, yv):
+        return np.sin(s) * yv[..., ::-1] + 1j * yv**2
+
+    k1 = rhs(s0, y)
+    y1, k = numerics._dp_step(lambda j, acc: rhs(s0 + numerics._DP_C[j] * h, acc), y, h, k1)
+    ref_y1, ref_err, ref_k7 = _dp_step_generator_sums(rhs, s0, y, h, k1)
+    assert np.array_equal(y1, ref_y1) and np.array_equal(k[6], ref_k7)
+    err = numerics._dp_error(h, k)
+    assert np.array_equal(err, ref_err)
+    # the error norm over the flat state, as np.mean computes it
+    for row in np.atleast_2d(err):
+        scale = 1e-14 + 1e-12 * np.abs(row)
+        want = float(np.sqrt(np.mean(np.abs(row / scale) ** 2)))
+        assert numerics._error_norm(row, row, row, 1e-12, 1e-14) == want
+
+
+def test_linear_fixed_batch_wants_non_increasing_step_counts():
+    def coef(s):
+        return np.zeros(s.shape + (2, 2), dtype=complex)
+
+    y0 = np.tile(np.eye(2, dtype=complex), (2, 1, 1))
+    with pytest.raises(ValueError):
+        linear_fixed_batch(coef, np.ones((2, 1, 1)), y0, [6, 7])
+    assert np.array_equal(linear_fixed_batch(coef, np.ones((2, 1, 1)), y0, [7, 6]), y0)
+
+
+def test_segments_near_matches_segment_min(rng):
+    con = AffineConstraint((1,), 0.0)
+    w0 = rng.normal(size=(60, 3)) + 1j * rng.normal(size=(60, 3))
+    w1 = w0 + (rng.normal(size=(60, 3)) + 1j * rng.normal(size=(60, 3))) * rng.uniform(0, 2, size=(60, 1))
+    w1[0, 0] = w0[0, 0]  # a segment of length zero
+    for start in (w0, w0[7]):  # per-row starts, and one start shared by every row
+        start_rows = np.broadcast_to(start, w1.shape)
+        exact = np.array(
+            [min(con.segment_min((a,), (b,)) for a, b in zip(r0, r1)) for r0, r1 in zip(start_rows, w1)]
+        )
+        radius = float(np.median(exact))
+        assert np.min(np.abs(exact / radius - 1.0)[exact != radius]) > 1e-6  # no row at the edge
+        want = np.flatnonzero(exact <= radius)
+        assert np.array_equal(segments_near(start, w1, radius), want)
 
 
 # ---------------------------------------------------------------------------

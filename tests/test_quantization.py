@@ -14,11 +14,13 @@ from garnier_lab.numerics import (
     FDScheme,
     PathPlan,
     combine_stencil,
+    dp_fixed_batch,
     inv2,
     ode_integrate,
     stencil_multipliers,
 )
 from garnier_lab import quantization
+from garnier_lab.acceptance import _seeded_b_state, default_grid
 from garnier_lab.schlesinger import SchlesingerState, ThetaGO, flow_derivative, gen_schlesinger_b
 from garnier_lab.quantization import (
     LAB_FD,
@@ -485,6 +487,132 @@ def test_phi_nodes_rejects_hop_into_exclusion_disc(frame):
     hops = [(BASE_X + 1e-3, base, frame.base_node), (1.0 + 0.02j, base, frame.base_node)]
     with pytest.raises(PathViolation):
         frame.phi_nodes(hops)
+
+
+def _phi_field(tnode):
+    """Reference: the adaptive Phi field that phi_node gave ode_integrate before the linear kernel."""
+    t, A = tnode.t, tnode.A
+
+    def fld(z, v, yv):
+        m = np.einsum("i,iab->ab", 1.0 / (z - t), A)
+        return (v * (m @ yv.reshape(2, 2))).ravel()
+
+    return fld
+
+
+def _phi_field_batch(hops):
+    """Reference: the batched Phi field that phi_nodes gave dp_fixed_batch before the linear kernel."""
+    x0 = np.array([a.x for _x, _tn, a in hops], dtype=complex)
+    dx = np.array([x for x, _tn, _a in hops], dtype=complex) - x0
+    t = np.array([tn.t for _x, tn, _a in hops], dtype=complex)
+    A = np.array([tn.A for _x, tn, _a in hops], dtype=complex)
+
+    def fld(rows, s, yv):
+        z = x0[rows] + s[:, 0] * dx[rows]
+        m = np.einsum("bi,biac->bac", 1.0 / (z[:, None] - t[rows]), A[rows])
+        return (dx[rows, None, None] * (m @ yv.reshape(-1, 2, 2))).reshape(-1, 4)
+
+    return fld, dx
+
+
+def _record_coefficient_points(monkeypatch, driver):
+    """Wrap quantization.<driver> so that every coefficient call records its parameters s."""
+    real = getattr(quantization, driver)
+    seen = []
+
+    def wrapped(coef, *args):
+        return real(lambda s: seen.append(np.array(s)) or coef(s), *args)
+
+    monkeypatch.setattr(quantization, driver, wrapped)
+    return seen
+
+
+@pytest.mark.parametrize("seed", [700, 701])
+def test_phi_node_kernel_matches_old_adaptive_field(seed, monkeypatch):
+    frame = Frame(_seeded_b_state(seed), base_x=BASE_X)
+    base = frame.base_tnode
+    t_new = base.t.copy()
+    t_new[1] += 3e-3 - 1e-3j
+    ((tn, (anchor,)),) = frame.shift_t(base, [frame.phi_node(0.35 + 1.0j)], [t_new])
+    seen = _record_coefficient_points(monkeypatch, "linear_adaptive")
+    hops = [(x, None, frame.base_node) for x, _y in default_grid(4)] + [(1.1 + 1.4j, tn, anchor)]
+    for x, tnode, anchor in hops:
+        seen.clear()
+        node = frame.phi_node(x, tnode=tnode, anchor=anchor, cache=False)
+        fld = _phi_field(tnode or base)
+        rhs = []
+        ref = ode_integrate(
+            lambda z, v, y: rhs.append(1) or fld(z, v, y),
+            anchor.phi.ravel(),
+            PathPlan([anchor.x, x], quantization.EXCLUSION),
+        )[-1][1]
+        assert np.array_equal(node.phi, ref.reshape(2, 2))
+        # one coefficient point per right-hand side the old field evaluated
+        assert sum(s.size for s in seen) == len(rhs)
+
+
+def test_phi_nodes_kernel_matches_old_batched_field(frame, monkeypatch):
+    base = frame.base_tnode
+    nx = frame.phi_node(0.35 + 1.0j)
+    ny = frame.phi_node(1.15 + 1.45j)
+    t_new = base.t.copy()
+    t_new[0] += 2e-3
+    ((tn, (nxs, nys)),) = frame.shift_t(base, [nx, ny], [t_new])
+    hops = [  # unsorted, of mixed length, one of length zero
+        (nx.x + 1e-3, base, nx),
+        (ny.x - 6e-3j, base, ny),
+        (nx.x, base, nx),
+        (nxs.x + 4e-3 - 1e-3j, tn, nxs),
+        (nys.x + 2e-3j, tn, nys),
+        (nx.x - 9e-3, base, nx),
+    ]
+    seen = _record_coefficient_points(monkeypatch, "linear_fixed_batch")
+    batch = frame.phi_nodes(hops)
+    assert batch[2] is nx
+    moving = [hop for hop in hops if hop[0] != hop[2].x]
+    fld, dx = _phi_field_batch(moving)
+    n_steps = [quantization._nsteps(abs(d)) for d in dx]
+    assert len(set(n_steps)) == 4 and n_steps != sorted(n_steps, reverse=True)
+    ref = dp_fixed_batch(fld, np.array([a.phi.ravel() for _x, _tn, a in moving]), n_steps)
+    got = [node for hop, node in zip(hops, batch) if hop[0] != hop[2].x]
+    for node, r in zip(got, ref):
+        assert np.array_equal(node.phi, r.reshape(2, 2))
+    # six coefficient points per step and one to start, per hop; the kernel
+    # runs the hops in the order of descending step count
+    n_sorted = sorted(n_steps, reverse=True)
+    counts = [sum(s.shape[0] for s in seen if s.shape[-1] > r) for r in range(len(n_sorted))]
+    assert counts == [6 * n + 1 for n in n_sorted]
+
+
+@pytest.mark.parametrize("inside", [True, False], ids=["inside", "outside"])
+def test_hop_screen_leaves_the_disc_edge_to_the_exact_check(frame, monkeypatch, inside):
+    # hops ending 1e-12 (relative) inside or outside a singular disc: the
+    # vectorized screen cannot tell them apart, so PathPlan.validate_against
+    # decides, for them alone
+    base = frame.base_tnode
+    t = base.t
+    calls = []
+    real = PathPlan.validate_against
+    edge = 1.0 - 1e-12 if inside else 1.0 + 1e-12
+    # spatial hop: radially onto the x = t2 disc
+    u = (BASE_X - t[1]) / abs(BASE_X - t[1])
+    anchor = frame.phi_node(t[1] + 0.06 * u, cache=False)
+    hops = [(anchor.x + 1e-3 * u, base, anchor), (t[1] + quantization.EXCLUSION * edge * u, base, anchor)]
+    # time hop: t1 moved onto the t1 = x disc of an attached node
+    near = frame.phi_node(t[0] + 0.05, cache=False)
+    ok = t.copy()
+    ok[1] += 1e-3
+    onto = t.copy()
+    onto[0] = near.x - quantization.EXCLUSION / 4 * edge
+    monkeypatch.setattr(PathPlan, "validate_against", lambda plan, cons: calls.append(1) or real(plan, cons))
+    for run in (lambda: frame.phi_nodes(hops), lambda: frame.shift_t(base, [near], [ok, onto])):
+        calls.clear()
+        if inside:
+            with pytest.raises(PathViolation):
+                run()
+        else:
+            run()
+        assert len(calls) == 1
 
 
 def _bundle_alone(frame, tnode, nodes, t_new, fixed_steps):

@@ -1,5 +1,7 @@
 """Deformation flow, conserved quantities, normalizations, tau derivative."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -314,3 +316,15 @@ def test_theta_derived_quantities():
     assert abs(th.bpz_lambda - (th.delta_inf - (1 + s / 2) ** 2)) < 1e-15
     assert all(abs(d - t * t / 4) < 1e-16 for d, t in zip(th.delta, th.theta))
     assert abs(th.chi + 0.5 * (s + th.theta_inf - 1)) < 1e-15
+
+
+def test_theta_kappa_is_computed_once_and_survives_replace_and_json():
+    th = ThetaGO(theta=(0.2 + 0.1j, 0.3, -0.1 - 0.2j, 0.4), k_inf=0.5 - 0.3j)
+    want = 0.25 * ((th.sum_theta - 1.0) ** 2 - th.theta_inf**2)  # the formula, bit for bit
+    assert th.kappa == want and th.kappa is th.kappa
+    moved = replace(th, k_inf=0.7)
+    assert moved.kappa == 0.25 * ((moved.sum_theta - 1.0) ** 2 - moved.theta_inf**2) != th.kappa
+    assert replace(th) == th and hash(replace(th)) == hash(th)
+    back = ThetaGO.from_json(th.to_json())
+    assert back == th and back.kappa == th.kappa
+    assert set(th.to_json()) == {"theta1", "theta2", "theta3", "theta4", "k_inf", "jordan_diagonal"}
