@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from functools import partial
@@ -50,6 +51,18 @@ _SCALE_KEYS = {
 }
 
 
+def _is_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _is_number(val) -> bool:
+    return _is_int(val) or isinstance(val, float) and math.isfinite(val)
+
+
+def _is_positive(val) -> bool:
+    return _is_number(val) and val > 0
+
+
 def _validate_config(cfg: dict) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigInvalid("configuration must be a JSON object")
@@ -59,14 +72,16 @@ def _validate_config(cfg: dict) -> dict:
     if mode not in MODES:
         raise ConfigInvalid(f"mode must be one of {sorted(MODES)}", field="mode")
     seed = cfg.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise ConfigInvalid("seed must be a non-negative integer", field="seed")
     tol = cfg.get("tolerances", {})
     if not isinstance(tol, dict):
         raise ConfigInvalid("tolerances must be an object", field="tolerances")
-    for key, typ in (("rtol", float), ("atol", float), ("fd_step", float), ("fd_order", int), ("richardson", bool)):
-        if key in tol and not isinstance(tol[key], (int, float) if typ is float else typ):
-            raise ConfigInvalid(f"{key} must be {typ.__name__}", field=f"tolerances.{key}")
+    for key, check, what in (("rtol", _is_positive, "a positive number"), ("atol", _is_number, "a number"),
+                             ("fd_step", _is_positive, "a positive number"), ("fd_order", _is_int, "an integer"),
+                             ("richardson", lambda v: isinstance(v, bool), "a boolean")):
+        if key in tol and not check(tol[key]):
+            raise ConfigInvalid(f"{key} must be {what}", field=f"tolerances.{key}")
     if "fd_order" in tol and tol["fd_order"] not in (2, 4):
         raise ConfigInvalid("fd_order must be 2 or 4", field="tolerances.fd_order")
     scale = cfg.get("scale", {})
@@ -75,7 +90,7 @@ def _validate_config(cfg: dict) -> dict:
     for key, val in scale.items():
         if key not in _SCALE_KEYS:
             raise ConfigInvalid(f"unknown scale key '{key}'", field="scale")
-        if not isinstance(val, int) or val <= 0:
+        if not _is_int(val) or val <= 0:
             raise ConfigInvalid("scale entries must be positive integers", field=f"scale.{key}")
     if "initial_state" in cfg and cfg["initial_state"] is not None and mode not in ("schlesinger", "pvi"):
         raise ConfigInvalid("initial_state is only supported for the schlesinger and pvi modes", field="initial_state")
@@ -124,17 +139,38 @@ def _load_initial_state(cls, cfg: dict):
         raise ConfigInvalid(f"malformed state ({type(exc).__name__}: {exc})", field="initial_state") from exc
 
 
+def _parse_t_path(wps) -> list[tuple[complex, complex]]:
+    """At least two (t1, t2) waypoints, each t given as an [re, im] pair of numbers."""
+
+    def is_complex(z) -> bool:
+        return isinstance(z, list) and len(z) == 2 and all(_is_number(c) for c in z)
+
+    if not (isinstance(wps, list) and len(wps) >= 2) or not all(
+        isinstance(pair, list) and len(pair) == 2 and all(is_complex(z) for z in pair) for pair in wps
+    ):
+        raise ConfigInvalid("t_path must list at least two [[re, im], [re, im]] waypoints", field="paths.t_path")
+    return [tuple(complex(z[0], z[1]) for z in pair) for pair in wps]
+
+
 def _custom_schlesinger_check(cfg: dict) -> CheckResult:
     """Conservation check on a user-supplied state and (t1, t2) path."""
     state = _load_initial_state(SchlesingerState, cfg)
     paths = cfg.get("paths") or {}
+    if not isinstance(paths, dict):
+        raise ConfigInvalid("paths must be an object", field="paths")
     wps = paths.get("t_path")
-    if wps:
-        waypoints = [tuple(complex(p[0], p[1]) for p in pair) for pair in wps]
+    if wps is not None:
+        waypoints = _parse_t_path(wps)
     else:
         shift = [(0.0, 0.0), (0.05 + 0.22j, -0.04 - 0.18j), (0.16 + 0.1j, -0.12 - 0.05j)]
         waypoints = [(state.t1 + a, state.t2 + b) for a, b in shift]
-    path = PathPlan(waypoints, float(paths.get("exclusion_radius", 0.04)))
+    radius = paths.get("exclusion_radius", 0.04)
+    if not _is_positive(radius):
+        raise ConfigInvalid("exclusion_radius must be a positive number", field="paths.exclusion_radius")
+    try:
+        path = PathPlan(waypoints, radius)
+    except ValueError as exc:  # e.g. two consecutive waypoints coincide
+        raise ConfigInvalid(str(exc), field="paths.t_path") from exc
     if abs(waypoints[0][0] - state.t1) + abs(waypoints[0][1] - state.t2) > 1e-12:
         raise ConfigInvalid("t_path must start at the state's times", field="paths.t_path")
     rtol = float(cfg.get("tolerances", {}).get("rtol", 1e-12))

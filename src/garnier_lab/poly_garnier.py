@@ -6,6 +6,11 @@ matrices that embed a trajectory into the Schlesinger picture, the algebraic
 bridges to Garnier-Okamoto coordinates and the Painleve-VI reduction on the
 locus q1 + q2 = 1.
 
+The eight right-hand sides and both gauge-log derivatives live in one body,
+``_pg_flows``, on plain values; pg_rhs_explicit, raw_rhs_pair, u_logderiv
+and the field of integrate_pg all read it, so the flow builds no PGState
+per evaluation.
+
 Index convention: formulas are written for the pair (i, n) where n is the
 other index; the t2-flow equations are the literal transcriptions, which
 coincide with the i <-> n images of the t1-flow ones.
@@ -113,11 +118,7 @@ class PGState:
     params: ThetaPG
 
     def check_times(self) -> None:
-        for val, name in ((self.t1, "t1"), (self.t2, "t2")):
-            if abs(val) < 1e-12 or abs(val - 1.0) < 1e-12:
-                raise TimeCollision(f"{name} hits a fixed singular time")
-        if abs(self.t1 - self.t2) < 1e-12:
-            raise TimeCollision("t1 = t2")
+        _check_times(self.t1, self.t2)
 
     def to_json(self) -> dict:
         from .schlesinger import _c
@@ -154,12 +155,12 @@ class PVIState:
     params: ThetaPG
 
 
-def _unpack(s: PGState, i: int):
-    """(t_i, t_n, q_i, q_n, p_i, p_n, th^{t_i}, th^{t_n}) for i in {1, 2}."""
-    th = s.params
-    if i == 1:
-        return s.t1, s.t2, s.q1, s.q2, s.p1, s.p2, th.tht1, th.tht2
-    return s.t2, s.t1, s.q2, s.q1, s.p2, s.p1, th.tht2, th.tht1
+def _check_times(t1: complex, t2: complex) -> None:
+    for val, name in ((t1, "t1"), (t2, "t2")):
+        if abs(val) < 1e-12 or abs(val - 1.0) < 1e-12:
+            raise TimeCollision(f"{name} hits a fixed singular time")
+    if abs(t1 - t2) < 1e-12:
+        raise TimeCollision("t1 = t2")
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +173,10 @@ def hamiltonian_HGar(i: int, s: PGState) -> complex:
         raise ValueError("i must be 1 or 2")
     s.check_times()
     th = s.params
-    ti, tn, qi, qn, pi, pn, thti, thtn = _unpack(s, i)
+    if i == 1:
+        ti, tn, qi, qn, pi, pn, thti, thtn = s.t1, s.t2, s.q1, s.q2, s.p1, s.p2, th.tht1, th.tht2
+    else:
+        ti, tn, qi, qn, pi, pn, thti, thtn = s.t2, s.t1, s.q2, s.q1, s.p2, s.p1, th.tht2, th.tht1
     th0, th1, thi2 = th.th0, th.th1, th.thinf2
     val = qi * (qi - 1.0) * (qi - ti) * pi**2
     val += (
@@ -190,132 +194,101 @@ def hamiltonian_HGar(i: int, s: PGState) -> complex:
     return val / (ti * (ti - 1.0))
 
 
-def _rhs_oqo(s: PGState) -> complex:
-    t1, t2, q1, q2, p1, p2, a1, a2 = _unpack(s, 1)
-    th = s.params
-    b1, b2 = th.th1, th.thinf2
+def _pg_flows(t1, t2, q1, q2, p1, p2, th: ThetaPG):
+    """Every right-hand side of the two flows at one point: (D, g1, g2, opo, tqo).
+
+    D[j, k] = d(var_k)/d(t_{j+1}) over (q1, q2, p1, p2) and g_j = d ln u/dt_j,
+    each the displayed right-hand side divided by its prefactor t_j(t_j - 1);
+    opo and tqo are the undivided right-hand sides of the q2 equation of the
+    t1-flow and of the q1 equation of the t2-flow, kept as two transcriptions
+    because they coincide identically. The one body behind pg_rhs_explicit,
+    raw_rhs_pair, u_logderiv and the field of integrate_pg, on plain values.
+    """
+    _check_times(t1, t2)
+    a1, a2 = th.tht1, th.tht2
+    th0, b1, b2 = th.th0, th.th1, th.thinf2
+    b = b1 + 2.0 * b2
     d = t1 - t2
-    return (
+    oqo = (
         2.0 * p1 * q1 * ((q1 - 1.0) * (q1 - t1) - t1 * (t1 - 1.0) / d * q2)
         + 2.0 * p2 * q1 * q2 * (q1 + t1 * (t2 - 1.0) / d)
-        - (b1 + 2.0 * b2) * q1**2
-        - (1.0 + th.th0 + a1 + a2) * q1
-        + (1.0 + b1 + 2.0 * b2 + th.th0 + a2) * t1 * q1
+        - b * q1**2
+        - (1.0 + th0 + a1 + a2) * q1
+        + (1.0 + b1 + 2.0 * b2 + th0 + a2) * t1 * q1
         + t1 * a1
         + (t1 - 1.0) / d * (t2 * a2 * q1 - t1 * a1 * q2)
     )
-
-
-def _rhs_opo(s: PGState) -> complex:
-    t1, t2, q1, q2, p1, p2, a1, a2 = _unpack(s, 1)
-    th = s.params
-    b1, b2 = th.th1, th.thinf2
-    d = t1 - t2
-    return (
+    opo = (
         2.0 * p1 * q1 * q2 * (q1 + t1 * (t2 - 1.0) / d)
         + 2.0 * p2 * q1 * q2 * (q2 - t2 * (t1 - 1.0) / d)
-        - (b1 + 2.0 * b2) * q1 * q2
+        - b * q1 * q2
         - (t2 * (t1 - 1.0) * a2 * q1 - t1 * (t2 - 1.0) * a1 * q2) / d
     )
-
-
-def _rhs_oppo(s: PGState) -> complex:
-    t1, t2, q1, q2, p1, p2, a1, a2 = _unpack(s, 1)
-    th = s.params
-    b1, b2 = th.th1, th.thinf2
-    d = t1 - t2
-    return (
+    oppo = (
         -(p1**2) * (3.0 * q1**2 - 2.0 * (t1 + 1.0) * q1 + t1 - t1 * (t1 - 1.0) / d * q2)
         - 2.0 * p2 * p1 * q2 * (2.0 * q1 + t1 * (t2 - 1.0) / d)
         - p2**2 * q2 * (q2 - t2 * (t1 - 1.0) / d)
         + p1
         * (
-            2.0 * (b1 + 2.0 * b2) * q1
-            + (1.0 + th.th0 + a1 + a2)
-            - (1.0 + b1 + 2.0 * b2 + th.th0 + a2) * t1
+            2.0 * b * q1
+            + (1.0 + th0 + a1 + a2)
+            - (1.0 + b1 + 2.0 * b2 + th0 + a2) * t1
             - t2 * (t1 - 1.0) * a2 / d
         )
-        + p2 * ((b1 + 2.0 * b2) * q2 + t2 * (t1 - 1.0) * a2 / d)
+        + p2 * (b * q2 + t2 * (t1 - 1.0) * a2 / d)
         - b2 * (b2 + b1)
     )
-
-
-def _rhs_opt(s: PGState) -> complex:
-    t1, t2, q1, q2, p1, p2, a1, a2 = _unpack(s, 1)
-    th = s.params
-    b1, b2 = th.th1, th.thinf2
-    d = t1 - t2
-    return (
+    opt = (
         p1**2 * q1 * t1 * (t1 - 1.0) / d
         - 2.0 * p2 * p1 * q1 * (q1 + t1 * (t2 - 1.0) / d)
         - p2**2 * q1 * (2.0 * q2 - t2 * (t1 - 1.0) / d)
         + p1 * a1 * t1 * (t1 - 1.0) / d
-        + p2 * ((b1 + 2.0 * b2) * q1 - t1 * (t2 - 1.0) * a1 / d)
+        + p2 * (b * q1 - t1 * (t2 - 1.0) * a1 / d)
     )
-
-
-def _rhs_tqo(s: PGState) -> complex:
-    t1, t2, q1, q2, p1, p2, a1, a2 = _unpack(s, 1)
-    th = s.params
-    b1, b2 = th.th1, th.thinf2
-    d = t1 - t2
-    return (
+    tqo = (
         2.0 * p1 * q1 * q2 * (q1 + t1 * (t2 - 1.0) / d)
         + 2.0 * p2 * q1 * q2 * (q2 - t2 * (t1 - 1.0) / d)
-        - (b1 + 2.0 * b2) * q1 * q2
+        - b * q1 * q2
         - (t2 * (t1 - 1.0) * a2 * q1 - t1 * (t2 - 1.0) * a1 * q2) / d
     )
-
-
-def _rhs_tqt(s: PGState) -> complex:
-    t1, t2, q1, q2, p1, p2, a1, a2 = _unpack(s, 1)
-    th = s.params
-    b1, b2 = th.th1, th.thinf2
-    d = t1 - t2
-    return (
+    tqt = (
         2.0 * p1 * q1 * q2 * (q2 - t2 * (t1 - 1.0) / d)
         + 2.0 * p2 * q2 * ((q2 - 1.0) * (q2 - t2) + t2 * (t2 - 1.0) / d * q1)
-        - (b1 + 2.0 * b2) * q2**2
-        - (1.0 + th.th0 + a1 + a2) * q2
-        + (1.0 + b1 + 2.0 * b2 + th.th0 + a1) * t2 * q2
+        - b * q2**2
+        - (1.0 + th0 + a1 + a2) * q2
+        + (1.0 + b1 + 2.0 * b2 + th0 + a1) * t2 * q2
         + t2 * a2
         + (t2 - 1.0) / d * (t2 * a2 * q1 - t1 * a1 * q2)
     )
-
-
-def _rhs_tpo(s: PGState) -> complex:
-    t1, t2, q1, q2, p1, p2, a1, a2 = _unpack(s, 1)
-    th = s.params
-    b1, b2 = th.th1, th.thinf2
-    d = t1 - t2
-    return (
+    tpo = (
         -(p1**2) * q2 * (2.0 * q1 + t1 * (t2 - 1.0) / d)
         - 2.0 * p2 * p1 * q2 * (q2 - t2 * (t1 - 1.0) / d)
         - p2**2 * q2 * t2 * (t2 - 1.0) / d
-        + p1 * ((b1 + 2.0 * b2) * q2 + t2 * (t1 - 1.0) * a2 / d)
+        + p1 * (b * q2 + t2 * (t1 - 1.0) * a2 / d)
         - p2 * a2 * t2 * (t2 - 1.0) / d
     )
-
-
-def _rhs_tpt(s: PGState) -> complex:
-    t1, t2, q1, q2, p1, p2, a1, a2 = _unpack(s, 1)
-    th = s.params
-    b1, b2 = th.th1, th.thinf2
-    d = t1 - t2
-    return (
+    tpt = (
         -(p1**2) * q1 * (q1 + t1 * (t2 - 1.0) / d)
         - 2.0 * p2 * p1 * q1 * (2.0 * q2 - t2 * (t1 - 1.0) / d)
         - p2**2 * (3.0 * q2**2 - 2.0 * q2 * (t2 + 1.0) + t2 + t2 * (t2 - 1.0) / d * q1)
-        + p1 * ((b1 + 2.0 * b2) * q1 - t1 * (t2 - 1.0) * a1 / d)
+        + p1 * (b * q1 - t1 * (t2 - 1.0) * a1 / d)
         + p2
         * (
-            2.0 * (b1 + 2.0 * b2) * q2
-            + (1.0 + th.th0 + a1 + a2)
-            - (1.0 + b1 + 2.0 * b2 + th.th0 + a1) * t2
+            2.0 * b * q2
+            + (1.0 + th0 + a1 + a2)
+            - (1.0 + b1 + 2.0 * b2 + th0 + a1) * t2
             + t1 * (t2 - 1.0) * a1 / d
         )
         - b2 * (b2 + b1)
     )
+    f1 = t1 * (t1 - 1.0)
+    f2 = t2 * (t2 - 1.0)
+    D = np.array(
+        [[oqo / f1, opo / f1, oppo / f1, opt / f1], [tqo / f2, tqt / f2, tpo / f2, tpt / f2]], dtype=complex
+    )
+    g1 = (q1 * (2.0 * p1 * (t1 - q1) + b1 + 2.0 * b2) - 2.0 * q1 * p2 * q2 + t1 * a1) / f1
+    g2 = (q2 * (2.0 * p2 * (t2 - q2) + b1 + 2.0 * b2) - 2.0 * q2 * p1 * q1 + t2 * a2) / f2
+    return D, g1, g2, opo, tqo
 
 
 def pg_rhs_explicit(s: PGState) -> np.ndarray:
@@ -324,35 +297,19 @@ def pg_rhs_explicit(s: PGState) -> np.ndarray:
     Rows are the t1- and t2-flows, columns (q1, q2, p1, p2). The common
     prefactors t_i(t_i - 1) of the displayed equations are divided out.
     """
-    s.check_times()
-    f1 = s.t1 * (s.t1 - 1.0)
-    f2 = s.t2 * (s.t2 - 1.0)
-    return np.array(
-        [
-            [_rhs_oqo(s) / f1, _rhs_opo(s) / f1, _rhs_oppo(s) / f1, _rhs_opt(s) / f1],
-            [_rhs_tqo(s) / f2, _rhs_tqt(s) / f2, _rhs_tpo(s) / f2, _rhs_tpt(s) / f2],
-        ],
-        dtype=complex,
-    )
+    return _pg_flows(s.t1, s.t2, s.q1, s.q2, s.p1, s.p2, s.params)[0]
 
 
 def raw_rhs_pair(s: PGState) -> tuple[complex, complex]:
     """(RHS of the q_n equation of the t_i-flow, RHS of the q_i equation of
     the t_n-flow) before dividing prefactors; the two expressions coincide
     identically."""
-    return _rhs_opo(s), _rhs_tqo(s)
+    return _pg_flows(s.t1, s.t2, s.q1, s.q2, s.p1, s.p2, s.params)[3:]
 
 
 def u_logderiv(s: PGState) -> tuple[complex, complex]:
     """(d ln u / dt1, d ln u / dt2) of the scalar gauge."""
-    s.check_times()
-    th = s.params
-    out = []
-    for i in (1, 2):
-        ti, tn, qi, qn, pi, pn, thti, thtn = _unpack(s, i)
-        num = qi * (2.0 * pi * (ti - qi) + th.th1 + 2.0 * th.thinf2) - 2.0 * qi * pn * qn + ti * thti
-        out.append(num / (ti * (ti - 1.0)))
-    return out[0], out[1]
+    return _pg_flows(s.t1, s.t2, s.q1, s.q2, s.p1, s.p2, s.params)[1:3]
 
 
 # ---------------------------------------------------------------------------
@@ -379,17 +336,17 @@ def integrate_pg(
     if abs(p0[0] - s0.t1) + abs(p0[1] - s0.t2) > 1e-12:
         raise ValueError("path must start at the state's (t1, t2)")
     path.validate_against(time_constraints())
-    n = 5 if with_lnu else 4
+
+    th = s0.params
 
     def field(point, velocity, y):
-        st = replace(s0, t1=point[0], t2=point[1], q1=y[0], q2=y[1], p1=y[2], p2=y[3])
-        D = pg_rhs_explicit(st)
+        D, g1, g2, _, _ = _pg_flows(point[0], point[1], y[0], y[1], y[2], y[3], th)
         v = np.array(velocity, dtype=complex)
-        dy = np.zeros(n, dtype=complex)
+        if not with_lnu:
+            return v @ D
+        dy = np.empty(5, dtype=complex)
         dy[:4] = v @ D
-        if with_lnu:
-            g1, g2 = u_logderiv(st)
-            dy[4] = v[0] * g1 + v[1] * g2
+        dy[4] = v[0] * g1 + v[1] * g2
         return dy
 
     y0 = np.array([s0.q1, s0.q2, s0.p1, s0.p2] + ([0.0] if with_lnu else []), dtype=complex)

@@ -192,23 +192,29 @@ _EYE4 = np.eye(4)
 _OFF4 = 1.0 - _EYE4
 
 
+def _flow_dA(A: np.ndarray, tvec: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """dA/ds of :func:`flow_derivative`, plus the P_ij = A_i A_j and weights W its ln tau term reuses."""
+    P = np.einsum("...iab,...jbc->...ijac", A, A)
+    C = P - np.swapaxes(P, -3, -4)
+    W = _OFF4 / (tvec[..., :, None] - tvec[..., None, :] + _EYE4)
+    G = (v[..., :, None] - v[..., None, :]) * W
+    return np.einsum("...ij,...ijab->...jab", G, C), P, W
+
+
 def flow_derivative(A: np.ndarray, tvec: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, complex | np.ndarray]:
     """Directional derivative of (A_1..A_4, ln tau) along dt/ds = v.
 
     dA_j/ds = sum_{i != j} (v_i - v_j) [A_i, A_j] / (t_i - t_j) and
     dln(tau)/ds = sum_{i != j} v_i tr(A_i A_j) / (t_i - t_j); the tau term
     assumes traceless (B) normalization but is returned unconditionally.
+    The dA part is :func:`_flow_dA`, which the deformation flow uses alone.
 
     Any leading batch shape is allowed: A of shape (..., 4, 2, 2) with tvec
     and v of shape (..., 4) give dA of A's shape and dln(tau)/ds of shape
     (...); every row is an independent state and repeats the arithmetic of
     an unbatched call on that row.
     """
-    P = np.einsum("...iab,...jbc->...ijac", A, A)
-    C = P - np.swapaxes(P, -3, -4)
-    W = _OFF4 / (tvec[..., :, None] - tvec[..., None, :] + _EYE4)
-    G = (v[..., :, None] - v[..., None, :]) * W
-    dA = np.einsum("...ij,...ijab->...jab", G, C)
+    dA, P, W = _flow_dA(A, tvec, v)
     T = np.einsum("...ijaa->...ij", P)
     dtau = np.einsum("...i,...ij,...ij->...", v, W, T)
     return dA, dtau
@@ -224,9 +230,7 @@ def schlesinger_rhs(state: SchlesingerState) -> tuple[np.ndarray, np.ndarray]:
     t = state.tvec
     e1 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
     e2 = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
-    d1, _ = flow_derivative(state.A, t, e1)
-    d2, _ = flow_derivative(state.A, t, e2)
-    return d1, d2
+    return _flow_dA(state.A, t, e1)[0], _flow_dA(state.A, t, e2)[0]
 
 
 def tau_logderiv(state: SchlesingerState) -> tuple[complex, complex]:
@@ -275,8 +279,7 @@ def integrate_schlesinger(
     def field(point, velocity, y):
         t = np.array([point[0], point[1], T3, T4], dtype=complex)
         v = np.array([velocity[0], velocity[1], 0.0, 0.0], dtype=complex)
-        dA, _ = flow_derivative(y.reshape(4, 2, 2), t, v)
-        return dA.ravel()
+        return _flow_dA(y.reshape(4, 2, 2), t, v)[0].ravel()
 
     traj = ode_integrate(
         field, state.A.ravel(), path, rtol=rtol, atol=atol, samples=samples, fixed_steps=fixed_steps

@@ -92,6 +92,53 @@ def test_run_invalid_configs_exit_2(tmp_path):
     assert main(["run", "--config", str(bad3)]) == 2
 
 
+_T0 = [[0.3, 0.05], [0.62, -0.04]]  # _zero_state's (t1, t2)
+
+
+@pytest.mark.parametrize(
+    "argv, cfg",
+    [
+        (["--mode", "bpz", "--fd-step", "-1"], None),
+        (["--mode", "schlesinger", "--rtol", "0"], None),
+        (None, {"mode": "schlesinger", "tolerances": {"rtol": -1.0}}),
+        (None, {"mode": "schlesinger", "tolerances": {"rtol": True}}),
+        (None, {"mode": "bpz", "tolerances": {"fd_step": True}}),
+        (None, {"mode": "bpz", "tolerances": {"fd_order": True}}),
+        (None, {"mode": "schlesinger", "seed": True}),
+        (None, {"mode": "bpz", "scale": {"grid_points": True}}),
+        (None, {"mode": "schlesinger", "initial_state": _zero_state(), "paths": {"t_path": [_T0]}}),
+        (None, {"mode": "schlesinger", "initial_state": _zero_state(), "paths": {"t_path": [[1, 2], [3, 4]]}}),
+        (None, {"mode": "schlesinger", "initial_state": _zero_state(), "paths": {"t_path": [_T0, _T0]}}),
+        (None, {"mode": "schlesinger", "initial_state": _zero_state(), "paths": {"exclusion_radius": 0}}),
+        (None, {"mode": "schlesinger", "initial_state": _zero_state(), "paths": {"exclusion_radius": True}}),
+    ],
+    ids=[
+        "fd_step_flag_negative",
+        "rtol_flag_zero",
+        "rtol_negative",
+        "rtol_bool",
+        "fd_step_bool",
+        "fd_order_bool",
+        "seed_bool",
+        "scale_bool",
+        "t_path_one_waypoint",
+        "t_path_not_pairs",
+        "t_path_repeated_waypoint",
+        "exclusion_radius_zero",
+        "exclusion_radius_bool",
+    ],
+)
+def test_run_invalid_values_exit_2(tmp_path, capsys, argv, cfg):
+    # invalid values are configuration errors (exit 2), never a traceback,
+    # a failed check (1) or a numerical failure (3)
+    if cfg is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"spec": 1, **cfg}))
+        argv = ["--config", str(path)]
+    assert main(["run", *argv]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("defect", ["missing_matrices", "bad_norm", "nan_entry"])
 def test_run_malformed_initial_state_exits_2(tmp_path, capsys, defect):
     # a broken state block is a configuration error, not a check failure

@@ -13,8 +13,9 @@ from garnier_lab.errors import (
     TimeCollision,
     ZeroGauge,
 )
+from garnier_lab import poly_garnier
 from garnier_lab.garnier_okamoto import extract_go
-from garnier_lab.numerics import FDScheme, PathPlan, combine_stencil, stencil_multipliers
+from garnier_lab.numerics import FDScheme, PathPlan, combine_stencil, ode_integrate, stencil_multipliers
 from garnier_lab.poly_garnier import (
     PGState,
     ThetaPG,
@@ -198,6 +199,97 @@ def test_flow_constant_at_fixed_point():
     end = integrate_pg(s_star, path)[-1][1]
     for name in ("q1", "q2", "p1", "p2"):
         assert abs(getattr(end, name) - getattr(s_star, name)) < 1e-8, name
+
+
+def _old_pg_field(s0, with_lnu):
+    """integrate_pg's field before the eight right-hand sides had one body:
+    a PGState per call, then pg_rhs_explicit and u_logderiv on it."""
+    n = 5 if with_lnu else 4
+
+    def field(point, velocity, y):
+        st = replace(s0, t1=point[0], t2=point[1], q1=y[0], q2=y[1], p1=y[2], p2=y[3])
+        D = pg_rhs_explicit(st)
+        v = np.array(velocity, dtype=complex)
+        dy = np.zeros(n, dtype=complex)
+        dy[:4] = v @ D
+        if with_lnu:
+            g1, g2 = u_logderiv(st)
+            dy[4] = v[0] * g1 + v[1] * g2
+        return dy
+
+    return field
+
+
+def _pg_field(s0, with_lnu):
+    """The field integrate_pg hands to the integrator."""
+    fields = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            poly_garnier, "ode_integrate", lambda field, y0, *a, **k: fields.append(field) or [(0.0, np.asarray(y0))]
+        )
+        integrate_pg(s0, PathPlan([(s0.t1, s0.t2), (s0.t1 + 0.1, s0.t2 - 0.1j)], 0.03), with_lnu=with_lnu)
+    return fields[0]
+
+
+def _c5_start(k=0):
+    """Start state and path of criterion C5's k-th trajectory."""
+    s0 = gen_pg(random_theta_pg(500 + 3 * k), 500 + 3 * k + 1)
+    return s0, PathPlan([(s0.t1, s0.t2), (s0.t1 + 0.10 + 0.16j, s0.t2 - 0.08 - 0.12j)], 0.04)
+
+
+@pytest.mark.parametrize("with_lnu", [False, True], ids=["no_lnu", "lnu"])
+def test_pg_field_matches_old_field(with_lnu):
+    rng = np.random.default_rng(41)
+    for k in range(4):
+        s0, _path = _c5_start(k)
+        field, old = _pg_field(s0, with_lnu), _old_pg_field(s0, with_lnu)
+        for _ in range(6):
+            dz = 0.1 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
+            point = (s0.t1 + complex(dz[0]), s0.t2 + complex(dz[1]))
+            velocity = (complex(dz[2]), complex(dz[3]))
+            y = np.array([s0.q1, s0.q2, s0.p1, s0.p2, 0.3 - 0.1j][: 5 if with_lnu else 4], dtype=complex)
+            y += 0.2 * (rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size))
+            assert np.array_equal(field(point, velocity, y), old(point, velocity, y))
+
+
+@pytest.mark.parametrize("fixed_steps", [None, 24], ids=["adaptive", "fixed24"])
+def test_integrate_pg_matches_old_field_on_c5_path(fixed_steps):
+    # every stored state of C5's first trajectory, bit for bit
+    s0, path = _c5_start()
+    got = integrate_pg(s0, path, samples=[0.5], with_lnu=True, fixed_steps=fixed_steps)
+    y0 = np.array([s0.q1, s0.q2, s0.p1, s0.p2, 0.0], dtype=complex)
+    ref = ode_integrate(_old_pg_field(s0, True), y0, path, samples=[0.5], fixed_steps=fixed_steps)
+    assert len(got) == len(ref) == 3
+    for (s, st, lnu), (s_ref, y) in zip(got, ref):
+        assert s == s_ref
+        assert np.array_equal(np.array([st.q1, st.q2, st.p1, st.p2, lnu]), y)
+
+
+@pytest.mark.parametrize("where", ["t1=0", "t1=1", "t1=t2"])
+def test_pg_field_raises_time_collision(where):
+    s0, _path = _c5_start()
+    field = _pg_field(s0, True)
+    t1 = {"t1=0": 0j, "t1=1": 1 + 0j, "t1=t2": s0.t2}[where]
+    y = np.array([s0.q1, s0.q2, s0.p1, s0.p2, 0.0], dtype=complex)
+    with pytest.raises(TimeCollision):
+        field((t1, s0.t2), (1 + 0j, 0j), y)
+
+
+def test_pg_flow_field_call_count(monkeypatch):
+    # work counter: integrate_pg at the default rtol along C5's first path
+    # (with ln u, sampled at 0.5) makes exactly 2457 field calls, as many as
+    # the PGState-per-call field did; a field that forced step rejections
+    # would change it
+    s0, path = _c5_start()
+    calls = []
+    real = poly_garnier.ode_integrate
+
+    def counting(field, *args, **kwargs):
+        return real(lambda *f: calls.append(1) or field(*f), *args, **kwargs)
+
+    monkeypatch.setattr(poly_garnier, "ode_integrate", counting)
+    integrate_pg(s0, path, samples=[0.5], with_lnu=True)
+    assert len(calls) == 2457
 
 
 # ---------------------------------------------------------------------------

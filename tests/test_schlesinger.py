@@ -5,12 +5,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from garnier_lab import schlesinger
 from garnier_lab.errors import PoleEvaluation, TimeCollision
 from garnier_lab.numerics import FDScheme, PathPlan, combine_stencil, stencil_multipliers
 from garnier_lab.schlesinger import (
+    T3,
+    T4,
     SchlesingerState,
     ThetaGO,
     connection_matrix,
+    flow_derivative,
     gen_schlesinger_b,
     integrate_schlesinger,
     schlesinger_rhs,
@@ -136,6 +140,30 @@ def test_flow_derivative_batch_rows_match_unbatched(b_state, rng):
         # same arithmetic row by row: equal up to a few ulp on any platform
         assert np.max(np.abs(dA[k] - dA_k)) <= 1e-15 * np.max(np.abs(dA_k))
         assert abs(dtau[k] - dtau_k) <= 1e-15 * abs(dtau_k)
+
+
+@pytest.mark.parametrize("norm", ["B", "Q"])
+def test_flow_field_matches_flow_derivative(b_state, rng, monkeypatch, norm):
+    # the field integrate_schlesinger hands to the integrator equals, bit for
+    # bit, the old closure around flow_derivative kept here
+    state = b_state if norm == "B" else shift_normalization(b_state, "BtoQ")
+    fields = []
+    monkeypatch.setattr(schlesinger, "ode_integrate", lambda field, y0, *a, **k: fields.append(field) or [(0.0, y0)])
+    integrate_schlesinger(state, _short_path(state))
+    (field,) = fields
+
+    def old_field(point, velocity, y):
+        t = np.array([point[0], point[1], T3, T4], dtype=complex)
+        v = np.array([velocity[0], velocity[1], 0.0, 0.0], dtype=complex)
+        dA, _ = flow_derivative(y.reshape(4, 2, 2), t, v)
+        return dA.ravel()
+
+    for _ in range(8):
+        dz = 0.05 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
+        point = (state.t1 + complex(dz[0]), state.t2 + complex(dz[1]))
+        velocity = (complex(dz[2]), complex(dz[3]))
+        y = state.A.ravel() + 0.1 * (rng.standard_normal(16) + 1j * rng.standard_normal(16))
+        assert np.array_equal(field(point, velocity, y), old_field(point, velocity, y))
 
 
 def test_integrate_matches_scipy_oracle(b_state):
