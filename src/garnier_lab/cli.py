@@ -50,6 +50,10 @@ _SCALE_KEYS = {
     "grid_points": ("C7", "C8", "C9"),
 }
 
+# the tolerances each mode reads (see _criterion_kwargs); _validate_config rejects any other
+_FD_KEYS = ("fd_step", "fd_order", "richardson")
+_TOLERANCE_KEYS = {"schlesinger": ("rtol",), "bpz": _FD_KEYS, "quantize-go": _FD_KEYS, "quantize-pg": _FD_KEYS}
+
 
 def _is_int(val) -> bool:
     return isinstance(val, int) and not isinstance(val, bool)
@@ -77,9 +81,11 @@ def _validate_config(cfg: dict) -> dict:
     tol = cfg.get("tolerances", {})
     if not isinstance(tol, dict):
         raise ConfigInvalid("tolerances must be an object", field="tolerances")
-    for key, check, what in (("rtol", _is_positive, "a positive number"), ("atol", _is_number, "a number"),
-                             ("fd_step", _is_positive, "a positive number"), ("fd_order", _is_int, "an integer"),
-                             ("richardson", lambda v: isinstance(v, bool), "a boolean")):
+    for key in tol:
+        if key not in _TOLERANCE_KEYS.get(mode, ()):
+            raise ConfigInvalid(f"the {mode} mode does not read '{key}'", field=f"tolerances.{key}")
+    for key, check, what in (("rtol", _is_positive, "a positive number"), ("fd_step", _is_positive, "a positive number"),
+                             ("fd_order", _is_int, "an integer"), ("richardson", lambda v: isinstance(v, bool), "a boolean")):
         if key in tol and not check(tol[key]):
             raise ConfigInvalid(f"{key} must be {what}", field=f"tolerances.{key}")
     if "fd_order" in tol and tol["fd_order"] not in (2, 4):
@@ -121,7 +127,7 @@ def _criterion_kwargs(cid: str, cfg: dict) -> dict:
             kwargs[key] = scale[key]
     if cid == "C1" and "rtol" in tol:
         kwargs["rtol"] = float(tol["rtol"])
-    if cid in ("C7", "C8", "C9") and ({"fd_step", "fd_order", "richardson"} & tol.keys()):
+    if cid in ("C7", "C8", "C9") and (set(_FD_KEYS) & tol.keys()):
         base = acceptance.QPG_FD if cid == "C9" else acceptance.LAB_FD
         kwargs["scheme"] = FDScheme(
             order=int(tol.get("fd_order", base.order)),

@@ -15,11 +15,11 @@ every multivalued gauge factor. On top of it live the residual engines:
 * the scalar second-order equation in x satisfied by the first component
   of the shifted wavefunction, with its apparent singularities.
 
-Phi moves in x by the linear kernel of :mod:`numerics`, which evaluates
-M(x) = sum_i A_i/(x - t_i) (one body, ``_pole_matrix``) at all six stage
-points of a Dormand-Prince step at once. Derivatives are central finite
-differences with shared stencils. All spatial stencil hops of one grid
-point are integrated in one batched solve (:meth:`Frame.phi_nodes`), and so
+Phi moves in x by the linear kernels of :mod:`numerics`, on M(x) =
+sum_i A_i/(x - t_i) (one body, ``_pole_matrix``). Derivatives are central
+finite differences with shared stencils. All spatial stencil hops of one
+grid point are integrated in one batched solve (:meth:`Frame.phi_nodes`:
+the Dormand-Prince step propagators of every hop at once), and so
 are all its time hops, which move the whole bundle (A, ln tau, Phi at the
 attached points) to every shifted time tuple (:meth:`Frame.shift_t`). Each
 hop takes a fixed (deterministic) step count so the integration error stays
@@ -338,7 +338,8 @@ class Frame:
         self._hop_segment(x, tnode, anchor)
         x0, dx = anchor.x, x - anchor.x
         phi = linear_adaptive(lambda s: _pole_matrix(x0 + s * dx, tnode.t, tnode.A), dx, anchor.phi)
-        node = self._hop_node(x, tnode, anchor, phi)
+        logs = np.array([continue_log(anchor.logs[i], anchor.x - tnode.t[i], x - tnode.t[i]) for i in range(4)])
+        node = PhiNode(x=x, t=tnode.t.copy(), phi=phi, logs=logs)
         if base_time and cache:
             self._phi_cache[x] = node
         return node
@@ -349,30 +350,35 @@ class Frame:
         Each hop runs from anchor.x to x at the times of its tnode, is checked
         against the x = t_i exclusion discs like :meth:`phi_node` (screened
         together first) and takes ``_nsteps(|x - anchor.x|)`` fixed
-        Dormand-Prince steps, longest first; a hop that ends at its anchor
+        Dormand-Prince steps, as step propagators (``linear_fixed_batch``);
+        the gauge logs gain log((x - t_i)/(anchor.x - t_i)), by ``continue_log``
+        where that ratio is 0.5 or more from 1. A hop that ends at its anchor
         returns the anchor. Nothing is cached.
         """
         hops = [(complex(x), tnode, anchor) for x, tnode, anchor in hops]
         moving = [k for k, (x, _tn, anchor) in enumerate(hops) if x != anchor.x]
         x0 = np.array([hops[k][2].x for k in moving], dtype=complex)
-        dx = np.array([hops[k][0] for k in moving], dtype=complex) - x0
-        n_steps = [_nsteps(abs(d)) for d in dx]
+        x1 = np.array([hops[k][0] for k in moving], dtype=complex)
+        n_steps = [_nsteps(abs(d)) for d in x1 - x0]
         order = sorted(range(len(moving)), key=lambda r: -n_steps[r])  # stable
-        moving, x0, dx, n_steps = [moving[r] for r in order], x0[order], dx[order], [n_steps[r] for r in order]
+        moving, x0, x1, n_steps = [moving[r] for r in order], x0[order], x1[order], [n_steps[r] for r in order]
         t = np.array([hops[k][1].t for k in moving], dtype=complex).reshape(-1, 4)
-        for r in segments_near(x0[:, None] - t, (x0 + dx)[:, None] - t, EXCLUSION):
+        for r in segments_near(x0[:, None] - t, x1[:, None] - t, EXCLUSION):
             self._hop_segment(*hops[moving[r]])
         A = np.array([hops[k][1].A for k in moving], dtype=complex).reshape(-1, 4, 2, 2)
         phi0 = np.array([hops[k][2].phi for k in moving], dtype=complex).reshape(-1, 2, 2)
-
-        def coef(s):  # s: (stages, live) for the live prefix of the hops
-            n = s.shape[-1]
-            return _pole_matrix(x0[:n] + s * dx[:n], t[:n], A[:n])
-
-        phi1 = linear_fixed_batch(coef, dx[:, None, None], phi0, n_steps)
+        dx = x1 - x0
+        phi1 = linear_fixed_batch(
+            lambda rows, s: _pole_matrix(x0[rows] + s * dx[rows], t[rows], A[rows]), dx[:, None, None], phi0, n_steps
+        )
+        w0, w1 = x0[:, None] - t, x1[:, None] - t
+        ratio = w1 / w0
+        logs = np.array([hops[k][2].logs for k in moving], dtype=complex).reshape(-1, 4) + np.log(ratio)
+        for r, i in zip(*np.nonzero(np.abs(ratio - 1.0) >= 0.5)):
+            logs[r, i] = continue_log(hops[moving[r]][2].logs[i], w0[r, i], w1[r, i])
         out = [anchor for _x, _tn, anchor in hops]
-        for k, phi in zip(moving, phi1):
-            out[k] = self._hop_node(*hops[k], phi)
+        for k, phi, lg in zip(moving, phi1, logs):
+            out[k] = PhiNode(x=hops[k][0], t=hops[k][1].t.copy(), phi=phi, logs=lg)
         return out
 
     def _hop_segment(self, x: complex, tnode: TNode, anchor: PhiNode) -> None:
@@ -380,14 +386,6 @@ class Frame:
         PathPlan([anchor.x, x], EXCLUSION).validate_against(
             [AffineConstraint((1,), tnode.t[i], f"x = t{i+1}") for i in range(4)]
         )
-
-    def _hop_node(self, x: complex, tnode: TNode, anchor: PhiNode, phi: np.ndarray) -> PhiNode:
-        """The node at x: Phi from a hop, gauge logs continued from the anchor."""
-        t = tnode.t
-        logs = np.array(
-            [continue_log(anchor.logs[i], anchor.x - t[i], x - t[i]) for i in range(4)]
-        )
-        return PhiNode(x=x, t=t.copy(), phi=phi, logs=logs)
 
     # -- time transport -----------------------------------------------------
 

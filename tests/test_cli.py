@@ -92,6 +92,33 @@ def test_run_invalid_configs_exit_2(tmp_path):
     assert main(["run", "--config", str(bad3)]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, cfg",
+    [
+        (None, {"mode": "bpz", "tolerances": {"rtol": 1e-12}}),
+        (None, {"mode": "schlesinger", "tolerances": {"atol": 1e-14}}),
+        (None, {"mode": "quantize-pg", "tolerances": {"atol": 1e-14}}),
+        (None, {"mode": "schlesinger", "tolerances": {"fd_step": 1e-3}}),
+        (None, {"mode": "garnier-go", "tolerances": {"richardson": False}}),
+        (None, {"mode": "bpz", "tolerances": {"fd_stepp": 1e-3}}),
+        (["--mode", "quantize-go", "--rtol", "1e-10"], None),
+        (["--mode", "pvi", "--fd-step", "1e-3"], None),
+    ],
+    ids=["rtol_in_bpz", "atol", "atol_in_quantize_pg", "fd_step_in_schlesinger", "richardson_in_garnier_go",
+         "misspelt_key", "rtol_flag_in_quantize_go", "fd_step_flag_in_pvi"],
+)
+def test_run_unread_tolerance_exits_2(tmp_path, capsys, argv, cfg):
+    # a tolerance the chosen mode never reads would change nothing: it is
+    # rejected, naming the field, before any work is done
+    if cfg is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"spec": 1, **cfg}))
+        argv = ["--config", str(path)]
+    assert main(["run", *argv]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "tolerances." in err
+
+
 _T0 = [[0.3, 0.05], [0.62, -0.04]]  # _zero_state's (t1, t2)
 
 

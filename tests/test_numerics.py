@@ -1,6 +1,7 @@
 """Core numerics: quadratic roots, path integration, finite differences."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -241,13 +242,31 @@ def test_dp_step_matches_generator_sums(rng, batch):
 
 
 def test_linear_fixed_batch_wants_non_increasing_step_counts():
-    def coef(s):
+    def coef(rows, s):
         return np.zeros(s.shape + (2, 2), dtype=complex)
 
     y0 = np.tile(np.eye(2, dtype=complex), (2, 1, 1))
     with pytest.raises(ValueError):
         linear_fixed_batch(coef, np.ones((2, 1, 1)), y0, [6, 7])
     assert np.array_equal(linear_fixed_batch(coef, np.ones((2, 1, 1)), y0, [7, 6]), y0)
+
+
+def test_linear_fixed_batch_constant_coefficient_is_the_stability_polynomial(rng):
+    # for M = C a step of size h is R(h v C), R(z) = sum_{k<=5} z^k/k! + z^6/600
+    # (the DP5 stability polynomial), so n steps give R(h v C)^n y0; 48 rows
+    # of 6-12 steps make more (row, step) pairs than one block holds
+    n = sorted(rng.integers(6, 13, size=48), reverse=True)
+    C = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    v = 0.3 * (rng.normal(size=(48, 1, 1)) + 1j * rng.normal(size=(48, 1, 1)))
+    y0 = rng.normal(size=(48, 2, 2)) + 1j * rng.normal(size=(48, 2, 2))
+    got = linear_fixed_batch(lambda rows, s: np.broadcast_to(C, s.shape + (2, 2)), v, y0, n)
+    assert sum(n) > numerics._PAIR_BLOCK
+    for k in range(48):
+        z = v[k] / n[k] * C
+        powers = [np.linalg.matrix_power(z, p) for p in range(7)]
+        R = sum(pw / math.factorial(p) for p, pw in enumerate(powers[:6])) + powers[6] / 600.0
+        want = np.linalg.matrix_power(R, n[k]) @ y0[k]
+        assert np.max(np.abs(got[k] - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_segments_near_matches_segment_min(rng):

@@ -1,5 +1,7 @@
 """Wavefunction transport, gauges, branch handling and the PDE residuals."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,12 +16,13 @@ from garnier_lab.numerics import (
     FDScheme,
     PathPlan,
     combine_stencil,
+    det2,
     dp_fixed_batch,
     inv2,
     ode_integrate,
     stencil_multipliers,
 )
-from garnier_lab import quantization
+from garnier_lab import numerics, quantization
 from garnier_lab.acceptance import _seeded_b_state, default_grid
 from garnier_lab.schlesinger import SchlesingerState, ThetaGO, flow_derivative, gen_schlesinger_b
 from garnier_lab.quantization import (
@@ -566,7 +569,13 @@ def test_phi_nodes_kernel_matches_old_batched_field(frame, monkeypatch):
         (nys.x + 2e-3j, tn, nys),
         (nx.x - 9e-3, base, nx),
     ]
-    seen = _record_coefficient_points(monkeypatch, "linear_fixed_batch")
+    seen = []  # (rows, s) of every coefficient call
+    real = quantization.linear_fixed_batch
+
+    def wrapped(coef, *args):
+        return real(lambda rows, s: seen.append((rows.copy(), s.copy())) or coef(rows, s), *args)
+
+    monkeypatch.setattr(quantization, "linear_fixed_batch", wrapped)
     batch = frame.phi_nodes(hops)
     assert batch[2] is nx
     moving = [hop for hop in hops if hop[0] != hop[2].x]
@@ -576,12 +585,71 @@ def test_phi_nodes_kernel_matches_old_batched_field(frame, monkeypatch):
     ref = dp_fixed_batch(fld, np.array([a.phi.ravel() for _x, _tn, a in moving]), n_steps)
     got = [node for hop, node in zip(hops, batch) if hop[0] != hop[2].x]
     for node, r in zip(got, ref):
-        assert np.array_equal(node.phi, r.reshape(2, 2))
-    # six coefficient points per step and one to start, per hop; the kernel
-    # runs the hops in the order of descending step count
+        assert np.max(np.abs(node.phi - r.reshape(2, 2))) <= 1e-14 * np.max(np.abs(r))
+    # each moving hop's M at exactly six stage points per step, the points of
+    # the stepping scheme; the kernel runs the hops in the order of
+    # descending step count
     n_sorted = sorted(n_steps, reverse=True)
-    counts = [sum(s.shape[0] for s in seen if s.shape[-1] > r) for r in range(len(n_sorted))]
-    assert counts == [6 * n + 1 for n in n_sorted]
+    rows = np.concatenate([r for r, _s in seen])
+    points = np.concatenate([s for _r, s in seen])
+    assert list(np.bincount(rows)) == [6 * n for n in n_sorted]
+    for r, n in enumerate(n_sorted):
+        h = 1.0 / n
+        want = {0.0} | {i * h + c * h for i in range(n) for c in numerics._DP_C[1:]}
+        assert set(points[rows == r]) == want
+
+
+def test_phi_nodes_continue_far_chord_logs_like_phi_node(frame, monkeypatch):
+    # a hop that triples its distance to t2: that chord ratio is far from 1,
+    # so its log goes through continue_log; the others take the principal log
+    t = frame.base_tnode.t
+    u = (BASE_X - t[1]) / abs(BASE_X - t[1])
+    anchor = frame.phi_node(t[1] + 0.06 * u, cache=False)
+    x = t[1] + 0.18 * u
+    calls = []
+    real = quantization.continue_log
+    monkeypatch.setattr(quantization, "continue_log", lambda *a: calls.append(a) or real(*a))
+    (node,) = frame.phi_nodes([(x, frame.base_tnode, anchor)])
+    assert len(calls) == 1 and calls[0][1] == anchor.x - t[1]
+    ref = frame.phi_node(x, anchor=anchor, cache=False)
+    assert np.max(np.abs(node.logs - ref.logs)) <= 1e-15
+    assert np.max(np.abs(node.phi - ref.phi)) < 1e-11
+
+
+@pytest.fixture(scope="module")
+def c9_point_hops():
+    """A C9 frame and the hops that quantized_pg_residual sends to phi_nodes for one grid point."""
+    frame = Frame(_seeded_b_state(700), base_x=BASE_X)
+    x, y = default_grid(20)[0]
+    zeta, eta = zeta_eta_map(x, y, frame.state.t1, frame.state.t2)
+    calls = []
+    real = Frame.phi_nodes
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Frame, "phi_nodes", lambda self, hops: calls.append(list(hops)) or real(self, hops))
+        quantized_pg_residual(frame, [(zeta, eta, (x, y))], solve_alpha_beta(frame.theta), QPG_FD)
+    (hops,) = calls
+    return frame, hops
+
+
+def test_phi_nodes_keep_det_phi_on_every_hop_of_a_c9_point(c9_point_hops):
+    # the residues are traceless, so det Phi is constant along every hop
+    frame, hops = c9_point_hops
+    for (_x, _tn, anchor), node in zip(hops, frame.phi_nodes(hops)):
+        assert abs(det2(node.phi) / det2(anchor.phi) - 1.0) <= 1e-13
+
+
+def test_phi_nodes_memory_of_a_c9_point_is_bounded(c9_point_hops):
+    # the step propagators are formed block by block: scratch memory stays
+    # flat however many (hop, step) pairs a call has
+    frame, hops = c9_point_hops
+    frame.phi_nodes(hops)
+    tracemalloc.start()
+    try:
+        frame.phi_nodes(hops)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
 
 
 @pytest.mark.parametrize("inside", [True, False], ids=["inside", "outside"])
