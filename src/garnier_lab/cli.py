@@ -50,9 +50,9 @@ _SCALE_KEYS = {
     "grid_points": ("C7", "C8", "C9"),
 }
 
-# the tolerances each mode reads (see _criterion_kwargs); _validate_config rejects any other
-_FD_KEYS = ("fd_step", "fd_order", "richardson")
-_TOLERANCE_KEYS = {"schlesinger": ("rtol",), "bpz": _FD_KEYS, "quantize-go": _FD_KEYS, "quantize-pg": _FD_KEYS}
+# the criteria that read each tolerance; _validate_config rejects a key none of the mode's criteria reads
+_FD_CRITERIA = ("C7", "C8", "C9")
+_TOLERANCE_KEYS = {"rtol": ("C1",), "fd_step": _FD_CRITERIA, "fd_order": _FD_CRITERIA, "richardson": _FD_CRITERIA}
 
 
 def _is_int(val) -> bool:
@@ -82,7 +82,7 @@ def _validate_config(cfg: dict) -> dict:
     if not isinstance(tol, dict):
         raise ConfigInvalid("tolerances must be an object", field="tolerances")
     for key in tol:
-        if key not in _TOLERANCE_KEYS.get(mode, ()):
+        if not set(_TOLERANCE_KEYS.get(key, ())) & set(MODES[mode]):
             raise ConfigInvalid(f"the {mode} mode does not read '{key}'", field=f"tolerances.{key}")
     for key, check, what in (("rtol", _is_positive, "a positive number"), ("fd_step", _is_positive, "a positive number"),
                              ("fd_order", _is_int, "an integer"), ("richardson", lambda v: isinstance(v, bool), "a boolean")):
@@ -125,9 +125,9 @@ def _criterion_kwargs(cid: str, cfg: dict) -> dict:
     for key, cids in _SCALE_KEYS.items():
         if cid in cids and key in scale:
             kwargs[key] = scale[key]
-    if cid == "C1" and "rtol" in tol:
+    if "rtol" in tol and cid in _TOLERANCE_KEYS["rtol"]:
         kwargs["rtol"] = float(tol["rtol"])
-    if cid in ("C7", "C8", "C9") and (set(_FD_KEYS) & tol.keys()):
+    if any(cid in _TOLERANCE_KEYS[key] for key in tol.keys() - {"rtol"}):
         base = acceptance.QPG_FD if cid == "C9" else acceptance.LAB_FD
         kwargs["scheme"] = FDScheme(
             order=int(tol.get("fd_order", base.order)),

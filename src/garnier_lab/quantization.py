@@ -351,9 +351,9 @@ class Frame:
         against the x = t_i exclusion discs like :meth:`phi_node` (screened
         together first) and takes ``_nsteps(|x - anchor.x|)`` fixed
         Dormand-Prince steps, as step propagators (``linear_fixed_batch``);
-        the gauge logs gain log((x - t_i)/(anchor.x - t_i)), by ``continue_log``
-        where that ratio is 0.5 or more from 1. A hop that ends at its anchor
-        returns the anchor. Nothing is cached.
+        the gauge logs gain the principal log((x - t_i)/(anchor.x - t_i)), the
+        exact continuation along a chord that misses every x = t_i. A hop that
+        ends at its anchor returns the anchor. Nothing is cached.
         """
         hops = [(complex(x), tnode, anchor) for x, tnode, anchor in hops]
         moving = [k for k, (x, _tn, anchor) in enumerate(hops) if x != anchor.x]
@@ -371,11 +371,8 @@ class Frame:
         phi1 = linear_fixed_batch(
             lambda rows, s: _pole_matrix(x0[rows] + s * dx[rows], t[rows], A[rows]), dx[:, None, None], phi0, n_steps
         )
-        w0, w1 = x0[:, None] - t, x1[:, None] - t
-        ratio = w1 / w0
-        logs = np.array([hops[k][2].logs for k in moving], dtype=complex).reshape(-1, 4) + np.log(ratio)
-        for r, i in zip(*np.nonzero(np.abs(ratio - 1.0) >= 0.5)):
-            logs[r, i] = continue_log(hops[moving[r]][2].logs[i], w0[r, i], w1[r, i])
+        logs = np.array([hops[k][2].logs for k in moving], dtype=complex).reshape(-1, 4)
+        logs += np.log((x1[:, None] - t) / (x0[:, None] - t))
         out = [anchor for _x, _tn, anchor in hops]
         for k, phi, lg in zip(moving, phi1, logs):
             out[k] = PhiNode(x=hops[k][0], t=hops[k][1].t.copy(), phi=phi, logs=lg)
