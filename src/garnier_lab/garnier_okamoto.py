@@ -13,6 +13,7 @@ its rational coefficients are assembled here.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -273,17 +274,17 @@ def integrate_go(
         raise ValueError("expected a (t1, t2) path")
     path.validate_against(time_constraints())
 
+    g = GOState(g0.t1, g0.t2, g0.lam, g0.mu, g0.theta)  # the field's point, moved in place
+    as_array = functools.cache(lambda velocity: np.array(velocity, dtype=complex))
+
     def field(point, velocity, y):
-        t1, t2 = point
-        lam = (y[0], y[1])
-        if abs(lam[0] - lam[1]) < 1e-10 * (1 + abs(lam[0])):
+        l1, l2, m1, m2 = y
+        if abs(l1 - l2) < 1e-10 * (1 + abs(l1)):
             raise ConditionIVViolated("lambda collision during integration")
-        g = GOState(t1, t2, lam, (y[2], y[3]), g0.theta)
+        (g.t1, g.t2), g.lam, g.mu = point, (l1, l2), (m1, m2)
         vf = go_vector_field(g)
-        v = np.array(velocity, dtype=complex)
-        dlam = v @ vf["dlam"]
-        dmu = v @ vf["dmu"]
-        return np.concatenate([dlam, dmu])
+        v = as_array(velocity)
+        return np.concatenate([v @ vf["dlam"], v @ vf["dmu"]])
 
     y0 = np.array([*g0.lam, *g0.mu], dtype=complex)
     traj = ode_integrate(field, y0, path, rtol=rtol, atol=atol, samples=samples)

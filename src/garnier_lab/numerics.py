@@ -13,9 +13,10 @@ This is the substrate every other module builds on:
   the same Dormand-Prince step; it serves the tiny finite-difference stencil
   hops in time, where a deterministic step sequence keeps the integration
   error a smooth function of the endpoint,
-* the same two schemes for linear systems y' = v * C(s) y: :func:`linear_adaptive`
-  (bit for bit) and :func:`linear_fixed_batch` (to rounding: the products of
-  the step propagators of every step of every row, formed stage by stage),
+* the same two schemes for linear systems y' = v * C(s) y, to rounding:
+  :func:`linear_adaptive` (2x2, the same steps on Python complex scalars) and
+  :func:`linear_fixed_batch` (the products of the step propagators of every
+  step of every row, formed stage by stage),
 * central finite-difference schemes of order 2/4 with optional Richardson
   extrapolation: :func:`fd_derivative` is the one path for a derivative in
   one direction (its evaluator may return a scalar or an array), and
@@ -262,7 +263,7 @@ _DP_E = (
 )
 
 
-_DP_C6 = np.array(_DP_C[1:])  # stages 2..6 and the FSAL point, in units of h
+_DP_C5 = np.array(_DP_C[1:6])  # the distinct points of stages 2..7 (c_7 = c_6 = 1), in units of h
 
 
 def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, rtol: float, atol: float) -> float:
@@ -317,6 +318,10 @@ def ode_integrate(
     def step(s, yv, h, k1):
         return _dp_step(lambda j, acc: fv(s + _DP_C[j] * h, acc), yv, h, k1)
 
+    def controlled(s, yv, h, k1):
+        y1, k = step(s, yv, h, k1)
+        return y1, k[6], _error_norm(_dp_error(h, k), yv, y1, rtol, atol)
+
     s_cur = 0.0
     n_steps = 0
     h = None
@@ -343,7 +348,7 @@ def ode_integrate(
             if h is None:
                 h = _initial_step(fv, s_cur, y, k1, rtol, atol, span)
             h = min(h, span)
-            s_cur, y, h, n_steps = _advance(step, s_cur, s_target, y, k1, h, rtol, atol, n_steps, max_steps, path.point)
+            s_cur, y, h, n_steps = _advance(controlled, s_cur, s_target, y, k1, h, n_steps, max_steps, path.point)
         if s_target in want or s_target == 1.0:
             out.append((s_target, y.copy()))
     if out[-1][0] != 1.0:
@@ -351,24 +356,23 @@ def ode_integrate(
     return out
 
 
-def _advance(step, s, s_end, y, k1, h, rtol, atol, n_steps, max_steps, where):
-    """Error-controlled steps ``step(s, y, h, k1) -> (y1, stages)`` from s to s_end.
+def _advance(step, s, s_end, y, k1, h, n_steps, max_steps, where):
+    """Error-controlled steps ``step(s, y, h, k1) -> (y1, k7, error norm)`` from s to s_end.
 
     The one accept/grow rule of the adaptive drivers; returns (s, y, h, n_steps).
     """
     while s < s_end - 1e-15:
         h = min(h, s_end - s)
-        if h < 1e-14:
+        if not h >= 1e-14:  # also a NaN step, from a non-finite start
             raise SingularityApproach("step size underflow during path integration", location=where(s))
-        y_new, k = step(s, y, h, k1)
-        en = _error_norm(_dp_error(h, k), y, y_new, rtol, atol)
+        y_new, k7, en = step(s, y, h, k1)
         n_steps += 1
         if n_steps > max_steps:
             raise SingularityApproach("step budget exhausted", location=where(s))
         if en <= 1.0:
             s += h
             y = y_new
-            k1 = k[6]
+            k1 = k7
             grow = 0.9 * en ** -0.2 if en > 0 else 5.0
             h *= min(5.0, max(0.2, grow))
         else:
@@ -407,24 +411,54 @@ def dp_fixed_batch(field: Callable, y0, n_steps) -> np.ndarray:
 
 
 def linear_adaptive(coef: Callable, v: complex, y0) -> np.ndarray:
-    """y(1) of the linear system dy/ds = v * coef(s) @ y, y(0) = y0, adaptively.
+    """y(1) of the 2x2 linear system dy/ds = v * coef(s) @ y, y(0) = y0, adaptively.
 
-    ``coef(s)`` returns the matrices at an array of parameters s, stacked on
-    its shape: all six stage points of a step in one call. Bit for bit the end
-    state of :func:`ode_integrate` (default tolerances) for the same field on
-    a one-segment path. User: ``quantization.Frame.phi_node``.
+    :func:`ode_integrate`'s scheme, initial step and step control at the default
+    tolerances, each step on Python complex scalars (row-major 4-tuples): one
+    ``coef`` call, stacked on the shape of s, for its five distinct stage points
+    (c_6 = c_7 = 1), then no numpy call. User: ``quantization.Frame.phi_node``.
     """
+    a2, a3, a4, a5, a6, b = _DP_A[1:]
+    e1, _, e3, e4, e5, e6, e7 = _DP_E
 
-    def fv(s, yv):
-        return v * (coef(np.array([s]))[0] @ yv)
+    def mv(m, y):  # m @ y
+        (m00, m01), (m10, m11) = m
+        y00, y01, y10, y11 = y
+        return (m00 * y00 + m01 * y10, m00 * y01 + m01 * y11, m10 * y00 + m11 * y10, m10 * y01 + m11 * y11)
 
-    def step(s, yv, h, k1):
-        m = coef(s + _DP_C6 * h)
-        return _dp_step(lambda j, acc: v * (m[j - 1] @ acc), yv, h, k1)
+    def fv(s, yv):  # the numpy form that _initial_step reads
+        return np.reshape(mv((v * coef(np.array([s]))).tolist()[0], yv.ravel().tolist()), (2, 2))
 
-    k1 = fv(0.0, y0)
-    h = min(_initial_step(fv, 0.0, y0, k1, DEFAULT_RTOL, DEFAULT_ATOL, 1.0), 1.0)
-    return _advance(step, 0.0, 1.0, y0, k1, h, DEFAULT_RTOL, DEFAULT_ATOL, 0, MAX_STEPS, float)[1]
+    def step(s, y, h, k1):
+        m2, m3, m4, m5, m6 = (v * coef(s + _DP_C5 * h)).tolist()
+        k2 = mv(m2, [u + h * (a2[0] * p1) for u, p1 in zip(y, k1)])
+        k3 = mv(m3, [u + h * (a3[0] * p1 + a3[1] * p2) for u, p1, p2 in zip(y, k1, k2)])
+        k4 = mv(m4, [u + h * (a4[0] * p1 + a4[1] * p2 + a4[2] * p3) for u, p1, p2, p3 in zip(y, k1, k2, k3)])
+        k5 = mv(m5, [u + h * (a5[0] * p1 + a5[1] * p2 + a5[2] * p3 + a5[3] * p4)
+                     for u, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)])
+        k6 = mv(m6, [u + h * (a6[0] * p1 + a6[1] * p2 + a6[2] * p3 + a6[3] * p4 + a6[4] * p5)
+                     for u, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)])
+        y1 = [u + h * (b[0] * p1 + b[2] * p3 + b[3] * p4 + b[4] * p5 + b[5] * p6)
+              for u, p1, p3, p4, p5, p6 in zip(y, k1, k3, k4, k5, k6)]
+        k7 = mv(m6, y1)
+        en = 0.0
+        try:
+            for u, q, p1, p3, p4, p5, p6, p7 in zip(y, y1, k1, k3, k4, k5, k6, k7):
+                r = h * (e1 * p1 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6 + e7 * p7)
+                r /= DEFAULT_ATOL + DEFAULT_RTOL * max(abs(u), abs(q))
+                en += r.real * r.real + r.imag * r.imag
+        except OverflowError as exc:  # |y| past the float range
+            raise SingularityApproach(f"linear transport blew up: {exc}", location=s) from exc
+        return y1, k7, math.sqrt(0.25 * en)
+
+    y = np.asarray(y0, dtype=complex)
+    k1 = fv(0.0, y)
+    try:
+        h = min(_initial_step(fv, 0.0, y, k1, DEFAULT_RTOL, DEFAULT_ATOL, 1.0), 1.0)
+    except ZeroDivisionError as exc:  # a first stage past the float range
+        raise SingularityApproach(f"linear transport blew up: {exc}", location=0.0) from exc
+    y1 = _advance(step, 0.0, 1.0, y.ravel().tolist(), k1.ravel().tolist(), h, 0, MAX_STEPS, float)[1]
+    return np.reshape(y1, (2, 2))
 
 
 _PAIR_BLOCK = 384  # (row, step) pairs per block of linear_fixed_batch
@@ -438,8 +472,9 @@ def linear_fixed_batch(coef: Callable, v, y0, n_steps) -> np.ndarray:
     sum_l a_jl K_l). The P of all (row, step) pairs are formed stage by stage
     in blocks of at most ``_PAIR_BLOCK`` pairs (or one step), so that scratch
     memory does not grow with the batch, then applied in step order. M =
-    ``coef(rows, s)``, (P, m, m) for rows and s of shape (P,); ``n_steps``
-    must not increase. User: ``quantization.Frame.phi_nodes``.
+    ``coef(rows, s)``, (P, m, m) for rows and s of shape (P,), at 5 n + 1
+    points per row: a step's end is the next step's first stage point.
+    ``n_steps`` must not increase. User: ``quantization.Frame.phi_nodes``.
     """
     n = np.asarray(n_steps, dtype=int)
     if np.any(n[1:] > n[:-1]):
@@ -454,14 +489,17 @@ def linear_fixed_batch(coef: Callable, v, y0, n_steps) -> np.ndarray:
         rows, steps = np.arange(first[i1] - first[i0]) - np.repeat(off, lv), np.repeat(np.arange(i0, i1), lv)
         h = 1.0 / n[rows]
         hv = h[:, None, None] * v[rows]
-        k = [hv * coef(rows, (steps - 1) * h + h)]  # at the FSAL point of the step before
+        m6 = hv * coef(rows, steps * h + h)  # at the step's end: its stage 6 and the next step's stage 1
+        # stage 1 at s = 0 or the row's previous step end: the last block's last step, or lv[q - 1] pairs back
+        m1 = m_end[: lv[0]] if i0 else hv[: lv[0]] * coef(rows[: lv[0]], np.zeros(lv[0]))
+        k = [np.concatenate([m1, m6[np.arange(lv[0], len(rows)) - np.repeat(lv[:-1], lv[1:])]])]
         for j in range(1, 6):  # elementwise sums: as BLAS matvecs they stalled ~0.15 s a call on idle threads
             acc = sum(a * kl for a, kl in zip(_DP_A[j], k)) + eye
-            k.append(_small_matmul(hv * coef(rows, steps * h + _DP_C[j] * h), acc))
+            k.append(_small_matmul(m6 if j == 5 else hv * coef(rows, steps * h + _DP_C[j] * h), acc))
         prop = sum(b * kl for b, kl in zip(_DP_A[6], k)) + eye
         for L, o in zip(lv, off):
             y[:L] = _small_matmul(prop[o : o + L], y[:L])
-        i0 = i1
+        i0, m_end = i1, m6[off[-1] :]
     return y
 
 

@@ -22,6 +22,7 @@ from garnier_lab.numerics import (
     continue_log,
     dp_fixed_batch,
     fd_derivative,
+    linear_adaptive,
     linear_fixed_batch,
     ode_integrate,
     quad_roots,
@@ -267,6 +268,37 @@ def test_linear_fixed_batch_constant_coefficient_is_the_stability_polynomial(rng
         R = sum(pw / math.factorial(p) for p, pw in enumerate(powers[:6])) + powers[6] / 600.0
         want = np.linalg.matrix_power(R, n[k]) @ y0[k]
         assert np.max(np.abs(got[k] - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def _constant(m):
+    m = np.asarray(m, dtype=complex)
+    return lambda s: np.broadcast_to(m, s.shape + (2, 2))
+
+
+_EYE = np.eye(2, dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "coef, v, y0, at",
+    [
+        # growth e^(40 s) from 1e300: the state leaves the float range mid-hop
+        (_constant(_EYE), 40.0, 1e300 * _EYE, (0.2, 0.5)),
+        # |y| past the float range in the error norm's abs (an OverflowError)
+        (_constant(0 * _EYE), 1.0, np.diag([1.5e308 + 1.5e308j, 1.0]), (0.0, 0.0)),
+        # a first stage past the float range in the initial step (a ZeroDivisionError)
+        (_constant([[1.0, 0.5], [0.0, -1.0]]), 40.0, 1e305 * _EYE, (0.0, 0.0)),
+        # non-finite coefficients: everywhere (a NaN first step), and from s = 1/2 on
+        (_constant(np.full((2, 2), np.nan)), 1.0, _EYE, (0.0, 0.0)),
+        (lambda s: np.where(s[..., None, None] < 0.5, _EYE, np.inf), 1.0, _EYE, (0.49, 0.5)),
+    ],
+    ids=["blow-up", "abs-overflow", "first-stage-overflow", "nan", "inf-past-half"],
+)
+def test_linear_adaptive_failures_are_typed_with_a_location(coef, v, y0, at):
+    # the scalar complex arithmetic raises ZeroDivisionError/OverflowError
+    # where numpy returned inf; none of them may escape untyped
+    with np.errstate(all="ignore"), pytest.raises(SingularityApproach) as info:
+        linear_adaptive(coef, v, y0)
+    assert at[0] <= info.value.location <= at[1]
 
 
 def test_segments_near_matches_segment_min(rng):

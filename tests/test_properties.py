@@ -1,5 +1,5 @@
 """Property tests over random inputs: space-variable map, quadratic roots, continuous log,
-seeded Schlesinger data and the coordinate bridge."""
+seeded Schlesinger data, the coordinate bridge and the adaptive Phi kernel."""
 
 import cmath
 
@@ -7,9 +7,9 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from garnier_lab.numerics import continue_log, quad_roots
+from garnier_lab.numerics import PathPlan, continue_log, linear_adaptive, ode_integrate, quad_roots
 from garnier_lab.poly_garnier import bridge_lambda_from_q, bridge_q_from_lambda
-from garnier_lab.quantization import zeta_eta_inverse, zeta_eta_map
+from garnier_lab.quantization import _pole_matrix, zeta_eta_inverse, zeta_eta_map
 from garnier_lab.schlesinger import gen_schlesinger_b, shift_normalization
 
 
@@ -28,6 +28,7 @@ _TIME = _complex(0.1, 0.9, -0.1, 0.1)
 _COEF = _complex(-10.0, 10.0, -10.0, 10.0)
 _THETA = _complex(-0.7, 0.7, -0.3, 0.3)
 _Q = _complex(-0.8, 0.8, -0.4, 0.4)
+_ENTRY = _complex(-2.0, 2.0, -2.0, 2.0)
 
 # derandomized: the same examples on every run, nothing written to disk
 _SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -98,3 +99,31 @@ def test_bridge_round_trip_off_the_reduction_locus(q1, q2, t1, t2):
     assume(abs(lam1 - 1.0) > 0.05 and abs(lam2 - 1.0) > 0.05)  # poles of the inverse bridge
     qq1, qq2 = bridge_q_from_lambda(lam1, lam2, t1, t2)
     assert abs(qq1 - q1) + abs(qq2 - q2) <= 1e-11 * (1.0 + abs(q1) + abs(q2))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    _TIME, _TIME, st.lists(_ENTRY, min_size=12, max_size=12), _POINT, _POINT, st.lists(_ENTRY, min_size=4, max_size=4)
+)
+def test_linear_adaptive_matches_ode_integrate_on_the_same_field(t1, t2, abc, x0, x1, y0):
+    # Phi_x = M(x) Phi, M = sum_i A_i/(x - t_i) with random traceless A_i, on a
+    # hop in the upper half-plane, clear of the times near the real axis
+    assume(abs(t1 - t2) > 0.05 and abs(x1 - x0) > 1e-3)
+    t = np.array([t1, t2, 1.0, 0.0])
+    A = np.array([[[a, b], [c, -a]] for a, b, c in zip(abc[0::3], abc[1::3], abc[2::3])])
+    y0 = np.reshape(y0, (2, 2))
+    dx = x1 - x0
+    seen = []
+    got = linear_adaptive(lambda s: seen.append(s.size) or _pole_matrix(x0 + s * dx, t, A), dx, y0)
+    rhs = []
+
+    def field(z, v, y):
+        rhs.append(1)
+        return (v * (np.einsum("i,iab->ab", 1.0 / (z - t), A) @ y.reshape(2, 2))).ravel()
+
+    ref = ode_integrate(field, y0.ravel(), PathPlan([x0, x1], 0.05))[-1][1].reshape(2, 2)
+    # the same steps, accepted and rejected (two RHS for the initial step,
+    # then six per step against one coef call per step) ...
+    assert seen[:2] == [1, 1] and 6 * len(seen[2:]) == len(rhs) - 2
+    # ... to the same Phi up to rounding (measured: <= 1.9e-14 in 2400 draws)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))

@@ -549,9 +549,13 @@ def test_phi_node_kernel_matches_old_adaptive_field(seed, monkeypatch):
             anchor.phi.ravel(),
             PathPlan([anchor.x, x], quantization.EXCLUSION),
         )[-1][1]
-        assert np.array_equal(node.phi, ref.reshape(2, 2))
-        # one coefficient point per right-hand side the old field evaluated
-        assert sum(s.size for s in seen) == len(rhs)
+        ref = ref.reshape(2, 2)
+        assert np.max(np.abs(node.phi - ref)) <= 1e-14 * np.max(np.abs(ref))
+        # the same steps, accepted and rejected: the old field took two RHS
+        # for the initial step and six per step, the kernel takes two points
+        # and then one coef call of five distinct stage points per step
+        assert [s.size for s in seen[:2]] == [1, 1] and {s.size for s in seen[2:]} == {5}
+        assert 6 * len(seen[2:]) == len(rhs) - 2
 
 
 def test_phi_nodes_kernel_matches_old_batched_field(frame, monkeypatch):
@@ -586,13 +590,13 @@ def test_phi_nodes_kernel_matches_old_batched_field(frame, monkeypatch):
     got = [node for hop, node in zip(hops, batch) if hop[0] != hop[2].x]
     for node, r in zip(got, ref):
         assert np.max(np.abs(node.phi - r.reshape(2, 2))) <= 1e-14 * np.max(np.abs(r))
-    # each moving hop's M at exactly six stage points per step, the points of
-    # the stepping scheme; the kernel runs the hops in the order of
-    # descending step count
+    # each moving hop's M once at each distinct point of the stepping scheme:
+    # five per step (a step's end is the next step's first stage) and s = 0;
+    # the kernel runs the hops in the order of descending step count
     n_sorted = sorted(n_steps, reverse=True)
     rows = np.concatenate([r for r, _s in seen])
     points = np.concatenate([s for _r, s in seen])
-    assert list(np.bincount(rows)) == [6 * n for n in n_sorted]
+    assert list(np.bincount(rows)) == [5 * n + 1 for n in n_sorted]
     for r, n in enumerate(n_sorted):
         h = 1.0 / n
         want = {0.0} | {i * h + c * h for i in range(n) for c in numerics._DP_C[1:]}
