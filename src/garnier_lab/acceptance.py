@@ -54,7 +54,7 @@ from .quantization import (
     zeta_eta_map,
 )
 
-__all__ = ["CheckResult", "CRITERIA", "star_points", "default_grid"]
+__all__ = ["CheckResult", "CRITERIA", "conservation_drift", "star_points", "default_grid"]
 
 
 @dataclass
@@ -124,19 +124,21 @@ def _seeded_b_state(seed: int) -> SchlesingerState:
 # 1. Schlesinger conservation
 # ---------------------------------------------------------------------------
 
+def conservation_drift(s0: SchlesingerState, s1: SchlesingerState) -> float:
+    """Largest change of tr A_i, det A_i and the entries of A_inf from s0 to s1."""
+    d = float(np.max(np.abs(s1.a_inf - s0.a_inf)))
+    for m0, m1 in zip(s0.A, s1.A):
+        d = max(d, abs(np.trace(m1) - np.trace(m0)), abs(np.linalg.det(m1) - np.linalg.det(m0)))
+    return d
+
+
 def criterion_1(n_states: int = 20, rtol: float = 1e-12, tol: float = 1e-9, seed0: int = 100):
     """Drift of tr A_i, det A_i and A_inf along a unit-length path."""
     worst = 0.0
     path = PathPlan(LONG_T_PATH, 0.05)
     for k in range(n_states):
         s0 = _seeded_b_state(seed0 + k)
-        s1 = integrate_schlesinger(s0, path, rtol=rtol)[-1][1]
-        d = 0.0
-        for m0, m1 in zip(s0.A, s1.A):
-            d = max(d, abs(np.trace(m1) - np.trace(m0)))
-            d = max(d, abs(np.linalg.det(m1) - np.linalg.det(m0)))
-        d = max(d, float(np.max(np.abs(s1.a_inf - s0.a_inf))))
-        worst = max(worst, d)
+        worst = max(worst, conservation_drift(s0, integrate_schlesinger(s0, path, rtol=rtol)[-1][1]))
     return CheckResult(
         criterion="C1",
         passed=worst <= tol,

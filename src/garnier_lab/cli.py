@@ -180,11 +180,7 @@ def _custom_schlesinger_check(cfg: dict) -> CheckResult:
     if abs(waypoints[0][0] - state.t1) + abs(waypoints[0][1] - state.t2) > 1e-12:
         raise ConfigInvalid("t_path must start at the state's times", field="paths.t_path")
     rtol = float(cfg.get("tolerances", {}).get("rtol", 1e-12))
-    end = integrate_schlesinger(state, path, rtol=rtol)[-1][1]
-    drift = float(np.max(np.abs(end.a_inf - state.a_inf)))
-    for m0, m1 in zip(state.A, end.A):
-        drift = max(drift, abs(np.trace(m1) - np.trace(m0)))
-        drift = max(drift, abs(np.linalg.det(m1) - np.linalg.det(m0)))
+    drift = acceptance.conservation_drift(state, integrate_schlesinger(state, path, rtol=rtol)[-1][1])
     tol = 1e-9
     return CheckResult(
         criterion="C1",

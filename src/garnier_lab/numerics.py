@@ -3,8 +3,9 @@
 This is the substrate every other module builds on:
 
 * stable quadratic roots over the complex numbers,
-* polyline paths in C^d with affine singularity clearance checks (and a
-  vectorized screen over many segments, :func:`segments_near`),
+* polyline paths in C^d and one clearance rule for straight chords of
+  affine values (:func:`check_clearance`), which decides every path and
+  transport hop against its singular sets,
 * an adaptive Dormand-Prince 5(4) integrator for states of complex numbers,
   with exact landing on requested parameter values and an optional
   fixed-step mode,
@@ -40,7 +41,6 @@ from .errors import (
     DegenerateQuadratic,
     GarnierLabError,
     PathViolation,
-    PoleEvaluation,
     SingularityApproach,
     StencilFailure,
 )
@@ -51,7 +51,7 @@ __all__ = [
     "quad_roots",
     "PathPlan",
     "AffineConstraint",
-    "segments_near",
+    "check_clearance",
     "ode_integrate",
     "dp_fixed_batch",
     "linear_adaptive",
@@ -62,7 +62,6 @@ __all__ = [
     "combine_stencil",
     "det2",
     "inv2",
-    "continue_log",
 ]
 
 DEFAULT_RTOL = 1e-12
@@ -143,36 +142,32 @@ class AffineConstraint:
     offset: complex
     label: str = ""
 
-    def value(self, point: tuple[complex, ...]) -> complex:
-        return sum(w * z for w, z in zip(self.weights, point)) - self.offset
 
-    def segment_min(self, p0: tuple[complex, ...], p1: tuple[complex, ...]) -> float:
-        """min over the segment [p0, p1] of |value|, in closed form.
+def check_clearance(w0, w1, radius: float, labels: Sequence[str]) -> None:
+    """Reject every chord w0 -> w1 of affine values that comes within ``radius`` of 0.
 
-        The restriction of the affine form to the segment is w0 + s*(w1-w0)
-        with s in [0, 1]; the minimiser is the clamped orthogonal projection.
-        """
-        w0 = self.value(p0)
-        w1 = self.value(p1)
-        dw = w1 - w0
-        denom = abs(dw) ** 2
-        if denom == 0.0:
-            return abs(w0)
-        s = -(w0.real * dw.real + w0.imag * dw.imag) / denom
-        s = min(1.0, max(0.0, s))
-        return abs(w0 + s * dw)
-
-
-def segments_near(w0, w1, radius: float) -> np.ndarray:
-    """Rows whose segments w0 -> w1 of affine values (last axis) may come within radius of 0.
-
-    :meth:`AffineConstraint.segment_min` over all rows at once; rows not clear
-    by more than a hair (1e-9 relative) are left to ``validate_against``.
+    The last axis of ``w0`` and ``w1`` (broadcast together) runs over K
+    singular sets named by ``labels``, the leading axes over segments. The
+    chord w(s) = w0 + s*(w1 - w0), 0 <= s <= 1, is nearest to 0 at the
+    clamped orthogonal projection, so its clearance is exact in closed form.
+    The first segment (then set, in order) closer than ``radius``, or whose
+    clearance is NaN (a non-finite end value), raises PathViolation. A chord
+    that passes also misses 0, so log(w1/w0) is the exact continuation of
+    log w along it.
     """
-    dw = w1 - w0
-    denom = np.abs(dw) ** 2
-    s = np.clip(-(w0.real * dw.real + w0.imag * dw.imag) / np.where(denom == 0.0, 1.0, denom), 0.0, 1.0)
-    return np.flatnonzero(np.min(np.abs(w0 + s * dw), axis=-1) < radius * (1.0 + 1e-9))
+    w0, w1 = np.broadcast_arrays(np.asarray(w0, dtype=complex), np.asarray(w1, dtype=complex))
+    with np.errstate(invalid="ignore"):
+        dw = w1 - w0
+        denom = np.abs(dw) ** 2
+        s = np.clip(-(w0.real * dw.real + w0.imag * dw.imag) / np.where(denom == 0.0, 1.0, denom), 0.0, 1.0)
+        d = np.abs(w0 + s * dw)
+    bad = np.flatnonzero(~(d >= radius))
+    if bad.size:
+        k, j = divmod(int(bad[0]), len(labels))
+        raise PathViolation(
+            f"segment {k} passes within {d.flat[bad[0]]:.3e} of singular set "
+            f"'{labels[j]}' (exclusion radius {radius})"
+        )
 
 
 class PathPlan:
@@ -228,14 +223,10 @@ class PathPlan:
 
     def validate_against(self, constraints: Sequence[AffineConstraint]) -> None:
         """Reject the path if any segment enters an exclusion zone."""
-        for k, (p0, p1) in enumerate(zip(self.points[:-1], self.points[1:])):
-            for con in constraints:
-                d = con.segment_min(p0, p1)
-                if d < self.exclusion_radius:
-                    raise PathViolation(
-                        f"segment {k} passes within {d:.3e} of singular set "
-                        f"'{con.label}' (exclusion radius {self.exclusion_radius})"
-                    )
+        weights = np.array([c.weights for c in constraints], dtype=complex).reshape(len(constraints), self.dim)
+        offsets = np.array([c.offset for c in constraints], dtype=complex)
+        w = np.sum(np.array(self.points)[:, None, :] * weights, axis=-1) - offsets
+        check_clearance(w[:-1], w[1:], self.exclusion_radius, [c.label for c in constraints])
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +337,7 @@ def ode_integrate(
             s_cur = s_target
         else:
             if h is None:
-                h = _initial_step(fv, s_cur, y, k1, rtol, atol, span)
+                h = _initial_step(fv, s_cur, y, k1, rtol, atol, span, path.point)
             h = min(h, span)
             s_cur, y, h, n_steps = _advance(controlled, s_cur, s_target, y, k1, h, n_steps, max_steps, path.point)
         if s_target in want or s_target == 1.0:
@@ -453,10 +444,7 @@ def linear_adaptive(coef: Callable, v: complex, y0) -> np.ndarray:
 
     y = np.asarray(y0, dtype=complex)
     k1 = fv(0.0, y)
-    try:
-        h = min(_initial_step(fv, 0.0, y, k1, DEFAULT_RTOL, DEFAULT_ATOL, 1.0), 1.0)
-    except ZeroDivisionError as exc:  # a first stage past the float range
-        raise SingularityApproach(f"linear transport blew up: {exc}", location=0.0) from exc
+    h = min(_initial_step(fv, 0.0, y, k1, DEFAULT_RTOL, DEFAULT_ATOL, 1.0, float), 1.0)
     y1 = _advance(step, 0.0, 1.0, y.ravel().tolist(), k1.ravel().tolist(), h, 0, MAX_STEPS, float)[1]
     return np.reshape(y1, (2, 2))
 
@@ -531,11 +519,13 @@ def _dp_error(h, k):
     return h * (e[0] * k[0] + e[2] * k[2] + e[3] * k[3] + e[4] * k[4] + e[5] * k[5] + e[6] * k[6])
 
 
-def _initial_step(fv, s0, y, k1, rtol, atol, span) -> float:
+def _initial_step(fv, s0, y, k1, rtol, atol, span, where) -> float:
     scale = atol + rtol * np.abs(y)
     d0 = float(np.sqrt(np.mean(np.abs(y / scale) ** 2)))
     d1 = float(np.sqrt(np.mean(np.abs(k1 / scale) ** 2)))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    if not h0 > 0.0:  # d1 = inf, from a first stage past the float range, gives 0 or NaN
+        raise SingularityApproach("first stage past the float range", location=where(s0))
     h0 = min(h0, span)
     y1 = y + h0 * k1
     k2 = fv(s0 + h0, y1)
@@ -658,31 +648,3 @@ def fd_derivative(f: Callable, z: complex, scheme: FDScheme | None = None, deriv
         except Exception as exc:  # noqa: BLE001 - re-raised with stencil context
             raise StencilFailure(f"stencil evaluation failed at offset {m}*h: {exc}") from exc
     return combine_stencil(values, h, scheme, deriv)
-
-
-# ---------------------------------------------------------------------------
-# continuous logarithm along a linear chord
-# ---------------------------------------------------------------------------
-
-def continue_log(log_w0: complex, w0: complex, w1: complex, max_depth: int = 64) -> complex:
-    """Continue log(w) from (w0, log_w0) to w1 along the straight chord.
-
-    The chord w(s) = w0 + s*(w1 - w0) must stay away from the origin; each
-    sub-step is kept small enough that the principal-log increment is valid.
-    """
-    if w0 == 0 or w1 == 0:
-        raise PoleEvaluation("continuous log hit the branch point")
-
-    def walk(lw, a, b, depth):
-        ratio = b / a
-        if abs(ratio - 1.0) < 0.5:
-            return lw + cmath.log(ratio)
-        if depth >= max_depth:
-            raise PoleEvaluation("continuous log: chord passes too close to 0")
-        mid = 0.5 * (a + b)
-        if mid == 0:
-            raise PoleEvaluation("continuous log hit the branch point")
-        lm = walk(lw, a, mid, depth + 1)
-        return walk(lm, mid, b, depth + 1)
-
-    return walk(complex(log_w0), complex(w0), complex(w1), 0)

@@ -2,8 +2,12 @@
 
 A :class:`Frame` wraps one traceless Schlesinger state together with the
 base-normalized fundamental solution Phi (= identity at (base_x, base_t)),
-the accumulated log of the tau-function, and continuous-logarithm charts for
-every multivalued gauge factor. On top of it live the residual engines:
+the accumulated log of the tau-function, and the logs of every multivalued
+gauge factor. Every hop, in x or in t, is a straight chord of the affine
+values x - t_i, t_i - t_j and t_i - x_k: one check (``check_clearance``)
+keeps it clear of their zeros, and the logs then gain the principal log of
+the values' ratio, their exact continuation. On top of it live the residual
+engines:
 
 * the four second-order/first-order equations satisfied by the gauged
   two-point function Y(x, y, t),
@@ -45,11 +49,10 @@ from .errors import (
 )
 from .garnier_okamoto import extract_go, garx_coefficients, hamiltonian_K
 from .numerics import (
-    AffineConstraint,
     FDScheme,
     PathPlan,
+    check_clearance,
     combine_stencil,
-    continue_log,
     det2,
     dp_fixed_batch,
     inv2,
@@ -57,7 +60,6 @@ from .numerics import (
     linear_fixed_batch,
     ode_integrate,
     quad_roots,
-    segments_near,
     stencil_multipliers,
 )
 from .schlesinger import SchlesingerState, ThetaGO, flow_derivative, shift_normalization
@@ -100,11 +102,11 @@ STENCIL_STEP_LENGTH = 5e-4
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _PAIR_I, _PAIR_J = np.array(_PAIRS).T
 
-# collision sets t_i = t_j of a time hop in (t1, t2, t3, t4)
-_TIME_COLLISIONS = tuple(
-    AffineConstraint(tuple((k == i) - (k == j) for k in range(4)), 0.0, f"t{i+1} = t{j+1}")
-    for i, j in _PAIRS
-)
+# the singular sets of a spatial hop, of the values x - t_i, and of a time
+# hop, of the values t_i - t_j (pairs) and t_i - x_k (per attached node)
+_X_SETS = tuple(f"x = t{i+1}" for i in range(4))
+_PAIR_SETS = tuple(f"t{i+1} = t{j+1}" for i, j in _PAIRS)
+_NODE_SETS = tuple(f"t{i+1} = x" for i in range(4))
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +307,7 @@ class Frame:
             t=t.copy(),
             A=state.A.copy(),
             ln_tau=0.0 + 0.0j,
-            pair_logs=np.array([np.log(t[i] - t[j]) for i, j in _PAIRS], dtype=complex),
+            pair_logs=np.log(t[_PAIR_I] - t[_PAIR_J]),
         )
         self.base_node = PhiNode(
             x=self.base_x,
@@ -324,7 +326,12 @@ class Frame:
         anchor: PhiNode | None = None,
         cache: bool = True,
     ) -> PhiNode:
-        """Transport Phi (and the gauge logs) to x along a straight segment."""
+        """Transport Phi (and the gauge logs) to x along a straight segment.
+
+        The segment is checked against the x = t_i exclusion discs, and the
+        gauge logs gain the principal log((x - t_i)/(anchor.x - t_i)): the
+        exact continuation along a chord that misses every x = t_i.
+        """
         x = complex(x)
         base_time = tnode is None
         tnode = tnode or self.base_tnode
@@ -335,11 +342,11 @@ class Frame:
             return self._phi_cache[x]
         if x == anchor.x:
             return anchor
-        self._hop_segment(x, tnode, anchor)
+        w0, w1 = anchor.x - tnode.t, x - tnode.t
+        check_clearance(w0, w1, EXCLUSION, _X_SETS)
         x0, dx = anchor.x, x - anchor.x
         phi = linear_adaptive(lambda s: _pole_matrix(x0 + s * dx, tnode.t, tnode.A), dx, anchor.phi)
-        logs = np.array([continue_log(anchor.logs[i], anchor.x - tnode.t[i], x - tnode.t[i]) for i in range(4)])
-        node = PhiNode(x=x, t=tnode.t.copy(), phi=phi, logs=logs)
+        node = PhiNode(x=x, t=tnode.t.copy(), phi=phi, logs=anchor.logs + np.log(w1 / w0))
         if base_time and cache:
             self._phi_cache[x] = node
         return node
@@ -347,42 +354,34 @@ class Frame:
     def phi_nodes(self, hops: Sequence[tuple[complex, TNode, PhiNode]]) -> list[PhiNode]:
         """Transport Phi along every stencil hop (x, tnode, anchor) in one batched solve.
 
-        Each hop runs from anchor.x to x at the times of its tnode, is checked
-        against the x = t_i exclusion discs like :meth:`phi_node` (screened
-        together first) and takes ``_nsteps(|x - anchor.x|)`` fixed
-        Dormand-Prince steps, as step propagators (``linear_fixed_batch``);
-        the gauge logs gain the principal log((x - t_i)/(anchor.x - t_i)), the
-        exact continuation along a chord that misses every x = t_i. A hop that
-        ends at its anchor returns the anchor. Nothing is cached.
+        Each hop runs from anchor.x to x at the times of its tnode and takes
+        ``_nsteps(|x - anchor.x|)`` fixed Dormand-Prince steps, as step
+        propagators (``linear_fixed_batch``). All hops are checked, and
+        continue their gauge logs, as in :meth:`phi_node`, in one pass. A hop
+        that ends at its anchor returns the anchor. Nothing is cached.
         """
         hops = [(complex(x), tnode, anchor) for x, tnode, anchor in hops]
         moving = [k for k, (x, _tn, anchor) in enumerate(hops) if x != anchor.x]
         x0 = np.array([hops[k][2].x for k in moving], dtype=complex)
         x1 = np.array([hops[k][0] for k in moving], dtype=complex)
+        t = np.array([hops[k][1].t for k in moving], dtype=complex).reshape(-1, 4)
+        w0, w1 = x0[:, None] - t, x1[:, None] - t
+        check_clearance(w0, w1, EXCLUSION, _X_SETS)
         n_steps = [_nsteps(abs(d)) for d in x1 - x0]
         order = sorted(range(len(moving)), key=lambda r: -n_steps[r])  # stable
-        moving, x0, x1, n_steps = [moving[r] for r in order], x0[order], x1[order], [n_steps[r] for r in order]
-        t = np.array([hops[k][1].t for k in moving], dtype=complex).reshape(-1, 4)
-        for r in segments_near(x0[:, None] - t, x1[:, None] - t, EXCLUSION):
-            self._hop_segment(*hops[moving[r]])
+        moving, n_steps = [moving[r] for r in order], [n_steps[r] for r in order]
+        x0, x1, t, dlogs = x0[order], x1[order], t[order], np.log(w1 / w0)[order]
         A = np.array([hops[k][1].A for k in moving], dtype=complex).reshape(-1, 4, 2, 2)
         phi0 = np.array([hops[k][2].phi for k in moving], dtype=complex).reshape(-1, 2, 2)
         dx = x1 - x0
         phi1 = linear_fixed_batch(
             lambda rows, s: _pole_matrix(x0[rows] + s * dx[rows], t[rows], A[rows]), dx[:, None, None], phi0, n_steps
         )
-        logs = np.array([hops[k][2].logs for k in moving], dtype=complex).reshape(-1, 4)
-        logs += np.log((x1[:, None] - t) / (x0[:, None] - t))
+        logs = np.array([hops[k][2].logs for k in moving], dtype=complex).reshape(-1, 4) + dlogs
         out = [anchor for _x, _tn, anchor in hops]
         for k, phi, lg in zip(moving, phi1, logs):
             out[k] = PhiNode(x=hops[k][0], t=hops[k][1].t.copy(), phi=phi, logs=lg)
         return out
-
-    def _hop_segment(self, x: complex, tnode: TNode, anchor: PhiNode) -> None:
-        """Reject the straight path anchor.x -> x if it enters an x = t_i disc."""
-        PathPlan([anchor.x, x], EXCLUSION).validate_against(
-            [AffineConstraint((1,), tnode.t[i], f"x = t{i+1}") for i in range(4)]
-        )
 
     # -- time transport -----------------------------------------------------
 
@@ -395,24 +394,17 @@ class Frame:
         """Move the bundle (A, ln tau, attached Phi nodes) to every t_new in one batched solve.
 
         The rows share their start state and differ only in the velocity
-        t_new - tnode.t. Each hop is checked against the singular sets of
-        :meth:`_time_segment` (screened together first) before anything is
-        integrated and takes ``_nsteps(|t_new - tnode.t|)`` fixed
+        t_new - tnode.t. Every hop is checked by :meth:`_time_hops` before
+        anything is integrated and takes ``_nsteps(|t_new - tnode.t|)`` fixed
         Dormand-Prince steps; a row whose t_new equals tnode.t returns
         (tnode, nodes).
         """
         nodes = list(nodes)
         t_news = [np.asarray(t_new, dtype=complex) for t_new in t_news]
         moving = [k for k, t_new in enumerate(t_news) if np.any(t_new != tnode.t)]
-        t0 = tnode.t
         t1 = np.array([t_news[k] for k in moving], dtype=complex).reshape(-1, 4)
-        xs = np.array([n.x for n in nodes], dtype=complex)
-        # affine values of the sets t_i = t_j and t_i = x_k at both ends of each row
-        w0 = np.concatenate([t0[_PAIR_I] - t0[_PAIR_J], (t0[:, None] - xs).ravel()])
-        w1 = np.concatenate([t1[:, _PAIR_I] - t1[:, _PAIR_J], (t1[:, :, None] - xs).reshape(len(t1), 4 * len(xs))], axis=1)
-        for r in segments_near(w0, w1, EXCLUSION / 4):
-            self._time_segment(tnode, nodes, t_news[moving[r]])
-        dt = t1 - t0
+        dlogs = self._time_hops(tnode, nodes, t1)
+        dt = t1 - tnode.t
         field = self._bundle_field(nodes)
 
         def rows_field(rows, s, y):
@@ -422,8 +414,8 @@ class Frame:
         n_steps = [_nsteps(float(np.sqrt(np.sum(np.abs(d) ** 2)))) for d in dt]
         y1 = dp_fixed_batch(rows_field, y0, n_steps)
         out = [(tnode, list(nodes)) for _t in t_news]
-        for k, y in zip(moving, y1):
-            out[k] = self._bundle_nodes(tnode, nodes, t_news[k], y)
+        for k, y, dlog in zip(moving, y1, dlogs):
+            out[k] = self._bundle_nodes(tnode, nodes, t_news[k], y, dlog)
         return out
 
     def shift_t_adaptive(
@@ -434,7 +426,7 @@ class Frame:
         t_new = np.asarray(t_new, dtype=complex)
         if np.all(t_new == tnode.t):
             return tnode, nodes
-        seg = self._time_segment(tnode, nodes, t_new)
+        dlog = self._time_hops(tnode, nodes, t_new)
         field = self._bundle_field(nodes)
 
         def one_row(point, velocity, y):
@@ -442,23 +434,27 @@ class Frame:
             return field(t, np.array([velocity], dtype=complex), y[None])[0]
 
         y0 = self._bundle_state(tnode, nodes)
-        traj = ode_integrate(one_row, y0, seg)
-        return self._bundle_nodes(tnode, nodes, t_new, traj[-1][1])
+        traj = ode_integrate(one_row, y0, PathPlan([tuple(tnode.t), tuple(t_new)], EXCLUSION / 4))
+        return self._bundle_nodes(tnode, nodes, t_new, traj[-1][1], dlog)
 
-    def _time_segment(self, tnode: TNode, nodes: Sequence[PhiNode], t_new: np.ndarray) -> PathPlan:
-        """Straight path tnode.t -> t_new, rejected if it enters a t_i = t_j or t_i = x_k disc."""
-        seg = PathPlan([tuple(tnode.t), tuple(t_new)], EXCLUSION / 4)
-        seg.validate_against(
-            [
-                *_TIME_COLLISIONS,
-                *(
-                    AffineConstraint(tuple(int(k == i) for k in range(4)), n.x, f"t{i+1} = x")
-                    for n in nodes
-                    for i in range(4)
-                ),
-            ]
-        )
-        return seg
+    @staticmethod
+    def _time_hops(tnode: TNode, nodes: Sequence[PhiNode], t_new: np.ndarray) -> np.ndarray:
+        """Check the straight hops tnode.t -> t_new (rows of shape (..., 4)); the increments of their logs.
+
+        The affine values are t_i - t_j over _PAIRS, then t_i - x_k node by
+        node, each checked against a disc of radius EXCLUSION / 4. The log of
+        their ratio continues pair_logs and each node's logs (x_k - t_i
+        changes by the same ratio as t_i - x_k).
+        """
+        xs = np.array([n.x for n in nodes], dtype=complex)
+
+        def values(t):
+            at_nodes = (t[..., None, :] - xs[:, None]).reshape(t.shape[:-1] + (4 * len(xs),))
+            return np.concatenate([t[..., _PAIR_I] - t[..., _PAIR_J], at_nodes], axis=-1)
+
+        w0, w1 = values(tnode.t), values(t_new)
+        check_clearance(w0, w1, EXCLUSION / 4, _PAIR_SETS + _NODE_SETS * len(nodes))
+        return np.log(w1 / w0)
 
     @staticmethod
     def _bundle_field(nodes: Sequence[PhiNode]):
@@ -487,24 +483,14 @@ class Frame:
 
     @staticmethod
     def _bundle_nodes(
-        tnode: TNode, nodes: Sequence[PhiNode], t_new: np.ndarray, y: np.ndarray
+        tnode: TNode, nodes: Sequence[PhiNode], t_new: np.ndarray, y: np.ndarray, dlog: np.ndarray
     ) -> tuple[TNode, list[PhiNode]]:
-        """The TNode and Phi nodes at t_new from an end state, logs continued from tnode."""
-        t_old = tnode.t
-        pair_logs = np.array(
-            [
-                continue_log(tnode.pair_logs[k], t_old[i] - t_old[j], t_new[i] - t_new[j])
-                for k, (i, j) in enumerate(_PAIRS)
-            ]
-        )
-        new_tnode = TNode(t=t_new.copy(), A=y[:16].reshape(4, 2, 2), ln_tau=complex(y[16]), pair_logs=pair_logs)
-        new_nodes = []
-        for k, n in enumerate(nodes):
-            logs = np.array(
-                [continue_log(n.logs[i], n.x - t_old[i], n.x - t_new[i]) for i in range(4)]
-            )
-            phi = y[17 + 4 * k : 21 + 4 * k].reshape(2, 2)
-            new_nodes.append(PhiNode(x=n.x, t=t_new.copy(), phi=phi, logs=logs))
+        """The TNode and Phi nodes at t_new from an end state and the log increments of :meth:`_time_hops`."""
+        new_tnode = TNode(t_new.copy(), y[:16].reshape(4, 2, 2), complex(y[16]), tnode.pair_logs + dlog[:6])
+        new_nodes = [
+            PhiNode(n.x, t_new.copy(), y[17 + 4 * k : 21 + 4 * k].reshape(2, 2), n.logs + dlog[6 + 4 * k : 10 + 4 * k])
+            for k, n in enumerate(nodes)
+        ]
         return new_tnode, new_nodes
 
     # -- wavefunctions ------------------------------------------------------

@@ -234,15 +234,11 @@ def schlesinger_rhs(state: SchlesingerState) -> tuple[np.ndarray, np.ndarray]:
 
 
 def tau_logderiv(state: SchlesingerState) -> tuple[complex, complex]:
-    """(d ln tau / dt1, d ln tau / dt2) for a B-normalized state."""
+    """(d ln tau / dt1, d ln tau / dt2) for a B-normalized state: the ln tau part of :func:`flow_derivative`."""
     if state.norm != "B":
         raise ValueError("tau log-derivative is defined on the traceless (B) normalization")
     state.check_times()
-    P = np.einsum("iab,jbc->ijac", state.A, state.A)
-    T = np.einsum("ijaa->ij", P)
-    W = _OFF4 / (state.tvec[:, None] - state.tvec[None, :] + _EYE4)
-    g = (T * W).sum(axis=1)
-    return complex(g[0]), complex(g[1])
+    return tuple(complex(flow_derivative(state.A, state.tvec, e)[1]) for e in _EYE4[:2])
 
 
 def time_constraints() -> list[AffineConstraint]:

@@ -9,7 +9,6 @@ import pytest
 from garnier_lab.errors import (
     DegenerateQuadratic,
     PathViolation,
-    PoleEvaluation,
     SingularityApproach,
     StencilFailure,
 )
@@ -18,15 +17,14 @@ from garnier_lab.numerics import (
     AffineConstraint,
     FDScheme,
     PathPlan,
+    check_clearance,
     combine_stencil,
-    continue_log,
     dp_fixed_batch,
     fd_derivative,
     linear_adaptive,
     linear_fixed_batch,
     ode_integrate,
     quad_roots,
-    segments_near,
     stencil_multipliers,
 )
 
@@ -99,14 +97,17 @@ def test_path_rejects_exclusion_violation():
 
 
 def test_path_clearance_is_exact_for_affine_sets():
-    path = PathPlan([(0.0, 0.0), (1.0, 1.0 + 1.0j)], 0.01)
+    # |t1 - t2| on the middle segment is least inside it (s = 0.146), at
+    # 0.234; dense sampling finds it to ~1e-12 relative, and a radius
+    # 1e-9 (relative) either side of it is decided exactly
+    corners = [(0.0, 1.0), (0.0, 0.3), (1.0, 0.5 + 1.0j), (1.0, 2.0)]
     con = AffineConstraint((1, -1), 0.0, "diag")
-    # |t1 - t2| along the segment: endpoint values 0-0=0... use shifted path
-    path = PathPlan([(0.0, 0.3), (1.0, 1.3 + 1.0j)], 0.01)
-    d = con.segment_min(path.points[0], path.points[1])
-    s = np.linspace(0, 1, 2001)
-    vals = np.abs((0.0 - 0.3) + s * ((1.0 - 1.3 - 1.0j) - (0.0 - 0.3)))
-    assert abs(d - vals.min()) < 1e-4
+    s = np.linspace(0.0, 1.0, 1_000_001)
+    clearance = np.min(np.abs(-0.3 + s * (0.8 - 1.0j)))
+    assert 0.1 < s[np.argmin(np.abs(-0.3 + s * (0.8 - 1.0j)))] < 0.9
+    PathPlan(corners, clearance * (1.0 - 1e-9)).validate_against([con])
+    with pytest.raises(PathViolation, match="segment 1 passes within 2.3.*'diag'"):
+        PathPlan(corners, clearance * (1.0 + 1e-9)).validate_against([con])
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +286,7 @@ _EYE = np.eye(2, dtype=complex)
         (_constant(_EYE), 40.0, 1e300 * _EYE, (0.2, 0.5)),
         # |y| past the float range in the error norm's abs (an OverflowError)
         (_constant(0 * _EYE), 1.0, np.diag([1.5e308 + 1.5e308j, 1.0]), (0.0, 0.0)),
-        # a first stage past the float range in the initial step (a ZeroDivisionError)
+        # a first stage past the float range in the initial step (h0 = 0)
         (_constant([[1.0, 0.5], [0.0, -1.0]]), 40.0, 1e305 * _EYE, (0.0, 0.0)),
         # non-finite coefficients: everywhere (a NaN first step), and from s = 1/2 on
         (_constant(np.full((2, 2), np.nan)), 1.0, _EYE, (0.0, 0.0)),
@@ -294,27 +295,66 @@ _EYE = np.eye(2, dtype=complex)
     ids=["blow-up", "abs-overflow", "first-stage-overflow", "nan", "inf-past-half"],
 )
 def test_linear_adaptive_failures_are_typed_with_a_location(coef, v, y0, at):
-    # the scalar complex arithmetic raises ZeroDivisionError/OverflowError
-    # where numpy returned inf; none of them may escape untyped
+    # the scalar complex arithmetic raises OverflowError where numpy
+    # returned inf, and an overflowed first stage leaves no initial step;
+    # none of them may escape untyped
     with np.errstate(all="ignore"), pytest.raises(SingularityApproach) as info:
         linear_adaptive(coef, v, y0)
     assert at[0] <= info.value.location <= at[1]
 
 
-def test_segments_near_matches_segment_min(rng):
-    con = AffineConstraint((1,), 0.0)
+def test_ode_integrate_first_stage_overflow_is_typed():
+    # a first stage past the float range makes the initial step 0; it is
+    # reported where the path starts, not as a ZeroDivisionError
+    m = np.array([[1.0, 0.5], [0.0, -1.0]])
+    path = PathPlan([0.0, 1.0], 0.1)
+    with np.errstate(all="ignore"), pytest.raises(SingularityApproach) as info:
+        ode_integrate(lambda z, v, y: 40 * v * (m @ y.reshape(2, 2)).ravel(), (1e305 * _EYE).ravel(), path)
+    assert info.value.location == path.point(0.0)
+
+
+def _dense_clearance(w0, w1, n=100_001):
+    """min over the chord w0 -> w1 of |w|, by sampling n points."""
+    s = np.linspace(0.0, 1.0, n)
+    return float(np.min(np.abs(w0 + s * (w1 - w0))))
+
+
+def test_check_clearance_matches_dense_sampling(rng):
     w0 = rng.normal(size=(60, 3)) + 1j * rng.normal(size=(60, 3))
     w1 = w0 + (rng.normal(size=(60, 3)) + 1j * rng.normal(size=(60, 3))) * rng.uniform(0, 2, size=(60, 1))
-    w1[0, 0] = w0[0, 0]  # a segment of length zero
+    w1[0, 0] = w0[0, 0]  # a chord of length zero
+    labels = ["a", "b", "c"]
     for start in (w0, w0[7]):  # per-row starts, and one start shared by every row
         start_rows = np.broadcast_to(start, w1.shape)
-        exact = np.array(
-            [min(con.segment_min((a,), (b,)) for a, b in zip(r0, r1)) for r0, r1 in zip(start_rows, w1)]
-        )
-        radius = float(np.median(exact))
-        assert np.min(np.abs(exact / radius - 1.0)[exact != radius]) > 1e-6  # no row at the edge
-        want = np.flatnonzero(exact <= radius)
-        assert np.array_equal(segments_near(start, w1, radius), want)
+        sampled = np.array([[_dense_clearance(a, b) for a, b in zip(r0, r1)] for r0, r1 in zip(start_rows, w1)])
+        radius = float(np.median(sampled))
+        assert np.min(np.abs(sampled / radius - 1.0)[sampled != radius]) > 1e-6  # no chord at the edge
+        for k in range(len(w1)):
+            if np.min(sampled[k]) <= radius:
+                j = int(np.argmax(sampled[k] <= radius))
+                with pytest.raises(PathViolation, match=f"segment 0 .* '{labels[j]}'"):
+                    check_clearance(start_rows[k], w1[k], radius, labels)
+            else:
+                check_clearance(start_rows[k], w1[k], radius, labels)
+        # all rows at once: the first row that enters a disc, and its first set
+        k, j = divmod(int(np.argmax(sampled.ravel() <= radius)), 3)
+        with pytest.raises(PathViolation, match=f"segment {k} .* '{labels[j]}'"):
+            check_clearance(start, w1, radius, labels)
+
+
+def test_check_clearance_names_the_set_a_chord_enters():
+    # w = x - t on a hop from 2 to -1 + 0.05j at t = (0.5 + 0.04j, 3): the
+    # chord passes 0.015 from t1 and stays 1 or more from t2
+    t = np.array([0.5 + 0.04j, 3.0])
+    w0, w1 = 2.0 - t, -1.0 + 0.05j - t
+    check_clearance(w0, w1, 0.01, ["x = t1", "x = t2"])
+    with pytest.raises(PathViolation, match=r"within 1\.500e-02 of singular set 'x = t1' \(exclusion radius 0\.04\)"):
+        check_clearance(w0, w1, 0.04, ["x = t1", "x = t2"])
+    with pytest.raises(PathViolation, match="'x = t1'"):  # a chord through 0
+        check_clearance(1.0 + 0j, -1.0 + 0j, 1e-300, ["x = t1"])
+    for end in (complex("nan"), complex("inf"), complex(0.5, float("inf"))):  # no clearance to compare
+        with pytest.raises(PathViolation, match="within nan of singular set 'x = t2'"):
+            check_clearance(w0, [w1[0], end], 0.01, ["x = t1", "x = t2"])
 
 
 # ---------------------------------------------------------------------------
@@ -407,25 +447,24 @@ def test_fd_scheme_validation():
 
 
 # ---------------------------------------------------------------------------
-# continuous logarithm
+# logs continued along chords that check_clearance accepts
 # ---------------------------------------------------------------------------
 
-def test_continue_log_tracks_winding():
-    # half turn around the origin: the imaginary part grows by pi, while the
-    # principal branch would jump
-    w0 = 1.0 + 0j
-    lw = continue_log(cmath.log(w0), w0, -1.0 + 1e-9j)
+def test_chord_log_tracks_winding():
+    # half turn around the origin, 5e-10 from it: the imaginary part grows
+    # by pi, where the principal log of w1 would jump to -pi
+    w0, w1 = 1.0 + 0j, -1.0 + 1e-9j
+    check_clearance(w0, w1, 1e-10, ["w = 0"])
+    lw = cmath.log(w0) + np.log(w1 / w0)
     assert abs(lw.imag - np.pi) < 1e-6
 
 
-def test_continue_log_homotopic_routes_agree():
+def test_chord_log_homotopic_routes_agree():
+    # two chords via a midpoint, on a triangle that does not contain 0
     w0, w1 = 1.0 + 0j, -2.0 + 1.5j
     mid = 0.5 + 2.0j
-    direct = continue_log(cmath.log(w0), w0, w1)
-    via = continue_log(continue_log(cmath.log(w0), w0, mid), mid, w1)
-    assert abs(direct - via) < 1e-10
-
-
-def test_continue_log_rejects_origin_crossing():
-    with pytest.raises(PoleEvaluation):
-        continue_log(0.0, 1.0 + 0j, -1.0 + 0j)  # chord passes through 0
+    for a, b in ((w0, w1), (w0, mid), (mid, w1)):
+        check_clearance(a, b, 0.1, ["w = 0"])
+    direct = cmath.log(w0) + np.log(w1 / w0)
+    via = cmath.log(w0) + np.log(mid / w0) + np.log(w1 / mid)
+    assert abs(direct - via) < 1e-14

@@ -1,13 +1,15 @@
-"""Property tests over random inputs: space-variable map, quadratic roots, continuous log,
-seeded Schlesinger data, the coordinate bridge and the adaptive Phi kernel."""
+"""Property tests over random inputs: space-variable map, quadratic roots, logs continued
+along cleared chords, seeded Schlesinger data, the coordinate bridge and the adaptive Phi kernel."""
 
 import cmath
+import math
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from garnier_lab.numerics import PathPlan, continue_log, linear_adaptive, ode_integrate, quad_roots
+from garnier_lab.errors import PathViolation
+from garnier_lab.numerics import PathPlan, check_clearance, linear_adaptive, ode_integrate, quad_roots
 from garnier_lab.poly_garnier import bridge_lambda_from_q, bridge_q_from_lambda
 from garnier_lab.quantization import _pole_matrix, zeta_eta_inverse, zeta_eta_map
 from garnier_lab.schlesinger import gen_schlesinger_b, shift_normalization
@@ -56,23 +58,42 @@ def test_quad_roots_vieta(a, b, c):
     assert abs((r1 + r2) + b / a) <= 16 * eps * (abs(r1) + abs(b / a))
 
 
+# chord ratios w1/w0: anywhere, or close to the negative real axis, where
+# the chord passes close to 0 and the principal log of w1 alone would jump
+_RATIO = st.one_of(
+    _COEF,
+    st.builds(lambda a, d: -a * cmath.exp(1j * d), st.floats(0.01, 100.0), st.floats(-0.3, 0.3)),
+)
+
+
+def _log_over_sub_chords(l0, w0, w1):
+    """log w continued from (w0, l0) to w1 over sub-chords short enough for principal logs; their count."""
+    dw, s, a, parts = w1 - w0, 0.0, w0, []
+    while s < 1.0:
+        # each sub-chord moves w by at most a quarter of its distance from 0;
+        # the inner points' rounding cancels from the sum, the ends are exact
+        s = min(1.0, s + 1e-3, s + 0.25 * abs(a) / abs(dw))
+        b = w1 if s == 1.0 else w0 + s * dw
+        parts.append(cmath.log(b / a))
+        a = b
+    return l0 + complex(math.fsum(p.real for p in parts), math.fsum(p.imag for p in parts)), len(parts)
+
+
 @_SETTINGS
-@given(_COEF, _COEF, st.integers(-3, 3))
-def test_continue_log_is_continuous_along_the_chord(w0, w1, sheet):
-    # keep the chord w0 -> w1 away from the branch point at the origin
-    d = w1 - w0
-    assume(abs(w0) > 1e-2 and abs(w1) > 1e-2 and abs(d) > 1e-6)
-    s = -(w0.real * d.real + w0.imag * d.imag) / abs(d) ** 2
-    assume(abs(w0 + min(1.0, max(0.0, s)) * d) > 1e-2 * max(abs(w0), abs(w1)))
-    l0 = cmath.log(w0) + 2j * cmath.pi * sheet
-    l1 = continue_log(l0, w0, w1)
-    # lands on a logarithm of w1 ...
-    assert abs(cmath.exp(l1 - l0) * w0 - w1) <= 1e-12 * abs(w1)
-    # ... on the sheet reached by turning less than pi around the origin ...
-    assert abs(l1.imag - l0.imag) < cmath.pi
-    # ... and independently of where the chord is split
-    mid = w0 + 0.37 * d
-    assert abs(continue_log(continue_log(l0, w0, mid), mid, w1) - l1) <= 1e-12 * (1 + abs(l1))
+@given(_COEF, _RATIO, st.integers(2, 8))
+def test_chord_log_matches_the_log_continued_over_sub_chords(w0, ratio, digits):
+    # every chord that check_clearance accepts misses 0, so the principal
+    # log of the ratio is the whole continuation of log w along it
+    w1 = w0 * ratio
+    assume(abs(w0) > 1e-2 and abs(w1 - w0) > 1e-6 * abs(w0))
+    try:
+        check_clearance(w0, w1, 10.0**-digits * max(abs(w0), abs(w1)), ["w = 0"])
+    except PathViolation:
+        assume(False)
+    l0 = cmath.log(w0)
+    want, n_sub = _log_over_sub_chords(l0, w0, w1)
+    assert n_sub >= 1000
+    assert abs(l0 + np.log(w1 / w0) - want) <= 1e-12
 
 
 @_SETTINGS

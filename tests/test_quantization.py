@@ -490,6 +490,9 @@ def test_phi_nodes_rejects_hop_into_exclusion_disc(frame):
     hops = [(BASE_X + 1e-3, base, frame.base_node), (1.0 + 0.02j, base, frame.base_node)]
     with pytest.raises(PathViolation):
         frame.phi_nodes(hops)
+    # a non-finite end is rejected too, before its step count is taken
+    with pytest.raises(PathViolation):
+        frame.phi_nodes([(complex("nan"), base, frame.base_node)])
 
 
 def _phi_field(tnode):
@@ -605,7 +608,7 @@ def test_phi_nodes_kernel_matches_old_batched_field(frame, monkeypatch):
 
 def test_phi_nodes_continue_far_chord_logs_like_phi_node(frame):
     # a hop that triples its distance to t2: that chord ratio is far from 1,
-    # and its principal log still continues the log like continue_log does
+    # and its principal log still continues the log, in both transports
     t = frame.base_tnode.t
     u = (BASE_X - t[1]) / abs(BASE_X - t[1])
     anchor = frame.phi_node(t[1] + 0.06 * u, cache=False)
@@ -653,14 +656,11 @@ def test_phi_nodes_memory_of_a_c9_point_is_bounded(c9_point_hops):
 
 
 @pytest.mark.parametrize("inside", [True, False], ids=["inside", "outside"])
-def test_hop_screen_leaves_the_disc_edge_to_the_exact_check(frame, monkeypatch, inside):
-    # hops ending 1e-12 (relative) inside or outside a singular disc: the
-    # vectorized screen cannot tell them apart, so PathPlan.validate_against
-    # decides, for them alone
+def test_hop_screen_leaves_the_disc_edge_to_the_exact_check(frame, inside):
+    # hops ending 1e-12 (relative) inside or outside a singular disc: the one
+    # clearance rule decides them exactly, with no looser screen in front
     base = frame.base_tnode
     t = base.t
-    calls = []
-    real = PathPlan.validate_against
     edge = 1.0 - 1e-12 if inside else 1.0 + 1e-12
     # spatial hop: radially onto the x = t2 disc
     u = (BASE_X - t[1]) / abs(BASE_X - t[1])
@@ -672,15 +672,12 @@ def test_hop_screen_leaves_the_disc_edge_to_the_exact_check(frame, monkeypatch, 
     ok[1] += 1e-3
     onto = t.copy()
     onto[0] = near.x - quantization.EXCLUSION / 4 * edge
-    monkeypatch.setattr(PathPlan, "validate_against", lambda plan, cons: calls.append(1) or real(plan, cons))
     for run in (lambda: frame.phi_nodes(hops), lambda: frame.shift_t(base, [near], [ok, onto])):
-        calls.clear()
         if inside:
             with pytest.raises(PathViolation):
                 run()
         else:
             run()
-        assert len(calls) == 1
 
 
 def _bundle_alone(frame, tnode, nodes, t_new, fixed_steps):
