@@ -19,6 +19,7 @@ from .poly_garnier import (
     PGState,
     gen_pg,
     hamiltonian_HGar,
+    hop_pg,
     integrate_pg,
     omega_to_t1,
     pg_rhs_explicit,
@@ -45,6 +46,7 @@ from .quantization import (
     QPG_FD,
     Frame,
     ResidualReport,
+    TNode,
     bpz_residual,
     kevol_residual,
     quantized_pg_residual,
@@ -120,6 +122,13 @@ def _seeded_b_state(seed: int) -> SchlesingerState:
     return gen_schlesinger_b(_random_theta4(rng), seed=seed + 1, t1=BASE_T1, t2=BASE_T2)
 
 
+def _moved(frame: Frame, d: int, tds) -> list[tuple[TNode, SchlesingerState]]:
+    """The frame's base (TNode, B-state) moved by one ``Frame.shift_t`` call to t_{d+1} = td for each td."""
+    t_news = [np.where(np.arange(4) == d, td, frame.base_tnode.t) for td in tds]
+    return [(tn, SchlesingerState(tn.t[0], tn.t[1], tn.A, "B", frame.theta))
+            for tn, _nodes in frame.shift_t(frame.base_tnode, [], t_news)]
+
+
 # ---------------------------------------------------------------------------
 # 1. Schlesinger conservation
 # ---------------------------------------------------------------------------
@@ -174,24 +183,24 @@ def criterion_3(n_states: int = 5, tol: float = 1e-6, seed0: int = 300):
     scheme = FDScheme(order=4, step=1e-4, richardson=True)
     worst = 0.0
     for k in range(n_states):
-        q0 = shift_normalization(_seeded_b_state(seed0 + k), "BtoQ")
-        g0 = extract_go(q0)
+        frame = Frame(_seeded_b_state(seed0 + k), base_x=BASE_X)
+        g0 = extract_go(shift_normalization(frame.state, "BtoQ"))
         vf = go_vector_field(g0)
         for d in (0, 1):
 
-            def lam_mu_at(td):
-                """[lambda, mu] of the flowed state with t_{d+1} moved to td."""
-                tgt = [q0.t1, q0.t2]
-                tgt[d] = td
-                seg = PathPlan([(q0.t1, q0.t2), tuple(tgt)], 0.01)
-                g = extract_go(integrate_schlesinger(q0, seg, fixed_steps=32)[-1][1])
-                lam, mu = list(g.lam), list(g.mu)
-                if abs(lam[0] - g0.lam[0]) > abs(lam[1] - g0.lam[0]):
-                    lam.reverse()
-                    mu.reverse()
-                return np.array([lam, mu])
+            def lam_mu_at(tds):
+                """[lambda, mu] of the state flowed in B form, then shifted to Q, with t_{d+1} moved to each td."""
+                out = []
+                for _tn, st in _moved(frame, d, tds):
+                    g = extract_go(shift_normalization(st, "BtoQ"))
+                    lam, mu = list(g.lam), list(g.mu)
+                    if abs(lam[0] - g0.lam[0]) > abs(lam[1] - g0.lam[0]):
+                        lam.reverse()
+                        mu.reverse()
+                    out.append(np.array([lam, mu]))
+                return out
 
-            dlam, dmu = fd_derivative(lam_mu_at, (q0.t1, q0.t2)[d], scheme)
+            dlam, dmu = fd_derivative(lam_mu_at, (frame.state.t1, frame.state.t2)[d], scheme)
             scale = max(np.max(np.abs(dlam)), np.max(np.abs(dmu)))
             err = max(
                 float(np.max(np.abs(dlam - vf["dlam"][d]))),
@@ -221,7 +230,7 @@ def criterion_4(n_states: int = 200, tol: float = 1e-8, seed0: int = 400):
 
         def partial(i, name):
             return fd_derivative(
-                lambda w: hamiltonian_HGar(i, replace(s, **{name: w})), getattr(s, name), scheme
+                lambda ws: [hamiltonian_HGar(i, replace(s, **{name: w})) for w in ws], getattr(s, name), scheme
             )
 
         ham = np.array(
@@ -278,13 +287,10 @@ def criterion_5(n_traj: int = 5, tol: float = 1e-6, eig_tol: float = 1e-10, seed
             # FD time-derivatives of S_xi vs the deformation equations
             for d in (0, 1):
 
-                def s_matrices_at(td):
-                    """S_xi of the flowed state with t_{d+1} moved to td."""
-                    tgt = [st.t1, st.t2]
-                    tgt[d] = td
-                    seg = PathPlan([(st.t1, st.t2), tuple(tgt)], 0.005)
-                    _s2, st2, dlnu = integrate_pg(st, seg, with_lnu=True, fixed_steps=24)[-1]
-                    return _s_matrices_of(st2, lnu + dlnu)
+                def s_matrices_at(tds):
+                    """S_xi of the flowed state with t_{d+1} moved to each td."""
+                    t_news = [(td, st.t2) if d == 0 else (st.t1, td) for td in tds]
+                    return [_s_matrices_of(st2, lnu + dlnu) for st2, dlnu in hop_pg(st, t_news, 24, 0.005)]
 
                 dS = fd_derivative(s_matrices_at, tvec[d], scheme)
                 v = np.zeros(4, dtype=complex)
@@ -521,11 +527,10 @@ def criterion_10(
     for _s, st in traj[1:-1]:
         pv = pvi_reduce(st, tol=1e-6)
 
-        def q_p_at(om):
-            """[Q, P] of the flow moved along t1 to omega = om."""
-            seg = PathPlan([(st.t1, st.t2), (omega_to_t1(om, st.t2), st.t2)], 1e-7)
-            pvm = pvi_reduce(integrate_pg(st, seg, fixed_steps=16)[-1][1], tol=1e-5)
-            return np.array([pvm.Q, pvm.P])
+        def q_p_at(oms):
+            """[Q, P] of the flow moved along t1 to each omega = om."""
+            hops = hop_pg(st, [(omega_to_t1(om, st.t2), st.t2) for om in oms], 16, 1e-7)
+            return [np.array([pvm.Q, pvm.P]) for pvm in (pvi_reduce(st2, tol=1e-5) for st2, _dlnu in hops)]
 
         dQ, dP = fd_derivative(q_p_at, pv.omega, scheme)
         rq, rp = pvi_rhs(pv.omega, pv.Q, pv.P, th)
@@ -551,32 +556,21 @@ def criterion_11(closed_tol: float = 1e-6, s_tol: float = 1e-9, seed0: int = 110
     s0 = _seeded_b_state(seed0)
     scheme = FDScheme(order=4, step=1e-5, richardson=True)
     mults = [m for m in stencil_multipliers(scheme, (1,)) if m != 0.0]
-
-    def lnderiv_at(t1, t2):
-        seg = PathPlan([(s0.t1, s0.t2), (t1, t2)], 0.005)
-        return tau_logderiv(integrate_schlesinger(s0, seg, fixed_steps=24)[-1][1])
-
-    d12 = fd_derivative(lambda t2: lnderiv_at(s0.t1, t2)[0], s0.t2, scheme)
-    d21 = fd_derivative(lambda t1: lnderiv_at(t1, s0.t2)[1], s0.t1, scheme)
-    closed_gap = abs(d12 - d21)
-
-    # gauge exponent: finite difference of the closed form vs the stated sum
     frame = Frame(s0, base_x=BASE_X)
     th = s0.theta.theta
     t = s0.tvec
     worst_s = 0.0
+    d_lnd = []  # d/dt_{i+1} of (d ln tau/dt1, d ln tau/dt2), from the same moves as the gauge exponent
     for i in (0, 1):
         h = scheme.scaled_step(t[i])
-        t_news = []
-        for m in mults:
-            t_new = t.copy()
-            t_new[i] += m * h
-            t_news.append(t_new)
-        moved = frame.shift_t(frame.base_tnode, [], t_news)
-        vals = {m: frame.gauge_exponent(tn) for m, (tn, _) in zip(mults, moved)}
-        ds = combine_stencil(vals, h, scheme, 1)
+        moved = _moved(frame, i, [t[i] + m * h for m in mults])
+        lnd = {m: np.array(tau_logderiv(st)) for m, (_tn, st) in zip(mults, moved)}
+        d_lnd.append(combine_stencil(lnd, h, scheme, 1))
+        # gauge exponent: finite difference of the closed form vs the stated sum
+        ds = combine_stencil({m: frame.gauge_exponent(tn) for m, (tn, _st) in zip(mults, moved)}, h, scheme, 1)
         stated = (th[i] / 2.0) * sum(th[j] / (t[i] - t[j]) for j in range(4) if j != i)
         worst_s = max(worst_s, abs(ds - stated))
+    closed_gap = abs(d_lnd[1][0] - d_lnd[0][1])
     passed = closed_gap <= closed_tol and worst_s <= s_tol
     return CheckResult(
         criterion="C11",

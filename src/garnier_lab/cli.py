@@ -67,6 +67,11 @@ def _is_positive(val) -> bool:
     return _is_number(val) and val > 0
 
 
+def _check_seed(seed) -> None:
+    if not _is_int(seed) or seed < 0:
+        raise ConfigInvalid("seed must be a non-negative integer", field="seed")
+
+
 def _validate_config(cfg: dict) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigInvalid("configuration must be a JSON object")
@@ -75,9 +80,7 @@ def _validate_config(cfg: dict) -> dict:
     mode = cfg.get("mode")
     if mode not in MODES:
         raise ConfigInvalid(f"mode must be one of {sorted(MODES)}", field="mode")
-    seed = cfg.get("seed", 0)
-    if not _is_int(seed) or seed < 0:
-        raise ConfigInvalid("seed must be a non-negative integer", field="seed")
+    _check_seed(cfg.get("seed", 0))
     tol = cfg.get("tolerances", {})
     if not isinstance(tol, dict):
         raise ConfigInvalid("tolerances must be an object", field="tolerances")
@@ -255,6 +258,7 @@ def _print_verdicts(checks: list[CheckResult]) -> None:
 
 
 def _cmd_gen(args) -> int:
+    _check_seed(args.seed)
     try:
         theta_block = json.loads(args.theta) if args.theta else None
     except json.JSONDecodeError as exc:
@@ -308,6 +312,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
+    if args.seed is not None:
+        _check_seed(args.seed)
     seed = {} if args.seed is None else {"seed0": args.seed}
     jobs = [(cid, partial(fn, **({} if cid == "C12" else seed))) for cid, fn in CRITERIA.items()]
     results = []

@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .errors import (
     PoleEvaluation,
     TimeCollision,
 )
-from .numerics import DEFAULT_ATOL, DEFAULT_RTOL, PathPlan, ode_integrate, quad_roots
+from .numerics import DEFAULT_RTOL, PathPlan, ode_integrate, quad_roots
 from .schlesinger import T3, T4, SchlesingerState, ThetaGO, time_constraints
 
 __all__ = [
@@ -265,9 +264,7 @@ def go_vector_field(g: GOState) -> dict[str, np.ndarray]:
 def integrate_go(
     g0: GOState,
     path: PathPlan,
-    samples: Sequence[float] | None = None,
     rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
 ) -> list[tuple[float, GOState]]:
     """Integrate the Garnier-Okamoto flow along a (t1, t2) path."""
     if path.dim != 2:
@@ -287,7 +284,7 @@ def integrate_go(
         return np.concatenate([v @ vf["dlam"], v @ vf["dmu"]])
 
     y0 = np.array([*g0.lam, *g0.mu], dtype=complex)
-    traj = ode_integrate(field, y0, path, rtol=rtol, atol=atol, samples=samples)
+    traj = ode_integrate(field, y0, path, rtol=rtol)
     out = []
     for s, y in traj:
         t1, t2 = path.point(s)

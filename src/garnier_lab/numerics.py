@@ -7,10 +7,9 @@ This is the substrate every other module builds on:
   affine values (:func:`check_clearance`), which decides every path and
   transport hop against its singular sets,
 * an adaptive Dormand-Prince 5(4) integrator for states of complex numbers,
-  with exact landing on requested parameter values and an optional
-  fixed-step mode,
-* a batched fixed-step mode (:func:`dp_fixed_batch`) that runs many
-  independent problems in lockstep, each with its own step count, through
+  with exact landing on requested parameter values,
+* one fixed-step driver (:func:`dp_fixed_batch`) for straight hops from one
+  start: all hops advance in lockstep, each with its own step count, through
   the same Dormand-Prince step; it serves the tiny finite-difference stencil
   hops in time, where a deterministic step sequence keeps the integration
   error a smooth function of the endpoint,
@@ -20,7 +19,8 @@ This is the substrate every other module builds on:
   step of every row, formed stage by stage),
 * central finite-difference schemes of order 2/4 with optional Richardson
   extrapolation: :func:`fd_derivative` is the one path for a derivative in
-  one direction (its evaluator may return a scalar or an array), and
+  one direction (its evaluator takes every stencil point at once and may
+  return scalars or arrays), and
   :func:`stencil_multipliers` with :func:`combine_stencil` serve the batched
   stencils that must evaluate every offset of several directions at once.
 
@@ -267,24 +267,19 @@ def ode_integrate(
     y0,
     path: PathPlan,
     rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
     samples: Sequence[float] | None = None,
-    fixed_steps: int | None = None,
-    max_steps: int = MAX_STEPS,
 ) -> list[tuple[float, np.ndarray]]:
-    """Integrate dy/ds = field(point, velocity, y) along a polyline path.
+    """Integrate dy/ds = field(point, velocity, y) along a polyline path, adaptively.
 
     ``point``/``velocity`` are complex scalars for one-dimensional paths and
     tuples of complex otherwise; ``y`` is a flat complex vector. Steps always
     land exactly on segment corners and on every requested ``samples`` value,
     so no dense-output interpolation error enters reported states.
 
-    With ``fixed_steps`` set, every segment is covered by that many equal
-    steps without error control; interval boundaries still include samples.
-
     Returns [(s, y(s))] at s = 0, each sample, and s = 1.
 
-    Raises SingularityApproach when the adaptive step underflows.
+    Raises SingularityApproach when the step underflows or more than
+    ``MAX_STEPS`` steps are attempted.
     """
     y = np.asarray(y0, dtype=complex).ravel().copy()
     out: list[tuple[float, np.ndarray]] = [(0.0, y.copy())]
@@ -306,12 +301,9 @@ def ode_integrate(
             return np.asarray(field(pt[0], vel[0], yv), dtype=complex).ravel()
         return np.asarray(field(pt, vel, yv), dtype=complex).ravel()
 
-    def step(s, yv, h, k1):
-        return _dp_step(lambda j, acc: fv(s + _DP_C[j] * h, acc), yv, h, k1)
-
     def controlled(s, yv, h, k1):
-        y1, k = step(s, yv, h, k1)
-        return y1, k[6], _error_norm(_dp_error(h, k), yv, y1, rtol, atol)
+        y1, k = _dp_step(lambda j, acc: fv(s + _DP_C[j] * h, acc), yv, h, k1)
+        return y1, k[6], _error_norm(_dp_error(h, k), yv, y1, rtol, DEFAULT_ATOL)
 
     s_cur = 0.0
     n_steps = 0
@@ -328,18 +320,10 @@ def ode_integrate(
         dp = tuple(b - a for a, b in zip(p0, path.points[k_seg + 1]))
         vel = path.velocity(k_seg)
         k1 = fv(s_cur, y)
-        if fixed_steps is not None:
-            n = max(1, int(fixed_steps))
-            hs = span / n
-            for i in range(n):
-                y, k = step(s_cur + i * hs, y, hs, k1)
-                k1 = k[6]
-            s_cur = s_target
-        else:
-            if h is None:
-                h = _initial_step(fv, s_cur, y, k1, rtol, atol, span, path.point)
-            h = min(h, span)
-            s_cur, y, h, n_steps = _advance(controlled, s_cur, s_target, y, k1, h, n_steps, max_steps, path.point)
+        if h is None:
+            h = _initial_step(fv, s_cur, y, k1, rtol, DEFAULT_ATOL, span, path.point)
+        h = min(h, span)
+        s_cur, y, h, n_steps = _advance(controlled, s_cur, s_target, y, k1, h, n_steps, path.point)
         if s_target in want or s_target == 1.0:
             out.append((s_target, y.copy()))
     if out[-1][0] != 1.0:
@@ -347,7 +331,7 @@ def ode_integrate(
     return out
 
 
-def _advance(step, s, s_end, y, k1, h, n_steps, max_steps, where):
+def _advance(step, s, s_end, y, k1, h, n_steps, where):
     """Error-controlled steps ``step(s, y, h, k1) -> (y1, k7, error norm)`` from s to s_end.
 
     The one accept/grow rule of the adaptive drivers; returns (s, y, h, n_steps).
@@ -358,7 +342,7 @@ def _advance(step, s, s_end, y, k1, h, n_steps, max_steps, where):
             raise SingularityApproach("step size underflow during path integration", location=where(s))
         y_new, k7, en = step(s, y, h, k1)
         n_steps += 1
-        if n_steps > max_steps:
+        if n_steps > MAX_STEPS:
             raise SingularityApproach("step budget exhausted", location=where(s))
         if en <= 1.0:
             s += h
@@ -371,30 +355,32 @@ def _advance(step, s, s_end, y, k1, h, n_steps, max_steps, where):
     return s, y, h, n_steps
 
 
-def dp_fixed_batch(field: Callable, y0, n_steps) -> np.ndarray:
-    """Integrate B independent problems dy/ds = field(rows, s, y) over s in [0, 1].
+def dp_fixed_batch(field: Callable, y0, t0, t1, n_steps) -> np.ndarray:
+    """End states of B straight hops dy/ds = field(t, v, y), t = t0 + s v, v = t1[k] - t0, s in [0, 1].
 
-    Row k takes ``n_steps[k]`` >= 1 equal steps of the fixed-step
-    Dormand-Prince scheme of :func:`ode_integrate`, with its own FSAL stage;
-    all rows advance in lockstep and a row retires, unchanged from then on,
-    once its count is spent. ``field`` receives the indices ``rows`` of the
-    live rows, their parameters ``s`` with shape (len(rows), 1) and their
-    states ``y`` with shape (len(rows), d), and returns dy/ds in y's shape.
-    Rows run in the order of descending step count, so the live states are
-    a prefix slice. Returns the (B, d) end states.
+    The one fixed-step driver. Row k starts from ``y0`` and ``t0`` (both
+    broadcast over the rows), ends at ``t1[k]`` and takes ``n_steps[k]`` >= 1
+    equal Dormand-Prince steps, with its own FSAL stage; all rows advance in
+    lockstep and a row retires, unchanged from then on, once its count is
+    spent. ``field`` receives the points t and velocities v of the live rows
+    and their states y, each with a leading row axis, and returns dy/ds in
+    y's shape. Rows run in the order of descending step count, so the live
+    rows are a prefix slice. Returns the (B, d) end states.
 
-    User: ``quantization.Frame.shift_t`` (one row per shifted time tuple).
+    Users: ``quantization.Frame.shift_t`` and ``poly_garnier.hop_pg``.
     """
     n = np.asarray(n_steps, dtype=int)
     order = np.array(sorted(range(len(n)), key=lambda k: -n[k]), dtype=int)  # stable
     n = n[order]
-    y = np.array(y0, dtype=complex)[order]
+    t0 = np.asarray(t0, dtype=complex)
+    v = (np.asarray(t1, dtype=complex) - t0)[order]
+    y = np.broadcast_to(np.asarray(y0, dtype=complex), (len(n), np.shape(y0)[-1]))[order]
     h = 1.0 / n[:, None]
-    k1 = field(order, np.zeros_like(h), y)
+    k1 = field(t0 + 0.0 * v, v, y)
     for i in range(int(n.max(initial=0))):
         live = int(np.count_nonzero(n > i))
-        rows, hl, s0 = order[:live], h[:live], i * h[:live]
-        y[:live], k = _dp_step(lambda j, yv: field(rows, s0 + _DP_C[j] * hl, yv), y[:live], hl, k1[:live])
+        vl, hl, s0 = v[:live], h[:live], i * h[:live]
+        y[:live], k = _dp_step(lambda j, yv: field(t0 + (s0 + _DP_C[j] * hl) * vl, vl, yv), y[:live], hl, k1[:live])
         k1[:live] = k[6]
     out = np.empty_like(y)
     out[order] = y
@@ -445,7 +431,7 @@ def linear_adaptive(coef: Callable, v: complex, y0) -> np.ndarray:
     y = np.asarray(y0, dtype=complex)
     k1 = fv(0.0, y)
     h = min(_initial_step(fv, 0.0, y, k1, DEFAULT_RTOL, DEFAULT_ATOL, 1.0, float), 1.0)
-    y1 = _advance(step, 0.0, 1.0, y.ravel().tolist(), k1.ravel().tolist(), h, 0, MAX_STEPS, float)[1]
+    y1 = _advance(step, 0.0, 1.0, y.ravel().tolist(), k1.ravel().tolist(), h, 0, float)[1]
     return np.reshape(y1, (2, 2))
 
 
@@ -629,22 +615,23 @@ def combine_stencil(values: Mapping[float, np.ndarray], h: float, scheme: FDSche
 def fd_derivative(f: Callable, z: complex, scheme: FDScheme | None = None, deriv: int = 1):
     """Central finite-difference derivative of f at z in one direction.
 
-    f may return a scalar or an array; each value enters the stencil exactly
-    as f returns it. Error model: O(h^order), improved to O(h^(order+2))
-    with Richardson; h = scheme.step * (1 + |z|). A ``GarnierLabError``
-    raised by f propagates unchanged; any other exception becomes a
-    ``StencilFailure`` naming the offset.
+    ``f`` takes the list of every stencil point z + m*h at once and returns
+    their values in that order, scalars or arrays, so one batched call can
+    serve the whole stencil; each value enters the stencil exactly as f
+    returns it. Error model: O(h^order), improved to O(h^(order+2)) with
+    Richardson; h = scheme.step * (1 + |z|). A ``GarnierLabError`` raised
+    by f propagates unchanged; any other exception becomes a
+    ``StencilFailure`` naming the offsets.
     """
     scheme = scheme or FDScheme()
     if deriv not in (1, 2):
         raise ValueError("deriv must be 1 or 2")
     h = scheme.scaled_step(z)
-    values = {}
-    for m in stencil_multipliers(scheme, (deriv,)):
-        try:
-            values[m] = f(z + m * h)
-        except GarnierLabError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - re-raised with stencil context
-            raise StencilFailure(f"stencil evaluation failed at offset {m}*h: {exc}") from exc
+    mults = stencil_multipliers(scheme, (deriv,))
+    try:
+        values = dict(zip(mults, f([z + m * h for m in mults]), strict=True))
+    except GarnierLabError:
+        raise
+    except Exception as exc:  # noqa: BLE001 - re-raised with stencil context
+        raise StencilFailure(f"stencil evaluation at offsets {mults} * h failed: {exc}") from exc
     return combine_stencil(values, h, scheme, deriv)

@@ -8,8 +8,8 @@ locus q1 + q2 = 1.
 
 The eight right-hand sides and both gauge-log derivatives live in one body,
 ``_pg_flows``, on plain values; pg_rhs_explicit, raw_rhs_pair, u_logderiv
-and the field of integrate_pg all read it, so the flow builds no PGState
-per evaluation.
+and the field of integrate_pg and hop_pg all read it, so the flow builds no
+PGState per evaluation.
 
 Index convention: formulas are written for the pair (i, n) where n is the
 other index; the t2-flow equations are the literal transcriptions, which
@@ -19,6 +19,7 @@ coincide with the i <-> n images of the t1-flow ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -31,13 +32,7 @@ from .errors import (
     TimeCollision,
     ZeroGauge,
 )
-from .numerics import (
-    DEFAULT_ATOL,
-    DEFAULT_RTOL,
-    PathPlan,
-    ode_integrate,
-    quad_roots,
-)
+from .numerics import DEFAULT_RTOL, PathPlan, dp_fixed_batch, ode_integrate, quad_roots
 from .schlesinger import SchlesingerState, ThetaGO, time_constraints
 
 __all__ = [
@@ -47,6 +42,7 @@ __all__ = [
     "hamiltonian_HGar",
     "pg_rhs_explicit",
     "integrate_pg",
+    "hop_pg",
     "ahat_matrices",
     "elem_a",
     "u_logderiv",
@@ -316,16 +312,26 @@ def u_logderiv(s: PGState) -> tuple[complex, complex]:
 # flow integration (optionally carrying ln u)
 # ---------------------------------------------------------------------------
 
+def _pg_field(th: ThetaPG, point, velocity, y) -> np.ndarray:
+    """d(q1, q2, p1, p2[, ln u])/ds at (t1, t2) = point as dt/ds = velocity; the field of integrate_pg and hop_pg."""
+    D, g1, g2, _, _ = _pg_flows(point[0], point[1], y[0], y[1], y[2], y[3], th)
+    v = np.array(velocity, dtype=complex)
+    if len(y) == 4:
+        return v @ D
+    dy = np.empty(5, dtype=complex)
+    dy[:4] = v @ D
+    dy[4] = v[0] * g1 + v[1] * g2
+    return dy
+
+
 def integrate_pg(
     s0: PGState,
     path: PathPlan,
     samples: Sequence[float] | None = None,
     rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
     with_lnu: bool = False,
-    fixed_steps: int | None = None,
 ) -> list[tuple[float, PGState]] | list[tuple[float, PGState, complex]]:
-    """Integrate the polynomial Garnier flow along a (t1, t2) path.
+    """Integrate the polynomial Garnier flow along a (t1, t2) path, adaptively.
 
     With ``with_lnu`` the scalar gauge log is carried along (ln u = 0 at the
     base point) and each output row becomes (s, state, ln_u).
@@ -336,21 +342,8 @@ def integrate_pg(
     if abs(p0[0] - s0.t1) + abs(p0[1] - s0.t2) > 1e-12:
         raise ValueError("path must start at the state's (t1, t2)")
     path.validate_against(time_constraints())
-
-    th = s0.params
-
-    def field(point, velocity, y):
-        D, g1, g2, _, _ = _pg_flows(point[0], point[1], y[0], y[1], y[2], y[3], th)
-        v = np.array(velocity, dtype=complex)
-        if not with_lnu:
-            return v @ D
-        dy = np.empty(5, dtype=complex)
-        dy[:4] = v @ D
-        dy[4] = v[0] * g1 + v[1] * g2
-        return dy
-
     y0 = np.array([s0.q1, s0.q2, s0.p1, s0.p2] + ([0.0] if with_lnu else []), dtype=complex)
-    traj = ode_integrate(field, y0, path, rtol=rtol, atol=atol, samples=samples, fixed_steps=fixed_steps)
+    traj = ode_integrate(partial(_pg_field, s0.params), y0, path, rtol=rtol, samples=samples)
     out = []
     for s, y in traj:
         t1, t2 = path.point(s)
@@ -360,6 +353,27 @@ def integrate_pg(
         else:
             out.append((s, st))
     return out
+
+
+def hop_pg(s0: PGState, t_news: Sequence, n_steps: int, radius: float) -> list[tuple[PGState, complex]]:
+    """The flow from s0 along the straight hop to every (t1, t2) of t_news, in ``n_steps`` fixed steps each.
+
+    Every hop is checked as a one-segment path against :func:`time_constraints`
+    at ``radius`` before anything is integrated; then all hops run in
+    lockstep through ``dp_fixed_batch`` on the field of :func:`integrate_pg`,
+    row by row.
+    Returns (state at t_new, ln u gained along the hop) per hop, in order.
+    """
+    t0, t1 = np.array([s0.t1, s0.t2], dtype=complex), np.array(t_news, dtype=complex).reshape(-1, 2)
+    for t_new in t1:
+        PathPlan([tuple(t0), tuple(t_new)], radius).validate_against(time_constraints())
+
+    def field(t, v, y):
+        return np.array([_pg_field(s0.params, tk, vk, yk) for tk, vk, yk in zip(t.tolist(), v, y)])
+
+    y1 = dp_fixed_batch(field, [s0.q1, s0.q2, s0.p1, s0.p2, 0.0], t0, t1, [n_steps] * len(t1))
+    return [(replace(s0, t1=a, t2=b, q1=y[0], q2=y[1], p1=y[2], p2=y[3]), complex(y[4]))
+            for (a, b), y in zip(t1.tolist(), y1)]
 
 
 # ---------------------------------------------------------------------------

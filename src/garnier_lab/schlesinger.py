@@ -16,13 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InfeasibleTheta, PoleEvaluation, TimeCollision
-from .numerics import (
-    DEFAULT_ATOL,
-    DEFAULT_RTOL,
-    AffineConstraint,
-    PathPlan,
-    ode_integrate,
-)
+from .numerics import DEFAULT_RTOL, AffineConstraint, PathPlan, ode_integrate
 
 __all__ = [
     "ThetaGO",
@@ -257,8 +251,6 @@ def integrate_schlesinger(
     path: PathPlan,
     samples: Sequence[float] | None = None,
     rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-    fixed_steps: int | None = None,
 ) -> list[tuple[float, SchlesingerState]]:
     """Integrate the deformation flow along a (t1, t2) path.
 
@@ -277,9 +269,7 @@ def integrate_schlesinger(
         v = np.array([velocity[0], velocity[1], 0.0, 0.0], dtype=complex)
         return _flow_dA(y.reshape(4, 2, 2), t, v)[0].ravel()
 
-    traj = ode_integrate(
-        field, state.A.ravel(), path, rtol=rtol, atol=atol, samples=samples, fixed_steps=fixed_steps
-    )
+    traj = ode_integrate(field, state.A.ravel(), path, rtol=rtol, samples=samples)
     out = []
     for s, y in traj:
         t1, t2 = path.point(s)

@@ -166,6 +166,22 @@ def test_run_invalid_values_exit_2(tmp_path, capsys, argv, cfg):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-all", "--seed", "-1"],
+        ["gen", "--kind", "pg", "--seed", "-1"],
+        ["gen", "--kind", "schlesinger-B", "--seed", "-1"],
+    ],
+    ids=["verify_all", "gen_pg", "gen_schlesinger"],
+)
+def test_negative_seed_exits_2_naming_the_seed(capsys, argv):
+    # every verb validates --seed as run does, before any work: exit 2 with
+    # the field named, not a traceback or another field
+    assert main(argv) == 2
+    assert "configuration error: seed: seed must be a non-negative integer" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("defect", ["missing_matrices", "bad_norm", "nan_entry"])
 def test_run_malformed_initial_state_exits_2(tmp_path, capsys, defect):
     # a broken state block is a configuration error, not a check failure

@@ -28,6 +28,8 @@ from garnier_lab.numerics import (
     stencil_multipliers,
 )
 
+from conftest import fixed_step_hop
+
 
 # ---------------------------------------------------------------------------
 # quad_roots
@@ -159,53 +161,55 @@ def test_integrate_convergence_under_tolerance_tightening():
     assert np.max(np.abs(e1 - e2)) < 50 * rtol * np.max(np.abs(e1))
 
 
-def test_integrate_singularity_approach():
+def test_integrate_singularity_approach(monkeypatch):
     # the solution C/(z - 1/2) blows up on the path: the step size underflows
-    # and the error reports where
+    # and the error reports where; a small budget, read at call time, keeps
+    # the test short
+    monkeypatch.setattr(numerics, "MAX_STEPS", 20000)
     path = PathPlan([0.0, 1.0], 0.05)
     with pytest.raises(SingularityApproach) as exc:
-        ode_integrate(
-            lambda z, v, y: np.array([-v * y[0] / (z - 0.5)]), np.array([1.0 + 0j]), path,
-            max_steps=20000,
-        )
+        ode_integrate(lambda z, v, y: np.array([-v * y[0] / (z - 0.5)]), np.array([1.0 + 0j]), path)
     assert exc.value.location is not None
 
 
 def test_integrate_fixed_steps_deterministic():
-    path = PathPlan([0.0, 0.3], 0.05)
-    a = ode_integrate(lambda z, v, y: v * y, np.array([1.0 + 0j]), path, fixed_steps=12)[-1][1]
-    b = ode_integrate(lambda z, v, y: v * y, np.array([1.0 + 0j]), path, fixed_steps=12)[-1][1]
+    # the fixed-step driver: the same bits from run to run, and the exact
+    # exponential to the scheme's accuracy
+    def field(t, v, y):
+        return v * y
+
+    a = dp_fixed_batch(field, np.array([1.0 + 0j]), 0.0, np.array([[0.3]]), [12])[0]
+    b = dp_fixed_batch(field, np.array([1.0 + 0j]), 0.0, np.array([[0.3]]), [12])[0]
     assert np.array_equal(a, b)
     assert abs(a[0] - np.exp(0.3)) < 1e-10
 
 
 def test_dp_fixed_batch_matches_per_row_fixed_steps():
-    # rows with different step counts on their own segments, nonlinear field
-    starts = np.array([0.1 + 0.2j, -0.3 + 0.05j, 0.4 - 0.1j])
-    ends = np.array([0.35 + 0.1j, -0.1 + 0.3j, 0.2 + 0.25j])
+    # rows with different step counts on their own hops from one start, nonlinear field
+    start = 0.1 + 0.2j
+    ends = np.array([[0.35 + 0.1j], [-0.1 + 0.3j], [0.2 + 0.25j]])
     n_steps = [6, 17, 9]
-    y0 = np.array([[1.0 + 0.5j, 0.2 - 0.1j], [0.7 - 0.2j, 1.1 + 0.3j], [-0.4 + 0.9j, 0.5 + 0.5j]])
+    y0 = np.array([1.0 + 0.5j, 0.2 - 0.1j])
 
-    def rhs(z, v, y):
-        return v * np.array([y[0] * y[1] + np.sin(z), -y[0] ** 2 + z * y[1]])
+    def rhs(t, v, y):
+        z = t[..., 0]
+        return v * np.array([y[..., 0] * y[..., 1] + np.sin(z), -y[..., 0] ** 2 + z * y[..., 1]]).T
 
     seen = []
 
-    def batch_field(rows, s, y):
-        seen.append((rows.copy(), s[:, 0].copy()))
-        z = starts[rows] + s[:, 0] * (ends - starts)[rows]
-        return rhs(z, (ends - starts)[rows], y.T).T
+    def batch_field(t, v, y):
+        seen.append((v[:, 0].copy(), t[:, 0].copy()))
+        return rhs(t, v, y)
 
-    got = dp_fixed_batch(batch_field, y0, n_steps)
+    got = dp_fixed_batch(batch_field, y0, start, ends, n_steps)
     for k, n in enumerate(n_steps):
-        ref = ode_integrate(
-            rhs, y0[k], PathPlan([complex(starts[k]), complex(ends[k])], 0.05), fixed_steps=n
-        )[-1][1]
+        ref = fixed_step_hop(rhs, y0, np.array([start]), ends[k], n)
         assert np.max(np.abs(got[k] - ref)) <= 1e-15 * np.max(np.abs(ref))
         # a retired row is never evaluated again: 6 stages per step plus the first
-        evals = [s[list(rows).index(k)] for rows, s in seen if k in rows]
+        v = ends[k, 0] - start
+        evals = [(t[list(vs).index(v)] - start) / v for vs, t in seen if v in vs]
         assert len(evals) == 6 * n + 1
-        assert max(evals) <= 1.0 + 1e-15
+        assert max(s.real for s in evals) <= 1.0 + 1e-15
 
 
 def _dp_step_generator_sums(f, s0, y, h, k1):
@@ -361,12 +365,17 @@ def test_check_clearance_names_the_set_a_chord_enters():
 # finite differences
 # ---------------------------------------------------------------------------
 
+def _pointwise(f):
+    """An fd_derivative evaluator that applies f to each stencil point."""
+    return lambda zs: [f(z) for z in zs]
+
+
 def test_fd_square_at_one():
-    assert abs(fd_derivative(lambda z: z * z, 1.0, FDScheme(order=4)) - 2.0) < 1e-10
+    assert abs(fd_derivative(_pointwise(lambda z: z * z), 1.0, FDScheme(order=4)) - 2.0) < 1e-10
 
 
 def test_fd_constant_is_zero():
-    assert abs(fd_derivative(lambda z: 7.0 + 0j, 0.3)) < 1e-12
+    assert abs(fd_derivative(_pointwise(lambda z: 7.0 + 0j), 0.3)) < 1e-12
 
 
 def test_fd_exponential_error_model():
@@ -374,7 +383,7 @@ def test_fd_exponential_error_model():
     # error model is the binding bound
     scheme = FDScheme(order=4, step=1e-2, richardson=False)
     z = 0.3 + 0.1j
-    err = abs(fd_derivative(lambda w: np.exp(w), z, scheme) - np.exp(z))
+    err = abs(fd_derivative(_pointwise(np.exp), z, scheme) - np.exp(z))
     assert err < scheme.step**4 * 10
 
 
@@ -388,30 +397,33 @@ def test_fd_polynomial_exactness(rng):
 
         d_exact = sum(k * c * (0.7 + 0.2j) ** (k - 1) for k, c in enumerate(coeffs) if k > 0)
         scheme = FDScheme(order=order, step=1e-3, richardson=False)
-        err = abs(fd_derivative(poly, 0.7 + 0.2j, scheme) - d_exact)
+        err = abs(fd_derivative(_pointwise(poly), 0.7 + 0.2j, scheme) - d_exact)
         assert err < 1e-11 * (1 + abs(d_exact)), f"order {order}: {err:.2e}"
 
 
 def test_fd_second_derivative():
     scheme = FDScheme(order=4, step=2e-3, richardson=True)
     z = 0.3 + 0.1j
-    err = abs(fd_derivative(lambda w: np.exp(w), z, scheme, deriv=2) - np.exp(z))
+    err = abs(fd_derivative(_pointwise(np.exp), z, scheme, deriv=2) - np.exp(z))
     assert err < 1e-9
 
 
 def test_fd_stencil_failure_wraps_exceptions():
-    def bad(z):
+    def bad(zs):
         raise ZeroDivisionError("boom")
 
     with pytest.raises(StencilFailure):
         fd_derivative(bad, 0.0)
+    # so does an evaluator that returns too few values
+    with pytest.raises(StencilFailure):
+        fd_derivative(lambda zs: zs[1:], 0.0)
 
 
 def test_fd_lets_package_errors_through():
     # a typed failure of the evaluator keeps its type (and its exit code)
     err = PathViolation("hop enters a disc")
 
-    def bad(z):
+    def bad(zs):
         raise err
 
     with pytest.raises(PathViolation) as info:
@@ -419,14 +431,23 @@ def test_fd_lets_package_errors_through():
     assert info.value is err
 
 
+def test_fd_evaluator_gets_every_stencil_point_at_once():
+    scheme = FDScheme(order=4, step=1e-3, richardson=True)
+    z = 0.3 + 0.1j
+    calls = []
+    fd_derivative(lambda zs: calls.append(list(zs)) or np.exp(zs), z, scheme)
+    h = scheme.scaled_step(z)
+    assert calls == [[z + m * h for m in stencil_multipliers(scheme, (1,))]]
+
+
 def test_fd_vector_evaluator_matches_each_component():
     # one array-valued evaluator gives each component's scalar derivative
     scheme = FDScheme(order=4, step=1e-3, richardson=True)
     z = 0.3 + 0.1j
-    both = fd_derivative(lambda w: np.array([np.exp(w), np.sin(w)]), z, scheme)
+    both = fd_derivative(_pointwise(lambda w: np.array([np.exp(w), np.sin(w)])), z, scheme)
     for got, f in zip(both, (np.exp, np.sin)):
         # same arithmetic: equal up to a few ulp on any platform
-        alone = fd_derivative(f, z, scheme)
+        alone = fd_derivative(_pointwise(f), z, scheme)
         assert abs(got - alone) <= 1e-15 * abs(alone)
 
 

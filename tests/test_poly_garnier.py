@@ -7,13 +7,14 @@ import pytest
 
 from garnier_lab.errors import (
     NotOnReduction,
+    PathViolation,
     PoleEvaluation,
     ReductionLocus,
     ResonantInfinity,
     TimeCollision,
     ZeroGauge,
 )
-from garnier_lab import poly_garnier
+from garnier_lab import numerics, poly_garnier
 from garnier_lab.garnier_okamoto import extract_go
 from garnier_lab.numerics import FDScheme, PathPlan, combine_stencil, ode_integrate, stencil_multipliers
 from garnier_lab.poly_garnier import (
@@ -26,6 +27,7 @@ from garnier_lab.poly_garnier import (
     find_fixed_point,
     gen_pg,
     hamiltonian_HGar,
+    hop_pg,
     integrate_pg,
     mu_p_relations,
     omega_to_t1,
@@ -38,6 +40,8 @@ from garnier_lab.poly_garnier import (
     to_schlesinger,
     u_logderiv,
 )
+
+from conftest import fixed_step_hop
 
 
 def _theta(**over):
@@ -252,17 +256,48 @@ def test_pg_field_matches_old_field(with_lnu):
             assert np.array_equal(field(point, velocity, y), old(point, velocity, y))
 
 
-@pytest.mark.parametrize("fixed_steps", [None, 24], ids=["adaptive", "fixed24"])
-def test_integrate_pg_matches_old_field_on_c5_path(fixed_steps):
+def test_integrate_pg_matches_old_field_on_c5_path():
     # every stored state of C5's first trajectory, bit for bit
     s0, path = _c5_start()
-    got = integrate_pg(s0, path, samples=[0.5], with_lnu=True, fixed_steps=fixed_steps)
+    got = integrate_pg(s0, path, samples=[0.5], with_lnu=True)
     y0 = np.array([s0.q1, s0.q2, s0.p1, s0.p2, 0.0], dtype=complex)
-    ref = ode_integrate(_old_pg_field(s0, True), y0, path, samples=[0.5], fixed_steps=fixed_steps)
+    ref = ode_integrate(_old_pg_field(s0, True), y0, path, samples=[0.5])
     assert len(got) == len(ref) == 3
     for (s, st, lnu), (s_ref, y) in zip(got, ref):
         assert s == s_ref
         assert np.array_equal(np.array([st.q1, st.q2, st.p1, st.p2, lnu]), y)
+
+
+def test_hop_pg_matches_rows_alone_and_old_field_loop():
+    # C5's stencil hops (24 fixed steps, every offset of both directions)
+    # from each stored state of its first trajectory, bit for bit
+    s0, path = _c5_start()
+    scheme = FDScheme(order=4, step=1e-5, richardson=True)
+    mults = [m for m in stencil_multipliers(scheme, (1,)) if m != 0.0]
+    for _s, st in integrate_pg(s0, path, samples=[0.5]):
+        t0 = np.array([st.t1, st.t2])
+        t_news = [(st.t1 + m * scheme.scaled_step(st.t1), st.t2) for m in mults]
+        t_news += [(st.t1, st.t2 + m * scheme.scaled_step(st.t2)) for m in mults]
+        old = _old_pg_field(st, True)
+        y0 = np.array([st.q1, st.q2, st.p1, st.p2, 0.0], dtype=complex)
+        for t_new, (st1, dlnu) in zip(t_news, hop_pg(st, t_news, 24, 0.005)):
+            assert (st1.t1, st1.t2) == t_new
+            got = np.array([st1.q1, st1.q2, st1.p1, st1.p2, dlnu])
+            ((alone, dlnu_alone),) = hop_pg(st, [t_new], 24, 0.005)
+            assert np.array_equal(got, [alone.q1, alone.q2, alone.p1, alone.p2, dlnu_alone])
+            ref = fixed_step_hop(lambda t, v, y: old(tuple(t.tolist()), v, y), y0, t0, np.array(t_new), 24)
+            assert np.array_equal(got, ref)
+
+
+def test_hop_pg_rejects_a_hop_into_the_collision_disc(monkeypatch):
+    def no_integration(*_args, **_kwargs):
+        raise AssertionError("integrated before the hop was checked")
+
+    s0, _path = _c5_start()
+    monkeypatch.setattr(poly_garnier, "dp_fixed_batch", no_integration)
+    # the second hop ends 0.003 from t1 = t2, inside the 0.005 disc
+    with pytest.raises(PathViolation):
+        hop_pg(s0, [(s0.t1 + 1e-3, s0.t2), (s0.t2 + 0.003j, s0.t2)], 24, 0.005)
 
 
 @pytest.mark.parametrize("where", ["t1=0", "t1=1", "t1=t2"])
@@ -362,14 +397,14 @@ def test_u_logderiv_closedness():
     scheme = FDScheme(order=4, step=1e-5, richardson=True)
     mults = [m for m in stencil_multipliers(scheme, (1,)) if m != 0.0]
 
-    def g_at(dt1, dt2):
-        seg = PathPlan([(s0.t1, s0.t2), (s0.t1 + dt1, s0.t2 + dt2)], 0.004)
-        return u_logderiv(integrate_pg(s0, seg, fixed_steps=24)[-1][1])
+    def g_at(dts):
+        hops = hop_pg(s0, [(s0.t1 + dt1, s0.t2 + dt2) for dt1, dt2 in dts], 24, 0.004)
+        return [u_logderiv(st) for st, _dlnu in hops]
 
     h = scheme.scaled_step(s0.t2)
-    d12 = combine_stencil({m: g_at(0, m * h)[0] for m in mults}, h, scheme, 1)
+    d12 = combine_stencil({m: g[0] for m, g in zip(mults, g_at([(0, m * h) for m in mults]))}, h, scheme, 1)
     h = scheme.scaled_step(s0.t1)
-    d21 = combine_stencil({m: g_at(m * h, 0)[1] for m in mults}, h, scheme, 1)
+    d21 = combine_stencil({m: g[1] for m, g in zip(mults, g_at([(m * h, 0) for m in mults]))}, h, scheme, 1)
     assert abs(d12 - d21) < 1e-6
 
 
@@ -577,10 +612,9 @@ def test_pvi_hamilton_system_residual():
     mults = [m for m in stencil_multipliers(scheme, (1,)) if m != 0.0]
     h = scheme.scaled_step(pv0.omega)
     vq, vp = {}, {}
-    for m in mults:
-        t1m = omega_to_t1(pv0.omega + m * h, s0.t2)
-        seg = PathPlan([(s0.t1, s0.t2), (t1m, s0.t2)], 1e-7)
-        pvm = pvi_reduce(integrate_pg(s0, seg, fixed_steps=16)[-1][1], tol=1e-5)
+    hops = hop_pg(s0, [(omega_to_t1(pv0.omega + m * h, s0.t2), s0.t2) for m in mults], 16, 1e-7)
+    for m, (st, _dlnu) in zip(mults, hops):
+        pvm = pvi_reduce(st, tol=1e-5)
         vq[m], vp[m] = pvm.Q, pvm.P
     dQ = combine_stencil(vq, h, scheme, 1)
     dP = combine_stencil(vp, h, scheme, 1)

@@ -17,20 +17,27 @@ from garnier_lab.numerics import (
     PathPlan,
     combine_stencil,
     det2,
-    dp_fixed_batch,
     inv2,
     ode_integrate,
     stencil_multipliers,
 )
 from garnier_lab import numerics, quantization
 from garnier_lab.acceptance import _seeded_b_state, default_grid
-from garnier_lab.schlesinger import SchlesingerState, ThetaGO, flow_derivative, gen_schlesinger_b
+from garnier_lab.schlesinger import (
+    SchlesingerState,
+    ThetaGO,
+    flow_derivative,
+    gen_schlesinger_b,
+    integrate_schlesinger,
+    shift_normalization,
+)
 from garnier_lab.quantization import (
     LAB_FD,
     QPG_FD,
     AlphaBeta,
     Frame,
     ResidualReport,
+    _shifted,
     _y_derivs,
     bpz_residual,
     garx_residual,
@@ -43,6 +50,8 @@ from garnier_lab.quantization import (
     zeta_eta_inverse,
     zeta_eta_map,
 )
+
+from conftest import fixed_step_hop
 
 BASE_X = 0.45 + 1.1j
 THETA4 = [0.31 - 0.12j, 0.47 + 0.08j, -0.29 + 0.21j, 0.55 - 0.03j]
@@ -418,7 +427,6 @@ def test_garx_bounded_near_apparent_singularity(frame):
     # solutions stay regular at x = lambda_k although the coefficients blow
     # up; the residual check just needs stencils that do not straddle it
     from garnier_lab.garnier_okamoto import extract_go
-    from garnier_lab.schlesinger import shift_normalization
 
     g = extract_go(shift_normalization(frame.state, "BtoQ"))
     lam = g.lam[0]
@@ -467,16 +475,8 @@ def test_phi_nodes_batch_matches_hops_alone(frame):
         assert np.array_equal(node.t, tn_k.t)
 
         # the loop reference: one fixed-step solve of the same hop
-        def field(z, v, y):
-            m = np.einsum("i,iab->ab", 1.0 / (z - tn_k.t), tn_k.A)
-            return (v * (m @ y.reshape(2, 2))).ravel()
-
-        fixed = ode_integrate(
-            field,
-            anchor.phi.ravel(),
-            PathPlan([anchor.x, x], quantization.EXCLUSION),
-            fixed_steps=quantization._nsteps(abs(x - anchor.x)),
-        )[-1][1]
+        n_steps = quantization._nsteps(abs(x - anchor.x))
+        fixed = fixed_step_hop(_phi_field(tn_k), anchor.phi.ravel(), anchor.x, x, n_steps)
         assert agree(node.phi.ravel(), fixed)
         # and the adaptive transport agrees to integrator accuracy
         ref = frame.phi_node(x, tnode=tn_k, anchor=anchor, cache=False)
@@ -504,21 +504,6 @@ def _phi_field(tnode):
         return (v * (m @ yv.reshape(2, 2))).ravel()
 
     return fld
-
-
-def _phi_field_batch(hops):
-    """Reference: the batched Phi field that phi_nodes gave dp_fixed_batch before the linear kernel."""
-    x0 = np.array([a.x for _x, _tn, a in hops], dtype=complex)
-    dx = np.array([x for x, _tn, _a in hops], dtype=complex) - x0
-    t = np.array([tn.t for _x, tn, _a in hops], dtype=complex)
-    A = np.array([tn.A for _x, tn, _a in hops], dtype=complex)
-
-    def fld(rows, s, yv):
-        z = x0[rows] + s[:, 0] * dx[rows]
-        m = np.einsum("bi,biac->bac", 1.0 / (z[:, None] - t[rows]), A[rows])
-        return (dx[rows, None, None] * (m @ yv.reshape(-1, 2, 2))).reshape(-1, 4)
-
-    return fld, dx
 
 
 def _record_coefficient_points(monkeypatch, driver):
@@ -586,10 +571,10 @@ def test_phi_nodes_kernel_matches_old_batched_field(frame, monkeypatch):
     batch = frame.phi_nodes(hops)
     assert batch[2] is nx
     moving = [hop for hop in hops if hop[0] != hop[2].x]
-    fld, dx = _phi_field_batch(moving)
-    n_steps = [quantization._nsteps(abs(d)) for d in dx]
+    n_steps = [quantization._nsteps(abs(x - a.x)) for x, _tn, a in moving]
     assert len(set(n_steps)) == 4 and n_steps != sorted(n_steps, reverse=True)
-    ref = dp_fixed_batch(fld, np.array([a.phi.ravel() for _x, _tn, a in moving]), n_steps)
+    # reference: each hop alone, in fixed steps of the Phi field that phi_nodes had before the linear kernel
+    ref = [fixed_step_hop(_phi_field(tn), a.phi.ravel(), a.x, x, n) for (x, tn, a), n in zip(moving, n_steps)]
     got = [node for hop, node in zip(hops, batch) if hop[0] != hop[2].x]
     for node, r in zip(got, ref):
         assert np.max(np.abs(node.phi - r.reshape(2, 2))) <= 1e-14 * np.max(np.abs(r))
@@ -680,8 +665,8 @@ def test_hop_screen_leaves_the_disc_edge_to_the_exact_check(frame, inside):
             run()
 
 
-def _bundle_alone(frame, tnode, nodes, t_new, fixed_steps):
-    """Reference bundle solve: one ode_integrate of the packed (A, ln tau, Phi...) state."""
+def _bundle_alone(frame, tnode, nodes, t_new, n_steps):
+    """Reference bundle solve: the packed (A, ln tau, Phi...) state of one hop in n fixed steps, in a plain loop."""
 
     def field(point, velocity, y):
         t = np.asarray(point, dtype=complex)
@@ -695,8 +680,7 @@ def _bundle_alone(frame, tnode, nodes, t_new, fixed_steps):
         return np.concatenate(out)
 
     y0 = np.concatenate([tnode.A.ravel(), [tnode.ln_tau], *[n.phi.ravel() for n in nodes]])
-    seg = PathPlan([tuple(tnode.t), tuple(t_new)], quantization.EXCLUSION / 4)
-    return ode_integrate(field, y0, seg, fixed_steps=fixed_steps)[-1][1]
+    return fixed_step_hop(field, y0, tnode.t, t_new, n_steps)
 
 
 def _bundle_vector(tn, nodes):
@@ -722,22 +706,24 @@ def test_shift_t_batch_matches_each_alone(frame, monkeypatch):
     for nodes in ([], [nx], [nx, ny]):
         calls = []
 
-        def counting(field, y0, n_steps):
-            hits = np.zeros(len(y0), dtype=int)
+        def counting(field, y0, t0, t1, n_steps):
+            live = []  # rows per field call
 
-            def counted(rows, s, y):
-                hits[rows] += 1
-                return field(rows, s, y)
+            def counted(t, v, y):
+                live.append(len(y))
+                return field(t, v, y)
 
-            calls.append((hits, list(n_steps)))
-            return real_batch(counted, y0, n_steps)
+            calls.append((live, list(n_steps)))
+            assert np.array_equal(y0, _bundle_vector(base, nodes)) and np.array_equal(t0, base.t)
+            return real_batch(counted, y0, t0, t1, n_steps)
 
         monkeypatch.setattr(quantization, "dp_fixed_batch", counting)
         batch = frame.shift_t(base, nodes, t_news)
         monkeypatch.setattr(quantization, "dp_fixed_batch", real_batch)
-        (hits, n_steps), = calls
+        (live, n_steps), = calls
         assert len(set(n_steps)) >= 4  # rows with different step counts
-        assert hits.tolist() == [6 * n + 1 for n in n_steps]
+        # rows run by descending step count, each evaluated 6 n + 1 times
+        assert [sum(b > r for b in live) for r in range(len(n_steps))] == [6 * n + 1 for n in sorted(n_steps)[::-1]]
         tn_still, nodes_still = batch[-1]
         assert tn_still is base and all(a is b for a, b in zip(nodes_still, nodes))
 
@@ -755,6 +741,24 @@ def test_shift_t_batch_matches_each_alone(frame, monkeypatch):
             tn2, moved2 = frame.shift_t_adaptive(base, nodes, t_new)
             assert np.max(np.abs(got - _bundle_vector(tn2, moved2))) < 1e-11
             assert np.array_equal(tn.pair_logs, tn2.pair_logs)
+
+
+@pytest.mark.parametrize("seed", range(300, 305))
+def test_shift_t_of_a_b_state_shifted_to_q_matches_the_q_flow(seed):
+    # C3's route: hop the B state through Frame.shift_t, then shift it to Q.
+    # The flow is built from commutators, which the theta_i/2 shift leaves
+    # alone, so this agrees with the adaptive flow of the Q state (measured
+    # up to 1.7e-14 relative on C3's five states)
+    b0 = _seeded_b_state(seed)
+    frame = Frame(b0, base_x=BASE_X)
+    q0 = shift_normalization(b0, "BtoQ")
+    moves = [(0, 1.3e-4), (1, -2.6e-4j), (0, 0.03 - 0.02j), (1, 0.054), (0, -0.054j), (1, -0.04 + 0.02j)]
+    moved = frame.shift_t(frame.base_tnode, [], [_shifted(b0.tvec, d, dt) for d, dt in moves])
+    for tn, _nodes in moved:
+        got = shift_normalization(SchlesingerState(tn.t[0], tn.t[1], tn.A, "B", b0.theta), "BtoQ").A
+        seg = PathPlan([(q0.t1, q0.t2), (tn.t[0], tn.t[1])], quantization.EXCLUSION / 4)
+        ref = integrate_schlesinger(q0, seg, rtol=1e-13)[-1][1].A
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_time_hop_rejected_in_singular_disc(frame, monkeypatch):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from garnier_lab import schlesinger
+from garnier_lab.acceptance import BASE_X, _moved
 from garnier_lab.errors import PoleEvaluation, TimeCollision
 from garnier_lab.numerics import FDScheme, PathPlan, combine_stencil, stencil_multipliers
 from garnier_lab.schlesinger import (
@@ -21,6 +22,7 @@ from garnier_lab.schlesinger import (
     shift_normalization,
     tau_logderiv,
 )
+from garnier_lab.quantization import Frame
 
 THETA4 = [0.31 - 0.12j, 0.47 + 0.08j, -0.29 + 0.21j, 0.55 - 0.03j]
 
@@ -290,19 +292,19 @@ def test_tau_requires_b_normalization(b_state):
 
 
 def test_tau_closedness_mixed_partials(b_state):
-    # d/dt2 of (ln tau)'_{t1} equals d/dt1 of (ln tau)'_{t2} along the flow
+    # d/dt2 of (ln tau)'_{t1} equals d/dt1 of (ln tau)'_{t2} along the flow;
+    # the stencil states move by one Frame.shift_t per direction, as in C11
     scheme = FDScheme(order=4, step=1e-5, richardson=True)
     mults = [m for m in stencil_multipliers(scheme, (1,)) if m != 0.0]
+    frame = Frame(b_state, base_x=BASE_X)
+    t = b_state.tvec
 
-    def lnd(dt1, dt2):
-        seg = PathPlan([(b_state.t1, b_state.t2), (b_state.t1 + dt1, b_state.t2 + dt2)], 0.004)
-        return tau_logderiv(integrate_schlesinger(b_state, seg, fixed_steps=24)[-1][1])
+    def lnd(d):
+        h = scheme.scaled_step(t[d])
+        moved = _moved(frame, d, [t[d] + m * h for m in mults])
+        return combine_stencil({m: np.array(tau_logderiv(st)) for m, (_tn, st) in zip(mults, moved)}, h, scheme, 1)
 
-    h = scheme.scaled_step(b_state.t2)
-    d12 = combine_stencil({m: lnd(0, m * h)[0] for m in mults}, h, scheme, 1)
-    h = scheme.scaled_step(b_state.t1)
-    d21 = combine_stencil({m: lnd(m * h, 0)[1] for m in mults}, h, scheme, 1)
-    assert abs(d12 - d21) < 1e-6
+    assert abs(lnd(1)[0] - lnd(0)[1]) < 1e-6
 
 
 # ---------------------------------------------------------------------------
