@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .garnier_okamoto import extract_go, go_vector_field
-from .numerics import FDScheme, PathPlan, combine_stencil, fd_derivative, stencil_multipliers
+from .numerics import FDScheme, PathPlan, combine_stencil, count_work, fd_derivative, stencil_multipliers
 from .poly_garnier import (
     PGState,
     gen_pg,
@@ -142,17 +142,23 @@ def conservation_drift(s0: SchlesingerState, s1: SchlesingerState) -> float:
 
 
 def criterion_1(n_states: int = 20, rtol: float = 1e-12, tol: float = 1e-9, seed0: int = 100):
-    """Drift of tr A_i, det A_i and A_inf along a unit-length path."""
+    """Drift of tr A_i, det A_i and A_inf along a unit-length path.
+
+    The metrics also carry the Taylor steps taken and their smallest radius
+    ratio (``numerics.count_work``); a ratio far below 1 flags a movable pole
+    near the path.
+    """
     worst = 0.0
     path = PathPlan(LONG_T_PATH, 0.05)
-    for k in range(n_states):
-        s0 = _seeded_b_state(seed0 + k)
-        worst = max(worst, conservation_drift(s0, integrate_schlesinger(s0, path, rtol=rtol)[-1][1]))
+    with count_work() as work:
+        for k in range(n_states):
+            s0 = _seeded_b_state(seed0 + k)
+            worst = max(worst, conservation_drift(s0, integrate_schlesinger(s0, path, rtol=rtol)[-1][1]))
     return CheckResult(
         criterion="C1",
         passed=worst <= tol,
         detail=f"max conserved-quantity drift {worst:.3e} over {n_states} states (tol {tol:.0e})",
-        metrics={"max_drift": worst, "n_states": n_states, "path_length": path.total_length},
+        metrics={"max_drift": worst, "n_states": n_states, "path_length": path.total_length, **work},
     )
 
 

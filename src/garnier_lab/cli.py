@@ -87,7 +87,8 @@ def _validate_config(cfg: dict) -> dict:
     for key in tol:
         if not set(_TOLERANCE_KEYS.get(key, ())) & set(MODES[mode]):
             raise ConfigInvalid(f"the {mode} mode does not read '{key}'", field=f"tolerances.{key}")
-    for key, check, what in (("rtol", _is_positive, "a positive number"), ("fd_step", _is_positive, "a positive number"),
+    for key, check, what in (("rtol", lambda v: _is_positive(v) and v < 1, "a number in (0, 1)"),
+                             ("fd_step", _is_positive, "a positive number"),
                              ("fd_order", _is_int, "an integer"), ("richardson", lambda v: isinstance(v, bool), "a boolean")):
         if key in tol and not check(tol[key]):
             raise ConfigInvalid(f"{key} must be {what}", field=f"tolerances.{key}")

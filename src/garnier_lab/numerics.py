@@ -7,7 +7,13 @@ This is the substrate every other module builds on:
   affine values (:func:`check_clearance`), which decides every path and
   transport hop against its singular sets,
 * an adaptive Dormand-Prince 5(4) integrator for states of complex numbers,
-  with exact landing on requested parameter values,
+  with exact landing on requested parameter values (:func:`ode_integrate`,
+  for the Garnier-Okamoto and polynomial Garnier flows and C2's transports),
+* a Taylor-series driver of fixed order (:func:`taylor_integrate`) for
+  analytic flows whose caller supplies the series: the same path walk and
+  landing, each step sized from the last two coefficients and capped below
+  the radius of the field's own series; it serves the Schlesinger flow, and
+  :func:`count_work` collects its steps and radius ratios for reports,
 * one fixed-step driver (:func:`dp_fixed_batch`) for straight hops from one
   start: all hops advance in lockstep, each with its own step count, through
   the same Dormand-Prince step; it serves the tiny finite-difference stencil
@@ -24,7 +30,8 @@ This is the substrate every other module builds on:
   :func:`stencil_multipliers` with :func:`combine_stencil` serve the batched
   stencils that must evaluate every offset of several directions at once.
 
-All operations are pure functions of their inputs.
+All operations are pure functions of their inputs; :func:`count_work`
+only observes them.
 """
 
 from __future__ import annotations
@@ -32,6 +39,8 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -53,6 +62,8 @@ __all__ = [
     "AffineConstraint",
     "check_clearance",
     "ode_integrate",
+    "taylor_integrate",
+    "count_work",
     "dp_fixed_batch",
     "linear_adaptive",
     "linear_fixed_batch",
@@ -66,7 +77,10 @@ __all__ = [
 
 DEFAULT_RTOL = 1e-12
 DEFAULT_ATOL = 1e-14
-MAX_STEPS = 2_000_000  # attempted adaptive steps before SingularityApproach
+MAX_STEPS = 2_000_000  # attempted adaptive or Taylor steps before SingularityApproach
+TAYLOR_ORDER = 20  # the order p of every taylor_integrate step
+_TAYLOR_REACH = 0.5  # largest Taylor step, as a fraction of the field's own series radius
+_WORK: ContextVar[dict | None] = ContextVar("garnier_lab_work", default=None)  # count_work's collector
 
 
 # ---------------------------------------------------------------------------
@@ -283,12 +297,7 @@ def ode_integrate(
     """
     y = np.asarray(y0, dtype=complex).ravel().copy()
     out: list[tuple[float, np.ndarray]] = [(0.0, y.copy())]
-    want = sorted(set(float(s) for s in (samples or ())))
-    if any(s <= 0.0 or s > 1.0 for s in want):
-        raise ValueError("sample parameters must lie in (0, 1]")
-
-    # checkpoints: each segment end plus requested samples inside it
-    checkpoints = sorted(set(path.breaks[1:]) | set(want))
+    want, checkpoints = _checkpoints(path, samples)
 
     def fv(s: float, yv: np.ndarray) -> np.ndarray:
         # the interval's segment k_seg: [s0, s1) -> p0 + f*dp, as PathPlan.point
@@ -329,6 +338,91 @@ def ode_integrate(
     if out[-1][0] != 1.0:
         out.append((1.0, y.copy()))
     return out
+
+
+def taylor_integrate(
+    coeffs: Callable,
+    y0,
+    path: PathPlan,
+    rtol: float = DEFAULT_RTOL,
+    samples: Sequence[float] | None = None,
+) -> list[tuple[float, np.ndarray]]:
+    """Integrate an analytic flow along a polyline path in Taylor steps of order p = ``TAYLOR_ORDER``.
+
+    ``coeffs(point, velocity, y)`` (arguments as ``field``'s in
+    :func:`ode_integrate`) returns the coefficients c_0 = y, ..., c_p of the
+    solution through y in powers of s along ``velocity``, shape (p + 1, d),
+    and the s-distance from ``point`` to the field's nearest fixed singular
+    set, the radius of its own series. Step (Jorba-Zou): h = min over
+    k = p - 1, p of (tol/|c_k|)^(1/k), tol = DEFAULT_ATOL + rtol * max|y|,
+    capped at ``_TAYLOR_REACH`` of that radius and landing exactly on corners
+    and ``samples``; y(s + h) is the Horner sum. Within :func:`count_work`
+    the call adds its steps and the smallest ratio of the coefficient-decay
+    radius, min over the same k of (|c_0|/|c_k|)^(1/k), to the field's radius.
+
+    Returns [(s, y(s))] at s = 0, each sample, and s = 1. Raises
+    SingularityApproach on a non-finite coefficient or sum, a step underflow,
+    or more than ``MAX_STEPS`` steps.
+    """
+    if not 0.0 < rtol < 1.0:  # tol past max|y| would step past the series' radius
+        raise ValueError("rtol must lie in (0, 1)")
+    p = TAYLOR_ORDER
+    y = np.asarray(y0, dtype=complex).ravel().copy()
+    out: list[tuple[float, np.ndarray]] = [(0.0, y.copy())]
+    want, checkpoints = _checkpoints(path, samples)
+    s, n_steps, ratio = 0.0, 0, math.inf
+    for s_target in checkpoints:
+        vel = path.velocity(path._segment_of(0.5 * (s + s_target)))
+        while s < s_target - 1e-15:
+            pt = path.point(s)
+            with np.errstate(all="ignore"):
+                c, radius = coeffs(pt[0], vel[0], y) if path.scalar else coeffs(pt, vel, y)
+                norm = np.max(np.abs(c), axis=1)
+                if not np.all(np.isfinite(norm)):
+                    raise SingularityApproach("non-finite Taylor coefficient", location=pt)
+                tail, root = norm[p - 1 :], 1.0 / np.arange(p - 1, p + 1)
+                h = float(np.min(((DEFAULT_ATOL + rtol * norm[0]) / tail) ** root))
+                ratio = min(ratio, float(np.min((norm[0] / tail) ** root)) / radius)
+            h = min(h, _TAYLOR_REACH * radius, s_target - s)
+            if not h >= 1e-14:
+                raise SingularityApproach("step size underflow during path integration", location=pt)
+            n_steps += 1
+            if n_steps > MAX_STEPS:
+                raise SingularityApproach("step budget exhausted", location=pt)
+            with np.errstate(all="ignore"):
+                y = c[p]
+                for ck in c[p - 1 :: -1]:
+                    y = y * h + ck
+            if not np.all(np.isfinite(y)):
+                raise SingularityApproach("non-finite Taylor sum", location=pt)
+            s = s_target if h == s_target - s else s + h
+        if s_target in want or s_target == 1.0:
+            out.append((s_target, y.copy()))
+    work = _WORK.get()
+    if work is not None:
+        work["taylor_steps"] += n_steps
+        work["min_radius_ratio"] = min(work["min_radius_ratio"], ratio)
+    return out
+
+
+@contextmanager
+def count_work():
+    """Yield a dict that sums the ``taylor_steps`` and takes the ``min_radius_ratio`` of every
+    :func:`taylor_integrate` call in the block (inf without steps); both are deterministic."""
+    work = {"taylor_steps": 0, "min_radius_ratio": math.inf}
+    token = _WORK.set(work)
+    try:
+        yield work
+    finally:
+        _WORK.reset(token)
+
+
+def _checkpoints(path: PathPlan, samples) -> tuple[list[float], list[float]]:
+    """The requested samples, sorted, and every s a path integration must land on: segment ends and samples."""
+    want = sorted(set(float(s) for s in (samples or ())))
+    if any(s <= 0.0 or s > 1.0 for s in want):
+        raise ValueError("sample parameters must lie in (0, 1]")
+    return want, sorted(set(path.breaks[1:]) | set(want))
 
 
 def _advance(step, s, s_end, y, k1, h, n_steps, where):

@@ -5,6 +5,13 @@ det B_i = -theta_i^2/4, and shifted "Q" matrices Q_i = B_i + theta_i/2 with
 eigenvalues {0, theta_i}. The deformation flow, the conserved quantities,
 the connection matrix A(x) and the log-derivative of the tau-function all
 live here, together with a seeded generator of admissible initial data.
+
+The flow has two bodies. :func:`_flow_dA` is its right-hand side, read by
+:func:`flow_derivative` and through it by the fixed-step bundle hops of
+``quantization``. :func:`_flow_taylor` is its Taylor-coefficient recurrence
+on a straight chord in (t1, t2), on which :func:`integrate_schlesinger`
+walks a path with ``numerics.taylor_integrate``; no path of the flow runs on
+Dormand-Prince steps.
 """
 
 from __future__ import annotations
@@ -16,7 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InfeasibleTheta, PoleEvaluation, TimeCollision
-from .numerics import DEFAULT_RTOL, AffineConstraint, PathPlan, ode_integrate
+from .numerics import DEFAULT_RTOL, TAYLOR_ORDER, AffineConstraint, PathPlan, taylor_integrate
+from .numerics import ode_integrate  # noqa: F401 - unused here; perfbench's tracer wraps every module's copy
 
 __all__ = [
     "ThetaGO",
@@ -246,16 +254,52 @@ def time_constraints() -> list[AffineConstraint]:
     ]
 
 
+def _flow_taylor(point, velocity, y: np.ndarray) -> tuple[np.ndarray, float]:
+    """Taylor coefficients in s of the flow through A = y at t = (point, 1, 0) along dt/ds = (velocity, 0, 0).
+
+    On the chord t(s) = t + s v the weight of [A_i, A_j] in dA_j/ds is
+    e_ij/(d_ij + s e_ij) = sum_k w_ij,k s^k, with w_ij,k = r_ij (-r_ij)^k,
+    e_ij = v_i - v_j, d_ij = t_i - t_j and r_ij = e_ij/d_ij, so
+    (n + 1) A_j,n+1 = sum_i sum_k w_ij,k [A_i, A_j]_(n-k), where [A_i, A_j]_m
+    is the Cauchy product sum_l [A_i,l, A_j,m-l]. The sum over k is carried
+    as D_ij,n = r_ij ([A_i, A_j]_n - D_ij,n-1), its geometric form. Returns
+    the (TAYLOR_ORDER + 1, 16) coefficients, and the radius min |d_ij/e_ij|
+    of the weight series: the s-distance to the nearest fixed singular set.
+    """
+    p = TAYLOR_ORDER
+    t = np.array([point[0], point[1], T3, T4], dtype=complex)
+    v = np.array([velocity[0], velocity[1], 0.0, 0.0], dtype=complex)
+    r = (v[:, None] - v[None, :]) * (_OFF4 / (t[:, None] - t[None, :] + _EYE4))
+    rr = r[:, None, :, None]
+    # every product A_i,l A_j,n-l of one order as one 8 x 2(n+1) by 2(n+1) x 8 einsum (no BLAS)
+    X = np.empty((4, 2, p + 1, 2), dtype=complex)  # [i, a, l, b] = A_i,l[a, b]
+    Y = np.empty((p + 1, 2, 4, 2), dtype=complex)  # [p - l, b, j, c] = A_j,l[b, c]
+    A = y.reshape(4, 2, 2)
+    X[:, :, 0] = A
+    Y[p] = A.transpose(1, 0, 2)
+    X2, Y2 = X.reshape(8, 2 * p + 2), Y.reshape(2 * p + 2, 8)
+    D = np.zeros((4, 2, 4, 2), dtype=complex)  # [i, a, j, c]
+    for n in range(p):
+        P = np.einsum("xk,ky->xy", X2[:, : 2 * n + 2], Y2[2 * (p - n) :]).reshape(4, 2, 4, 2)
+        D = rr * (P - P.transpose(2, 1, 0, 3) - D)
+        Y[p - n - 1] = D.sum(axis=0) / (n + 1)
+        X[:, :, n + 1] = Y[p - n - 1].transpose(1, 0, 2)
+    return X.transpose(2, 0, 1, 3).reshape(p + 1, 16), 1.0 / float(np.max(np.abs(r)))
+
+
 def integrate_schlesinger(
     state: SchlesingerState,
     path: PathPlan,
     samples: Sequence[float] | None = None,
     rtol: float = DEFAULT_RTOL,
 ) -> list[tuple[float, SchlesingerState]]:
-    """Integrate the deformation flow along a (t1, t2) path.
+    """Integrate the deformation flow along a (t1, t2) path, in Taylor steps of :func:`_flow_taylor`.
 
     The path's waypoints are (t1, t2) pairs; it must start at the state's
-    times and respect the declared singular sets.
+    times and respect the declared singular sets. ``rtol``, in (0, 1), bounds
+    each step's truncation error by 1e-14 + rtol * max|A| (see
+    ``numerics.taylor_integrate``). Returns [(s, state)] at s = 0, each
+    sample and s = 1.
     """
     if path.dim != 2:
         raise ValueError("expected a (t1, t2) path")
@@ -263,13 +307,7 @@ def integrate_schlesinger(
     if abs(p0[0] - state.t1) + abs(p0[1] - state.t2) > 1e-12:
         raise ValueError("path must start at the state's (t1, t2)")
     path.validate_against(time_constraints())
-
-    def field(point, velocity, y):
-        t = np.array([point[0], point[1], T3, T4], dtype=complex)
-        v = np.array([velocity[0], velocity[1], 0.0, 0.0], dtype=complex)
-        return _flow_dA(y.reshape(4, 2, 2), t, v)[0].ravel()
-
-    traj = ode_integrate(field, state.A.ravel(), path, rtol=rtol, samples=samples)
+    traj = taylor_integrate(_flow_taylor, state.A.ravel(), path, rtol=rtol, samples=samples)
     out = []
     for s, y in traj:
         t1, t2 = path.point(s)

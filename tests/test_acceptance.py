@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from garnier_lab.acceptance import CRITERIA
+from garnier_lab.acceptance import CRITERIA, criterion_1
 
 
 def _run(cid):
@@ -20,6 +20,16 @@ def _run(cid):
 
 def test_criterion_01_schlesinger_conservation():
     _run("C1")
+
+
+def test_criterion_01_reports_its_taylor_work():
+    # the work counters are deterministic, so they sit in the byte-identical
+    # report: seed 100's path takes 24 Taylor steps, and its coefficients put
+    # the nearest singularity at 0.386 of the distance to the nearest t_i = t_j
+    first, second = (criterion_1(n_states=1).metrics for _ in range(2))
+    assert first == second
+    assert first["taylor_steps"] == 24
+    assert first["min_radius_ratio"] == pytest.approx(0.3857915440447372, rel=1e-9)
 
 
 def test_criterion_02_zero_curvature_transport():

@@ -182,6 +182,35 @@ def test_negative_seed_exits_2_naming_the_seed(capsys, argv):
     assert "configuration error: seed: seed must be a non-negative integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, cfg",
+    [
+        (["--mode", "schlesinger", "--seed", "42", "--rtol", "10"], None),
+        (["--mode", "schlesinger", "--rtol", "1"], None),
+        (None, {"mode": "schlesinger", "tolerances": {"rtol": 1.0}}),
+    ],
+    ids=["flag_ten", "flag_one", "key_one"],
+)
+def test_run_rtol_at_or_past_one_exits_2_naming_rtol(tmp_path, capsys, argv, cfg):
+    # a local tolerance of max|A| or more would let a Taylor step past the
+    # radius of its own series: rejected before any work, not exit 3
+    if cfg is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"spec": 1, **cfg}))
+        argv = ["--config", str(path)]
+    assert main(["run", *argv]) == 2
+    assert "configuration error: tolerances.rtol: rtol must be a number in (0, 1)" in capsys.readouterr().err
+
+
+def test_run_tiny_rtol_steps_on_the_atol_floor(tmp_path, capsys, b_state):
+    # rtol far below rounding still runs: the absolute floor bounds the steps
+    cfg = {"spec": 1, "mode": "schlesinger", "initial_state": b_state.to_json()}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path), "--rtol", "1e-30"]) == 0
+    assert "[PASS] C1" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("defect", ["missing_matrices", "bad_norm", "nan_entry"])
 def test_run_malformed_initial_state_exits_2(tmp_path, capsys, defect):
     # a broken state block is a configuration error, not a check failure

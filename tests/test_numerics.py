@@ -17,8 +17,10 @@ from garnier_lab.numerics import (
     AffineConstraint,
     FDScheme,
     PathPlan,
+    TAYLOR_ORDER,
     check_clearance,
     combine_stencil,
+    count_work,
     dp_fixed_batch,
     fd_derivative,
     linear_adaptive,
@@ -26,6 +28,7 @@ from garnier_lab.numerics import (
     ode_integrate,
     quad_roots,
     stencil_multipliers,
+    taylor_integrate,
 )
 
 from conftest import fixed_step_hop
@@ -170,6 +173,63 @@ def test_integrate_singularity_approach(monkeypatch):
     with pytest.raises(SingularityApproach) as exc:
         ode_integrate(lambda z, v, y: np.array([-v * y[0] / (z - 0.5)]), np.array([1.0 + 0j]), path)
     assert exc.value.location is not None
+
+
+# ---------------------------------------------------------------------------
+# taylor_integrate
+# ---------------------------------------------------------------------------
+
+def _exp_coeffs(radius):
+    """Taylor coefficients c_k = y v^k / k! of dy/ds = v y, and a declared radius."""
+    k = np.arange(TAYLOR_ORDER + 1)
+    inv_fact = np.array([1.0 / math.factorial(int(j)) for j in k])
+    return lambda z, v, y: (y[None, :] * (v**k * inv_fact)[:, None], radius)
+
+
+def test_taylor_exponential_lands_on_corners_and_samples():
+    path = PathPlan([0.0, 1.0, 1.0 + 1.0j], 0.05)
+    traj = taylor_integrate(_exp_coeffs(10.0), np.array([1.0 + 0j]), path, samples=[0.25, 0.75])
+    assert [s for s, _ in traj] == [0.0, 0.25, 0.75, 1.0]
+    for s, y in traj:
+        want = np.exp(path.point(s)[0])
+        assert abs(y[0] - want) <= 1e-13 * abs(want)
+
+
+def test_taylor_steps_are_capped_below_the_field_radius():
+    # the exponential's series would take [0, 1] in one step; a declared
+    # radius of 0.1 caps each step at half of it
+    path = PathPlan([0.0, 1.0], 0.05)
+    for radius, steps in ((10.0, 1), (0.1, 20)):
+        with count_work() as work:
+            end = taylor_integrate(_exp_coeffs(radius), np.array([1.0 + 0j]), path)[-1][1]
+        assert work["taylor_steps"] == steps
+        assert abs(end[0] - math.e) <= 1e-14 * math.e
+    # the coefficient-decay radius min((19!)^(1/19), (20!)^(1/20)) over the declared 0.1
+    assert work["min_radius_ratio"] == pytest.approx(math.factorial(19) ** (1 / 19) / 0.1, rel=1e-12)
+
+
+def test_taylor_rejects_rtol_at_or_past_one():
+    with pytest.raises(ValueError, match="rtol"):
+        taylor_integrate(_exp_coeffs(1.0), np.array([1.0 + 0j]), PathPlan([0.0, 1.0], 0.05), rtol=1.0)
+
+
+@pytest.mark.parametrize(
+    "y0, radius, budget, message",
+    [
+        (1e308, 10.0, None, "non-finite Taylor sum"),  # e^h * 1e308 overflows
+        (1.0, 1e-15, None, "step size underflow"),  # capped at half the radius
+        (1.0, 0.1, 5, "step budget exhausted"),
+        (np.nan, 10.0, None, "non-finite Taylor coefficient"),
+    ],
+    ids=["sum_overflow", "underflow", "budget", "nan_start"],
+)
+def test_taylor_failures_are_typed_with_a_location(monkeypatch, y0, radius, budget, message):
+    if budget is not None:
+        monkeypatch.setattr(numerics, "MAX_STEPS", budget)
+    path = PathPlan([0.0, 1.0], 0.05)
+    with np.errstate(all="ignore"), pytest.raises(SingularityApproach, match=message) as info:
+        taylor_integrate(_exp_coeffs(radius), np.array([y0 + 0j]), path)
+    assert info.value.location is not None
 
 
 def test_integrate_fixed_steps_deterministic():

@@ -1,5 +1,6 @@
 """Property tests over random inputs: space-variable map, quadratic roots, logs continued
-along cleared chords, seeded Schlesinger data, the coordinate bridge and the adaptive Phi kernel."""
+along cleared chords, seeded Schlesinger data, the coordinate bridge, the adaptive Phi kernel and
+the Taylor steps of the Schlesinger flow."""
 
 import cmath
 import math
@@ -12,7 +13,17 @@ from garnier_lab.errors import PathViolation
 from garnier_lab.numerics import PathPlan, check_clearance, linear_adaptive, ode_integrate, quad_roots
 from garnier_lab.poly_garnier import bridge_lambda_from_q, bridge_q_from_lambda
 from garnier_lab.quantization import _pole_matrix, zeta_eta_inverse, zeta_eta_map
-from garnier_lab.schlesinger import gen_schlesinger_b, shift_normalization
+from garnier_lab.schlesinger import (
+    T3,
+    T4,
+    SchlesingerState,
+    ThetaGO,
+    _flow_dA,
+    gen_schlesinger_b,
+    integrate_schlesinger,
+    shift_normalization,
+    time_constraints,
+)
 
 
 def _complex(lo_re, hi_re, lo_im, hi_im):
@@ -31,6 +42,7 @@ _COEF = _complex(-10.0, 10.0, -10.0, 10.0)
 _THETA = _complex(-0.7, 0.7, -0.3, 0.3)
 _Q = _complex(-0.8, 0.8, -0.4, 0.4)
 _ENTRY = _complex(-2.0, 2.0, -2.0, 2.0)
+_HOP = _complex(-0.1, 0.1, -0.1, 0.1)
 
 # derandomized: the same examples on every run, nothing written to disk
 _SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -148,3 +160,29 @@ def test_linear_adaptive_matches_ode_integrate_on_the_same_field(t1, t2, abc, x0
     assert seen[:2] == [1, 1] and 6 * len(seen[2:]) == len(rhs) - 2
     # ... to the same Phi up to rounding (measured: <= 1.9e-14 in 2400 draws)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_TIME, _TIME, st.lists(_ENTRY, min_size=12, max_size=12), _HOP, _HOP)
+def test_taylor_flow_matches_dp5_reference(t1, t2, abc, d1, d2):
+    # random traceless residues on a short chord clear of the fixed singular
+    # sets; reference: ode_integrate over the dA field at rtol 1e-13
+    assume(abs(d1) + abs(d2) > 1e-3)
+    A = np.array([[[a, b], [c, -a]] for a, b, c in zip(abc[0::3], abc[1::3], abc[2::3])])
+    path = PathPlan([(t1, t2), (t1 + d1, t2 + d2)], 0.05)
+    try:
+        path.validate_against(time_constraints())
+    except PathViolation:
+        assume(False)
+
+    def field(point, velocity, y):
+        return _flow_dA(y.reshape(4, 2, 2), np.array([*point, T3, T4]), np.array([*velocity, 0.0, 0.0]))[0].ravel()
+
+    traj = ode_integrate(field, A.ravel(), path, rtol=1e-13, samples=[k / 8 for k in range(1, 8)])
+    # near a movable pole |A| grows and both integrators lose digits as |A|^2;
+    # compare where the flow stays within 10x of its start
+    assume(max(np.max(np.abs(y)) for _s, y in traj) <= 10 * np.max(np.abs(A)))
+    ref = traj[-1][1]
+    got = integrate_schlesinger(SchlesingerState(t1, t2, A, "B", ThetaGO((0.0,) * 4, 0.0)), path)[-1][1].A
+    # measured: <= 7.1e-13 over 532 such draws
+    assert np.max(np.abs(got.ravel() - ref)) <= 1e-11 * np.max(np.abs(ref))

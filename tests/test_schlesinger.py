@@ -7,8 +7,8 @@ import pytest
 
 from garnier_lab import schlesinger
 from garnier_lab.acceptance import BASE_X, _moved
-from garnier_lab.errors import PoleEvaluation, TimeCollision
-from garnier_lab.numerics import FDScheme, PathPlan, combine_stencil, stencil_multipliers
+from garnier_lab.errors import PoleEvaluation, SingularityApproach, TimeCollision
+from garnier_lab.numerics import TAYLOR_ORDER, FDScheme, PathPlan, combine_stencil, fd_derivative, stencil_multipliers
 from garnier_lab.schlesinger import (
     T3,
     T4,
@@ -128,6 +128,17 @@ def test_integrate_rejects_paths_through_collisions(b_state):
         integrate_schlesinger(b_state, bad)
 
 
+def test_integrate_overflowing_state_is_typed(b_state):
+    # |A| ~ 1e200 puts the Cauchy products past the float range at once; the
+    # failure names where the path starts, and no non-finite matrix reaches
+    # SchlesingerState (whose ValueError would be untyped)
+    state = replace(b_state, A=1e200 * b_state.A)
+    path = _short_path(state)
+    with pytest.raises(SingularityApproach, match="non-finite Taylor coefficient") as info:
+        integrate_schlesinger(state, path)
+    assert info.value.location == path.point(0.0)
+
+
 def test_flow_derivative_batch_rows_match_unbatched(b_state, rng):
     from garnier_lab.schlesinger import flow_derivative
 
@@ -145,27 +156,31 @@ def test_flow_derivative_batch_rows_match_unbatched(b_state, rng):
 
 
 @pytest.mark.parametrize("norm", ["B", "Q"])
-def test_flow_field_matches_flow_derivative(b_state, rng, monkeypatch, norm):
-    # the field integrate_schlesinger hands to the integrator equals, bit for
-    # bit, the old closure around flow_derivative kept here
+def test_flow_taylor_coefficients_match_flow_derivative(b_state, rng, norm):
+    # coefficient 1 of the recurrence is flow_derivative's dA; coefficient 2
+    # is half the derivative along s of that field on the first-order
+    # trajectory A + s c_1, t + s v (the chain rule needs only dA/ds at 0)
     state = b_state if norm == "B" else shift_normalization(b_state, "BtoQ")
-    fields = []
-    monkeypatch.setattr(schlesinger, "ode_integrate", lambda field, y0, *a, **k: fields.append(field) or [(0.0, y0)])
-    integrate_schlesinger(state, _short_path(state))
-    (field,) = fields
-
-    def old_field(point, velocity, y):
-        t = np.array([point[0], point[1], T3, T4], dtype=complex)
-        v = np.array([velocity[0], velocity[1], 0.0, 0.0], dtype=complex)
-        dA, _ = flow_derivative(y.reshape(4, 2, 2), t, v)
-        return dA.ravel()
-
+    scheme = FDScheme(order=4, step=1e-3, richardson=True)
     for _ in range(8):
         dz = 0.05 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
-        point = (state.t1 + complex(dz[0]), state.t2 + complex(dz[1]))
-        velocity = (complex(dz[2]), complex(dz[3]))
+        t = np.array([state.t1 + dz[0], state.t2 + dz[1], T3, T4])
+        v = np.array([dz[2], dz[3], 0.0, 0.0])
         y = state.A.ravel() + 0.1 * (rng.standard_normal(16) + 1j * rng.standard_normal(16))
-        assert np.array_equal(field(point, velocity, y), old_field(point, velocity, y))
+        c, radius = schlesinger._flow_taylor(tuple(t[:2]), tuple(v[:2]), y)
+        assert c.shape == (TAYLOR_ORDER + 1, 16) and np.array_equal(c[0], y)
+        dA = flow_derivative(y.reshape(4, 2, 2), t, v)[0].ravel()
+        assert np.max(np.abs(c[1] - dA)) <= 1e-15 * np.max(np.abs(dA))
+
+        def along(ss):
+            return [flow_derivative((y + s * dA).reshape(4, 2, 2), t + s * v, v)[0].ravel() for s in ss]
+
+        d2 = fd_derivative(along, 0.0, scheme)
+        assert np.max(np.abs(2.0 * c[2] - d2)) <= 1e-10 * np.max(np.abs(d2))  # measured <= 1.3e-12
+        # the weights' radius: the s-distance to the nearest t_i = t_j
+        d, e = t[:, None] - t[None, :], v[:, None] - v[None, :]
+        off = ~np.eye(4, dtype=bool) & (e != 0)
+        assert radius == pytest.approx(np.min(np.abs(d[off] / e[off])), rel=1e-14)
 
 
 def test_integrate_matches_scipy_oracle(b_state):
