@@ -270,40 +270,43 @@ def _s_matrices_of(st: PGState, ln_u: complex):
 
 
 def criterion_5(n_traj: int = 5, tol: float = 1e-6, eig_tol: float = 1e-10, seed0: int = 500):
+    """Eigenvalues and deformation equations of the Schlesinger matrices of polynomial Garnier trajectories.
+
+    The metrics also carry the Taylor steps of the trajectories and their
+    smallest radius ratio (``numerics.count_work``), as in C1.
+    """
     scheme = FDScheme(order=4, step=1e-5, richardson=True)
     worst = 0.0
     worst_eig = 0.0
-    for k in range(n_traj):
-        th = random_theta_pg(seed0 + 3 * k)
-        s0 = gen_pg(th, seed0 + 3 * k + 1)
-        path = PathPlan(
-            [(s0.t1, s0.t2), (s0.t1 + 0.10 + 0.16j, s0.t2 - 0.08 - 0.12j)], 0.04
-        )
-        traj = integrate_pg(s0, path, samples=[0.5], with_lnu=True)
-        for _s, st, lnu in traj:
-            S0 = _s_matrices_of(st, lnu)
-            tvec = np.array([st.t1, st.t2, 1.0, 0.0], dtype=complex)
-            # eigenvalue rigidity: spec(S_xi) = {0, theta^xi}
-            thetas = (th.tht1, th.tht2, th.th1, th.th0)
-            for m, target in zip(S0, thetas):
-                ev = sorted(np.linalg.eigvals(m), key=abs)
-                worst_eig = max(
-                    worst_eig, abs(ev[0]), abs(ev[1] - target) / (1 + abs(target))
-                )
-            # FD time-derivatives of S_xi vs the deformation equations
-            for d in (0, 1):
+    with count_work() as work:
+        for k in range(n_traj):
+            th = random_theta_pg(seed0 + 3 * k)
+            s0 = gen_pg(th, seed0 + 3 * k + 1)
+            path = PathPlan([(s0.t1, s0.t2), (s0.t1 + 0.10 + 0.16j, s0.t2 - 0.08 - 0.12j)], 0.04)
+            for _s, st, lnu in integrate_pg(s0, path, samples=[0.5], with_lnu=True):
+                S0 = _s_matrices_of(st, lnu)
+                tvec = np.array([st.t1, st.t2, 1.0, 0.0], dtype=complex)
+                # eigenvalue rigidity: spec(S_xi) = {0, theta^xi}
+                thetas = (th.tht1, th.tht2, th.th1, th.th0)
+                for m, target in zip(S0, thetas):
+                    ev = sorted(np.linalg.eigvals(m), key=abs)
+                    worst_eig = max(
+                        worst_eig, abs(ev[0]), abs(ev[1] - target) / (1 + abs(target))
+                    )
+                # FD time-derivatives of S_xi vs the deformation equations
+                for d in (0, 1):
 
-                def s_matrices_at(tds):
-                    """S_xi of the flowed state with t_{d+1} moved to each td."""
-                    t_news = [(td, st.t2) if d == 0 else (st.t1, td) for td in tds]
-                    return [_s_matrices_of(st2, lnu + dlnu) for st2, dlnu in hop_pg(st, t_news, 24, 0.005)]
+                    def s_matrices_at(tds):
+                        """S_xi of the flowed state with t_{d+1} moved to each td."""
+                        t_news = [(td, st.t2) if d == 0 else (st.t1, td) for td in tds]
+                        return [_s_matrices_of(st2, lnu + dlnu) for st2, dlnu in hop_pg(st, t_news, 24, 0.005)]
 
-                dS = fd_derivative(s_matrices_at, tvec[d], scheme)
-                v = np.zeros(4, dtype=complex)
-                v[d] = 1.0
-                rhs, _ = flow_derivative(S0, tvec, v)
-                scale = float(np.max(np.abs(dS))) + 1e-300
-                worst = max(worst, float(np.max(np.abs(dS - rhs))) / scale)
+                    dS = fd_derivative(s_matrices_at, tvec[d], scheme)
+                    v = np.zeros(4, dtype=complex)
+                    v[d] = 1.0
+                    rhs, _ = flow_derivative(S0, tvec, v)
+                    scale = float(np.max(np.abs(dS))) + 1e-300
+                    worst = max(worst, float(np.max(np.abs(dS - rhs))) / scale)
     passed = worst <= tol and worst_eig <= eig_tol
     return CheckResult(
         criterion="C5",
@@ -312,7 +315,7 @@ def criterion_5(n_traj: int = 5, tol: float = 1e-6, eig_tol: float = 1e-10, seed
             f"max relative deformation-equation residual of S_xi = {worst:.3e} (tol {tol:.0e}); "
             f"max eigenvalue defect {worst_eig:.3e} (tol {eig_tol:.0e})"
         ),
-        metrics={"max_rel_residual": worst, "max_eig_defect": worst_eig},
+        metrics={"max_rel_residual": worst, "max_eig_defect": worst_eig, **work},
     )
 
 
@@ -525,7 +528,8 @@ def criterion_10(
     t1_end = omega_to_t1(omega_end, s0.t2)
     path = PathPlan([(s0.t1, s0.t2), (t1_end, s0.t2)], 0.02)
     samples = [0.2, 0.4, 0.6, 0.8]
-    traj = integrate_pg(s0, path, samples=samples)
+    with count_work() as work:
+        traj = integrate_pg(s0, path, samples=samples)
     drift = max(abs(st.q1 + st.q2 - 1.0) for _s, st in traj)
 
     scheme = FDScheme(order=4, step=1e-5, richardson=True)
@@ -550,7 +554,7 @@ def criterion_10(
             f"reduction-locus drift {drift:.3e} over an omega-path of length {omega_length} "
             f"(tol {drift_tol:.0e}); Hamilton-system residual {worst_ham:.3e} (tol {ham_tol:.0e})"
         ),
-        metrics={"max_drift": drift, "max_hamilton_residual": worst_ham},
+        metrics={"max_drift": drift, "max_hamilton_residual": worst_ham, **work},
     )
 
 

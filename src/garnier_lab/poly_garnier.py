@@ -7,9 +7,14 @@ bridges to Garnier-Okamoto coordinates and the Painleve-VI reduction on the
 locus q1 + q2 = 1.
 
 The eight right-hand sides and both gauge-log derivatives live in one body,
-``_pg_flows``, on plain values; pg_rhs_explicit, raw_rhs_pair, u_logderiv
-and the field of integrate_pg and hop_pg all read it, so the flow builds no
-PGState per evaluation.
+``_pg_flows``, in plain arithmetic. On numbers it serves pg_rhs_explicit,
+raw_rhs_pair, u_logderiv and the field of the fixed-step stencil hops of
+hop_pg, which build no PGState per evaluation. Run once per process on
+sparse polynomials (``_pg_trace``, at the first Taylor step), it gives the
+table of monomials from which ``_pg_taylor`` forms the Taylor coefficients
+of the flow on a straight chord; integrate_pg walks its paths on those
+coefficients with ``numerics.taylor_integrate``, and no path of the flow
+runs on Dormand-Prince steps.
 
 Index convention: formulas are written for the pair (i, n) where n is the
 other index; the t2-flow equations are the literal transcriptions, which
@@ -19,8 +24,8 @@ coincide with the i <-> n images of the t1-flow ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
-from typing import Sequence
+from functools import cache, partial
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,7 +37,8 @@ from .errors import (
     TimeCollision,
     ZeroGauge,
 )
-from .numerics import DEFAULT_RTOL, PathPlan, dp_fixed_batch, ode_integrate, quad_roots
+from .numerics import DEFAULT_RTOL, TAYLOR_ORDER, PathPlan, dp_fixed_batch, quad_roots, taylor_integrate
+from .numerics import ode_integrate  # noqa: F401 - unused here; perfbench's tracer wraps every module's copy
 from .schlesinger import SchlesingerState, ThetaGO, time_constraints
 
 __all__ = [
@@ -191,16 +197,18 @@ def hamiltonian_HGar(i: int, s: PGState) -> complex:
 
 
 def _pg_flows(t1, t2, q1, q2, p1, p2, th: ThetaPG):
-    """Every right-hand side of the two flows at one point: (D, g1, g2, opo, tqo).
+    """The ten raw right-hand sides of the two flows at one point, before their prefactors.
 
-    D[j, k] = d(var_k)/d(t_{j+1}) over (q1, q2, p1, p2) and g_j = d ln u/dt_j,
-    each the displayed right-hand side divided by its prefactor t_j(t_j - 1);
-    opo and tqo are the undivided right-hand sides of the q2 equation of the
-    t1-flow and of the q1 equation of the t2-flow, kept as two transcriptions
-    because they coincide identically. The one body behind pg_rhs_explicit,
-    raw_rhs_pair, u_logderiv and the field of integrate_pg, on plain values.
+    In order: the (q1, q2, p1, p2) right-hand sides of the t1-flow, then of
+    the t2-flow, then the numerators of g1 and g2, g_j = d ln u/dt_j; each
+    is divided by t_j(t_j - 1) in :func:`_divided`. Entries 1 and 4 (opo,
+    tqo), the q2 equation of the t1-flow and the q1 equation of the t2-flow,
+    are kept as two transcriptions because they coincide identically. The
+    one place the formulas are written: pure arithmetic (+, -, *, integer
+    powers and division by t1 - t2) that does not check its times, so the
+    same body runs on numbers, for pg_rhs_explicit, raw_rhs_pair, u_logderiv
+    and the field of hop_pg, and on the polynomials of :func:`_pg_trace`.
     """
-    _check_times(t1, t2)
     a1, a2 = th.tht1, th.tht2
     th0, b1, b2 = th.th0, th.th1, th.thinf2
     b = b1 + 2.0 * b2
@@ -277,14 +285,22 @@ def _pg_flows(t1, t2, q1, q2, p1, p2, th: ThetaPG):
         )
         - b2 * (b2 + b1)
     )
+    g1 = q1 * (2.0 * p1 * (t1 - q1) + b1 + 2.0 * b2) - 2.0 * q1 * p2 * q2 + t1 * a1
+    g2 = q2 * (2.0 * p2 * (t2 - q2) + b1 + 2.0 * b2) - 2.0 * q2 * p1 * q1 + t2 * a2
+    return oqo, opo, oppo, opt, tqo, tqt, tpo, tpt, g1, g2
+
+
+def _divided(raw, t1, t2) -> tuple[list, list, object, object]:
+    """(D[0], D[1], g1, g2) from the raw outputs of :func:`_pg_flows`: each divided by its t_j(t_j - 1)."""
     f1 = t1 * (t1 - 1.0)
     f2 = t2 * (t2 - 1.0)
-    D = np.array(
-        [[oqo / f1, opo / f1, oppo / f1, opt / f1], [tqo / f2, tqt / f2, tpo / f2, tpt / f2]], dtype=complex
-    )
-    g1 = (q1 * (2.0 * p1 * (t1 - q1) + b1 + 2.0 * b2) - 2.0 * q1 * p2 * q2 + t1 * a1) / f1
-    g2 = (q2 * (2.0 * p2 * (t2 - q2) + b1 + 2.0 * b2) - 2.0 * q2 * p1 * q1 + t2 * a2) / f2
-    return D, g1, g2, opo, tqo
+    return [r / f1 for r in raw[:4]], [r / f2 for r in raw[4:8]], raw[8] / f1, raw[9] / f2
+
+
+def _pg_values(t1, t2, q1, q2, p1, p2, th: ThetaPG) -> tuple[list, list, complex, complex]:
+    """(D[0], D[1], g1, g2) at one point, after checking its times."""
+    _check_times(t1, t2)
+    return _divided(_pg_flows(t1, t2, q1, q2, p1, p2, th), t1, t2)
 
 
 def pg_rhs_explicit(s: PGState) -> np.ndarray:
@@ -293,19 +309,21 @@ def pg_rhs_explicit(s: PGState) -> np.ndarray:
     Rows are the t1- and t2-flows, columns (q1, q2, p1, p2). The common
     prefactors t_i(t_i - 1) of the displayed equations are divided out.
     """
-    return _pg_flows(s.t1, s.t2, s.q1, s.q2, s.p1, s.p2, s.params)[0]
+    return np.array(_pg_values(s.t1, s.t2, s.q1, s.q2, s.p1, s.p2, s.params)[:2], dtype=complex)
 
 
 def raw_rhs_pair(s: PGState) -> tuple[complex, complex]:
     """(RHS of the q_n equation of the t_i-flow, RHS of the q_i equation of
     the t_n-flow) before dividing prefactors; the two expressions coincide
     identically."""
-    return _pg_flows(s.t1, s.t2, s.q1, s.q2, s.p1, s.p2, s.params)[3:]
+    s.check_times()
+    raw = _pg_flows(s.t1, s.t2, s.q1, s.q2, s.p1, s.p2, s.params)
+    return raw[1], raw[4]
 
 
 def u_logderiv(s: PGState) -> tuple[complex, complex]:
     """(d ln u / dt1, d ln u / dt2) of the scalar gauge."""
-    return _pg_flows(s.t1, s.t2, s.q1, s.q2, s.p1, s.p2, s.params)[1:3]
+    return _pg_values(s.t1, s.t2, s.q1, s.q2, s.p1, s.p2, s.params)[2:]
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +331,9 @@ def u_logderiv(s: PGState) -> tuple[complex, complex]:
 # ---------------------------------------------------------------------------
 
 def _pg_field(th: ThetaPG, point, velocity, y) -> np.ndarray:
-    """d(q1, q2, p1, p2[, ln u])/ds at (t1, t2) = point as dt/ds = velocity; the field of integrate_pg and hop_pg."""
-    D, g1, g2, _, _ = _pg_flows(point[0], point[1], y[0], y[1], y[2], y[3], th)
+    """d(q1, q2, p1, p2[, ln u])/ds at (t1, t2) = point as dt/ds = velocity; the field of hop_pg."""
+    D0, D1, g1, g2 = _pg_values(point[0], point[1], y[0], y[1], y[2], y[3], th)
+    D = np.array([D0, D1], dtype=complex)
     v = np.array(velocity, dtype=complex)
     if len(y) == 4:
         return v @ D
@@ -324,6 +343,183 @@ def _pg_field(th: ThetaPG, point, velocity, y) -> np.ndarray:
     return dy
 
 
+# the variables of _pg_trace: t1, t2, w = 1/(t1 - t2), z1 = 1/(t1(t1 - 1)), z2 = 1/(t2(t2 - 1)),
+# q1, q2, p1, p2 and the exponents th0, th1, tht1, tht2, thinf2
+_N_VARS = 14
+
+
+class _Poly:
+    """Sparse polynomial {exponents: coefficient} over the ``_N_VARS`` variables of :func:`_pg_trace`.
+
+    It divides only by t1 - t2, t1(t1 - 1) and t2(t2 - 1), as a product
+    with their reciprocal variables w, z1 and z2.
+    """
+
+    def __init__(self, terms: dict):
+        self.terms = {k: c for k, c in terms.items() if c != 0.0}
+
+    @staticmethod
+    def of(x) -> "_Poly":
+        return x if isinstance(x, _Poly) else _Poly({(0,) * _N_VARS: x})
+
+    @staticmethod
+    def var(i: int) -> "_Poly":
+        return _Poly({tuple(int(j == i) for j in range(_N_VARS)): 1.0})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, c in _Poly.of(other).terms.items():
+            out[k] = out.get(k, 0.0) + c
+        return _Poly(out)
+
+    def __neg__(self):
+        return _Poly({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -_Poly.of(other)
+
+    def __mul__(self, other):
+        out: dict = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in _Poly.of(other).terms.items():
+                k = tuple(a + b for a, b in zip(k1, k2))
+                out[k] = out.get(k, 0.0) + c1 * c2
+        return _Poly(out)
+
+    def __pow__(self, n: int):
+        out = _Poly.of(1.0)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __truediv__(self, other):
+        t1, t2 = _Poly.var(0), _Poly.var(1)
+        dens = [(t1 - t2).terms, (t1 * (t1 - 1.0)).terms, (t2 * (t2 - 1.0)).terms]
+        return self * _Poly.var(2 + dens.index(other.terms))
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+class _Trace(NamedTuple):
+    """The monomial table of :func:`_pg_trace`; a term is a number times exponent powers, a t- and a y-monomial."""
+
+    tmons: np.ndarray  # (A, 5): exponents of (t1, t2, w, z1, z2) in each t-monomial
+    n_mons: int  # y-monomials: (q1, q2, p1, p2), the constant, then the rest by degree
+    levels: list  # per degree k >= 2: (rows of degree k - 1, rows of degree k, index into their products with y)
+    j: np.ndarray  # per term: 0 in the t1-flow, 1 in the t2-flow
+    a: np.ndarray  # per term: its t-monomial
+    powers: np.ndarray  # per term: powers of (th0, th1, tht1, tht2, thinf2), (T, 5)
+    numbers: np.ndarray  # per term: its number
+    starts: np.ndarray  # terms are sorted by (row, y-monomial): the first term of each run of equal pairs
+    rows: np.ndarray  # per run: its row among d(q1, q2, p1, p2, ln u)/ds
+    mons: np.ndarray  # per run: its y-monomial
+
+
+@cache
+def _pg_trace() -> _Trace:
+    """The ten outputs of :func:`_pg_flows`, divided by their prefactors, as one monomial table.
+
+    The body runs once per process, at the first Taylor step, on
+    :class:`_Poly` variables: t1, t2, their three reciprocal denominators,
+    (q1, q2, p1, p2) and the five exponents it reads. Each y-monomial of
+    degree k >= 2 is then the product of one of degree k - 1 and a variable
+    (a missing factor joins the table as a monomial of its own).
+    """
+    t1, t2, _w, _z1, _z2, q1, q2, p1, p2, th0, th1, tht1, tht2, thinf2 = (_Poly.var(i) for i in range(_N_VARS))
+    th = ThetaPG(th0, th1, tht1, tht2, 0.0, thinf2)
+    D0, D1, g1, g2 = _divided(_pg_flows(t1, t2, q1, q2, p1, p2, th), t1, t2)
+    outs = [(0, r, D0[r]) for r in range(4)] + [(1, r, D1[r]) for r in range(4)] + [(0, 4, g1), (1, 4, g2)]
+    terms = sorted((r, k[5:9], j, k[:5], k[9:], c) for j, r, out in outs for k, c in out.terms.items())
+    units = [tuple(int(j == i) for j in range(4)) for i in range(4)]
+
+    def factors(m):
+        return [(tuple(e - (j == i) for j, e in enumerate(m)), i) for i in range(4) if m[i]]
+
+    ymons = {t[1] for t in terms} | set(units) | {(0,) * 4}
+    for deg in range(max(map(sum, ymons)), 2, -1):
+        for m in sorted(m for m in ymons if sum(m) == deg):
+            if not any(f in ymons for f, _i in factors(m)):
+                ymons.add(factors(m)[0][0])
+    ymons = units + sorted(ymons - set(units), key=lambda m: (sum(m), m))
+    where = {m: i for i, m in enumerate(ymons)}
+    block = {1: slice(0, 4)}
+    levels = []
+    for deg in range(2, sum(ymons[-1]) + 1):
+        rows = [i for i, m in enumerate(ymons) if sum(m) == deg]
+        block[deg] = slice(rows[0], rows[-1] + 1)
+        lo = block[deg - 1].start
+        flat = [next(4 * (where[f] - lo) + i for f, i in factors(ymons[r]) if f in where) for r in rows]
+        levels.append((block[deg - 1], block[deg], np.array(flat)))
+    tmons = sorted({t[3] for t in terms})
+    runs = [n for n, t in enumerate(terms) if n == 0 or t[:2] != terms[n - 1][:2]]
+    return _Trace(
+        tmons=np.array(tmons),
+        n_mons=len(ymons),
+        levels=levels,
+        j=np.array([t[2] for t in terms]),
+        a=np.array([tmons.index(t[3]) for t in terms]),
+        powers=np.array([t[4] for t in terms]),
+        numbers=np.array([t[5] for t in terms]),
+        starts=np.array(runs),
+        rows=np.array([terms[n][0] for n in runs]),
+        mons=np.array([where[terms[n][1]] for n in runs]),
+    )
+
+
+def _pg_table(th: ThetaPG) -> np.ndarray:
+    """The number of each term of :func:`_pg_trace` at exponents ``th``."""
+    tr = _pg_trace()
+    values = np.array([th.th0, th.th1, th.tht1, th.tht2, th.thinf2], dtype=complex)
+    return tr.numbers * np.prod(values**tr.powers, axis=1)
+
+
+_LAG = np.subtract.outer(np.arange(TAYLOR_ORDER + 1), np.arange(TAYLOR_ORDER + 1))  # k - l
+
+
+def _pg_taylor(table: np.ndarray, point, velocity, y) -> tuple[np.ndarray, float]:
+    """Taylor coefficients in s of the flow through y = (q1, q2, p1, p2[, ln u]) at (t1, t2) = point along velocity.
+
+    On the chord t(s) = t + s v, T1 and T2 are linear in s, and W, Z1 =
+    1/(t1 - 1) - 1/t1 and Z2 sums of geometric series; their Cauchy products
+    give the series of each t-monomial of :func:`_pg_trace`, and with the
+    term numbers ``table`` (:func:`_pg_table`) and the velocity the series
+    C_m of the coefficient of each y-monomial in each row of dy/ds. Then for
+    each order n: the y-monomials of degree 2, 3, 4 at order n as three
+    batched Cauchy products, F_n = sum_m sum_k C_m,k Y_m,n-k, and y_n+1 =
+    F_n/(n + 1). Returns the (TAYLOR_ORDER + 1, len(y)) coefficients and the
+    s-distance to the nearest t_i in {0, 1} or t1 = t2, the radius of the C_m.
+    """
+    p, tr = TAYLOR_ORDER, _pg_trace()
+    (t1, t2), (v1, v2) = point, velocity
+    den = np.array([t1 - t2, t1 - 1.0, t1, t2 - 1.0, t2], dtype=complex)
+    rate = -np.array([v1 - v2, v1, v1, v2, v2], dtype=complex) / den
+    geo = np.empty((5, p + 1), dtype=complex)  # 1/(den + s d(den)/ds) = sum_k (rate s)^k / den
+    geo[:, 0], geo[:, 1:] = 1.0 / den, rate[:, None]
+    geo = np.cumprod(geo, axis=1)
+    base = np.zeros((5, p + 1), dtype=complex)  # T1, T2, W, Z1, Z2
+    base[0, :2], base[1, :2], base[2], base[3], base[4] = (t1, v1), (t2, v2), geo[0], geo[1] - geo[2], geo[3] - geo[4]
+    tser = np.zeros((len(tr.tmons), p + 1), dtype=complex)
+    tser[:, 0] = 1.0
+    for i, top in enumerate(tr.tmons.max(axis=0).tolist()):
+        lag = np.where(_LAG >= 0, base[i][_LAG], 0.0)  # lag[k, l] = base_i,k-l
+        for e in range(top):
+            sel = tr.tmons[:, i] > e
+            tser[sel] = np.einsum("al,kl->ak", tser[sel], lag)
+    C = np.zeros((5, tr.n_mons, p + 1), dtype=complex)
+    C[tr.rows, tr.mons] = np.add.reduceat((table * np.array(velocity)[tr.j])[:, None] * tser[tr.a], tr.starts)
+    d = len(y)
+    c = np.zeros((p + 1, d), dtype=complex)
+    c[0] = y
+    Y = np.zeros((tr.n_mons, p + 1), dtype=complex)  # Y[m, p - k]: order k of y^m, reversed
+    Y[:4, p], Y[4, p] = c[0, :4], 1.0
+    for n in range(p):
+        for lower, rows, flat in tr.levels:  # every product y^lower * y_i at order n, then the ones wanted
+            Y[rows, p - n] = np.einsum("ki,mk->mi", c[: n + 1, :4], Y[lower, p - n :]).ravel()[flat]
+        c[n + 1] = np.einsum("rmk,mk->r", C[:d, :, : n + 1], Y[:, p - n :]) / (n + 1)
+        Y[:4, p - n - 1] = c[n + 1, :4]
+    return c, 1.0 / float(np.max(np.abs(rate)))
+
+
 def integrate_pg(
     s0: PGState,
     path: PathPlan,
@@ -331,10 +527,13 @@ def integrate_pg(
     rtol: float = DEFAULT_RTOL,
     with_lnu: bool = False,
 ) -> list[tuple[float, PGState]] | list[tuple[float, PGState, complex]]:
-    """Integrate the polynomial Garnier flow along a (t1, t2) path, adaptively.
+    """Integrate the polynomial Garnier flow along a (t1, t2) path, in Taylor steps of :func:`_pg_taylor`.
 
-    With ``with_lnu`` the scalar gauge log is carried along (ln u = 0 at the
-    base point) and each output row becomes (s, state, ln_u).
+    With ``with_lnu`` the scalar gauge log is carried along as a fifth row
+    (ln u = 0 at the base point) and each output row becomes (s, state,
+    ln_u). ``rtol``, in (0, 1), bounds each step's truncation error as in
+    ``numerics.taylor_integrate``, which raises SingularityApproach, with
+    the (t1, t2) where it stopped, on a state that runs into a movable pole.
     """
     if path.dim != 2:
         raise ValueError("expected a (t1, t2) path")
@@ -343,7 +542,7 @@ def integrate_pg(
         raise ValueError("path must start at the state's (t1, t2)")
     path.validate_against(time_constraints())
     y0 = np.array([s0.q1, s0.q2, s0.p1, s0.p2] + ([0.0] if with_lnu else []), dtype=complex)
-    traj = ode_integrate(partial(_pg_field, s0.params), y0, path, rtol=rtol, samples=samples)
+    traj = taylor_integrate(partial(_pg_taylor, _pg_table(s0.params)), y0, path, rtol=rtol, samples=samples)
     out = []
     for s, y in traj:
         t1, t2 = path.point(s)
@@ -360,8 +559,9 @@ def hop_pg(s0: PGState, t_news: Sequence, n_steps: int, radius: float) -> list[t
 
     Every hop is checked as a one-segment path against :func:`time_constraints`
     at ``radius`` before anything is integrated; then all hops run in
-    lockstep through ``dp_fixed_batch`` on the field of :func:`integrate_pg`,
-    row by row.
+    lockstep through ``dp_fixed_batch`` on :func:`_pg_field`, row by row:
+    a fixed step sequence keeps the stencil's integration error a smooth
+    function of the endpoint.
     Returns (state at t_new, ln u gained along the hop) per hop, in order.
     """
     t0, t1 = np.array([s0.t1, s0.t2], dtype=complex), np.array(t_news, dtype=complex).reshape(-1, 2)
@@ -513,7 +713,7 @@ def mu_p_relations(s: PGState, g) -> tuple[complex, complex]:
 # ---------------------------------------------------------------------------
 
 def pvi_hamiltonian(omega: complex, Q: complex, P: complex, params: ThetaPG) -> complex:
-    """Polynomial PVI Hamiltonian of the reduced flow (i = 1 labелing)."""
+    """Polynomial PVI Hamiltonian of the reduced flow (i = 1 labeling)."""
     th = params
     b = th.th1 + 2.0 * th.thinf2
     val = (

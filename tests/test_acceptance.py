@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from garnier_lab.acceptance import CRITERIA, criterion_1
+from garnier_lab.acceptance import CRITERIA, criterion_1, criterion_5
 
 
 def _run(cid):
@@ -46,6 +46,16 @@ def test_criterion_04_hamilton_equation_identity():
 
 def test_criterion_05_linearization():
     _run("C5")
+
+
+def test_criterion_05_reports_its_taylor_work():
+    # as C1: seed 500's trajectory takes 11 Taylor steps, and its coefficients
+    # put the nearest singularity at 0.305 of the distance to the nearest
+    # fixed singular set; both counters are deterministic
+    first, second = (criterion_5(n_traj=1).metrics for _ in range(2))
+    assert first == second
+    assert first["taylor_steps"] == 11
+    assert first["min_radius_ratio"] == pytest.approx(0.3053373981432001, rel=1e-9)
 
 
 def test_criterion_06_bridge_coherence():

