@@ -4,18 +4,27 @@
 matrix, the momenta mu_k are partial-fraction sums of the (1,1) residue
 entries, and the two Hamiltonians K_i drive the commuting flows in
 (t_1, t_2). The Hamilton field of that flow is the closed-form gradient of
-K_i, so no finite differences run inside the ODE right-hand side; the
-acceptance criterion C3 checks it against finite differences of the
-extracted flow. The scalar second-order equation satisfied by the first
-component of the gauged wavefunction provides an independent cross-check;
-its rational coefficients are assembled here.
+K_i, written once in plain arithmetic (``_k_gradient_body``), so no finite
+differences run inside the flow. On numbers it serves go_vector_field,
+which the acceptance criterion C3 checks against finite differences of the
+extracted flow. Run once per process on a tape of its operations
+(``_go_trace``, at the first Taylor step) and folded at the exponents into
+products and quotients of affine maps (``_go_program``), it gives the
+Taylor coefficients of the flow on a straight chord (``_go_taylor``);
+integrate_go walks its paths on those coefficients with
+``numerics.taylor_integrate``, and no path of the flow runs on
+Dormand-Prince steps. The scalar second-order equation satisfied by the
+first component of the gauged wavefunction provides an independent
+cross-check; its rational coefficients are assembled here.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +34,8 @@ from .errors import (
     PoleEvaluation,
     TimeCollision,
 )
-from .numerics import DEFAULT_RTOL, PathPlan, ode_integrate, quad_roots
+from .numerics import DEFAULT_RTOL, TAYLOR_ORDER, PathPlan, quad_roots, taylor_integrate
+from .numerics import ode_integrate  # noqa: F401 - unused here; perfbench's tracer wraps every module's copy
 from .schlesinger import T3, T4, SchlesingerState, ThetaGO, time_constraints
 
 __all__ = [
@@ -202,7 +212,14 @@ def hamiltonian_K(i: int, g: GOState) -> complex:
 
 
 def _k_gradient(i: int, g: GOState) -> tuple[list[complex], list[complex]]:
-    """(dK_i/dlambda_k, dK_i/dmu_k) for k = 1, 2, in closed form.
+    """(dK_i/dlambda_k, dK_i/dmu_k) for k = 1, 2, in closed form, after the domain checks of K_i."""
+    ts = (g.t1, g.t2)
+    _check_k_domain(ts[i - 1], ts[i % 2], g.lam)
+    return _k_gradient_body(i, g.t1, g.t2, g.lam, g.mu, g.theta.theta, g.theta.kappa)
+
+
+def _k_gradient_body(i: int, t1, t2, lam, mu, th, kappa) -> tuple[list, list]:
+    """(dK_i/dlambda_k, dK_i/dmu_k) for k = 1, 2: the one place the gradient is written.
 
     K_i = M_i * sum_k M_ki F_k, as in ``_k_value``, with F_k = mu_k^2 -
     S_k mu_k + kappa/(lambda_k (lambda_k - 1)) and the pole sum S_k =
@@ -210,23 +227,22 @@ def _k_gradient(i: int, g: GOState) -> tuple[list[complex], list[complex]]:
     1 at m = i. M_i depends on both lambdas, M_ki = p(lambda_k)/(lambda_k -
     lambda_o) with p(l) = (l - t_n)(l - 1) l on both, F_k on lambda_k alone;
     dM_ki/dlambda_k is written as (p' - M_ki)/(lambda_k - lambda_o), so
-    nothing divides by lambda_k - t_n.
+    nothing divides by lambda_k - t_n. Pure arithmetic (+, -, *, /) with no
+    checks, so the same body runs on numbers for :func:`go_vector_field` and
+    on the tape nodes of :func:`_go_trace`.
     """
-    th = g.theta.theta
-    kappa = g.theta.kappa
-    ts = (g.t1, g.t2)
+    ts = (t1, t2)
     ti = ts[i - 1]
     tn = ts[i % 2]
-    _check_k_domain(ti, tn, g.lam)
-    l1, l2 = g.lam
+    l1, l2 = lam
     den = (ti - tn) * (ti - 1.0) * ti
     Mi = -((l1 - ti) * (l2 - ti)) / den
     dMi = (-(l2 - ti) / den, -(l1 - ti) / den)
     c1, c2, c3, c4 = th[0] - (i == 1), th[1] - (i == 2), th[2], th[3]
     M, dM_own, dM_cross, F, dF, dK_dmu = [], [], [], [], [], []
     for k in (0, 1):
-        lk, lo, mk = g.lam[k], g.lam[1 - k], g.mu[k]
-        r1, r2, r3, r4 = 1.0 / (lk - g.t1), 1.0 / (lk - g.t2), 1.0 / (lk - 1.0), 1.0 / lk
+        lk, lo, mk = lam[k], lam[1 - k], mu[k]
+        r1, r2, r3, r4 = 1.0 / (lk - t1), 1.0 / (lk - t2), 1.0 / (lk - 1.0), 1.0 / lk
         S = c1 * r1 + c2 * r2 + c3 * r3 + c4 * r4
         dS = -(c1 * r1 * r1 + c2 * r2 * r2 + c3 * r3 * r3 + c4 * r4 * r4)
         p = (lk - tn) * (lk - 1.0) * lk
@@ -252,7 +268,7 @@ def go_vector_field(g: GOState) -> dict[str, np.ndarray]:
     Returns {"dlam": D, "dmu": E} with D[j-1, k-1] = d lambda_k / d t_j =
     dK_j/dmu_k and E[j-1, k-1] = d mu_k / d t_j = -dK_j/dlambda_k. Raises
     the typed errors of K_j: ``TimeCollision``, ``ConditionIVViolated`` and
-    ``PoleEvaluation`` (lambda_k on a pole; caught, so the flow pays nothing).
+    ``PoleEvaluation`` (lambda_k on a pole, caught as a ZeroDivisionError).
     """
     try:
         (dl1, dm1), (dl2, dm2) = _k_gradient(1, g), _k_gradient(2, g)
@@ -261,30 +277,226 @@ def go_vector_field(g: GOState) -> dict[str, np.ndarray]:
     return {"dlam": np.array([dm1, dm2], dtype=complex), "dmu": -np.array([dl1, dl2], dtype=complex)}
 
 
+class _Tape:
+    """The operations of one traced run of :func:`_k_gradient_body`, each recorded once.
+
+    An entry is (op, a, b): ("in", k, None) for input k, ("num", value,
+    None) for a number, and "+", "-", "*" or "/" of the entries at indices
+    a and b (-x is x * -1). Equal entries share one index, so
+    subexpressions that the i = 1 and i = 2 bodies have in common are
+    traced once.
+    """
+
+    def __init__(self):
+        self.ops: list[tuple] = []
+        self.index: dict[tuple, int] = {}
+
+    def node(self, op, a, b) -> "_Node":
+        if op in ("+", "*"):
+            a, b = min(a, b), max(a, b)
+        key = (op, a, b)
+        if key not in self.index:
+            self.index[key] = len(self.ops)
+            self.ops.append(key)
+        return _Node(self, self.index[key])
+
+    def of(self, x) -> int:
+        return x.i if isinstance(x, _Node) else self.node("num", complex(x), None).i
+
+
+class _Node:
+    """A value of the traced body: its index on the tape."""
+
+    __slots__ = ("tape", "i")
+
+    def __init__(self, tape: _Tape, i: int):
+        self.tape, self.i = tape, i
+
+    def __add__(self, o):
+        return self.tape.node("+", self.i, self.tape.of(o))
+
+    def __sub__(self, o):
+        return self.tape.node("-", self.i, self.tape.of(o))
+
+    def __rsub__(self, o):
+        return self.tape.node("-", self.tape.of(o), self.i)
+
+    def __mul__(self, o):
+        return self.tape.node("*", self.i, self.tape.of(o))
+
+    def __truediv__(self, o):
+        return self.tape.node("/", self.i, self.tape.of(o))
+
+    def __rtruediv__(self, o):
+        return self.tape.node("/", self.tape.of(o), self.i)
+
+    def __neg__(self):
+        return self * -1.0
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+@functools.cache
+def _go_trace() -> tuple[list[tuple], list[list[int]]]:
+    """The tape of :func:`_k_gradient_body` for i = 1, 2 and, per t_j, its entries of d(lambda_1, lambda_2, mu_1, mu_2)/dt_j.
+
+    Runs once per process, at the first Taylor step. Inputs 0-5 are t1,
+    t2, lambda_1, lambda_2, mu_1, mu_2; inputs 6-10 theta_1..theta_4 and
+    kappa.
+    """
+    tape = _Tape()
+    t1, t2, l1, l2, m1, m2, *th, kappa = (tape.node("in", k, None) for k in range(11))
+    rows = []
+    for i in (1, 2):
+        dK_dlam, dK_dmu = _k_gradient_body(i, t1, t2, (l1, l2), (m1, m2), th, kappa)
+        rows.append([dK_dmu[0].i, dK_dmu[1].i, (-dK_dlam[0]).i, (-dK_dlam[1]).i])
+    return tape.ops, rows
+
+
+class _GoProgram(NamedTuple):
+    """The traced gradient at fixed exponents, as products and quotients of affine maps.
+
+    Basis entry 0 is the constant 1, entries 1-6 the inputs t1, t2,
+    lambda_1, lambda_2, mu_1, mu_2, the rest one per product or quotient of
+    two series, ordered by level (the longest chain of such nodes below
+    it), within a level the products first.
+    """
+
+    n_basis: int
+    levels: list  # per level: (lo, hi, number of products, operand basis (n, 2, W), operand weights (n, 2, W))
+    out: np.ndarray  # (2, 4, n_basis): d(lambda_1, lambda_2, mu_1, mu_2)/dt_j as affine maps over the basis
+
+
+_NUMBER_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _go_program(theta: ThetaGO) -> _GoProgram:
+    """Fold the tape of :func:`_go_trace` at the exponents ``theta`` into a :class:`_GoProgram`.
+
+    A node that reads no series input is a number; every other node is an
+    affine map {basis entry: weight} over the series inputs and the
+    products and quotients of two series, which become basis entries of
+    their own: sums, differences and products or quotients with a number
+    fold into the maps.
+    """
+    ops, rows = _go_trace()
+    inputs = (*theta.theta, theta.kappa)
+    value: list = [None] * len(ops)  # the number of a number node
+    lin: list = [None] * len(ops)  # the affine map of a series node
+    nodes: list = []  # per product or quotient: (op, map a, map b)
+
+    def affine(n):
+        return lin[n] if lin[n] is not None else {0: value[n]}
+
+    def plus(a, b, sign):
+        out = dict(a)
+        for k, w in b.items():
+            out[k] = out.get(k, 0.0) + sign * w
+        return out
+
+    for n, (op, a, b) in enumerate(ops):
+        if op == "num":
+            value[n] = a
+        elif op == "in":
+            if a < 6:
+                lin[n] = {a + 1: 1.0}
+            else:
+                value[n] = inputs[a - 6]
+        elif lin[a] is None and lin[b] is None:
+            value[n] = _NUMBER_OPS[op](value[a], value[b])
+        elif op in ("+", "-"):
+            lin[n] = plus(affine(a), affine(b), 1.0 if op == "+" else -1.0)
+        elif lin[b] is None or (op == "*" and lin[a] is None):
+            number, series = (value[b], lin[a]) if lin[b] is None else (value[a], lin[b])
+            factor = 1.0 / number if op == "/" else number
+            lin[n] = {k: factor * w for k, w in series.items()}
+        else:
+            lin[n] = {7 + len(nodes): 1.0}
+            nodes.append((op, affine(a), lin[b]))
+    level = [0] * 7
+    for _op, a, b in nodes:
+        level.append(1 + max(level[k] for k in (*a, *b)))
+    order = sorted(range(len(nodes)), key=lambda q: (level[7 + q], nodes[q][0] == "/", q))
+    where = list(range(7)) + [0] * len(nodes)
+    for pos, q in enumerate(order):
+        where[7 + q] = 7 + pos
+    levels, lo = [], 7
+    for lev in sorted(set(level[7:])):
+        group = [nodes[q] for q in order if level[7 + q] == lev]
+        width = max(len(m) for _op, a, b in group for m in (a, b))
+        idx = np.zeros((len(group), 2, width), dtype=int)
+        w = np.zeros((len(group), 2, width), dtype=complex)
+        for r, (_op, a, b) in enumerate(group):
+            for side, m in enumerate((a, b)):
+                idx[r, side, : len(m)] = [where[k] for k in m]
+                w[r, side, : len(m)] = list(m.values())
+        levels.append((lo, lo + len(group), sum(op == "*" for op, _a, _b in group), idx, w))
+        lo += len(group)
+    out = np.zeros((2, 4, lo), dtype=complex)
+    for j, row in enumerate(rows):
+        for r, n in enumerate(row):
+            for k, wk in affine(n).items():
+                out[j, r, where[k]] += wk
+    return _GoProgram(lo, levels, out)
+
+
+def _go_taylor(prog: _GoProgram, point, velocity, y) -> tuple[np.ndarray, float]:
+    """Taylor coefficients in s of the flow through y = (lambda_1, lambda_2, mu_1, mu_2) at (t1, t2) = point along velocity.
+
+    On the chord t(s) = t + s v the inputs t1, t2 are linear in s. For each
+    order n, level by level: the order-n coefficients a_n, b_n of every
+    operand pair of ``prog`` by gathers from its affine maps, then one
+    batched Cauchy product per level, q_n = sum_j a_j b_n-j for products and
+    the quotient recurrence q_n = (a_n - sum_j>=1 b_j q_n-j)/b_0 for
+    quotients; y_n+1 = (v . dy/dt)_n/(n + 1). Raises ``ConditionIVViolated``
+    on lambda_1 = lambda_2 and ``TimeCollision`` on t_i in {0, 1, t_other}
+    at the start. Returns the (TAYLOR_ORDER + 1, 4) coefficients and the
+    s-distance to the nearest t_i in {0, 1} or t1 = t2.
+    """
+    (t1, t2), (v1, v2) = point, velocity
+    l1, l2 = y[0], y[1]
+    if abs(l1 - l2) < 1e-10 * (1 + abs(l1)):
+        raise ConditionIVViolated("lambda collision during integration")
+    _check_k_domain(t1, t2, (l1, l2))
+    _check_k_domain(t2, t1, (l1, l2))
+    p = TAYLOR_ORDER
+    X = np.zeros((p + 1, prog.n_basis), dtype=complex)  # X[n, e]: order n of basis entry e
+    X[0, :3], X[1, 1:3], X[0, 3:7] = (1.0, t1, t2), (v1, v2), y
+    L = np.zeros((prog.n_basis, p + 1), dtype=complex)  # per product its a, per quotient its own q
+    B = np.zeros((prog.n_basis, p + 1), dtype=complex)  # B[e, p - n] = b_n, reversed for the products
+    out = v1 * prog.out[0] + v2 * prog.out[1]
+    for n in range(p):
+        Xn = X[n]
+        for lo, hi, m, idx, w in prog.levels:
+            ab = np.einsum("qsw,qsw->qs", w, Xn[idx])
+            B[lo:hi, p - n] = ab[:, 1]
+            L[lo : lo + m, n] = ab[:m, 0]
+            q = np.einsum("qj,qj->q", L[lo:hi, : n + 1], B[lo:hi, p - n :])
+            q[m:] = (ab[m:, 0] - q[m:]) / B[lo + m : hi, p]
+            Xn[lo:hi] = q
+            L[lo + m : hi, n] = q[m:]
+        X[n + 1, 3:7] = np.einsum("rb,b->r", out, Xn) / (n + 1)
+    rate = np.array([v1 - v2, v1, v1, v2, v2], dtype=complex) / np.array([t1 - t2, t1 - 1.0, t1, t2 - 1.0, t2])
+    return X[:, 3:7].copy(), 1.0 / float(np.max(np.abs(rate)))
+
+
 def integrate_go(
     g0: GOState,
     path: PathPlan,
     rtol: float = DEFAULT_RTOL,
 ) -> list[tuple[float, GOState]]:
-    """Integrate the Garnier-Okamoto flow along a (t1, t2) path."""
+    """Integrate the Garnier-Okamoto flow along a (t1, t2) path, in Taylor steps of :func:`_go_taylor`.
+
+    ``rtol``, in (0, 1), bounds each step's truncation error as in
+    ``numerics.taylor_integrate``, which raises SingularityApproach, with
+    the (t1, t2) where it stopped, on a non-finite coefficient: a state
+    that runs into a movable pole, lambda_k = t_m.
+    """
     if path.dim != 2:
         raise ValueError("expected a (t1, t2) path")
     path.validate_against(time_constraints())
-
-    g = GOState(g0.t1, g0.t2, g0.lam, g0.mu, g0.theta)  # the field's point, moved in place
-    as_array = functools.cache(lambda velocity: np.array(velocity, dtype=complex))
-
-    def field(point, velocity, y):
-        l1, l2, m1, m2 = y
-        if abs(l1 - l2) < 1e-10 * (1 + abs(l1)):
-            raise ConditionIVViolated("lambda collision during integration")
-        (g.t1, g.t2), g.lam, g.mu = point, (l1, l2), (m1, m2)
-        vf = go_vector_field(g)
-        v = as_array(velocity)
-        return np.concatenate([v @ vf["dlam"], v @ vf["dmu"]])
-
     y0 = np.array([*g0.lam, *g0.mu], dtype=complex)
-    traj = ode_integrate(field, y0, path, rtol=rtol)
+    traj = taylor_integrate(functools.partial(_go_taylor, _go_program(g0.theta)), y0, path, rtol=rtol)
     out = []
     for s, y in traj:
         t1, t2 = path.point(s)

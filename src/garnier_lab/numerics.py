@@ -8,13 +8,13 @@ This is the substrate every other module builds on:
   transport hop against its singular sets,
 * an adaptive Dormand-Prince 5(4) integrator for states of complex numbers,
   with exact landing on requested parameter values (:func:`ode_integrate`,
-  for the Garnier-Okamoto flow and C2's transports),
+  for C2's transports),
 * a Taylor-series driver of fixed order (:func:`taylor_integrate`) for
   analytic flows whose caller supplies the series: the same path walk and
   landing, each step sized from the last two coefficients and capped below
-  the radius of the field's own series; it serves the Schlesinger and
-  polynomial Garnier flows, and :func:`count_work` collects its steps and
-  radius ratios for reports,
+  the radius of the field's own series; it serves the Schlesinger,
+  polynomial Garnier and Garnier-Okamoto flows, and :func:`count_work`
+  collects its steps and radius ratios for reports,
 * one fixed-step driver (:func:`dp_fixed_batch`) for straight hops from one
   start: all hops advance in lockstep, each with its own step count, through
   the same Dormand-Prince step; it serves the tiny finite-difference stencil
@@ -350,7 +350,8 @@ def taylor_integrate(
 ) -> list[tuple[float, np.ndarray]]:
     """Integrate an analytic flow along a polyline path in Taylor steps of order p = ``TAYLOR_ORDER``.
 
-    Users: ``schlesinger.integrate_schlesinger`` and ``poly_garnier.integrate_pg``.
+    Users: ``schlesinger.integrate_schlesinger``, ``poly_garnier.integrate_pg`` and
+    ``garnier_okamoto.integrate_go``.
 
     ``coeffs(point, velocity, y)`` (arguments as ``field``'s in
     :func:`ode_integrate`) returns the coefficients c_0 = y, ..., c_p of the

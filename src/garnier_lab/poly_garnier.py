@@ -331,12 +331,10 @@ def u_logderiv(s: PGState) -> tuple[complex, complex]:
 # ---------------------------------------------------------------------------
 
 def _pg_field(th: ThetaPG, point, velocity, y) -> np.ndarray:
-    """d(q1, q2, p1, p2[, ln u])/ds at (t1, t2) = point as dt/ds = velocity; the field of hop_pg."""
+    """d(q1, q2, p1, p2, ln u)/ds at (t1, t2) = point as dt/ds = velocity; the field of hop_pg."""
     D0, D1, g1, g2 = _pg_values(point[0], point[1], y[0], y[1], y[2], y[3], th)
     D = np.array([D0, D1], dtype=complex)
     v = np.array(velocity, dtype=complex)
-    if len(y) == 4:
-        return v @ D
     dy = np.empty(5, dtype=complex)
     dy[:4] = v @ D
     dy[4] = v[0] * g1 + v[1] * g2

@@ -5,9 +5,15 @@ import mpmath
 import numpy as np
 import pytest
 
-from garnier_lab import garnier_okamoto
+from garnier_lab import garnier_okamoto, numerics
 from garnier_lab.acceptance import LONG_T_PATH, _seeded_b_state
-from garnier_lab.errors import ConditionIIIViolated, ConditionIVViolated, PoleEvaluation, TimeCollision
+from garnier_lab.errors import (
+    ConditionIIIViolated,
+    ConditionIVViolated,
+    PoleEvaluation,
+    SingularityApproach,
+    TimeCollision,
+)
 from garnier_lab.garnier_okamoto import (
     GOState,
     _k_value,
@@ -249,19 +255,84 @@ def test_k_and_field_raise_pole_evaluation_on_a_pole(pole, k):
             evaluate()
 
 
-def test_go_flow_field_call_count(monkeypatch):
-    # work counter: integrate_go at rtol 1e-12 from C3's seed-300 state along
-    # a tenth of the first C1 leg makes exactly 410 field calls (the count of
-    # the finite-difference field it replaced); a field that forced step
-    # rejections would change it
+def _c3_go_start(frac=0.1):
+    """C3's seed-300 state and the first ``frac`` of the first C1 leg from its times."""
     g0 = extract_go(shift_normalization(_seeded_b_state(300), "BtoQ"))
     (t1, t2), (u1, u2) = LONG_T_PATH[:2]
-    path = PathPlan([(t1, t2), (t1 + 0.1 * (u1 - t1), t2 + 0.1 * (u2 - t2))], 0.05)
-    calls = []
-    field = garnier_okamoto.go_vector_field
-    monkeypatch.setattr(garnier_okamoto, "go_vector_field", lambda g: calls.append(1) or field(g))
-    integrate_go(g0, path, rtol=1e-12)
-    assert len(calls) == 410
+    return g0, PathPlan([(t1, t2), (t1 + frac * (u1 - t1), t2 + frac * (u2 - t2))], 0.05)
+
+
+def test_go_flow_taylor_step_count():
+    # work counter: integrate_go at rtol 1e-12 from C3's seed-300 state along
+    # a tenth of the first C1 leg takes exactly 6 Taylor steps (the
+    # Dormand-Prince field took 410 calls there); a change in the step rule
+    # or the coefficients' decay would change it
+    g0, path = _c3_go_start()
+    with numerics.count_work() as work:
+        integrate_go(g0, path, rtol=1e-12)
+    assert work["taylor_steps"] == 6
+
+
+def test_go_taylor_first_coefficient_is_the_field():
+    # c_1 of the recurrence is velocity . go_vector_field at the same point,
+    # to rounding (measured <= 2.2e-15 relative over these 200 draws), and
+    # the radius is the s-distance to t_i in {0, 1} or t1 = t2
+    rng = np.random.default_rng(47)
+    for seed in range(300, 340):
+        g = extract_go(shift_normalization(_seeded_b_state(seed), "BtoQ"))
+        prog = garnier_okamoto._go_program(g.theta)
+        for _ in range(5):
+            dz = 0.05 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
+            t, v = (g.t1 + complex(dz[0]), g.t2 + complex(dz[1])), (complex(dz[2]), complex(dz[3]))
+            y = np.array([*g.lam, *g.mu]) * (1 + 0.05 * (rng.standard_normal(4) + 1j * rng.standard_normal(4)))
+            c, radius = garnier_okamoto._go_taylor(prog, t, v, y)
+            assert c.shape == (numerics.TAYLOR_ORDER + 1, 4) and np.array_equal(c[0], y)
+            vf = go_vector_field(GOState(t[0], t[1], (y[0], y[1]), (y[2], y[3]), g.theta))
+            want = np.concatenate([np.array(v) @ vf["dlam"], np.array(v) @ vf["dmu"]])
+            assert np.max(np.abs(c[1] - want)) <= 1e-14 * np.max(np.abs(want)), seed
+            w = np.array([t[0] - t[1], t[0], t[0] - 1.0, t[1], t[1] - 1.0])
+            e = np.array([v[0] - v[1], v[0], v[0], v[1], v[1]])
+            assert radius == pytest.approx(np.min(np.abs(w / e)), rel=1e-14)
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-11])
+def test_integrate_go_from_a_lambda_collision_raises_condition_iv(gap):
+    # 1e-11 relative passes K_i's own 1e-12 check; the step's 1e-10 guard catches it
+    g0, path = _c3_go_start()
+    l1 = g0.lam[0]
+    bad = GOState(g0.t1, g0.t2, lam=(l1, l1 * (1 + gap)), mu=g0.mu, theta=g0.theta)
+    with pytest.raises(ConditionIVViolated):
+        integrate_go(bad, path)
+
+
+@pytest.mark.parametrize("where", ["t1=0", "t1=1", "t2=0", "t2=1", "t1=t2"])
+def test_go_taylor_raises_time_collision(where):
+    # integrate_go's path check keeps its steps off these sets; the step keeps K_i's check
+    g = _go_state()
+    t = {"t1=0": (0j, T2), "t1=1": (1 + 0j, T2), "t2=0": (T1, 0j), "t2=1": (T1, 1 + 0j), "t1=t2": (T2, T2)}[where]
+    with pytest.raises(TimeCollision):
+        garnier_okamoto._go_taylor(garnier_okamoto._go_program(g.theta), t, (1 + 0j, 0j), np.array([*g.lam, *g.mu]))
+
+
+@pytest.mark.parametrize("pole", ["t1", "t2", "1", "0"])
+@pytest.mark.parametrize("k", [0, 1])
+def test_integrate_go_from_lambda_on_a_pole_raises_singularity_approach(pole, k):
+    # lambda_k = t_m divides by zero in the first coefficient: the driver's
+    # finiteness check raises SingularityApproach, never ZeroDivisionError,
+    # a bare ValueError or a NaN end state
+    g0, path = _c3_go_start()
+    lam = list(g0.lam)
+    lam[k] = {"t1": g0.t1, "t2": g0.t2, "1": 1.0 + 0j, "0": 0j}[pole]
+    bad = GOState(g0.t1, g0.t2, lam=tuple(lam), mu=g0.mu, theta=g0.theta)
+    with pytest.raises(SingularityApproach, match="non-finite Taylor coefficient"):
+        integrate_go(bad, path)
+
+
+@pytest.mark.parametrize("rtol", [0.0, 1.0, -1e-12, 2.0])
+def test_integrate_go_rejects_rtol_outside_the_unit_interval(rtol):
+    g0, path = _c3_go_start()
+    with pytest.raises(ValueError, match="rtol"):
+        integrate_go(g0, path, rtol=rtol)
 
 
 def test_flow_matches_schlesinger_extraction(b_state):

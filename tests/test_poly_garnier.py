@@ -207,28 +207,29 @@ def test_flow_constant_at_fixed_point():
         assert abs(getattr(end, name) - getattr(s_star, name)) < 1e-8, name
 
 
-def _old_pg_field(s0, with_lnu):
-    """integrate_pg's field before the eight right-hand sides had one body:
+def _old_pg_field(s0):
+    """integrate_pg's field with ln u before the eight right-hand sides had one body:
     a PGState per call, then pg_rhs_explicit and u_logderiv on it."""
-    n = 5 if with_lnu else 4
 
     def field(point, velocity, y):
         st = replace(s0, t1=point[0], t2=point[1], q1=y[0], q2=y[1], p1=y[2], p2=y[3])
         D = pg_rhs_explicit(st)
         v = np.array(velocity, dtype=complex)
-        dy = np.zeros(n, dtype=complex)
+        dy = np.zeros(5, dtype=complex)
         dy[:4] = v @ D
-        if with_lnu:
-            g1, g2 = u_logderiv(st)
-            dy[4] = v[0] * g1 + v[1] * g2
+        g1, g2 = u_logderiv(st)
+        dy[4] = v[0] * g1 + v[1] * g2
         return dy
 
     return field
 
 
-def _pg_field(s0):
-    """The field of hop_pg at the exponents of s0."""
-    return partial(poly_garnier._pg_field, s0.params)
+def _pg_field(s0, rows=5):
+    """The field of hop_pg at the exponents of s0; with rows=4 its (q1, q2, p1, p2) rows on a state without ln u."""
+    field = partial(poly_garnier._pg_field, s0.params)
+    if rows == 5:
+        return field
+    return lambda point, velocity, y: field(point, velocity, np.append(y, 0.0))[:4]
 
 
 def _c5_start(k=0):
@@ -237,17 +238,16 @@ def _c5_start(k=0):
     return s0, PathPlan([(s0.t1, s0.t2), (s0.t1 + 0.10 + 0.16j, s0.t2 - 0.08 - 0.12j)], 0.04)
 
 
-@pytest.mark.parametrize("with_lnu", [False, True], ids=["no_lnu", "lnu"])
-def test_pg_field_matches_old_field(with_lnu):
+def test_pg_field_matches_old_field():
     rng = np.random.default_rng(41)
     for k in range(4):
         s0, _path = _c5_start(k)
-        field, old = _pg_field(s0), _old_pg_field(s0, with_lnu)
+        field, old = _pg_field(s0), _old_pg_field(s0)
         for _ in range(6):
             dz = 0.1 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
             point = (s0.t1 + complex(dz[0]), s0.t2 + complex(dz[1]))
             velocity = (complex(dz[2]), complex(dz[3]))
-            y = np.array([s0.q1, s0.q2, s0.p1, s0.p2, 0.3 - 0.1j][: 5 if with_lnu else 4], dtype=complex)
+            y = np.array([s0.q1, s0.q2, s0.p1, s0.p2, 0.3 - 0.1j], dtype=complex)
             y += 0.2 * (rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size))
             assert np.array_equal(field(point, velocity, y), old(point, velocity, y))
 
@@ -259,7 +259,7 @@ def test_integrate_pg_matches_old_field_on_c5_path():
     s0, path = _c5_start()
     got = integrate_pg(s0, path, samples=[0.5], with_lnu=True)
     y0 = np.array([s0.q1, s0.q2, s0.p1, s0.p2, 0.0], dtype=complex)
-    ref = ode_integrate(_old_pg_field(s0, True), y0, path, rtol=1e-13, samples=[0.5])
+    ref = ode_integrate(_old_pg_field(s0), y0, path, rtol=1e-13, samples=[0.5])
     assert len(got) == len(ref) == 3
     for (s, st, lnu), (s_ref, y) in zip(got, ref):
         assert s == s_ref
@@ -276,7 +276,7 @@ def test_hop_pg_matches_rows_alone_and_old_field_loop():
         t0 = np.array([st.t1, st.t2])
         t_news = [(st.t1 + m * scheme.scaled_step(st.t1), st.t2) for m in mults]
         t_news += [(st.t1, st.t2 + m * scheme.scaled_step(st.t2)) for m in mults]
-        old = _old_pg_field(st, True)
+        old = _old_pg_field(st)
         y0 = np.array([st.q1, st.q2, st.p1, st.p2, 0.0], dtype=complex)
         for t_new, (st1, dlnu) in zip(t_news, hop_pg(st, t_news, 24, 0.005)):
             assert (st1.t1, st1.t2) == t_new
@@ -317,7 +317,8 @@ def test_pg_taylor_coefficients_match_pg_field(with_lnu):
     scheme = FDScheme(order=4, step=1e-3, richardson=True)
     for k in range(4):
         s0, _path = _c5_start(k)
-        taylor, field = partial(poly_garnier._pg_taylor, poly_garnier._pg_table(s0.params)), _pg_field(s0)
+        taylor = partial(poly_garnier._pg_taylor, poly_garnier._pg_table(s0.params))
+        field = _pg_field(s0, 5 if with_lnu else 4)
         for _ in range(4):
             dz = 0.05 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
             t, v = np.array([s0.t1 + dz[0], s0.t2 + dz[1]]), dz[2:]

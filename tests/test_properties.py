@@ -1,6 +1,6 @@
 """Property tests over random inputs: space-variable map, quadratic roots, logs continued
 along cleared chords, seeded Schlesinger data, the coordinate bridge, the adaptive Phi kernel and
-the Taylor steps of the Schlesinger and polynomial Garnier flows."""
+the Taylor steps of the Schlesinger, polynomial Garnier and Garnier-Okamoto flows."""
 
 import cmath
 import math
@@ -10,7 +10,8 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from garnier_lab.errors import PathViolation
+from garnier_lab.errors import GarnierLabError, PathViolation
+from garnier_lab.garnier_okamoto import GOState, go_vector_field, integrate_go
 from garnier_lab.numerics import PathPlan, check_clearance, linear_adaptive, ode_integrate, quad_roots
 from garnier_lab.poly_garnier import (
     PGState,
@@ -218,3 +219,44 @@ def test_pg_taylor_flow_matches_dp5_reference(t1, t2, qp, thetas, d1, d2):
     got = np.array([end.q1, end.q2, end.p1, end.p2, ln_u])
     # measured: <= 5.6e-13 over 440 such draws, median 5e-14
     assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
+_LAMBDA = _complex(-0.5, 1.5, -0.5, 0.5)
+_MU = _complex(-4.0, 4.0, -4.0, 4.0)
+_SHORT_HOP = _complex(-0.05, 0.05, -0.05, 0.05)
+
+
+# 20 examples: the reference takes up to ~0.9 s per example, the Taylor side ~0.05 s
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(_TIME, _TIME, st.lists(_LAMBDA, min_size=2, max_size=2), st.lists(_MU, min_size=2, max_size=2),
+       st.lists(_THETA, min_size=4, max_size=4), _COEF, _SHORT_HOP, _SHORT_HOP)
+def test_go_taylor_flow_matches_dp5_reference(t1, t2, lam, mu, thetas, k_inf, d1, d2):
+    # random (lambda, mu) and exponents on a short chord clear of the fixed
+    # singular sets, lambda_1, lambda_2 and the poles apart; reference:
+    # ode_integrate over go_vector_field at rtol 1e-12
+    assume(abs(d1) + abs(d2) > 1e-3)
+    assume(abs(lam[0] - lam[1]) > 0.05 and min(abs(lk - t) for lk in lam for t in (t1, t2, 1.0, 0.0)) > 0.05)
+    path = PathPlan([(t1, t2), (t1 + d1, t2 + d2)], 0.05)
+    try:
+        path.validate_against(time_constraints())
+    except PathViolation:
+        assume(False)
+    g0 = GOState(t1, t2, tuple(lam), tuple(mu), ThetaGO(tuple(thetas), k_inf))
+
+    def field(point, velocity, y):
+        vf = go_vector_field(GOState(point[0], point[1], (y[0], y[1]), (y[2], y[3]), g0.theta))
+        return np.concatenate([np.array(velocity) @ vf["dlam"], np.array(velocity) @ vf["dmu"]])
+
+    y0 = np.array([*lam, *mu], dtype=complex)
+    try:
+        traj = ode_integrate(field, y0, path, rtol=1e-12, samples=[k / 8 for k in range(1, 8)])
+    except GarnierLabError:  # the reference ran into a movable singularity
+        assume(False)
+    # the flow has movable poles: compare where it stays within 10x of its start
+    assume(max(np.max(np.abs(y)) for _s, y in traj) <= 10 * np.max(np.abs(y0)))
+    ref = traj[-1][1]
+    end = integrate_go(g0, path, rtol=1e-12)[-1][1]
+    got = np.array([*end.lam, *end.mu])
+    # measured: <= 2.4e-12 over these 20 draws, median 1.7e-13; <= 4.1e-11 with |mu| to 10
+    # and hops to 0.1 (40 draws)
+    assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
