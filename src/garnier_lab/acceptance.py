@@ -122,11 +122,10 @@ def _seeded_b_state(seed: int) -> SchlesingerState:
     return gen_schlesinger_b(_random_theta4(rng), seed=seed + 1, t1=BASE_T1, t2=BASE_T2)
 
 
-def _moved(frame: Frame, d: int, tds) -> list[tuple[TNode, SchlesingerState]]:
-    """The frame's base (TNode, B-state) moved by one ``Frame.shift_t`` call to t_{d+1} = td for each td."""
-    t_news = [np.where(np.arange(4) == d, td, frame.base_tnode.t) for td in tds]
+def _moved(frame: Frame, d: int, offsets) -> list[tuple[TNode, SchlesingerState]]:
+    """The frame's base (TNode, B-state) moved by one ``Frame.shift_t`` call to t_{d+1} + m for each offset m."""
     return [(tn, SchlesingerState(tn.t[0], tn.t[1], tn.A, "B", frame.theta))
-            for tn, _nodes in frame.shift_t(frame.base_tnode, [], t_news)]
+            for tn, _nodes in frame.shift_t(frame.base_tnode, [], d, offsets)]
 
 
 # ---------------------------------------------------------------------------
@@ -167,17 +166,19 @@ def criterion_1(n_states: int = 20, rtol: float = 1e-12, tol: float = 1e-9, seed
 # ---------------------------------------------------------------------------
 
 def criterion_2(n_frames: int = 5, tol: float = 1e-8, seed0: int = 200):
+    """Zero-curvature loops in (x, t_i); the metrics carry the Taylor work of the time legs, as in C1."""
     worst = 0.0
-    for k in range(n_frames):
-        frame = Frame(_seeded_b_state(seed0 + k), base_x=BASE_X)
-        for t_index, dt in ((0, 0.15 + 0.1j), (1, -0.12 + 0.14j)):
-            err = zero_curvature_loop(frame, (0.35 + 1.0j, 0.95 + 1.35j), t_index, dt)
-            worst = max(worst, err)
+    with count_work() as work:
+        for k in range(n_frames):
+            frame = Frame(_seeded_b_state(seed0 + k), base_x=BASE_X)
+            for t_index, dt in ((0, 0.15 + 0.1j), (1, -0.12 + 0.14j)):
+                err = zero_curvature_loop(frame, (0.35 + 1.0j, 0.95 + 1.35j), t_index, dt)
+                worst = max(worst, err)
     return CheckResult(
         criterion="C2",
         passed=worst <= tol,
         detail=f"max ||Phi_loop - I|| = {worst:.3e} over {n_frames} frames x2 loops (tol {tol:.0e})",
-        metrics={"max_loop_defect": worst},
+        metrics={"max_loop_defect": worst, **work},
     )
 
 
@@ -193,11 +194,12 @@ def criterion_3(n_states: int = 5, tol: float = 1e-6, seed0: int = 300):
         g0 = extract_go(shift_normalization(frame.state, "BtoQ"))
         vf = go_vector_field(g0)
         for d in (0, 1):
+            t_d = (frame.state.t1, frame.state.t2)[d]
 
             def lam_mu_at(tds):
                 """[lambda, mu] of the state flowed in B form, then shifted to Q, with t_{d+1} moved to each td."""
                 out = []
-                for _tn, st in _moved(frame, d, tds):
+                for _tn, st in _moved(frame, d, [td - t_d for td in tds]):
                     g = extract_go(shift_normalization(st, "BtoQ"))
                     lam, mu = list(g.lam), list(g.mu)
                     if abs(lam[0] - g0.lam[0]) > abs(lam[1] - g0.lam[0]):
@@ -206,7 +208,7 @@ def criterion_3(n_states: int = 5, tol: float = 1e-6, seed0: int = 300):
                     out.append(np.array([lam, mu]))
                 return out
 
-            dlam, dmu = fd_derivative(lam_mu_at, (frame.state.t1, frame.state.t2)[d], scheme)
+            dlam, dmu = fd_derivative(lam_mu_at, t_d, scheme)
             scale = max(np.max(np.abs(dlam)), np.max(np.abs(dmu)))
             err = max(
                 float(np.max(np.abs(dlam - vf["dlam"][d]))),
@@ -298,8 +300,8 @@ def criterion_5(n_traj: int = 5, tol: float = 1e-6, eig_tol: float = 1e-10, seed
 
                     def s_matrices_at(tds):
                         """S_xi of the flowed state with t_{d+1} moved to each td."""
-                        t_news = [(td, st.t2) if d == 0 else (st.t1, td) for td in tds]
-                        return [_s_matrices_of(st2, lnu + dlnu) for st2, dlnu in hop_pg(st, t_news, 24, 0.005)]
+                        hops = hop_pg(st, d, [td - tvec[d] for td in tds], 0.005)
+                        return [_s_matrices_of(st2, lnu + dlnu) for st2, dlnu in hops]
 
                     dS = fd_derivative(s_matrices_at, tvec[d], scheme)
                     v = np.zeros(4, dtype=complex)
@@ -539,7 +541,7 @@ def criterion_10(
 
         def q_p_at(oms):
             """[Q, P] of the flow moved along t1 to each omega = om."""
-            hops = hop_pg(st, [(omega_to_t1(om, st.t2), st.t2) for om in oms], 16, 1e-7)
+            hops = hop_pg(st, 0, [omega_to_t1(om, st.t2) - st.t1 for om in oms], 1e-7)
             return [np.array([pvm.Q, pvm.P]) for pvm in (pvi_reduce(st2, tol=1e-5) for st2, _dlnu in hops)]
 
         dQ, dP = fd_derivative(q_p_at, pv.omega, scheme)
@@ -573,7 +575,7 @@ def criterion_11(closed_tol: float = 1e-6, s_tol: float = 1e-9, seed0: int = 110
     d_lnd = []  # d/dt_{i+1} of (d ln tau/dt1, d ln tau/dt2), from the same moves as the gauge exponent
     for i in (0, 1):
         h = scheme.scaled_step(t[i])
-        moved = _moved(frame, i, [t[i] + m * h for m in mults])
+        moved = _moved(frame, i, [m * h for m in mults])
         lnd = {m: np.array(tau_logderiv(st)) for m, (_tn, st) in zip(mults, moved)}
         d_lnd.append(combine_stencil(lnd, h, scheme, 1))
         # gauge exponent: finite difference of the closed form vs the stated sum

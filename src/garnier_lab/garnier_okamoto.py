@@ -36,7 +36,7 @@ from .errors import (
 )
 from .numerics import DEFAULT_RTOL, TAYLOR_ORDER, PathPlan, quad_roots, taylor_integrate
 from .numerics import ode_integrate  # noqa: F401 - unused here; perfbench's tracer wraps every module's copy
-from .schlesinger import T3, T4, SchlesingerState, ThetaGO, time_constraints
+from .schlesinger import T3, T4, SchlesingerState, ThetaGO, check_time_path
 
 __all__ = [
     "GOState",
@@ -490,11 +490,9 @@ def integrate_go(
     ``rtol``, in (0, 1), bounds each step's truncation error as in
     ``numerics.taylor_integrate``, which raises SingularityApproach, with
     the (t1, t2) where it stopped, on a non-finite coefficient: a state
-    that runs into a movable pole, lambda_k = t_m.
+    that runs into a movable pole, lambda_k = t_m. The path must start at the state's (t1, t2).
     """
-    if path.dim != 2:
-        raise ValueError("expected a (t1, t2) path")
-    path.validate_against(time_constraints())
+    check_time_path(path, g0.t1, g0.t2)
     y0 = np.array([*g0.lam, *g0.mu], dtype=complex)
     traj = taylor_integrate(functools.partial(_go_taylor, _go_program(g0.theta)), y0, path, rtol=rtol)
     out = []

@@ -7,20 +7,14 @@ This is the substrate every other module builds on:
   affine values (:func:`check_clearance`), which decides every path and
   transport hop against its singular sets,
 * an adaptive Dormand-Prince 5(4) integrator for states of complex numbers,
-  with exact landing on requested parameter values (:func:`ode_integrate`,
-  for C2's transports),
+  with exact landing on requested parameter values (:func:`ode_integrate`),
 * a Taylor-series driver of fixed order (:func:`taylor_integrate`) for
   analytic flows whose caller supplies the series: the same path walk and
   landing, each step sized from the last two coefficients and capped below
-  the radius of the field's own series; it serves the Schlesinger,
-  polynomial Garnier and Garnier-Okamoto flows, and :func:`count_work`
-  collects its steps and radius ratios for reports,
-* one fixed-step driver (:func:`dp_fixed_batch`) for straight hops from one
-  start: all hops advance in lockstep, each with its own step count, through
-  the same Dormand-Prince step; it serves the tiny finite-difference stencil
-  hops in time, where a deterministic step sequence keeps the integration
-  error a smooth function of the endpoint,
-* the same two schemes for linear systems y' = v * C(s) y, to rounding:
+  the radius of the field's own series; it serves every move in time, and
+  :func:`count_work` collects its steps and radius ratios for reports; its
+  stencil form (:func:`taylor_stencil`) sums one series at every offset,
+* the Dormand-Prince scheme for the linear system of Phi in x, y' = v C(s) y:
   :func:`linear_adaptive` (2x2, the same steps on Python complex scalars) and
   :func:`linear_fixed_batch` (the products of the step propagators of every
   step of every row, formed stage by stage),
@@ -65,7 +59,7 @@ __all__ = [
     "ode_integrate",
     "taylor_integrate",
     "count_work",
-    "dp_fixed_batch",
+    "taylor_stencil",
     "linear_adaptive",
     "linear_fixed_batch",
     "FDScheme",
@@ -350,19 +344,16 @@ def taylor_integrate(
 ) -> list[tuple[float, np.ndarray]]:
     """Integrate an analytic flow along a polyline path in Taylor steps of order p = ``TAYLOR_ORDER``.
 
-    Users: ``schlesinger.integrate_schlesinger``, ``poly_garnier.integrate_pg`` and
-    ``garnier_okamoto.integrate_go``.
+    Users: ``schlesinger.integrate_schlesinger``, ``poly_garnier.integrate_pg``,
+    ``garnier_okamoto.integrate_go`` and ``quantization.Frame.shift_t_adaptive``.
 
     ``coeffs(point, velocity, y)`` (arguments as ``field``'s in
     :func:`ode_integrate`) returns the coefficients c_0 = y, ..., c_p of the
     solution through y in powers of s along ``velocity``, shape (p + 1, d),
     and the s-distance from ``point`` to the field's nearest fixed singular
-    set, the radius of its own series. Step (Jorba-Zou): h = min over
-    k = p - 1, p of (tol/|c_k|)^(1/k), tol = DEFAULT_ATOL + rtol * max|y|,
-    capped at ``_TAYLOR_REACH`` of that radius and landing exactly on corners
-    and ``samples``; y(s + h) is the Horner sum. Within :func:`count_work`
-    the call adds its steps and the smallest ratio of the coefficient-decay
-    radius, min over the same k of (|c_0|/|c_k|)^(1/k), to the field's radius.
+    set, the radius of its own series. Each step is :func:`_taylor_step`'s,
+    landing exactly on corners and ``samples``; y(s + h) is :func:`_horner`'s
+    sum. Within :func:`count_work` the call adds its steps and smallest ratio.
 
     Returns [(s, y(s))] at s = 0, each sample, and s = 1. Raises
     SingularityApproach on a non-finite coefficient or sum, a step underflow,
@@ -370,7 +361,6 @@ def taylor_integrate(
     """
     if not 0.0 < rtol < 1.0:  # tol past max|y| would step past the series' radius
         raise ValueError("rtol must lie in (0, 1)")
-    p = TAYLOR_ORDER
     y = np.asarray(y0, dtype=complex).ravel().copy()
     out: list[tuple[float, np.ndarray]] = [(0.0, y.copy())]
     want, checkpoints = _checkpoints(path, samples)
@@ -381,22 +371,15 @@ def taylor_integrate(
             pt = path.point(s)
             with np.errstate(all="ignore"):
                 c, radius = coeffs(pt[0], vel[0], y) if path.scalar else coeffs(pt, vel, y)
-                norm = np.max(np.abs(c), axis=1)
-                if not np.all(np.isfinite(norm)):
-                    raise SingularityApproach("non-finite Taylor coefficient", location=pt)
-                tail, root = norm[p - 1 :], 1.0 / np.arange(p - 1, p + 1)
-                h = float(np.min(((DEFAULT_ATOL + rtol * norm[0]) / tail) ** root))
-                ratio = min(ratio, float(np.min((norm[0] / tail) ** root)) / radius)
-            h = min(h, _TAYLOR_REACH * radius, s_target - s)
+            h, step_ratio = _taylor_step(c, radius, rtol, pt)
+            h, ratio = min(h, s_target - s), min(ratio, step_ratio)
             if not h >= 1e-14:
                 raise SingularityApproach("step size underflow during path integration", location=pt)
             n_steps += 1
             if n_steps > MAX_STEPS:
                 raise SingularityApproach("step budget exhausted", location=pt)
             with np.errstate(all="ignore"):
-                y = c[p]
-                for ck in c[p - 1 :: -1]:
-                    y = y * h + ck
+                y = _horner(c, h)
             if not np.all(np.isfinite(y)):
                 raise SingularityApproach("non-finite Taylor sum", location=pt)
             s = s_target if h == s_target - s else s + h
@@ -407,6 +390,54 @@ def taylor_integrate(
         work["taylor_steps"] += n_steps
         work["min_radius_ratio"] = min(work["min_radius_ratio"], ratio)
     return out
+
+
+def taylor_stencil(coeffs: Callable, y0, point, velocity, offsets) -> np.ndarray:
+    """y(s), shape (len(offsets), d), at every offset s of the series ``coeffs(point, velocity, y0)``.
+
+    Users: ``quantization.Frame.shift_t`` and ``poly_garnier.hop_pg``. An |s| past the step
+    :func:`taylor_integrate` would take there at the default rtol raises SingularityApproach,
+    naming the first such stencil point point + s velocity, before any state is returned.
+    """
+    offsets = np.asarray(offsets, dtype=complex)
+    with np.errstate(all="ignore"):
+        c, radius = coeffs(point, velocity, np.asarray(y0, dtype=complex))
+    h = _taylor_step(c, radius, DEFAULT_RTOL, tuple(point))[0]
+    far = offsets[~(np.abs(offsets) <= h)]
+    if far.size:
+        where = tuple(complex(a + far[0] * v) for a, v in zip(point, velocity))
+        raise SingularityApproach(f"stencil offset {abs(far[0]):.3e} past the Taylor step {h:.3e}", location=where)
+    with np.errstate(all="ignore"):
+        y = _horner(c, offsets[:, None])
+    if not np.all(np.isfinite(y)):
+        raise SingularityApproach("non-finite Taylor sum", location=tuple(point))
+    return y
+
+
+def _taylor_step(c: np.ndarray, radius: float, rtol: float, where) -> tuple[float, float]:
+    """The Jorba-Zou step of the coefficients c_0..c_p, capped at ``_TAYLOR_REACH`` of ``radius``, and its radius ratio.
+
+    h = min over k = p - 1, p of (tol/|c_k|)^(1/k), tol = DEFAULT_ATOL + rtol * max|c_0| (inf on an
+    all-zero tail, and the cap decides); the ratio is min over the same k of (|c_0|/|c_k|)^(1/k),
+    over ``radius``. A non-finite coefficient raises SingularityApproach at ``where``.
+    """
+    p = len(c) - 1
+    with np.errstate(all="ignore"):
+        norm = np.max(np.abs(c), axis=1)
+        if not np.all(np.isfinite(norm)):
+            raise SingularityApproach("non-finite Taylor coefficient", location=where)
+        tail, root = norm[p - 1 :], 1.0 / np.arange(p - 1, p + 1)
+        h = float(np.min(((DEFAULT_ATOL + rtol * norm[0]) / tail) ** root))
+        ratio = float(np.min((norm[0] / tail) ** root)) / radius
+    return min(h, _TAYLOR_REACH * radius), ratio
+
+
+def _horner(c: np.ndarray, h):
+    """sum_k c_k h^k by Horner's rule; h a scalar or a column of offsets."""
+    y = c[-1]
+    for ck in c[-2::-1]:
+        y = y * h + ck
+    return y
 
 
 @contextmanager
@@ -451,38 +482,6 @@ def _advance(step, s, s_end, y, k1, h, n_steps, where):
         else:
             h *= max(0.2, 0.9 * en ** -0.2)
     return s, y, h, n_steps
-
-
-def dp_fixed_batch(field: Callable, y0, t0, t1, n_steps) -> np.ndarray:
-    """End states of B straight hops dy/ds = field(t, v, y), t = t0 + s v, v = t1[k] - t0, s in [0, 1].
-
-    The one fixed-step driver. Row k starts from ``y0`` and ``t0`` (both
-    broadcast over the rows), ends at ``t1[k]`` and takes ``n_steps[k]`` >= 1
-    equal Dormand-Prince steps, with its own FSAL stage; all rows advance in
-    lockstep and a row retires, unchanged from then on, once its count is
-    spent. ``field`` receives the points t and velocities v of the live rows
-    and their states y, each with a leading row axis, and returns dy/ds in
-    y's shape. Rows run in the order of descending step count, so the live
-    rows are a prefix slice. Returns the (B, d) end states.
-
-    Users: ``quantization.Frame.shift_t`` and ``poly_garnier.hop_pg``.
-    """
-    n = np.asarray(n_steps, dtype=int)
-    order = np.array(sorted(range(len(n)), key=lambda k: -n[k]), dtype=int)  # stable
-    n = n[order]
-    t0 = np.asarray(t0, dtype=complex)
-    v = (np.asarray(t1, dtype=complex) - t0)[order]
-    y = np.broadcast_to(np.asarray(y0, dtype=complex), (len(n), np.shape(y0)[-1]))[order]
-    h = 1.0 / n[:, None]
-    k1 = field(t0 + 0.0 * v, v, y)
-    for i in range(int(n.max(initial=0))):
-        live = int(np.count_nonzero(n > i))
-        vl, hl, s0 = v[:live], h[:live], i * h[:live]
-        y[:live], k = _dp_step(lambda j, yv: field(t0 + (s0 + _DP_C[j] * hl) * vl, vl, yv), y[:live], hl, k1[:live])
-        k1[:live] = k[6]
-    out = np.empty_like(y)
-    out[order] = y
-    return out
 
 
 def linear_adaptive(coef: Callable, v: complex, y0) -> np.ndarray:
@@ -539,7 +538,7 @@ _PAIR_BLOCK = 384  # (row, step) pairs per block of linear_fixed_batch
 def linear_fixed_batch(coef: Callable, v, y0, n_steps) -> np.ndarray:
     """End states of B linear systems dy/ds = v[k] * coef(s) @ y[k], y (B, m, m), v (B, 1, 1), in fixed steps.
 
-    :func:`dp_fixed_batch`'s scheme and stage points as propagators: a step h
+    The Dormand-Prince scheme in n equal steps per row, as propagators: a step h
     from s maps y to P y, P = I + h sum_j b_j K_j, K_j = v M(s + c_j h)(I + h
     sum_l a_jl K_l). The P of all (row, step) pairs are formed stage by stage
     in blocks of at most ``_PAIR_BLOCK`` pairs (or one step), so that scratch

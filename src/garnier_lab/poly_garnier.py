@@ -8,13 +8,13 @@ locus q1 + q2 = 1.
 
 The eight right-hand sides and both gauge-log derivatives live in one body,
 ``_pg_flows``, in plain arithmetic. On numbers it serves pg_rhs_explicit,
-raw_rhs_pair, u_logderiv and the field of the fixed-step stencil hops of
-hop_pg, which build no PGState per evaluation. Run once per process on
-sparse polynomials (``_pg_trace``, at the first Taylor step), it gives the
-table of monomials from which ``_pg_taylor`` forms the Taylor coefficients
-of the flow on a straight chord; integrate_pg walks its paths on those
-coefficients with ``numerics.taylor_integrate``, and no path of the flow
-runs on Dormand-Prince steps.
+raw_rhs_pair and u_logderiv. Run once per process on sparse polynomials
+(``_pg_trace``, at the first Taylor step), it gives the table of monomials
+from which ``_pg_taylor`` forms the Taylor coefficients of the flow on a
+straight chord; integrate_pg walks its paths on those coefficients with
+``numerics.taylor_integrate``, and hop_pg sums one series at every offset
+of a stencil (``numerics.taylor_stencil``), so no move of the flow runs on
+Dormand-Prince steps.
 
 Index convention: formulas are written for the pair (i, n) where n is the
 other index; the t2-flow equations are the literal transcriptions, which
@@ -37,9 +37,9 @@ from .errors import (
     TimeCollision,
     ZeroGauge,
 )
-from .numerics import DEFAULT_RTOL, TAYLOR_ORDER, PathPlan, dp_fixed_batch, quad_roots, taylor_integrate
+from .numerics import DEFAULT_RTOL, TAYLOR_ORDER, PathPlan, quad_roots, taylor_integrate, taylor_stencil
 from .numerics import ode_integrate  # noqa: F401 - unused here; perfbench's tracer wraps every module's copy
-from .schlesinger import SchlesingerState, ThetaGO, time_constraints
+from .schlesinger import SchlesingerState, ThetaGO, check_time_path, time_constraints
 
 __all__ = [
     "ThetaPG",
@@ -206,8 +206,8 @@ def _pg_flows(t1, t2, q1, q2, p1, p2, th: ThetaPG):
     are kept as two transcriptions because they coincide identically. The
     one place the formulas are written: pure arithmetic (+, -, *, integer
     powers and division by t1 - t2) that does not check its times, so the
-    same body runs on numbers, for pg_rhs_explicit, raw_rhs_pair, u_logderiv
-    and the field of hop_pg, and on the polynomials of :func:`_pg_trace`.
+    same body runs on numbers, for pg_rhs_explicit, raw_rhs_pair and
+    u_logderiv, and on the polynomials of :func:`_pg_trace`.
     """
     a1, a2 = th.tht1, th.tht2
     th0, b1, b2 = th.th0, th.th1, th.thinf2
@@ -329,17 +329,6 @@ def u_logderiv(s: PGState) -> tuple[complex, complex]:
 # ---------------------------------------------------------------------------
 # flow integration (optionally carrying ln u)
 # ---------------------------------------------------------------------------
-
-def _pg_field(th: ThetaPG, point, velocity, y) -> np.ndarray:
-    """d(q1, q2, p1, p2, ln u)/ds at (t1, t2) = point as dt/ds = velocity; the field of hop_pg."""
-    D0, D1, g1, g2 = _pg_values(point[0], point[1], y[0], y[1], y[2], y[3], th)
-    D = np.array([D0, D1], dtype=complex)
-    v = np.array(velocity, dtype=complex)
-    dy = np.empty(5, dtype=complex)
-    dy[:4] = v @ D
-    dy[4] = v[0] * g1 + v[1] * g2
-    return dy
-
 
 # the variables of _pg_trace: t1, t2, w = 1/(t1 - t2), z1 = 1/(t1(t1 - 1)), z2 = 1/(t2(t2 - 1)),
 # q1, q2, p1, p2 and the exponents th0, th1, tht1, tht2, thinf2
@@ -533,12 +522,7 @@ def integrate_pg(
     ``numerics.taylor_integrate``, which raises SingularityApproach, with
     the (t1, t2) where it stopped, on a state that runs into a movable pole.
     """
-    if path.dim != 2:
-        raise ValueError("expected a (t1, t2) path")
-    p0 = path.points[0]
-    if abs(p0[0] - s0.t1) + abs(p0[1] - s0.t2) > 1e-12:
-        raise ValueError("path must start at the state's (t1, t2)")
-    path.validate_against(time_constraints())
+    check_time_path(path, s0.t1, s0.t2)
     y0 = np.array([s0.q1, s0.q2, s0.p1, s0.p2] + ([0.0] if with_lnu else []), dtype=complex)
     traj = taylor_integrate(partial(_pg_taylor, _pg_table(s0.params)), y0, path, rtol=rtol, samples=samples)
     out = []
@@ -552,24 +536,20 @@ def integrate_pg(
     return out
 
 
-def hop_pg(s0: PGState, t_news: Sequence, n_steps: int, radius: float) -> list[tuple[PGState, complex]]:
-    """The flow from s0 along the straight hop to every (t1, t2) of t_news, in ``n_steps`` fixed steps each.
+def hop_pg(s0: PGState, d: int, offsets: Sequence[complex], radius: float) -> list[tuple[PGState, complex]]:
+    """(state, ln u gained) of the flow from s0 with t_{d+1} moved to t_{d+1} + m, for every offset m.
 
-    Every hop is checked as a one-segment path against :func:`time_constraints`
-    at ``radius`` before anything is integrated; then all hops run in
-    lockstep through ``dp_fixed_batch`` on :func:`_pg_field`, row by row:
-    a fixed step sequence keeps the stencil's integration error a smooth
-    function of the endpoint.
-    Returns (state at t_new, ln u gained along the hop) per hop, in order.
+    Every hop is checked as a one-segment path against :func:`time_constraints` at ``radius`` before
+    any coefficient is formed; then one :func:`_pg_taylor` series with ln u along e_d is summed at each
+    moved time less the start's, so each state sits exactly at its times (``numerics.taylor_stencil``).
     """
-    t0, t1 = np.array([s0.t1, s0.t2], dtype=complex), np.array(t_news, dtype=complex).reshape(-1, 2)
+    t0 = np.array([s0.t1, s0.t2], dtype=complex)
+    t1 = np.repeat(t0[None], len(offsets), axis=0)
+    t1[:, d] += offsets
     for t_new in t1:
         PathPlan([tuple(t0), tuple(t_new)], radius).validate_against(time_constraints())
-
-    def field(t, v, y):
-        return np.array([_pg_field(s0.params, tk, vk, yk) for tk, vk, yk in zip(t.tolist(), v, y)])
-
-    y1 = dp_fixed_batch(field, [s0.q1, s0.q2, s0.p1, s0.p2, 0.0], t0, t1, [n_steps] * len(t1))
+    coeffs, y0 = partial(_pg_taylor, _pg_table(s0.params)), [s0.q1, s0.q2, s0.p1, s0.p2, 0.0]
+    y1 = taylor_stencil(coeffs, y0, tuple(t0), tuple(np.eye(2)[d]), t1[:, d] - t0[d])  # each state at its stored times
     return [(replace(s0, t1=a, t2=b, q1=y[0], q2=y[1], p1=y[2], p2=y[3]), complex(y[4]))
             for (a, b), y in zip(t1.tolist(), y1)]
 

@@ -20,17 +20,16 @@ engines:
   of the shifted wavefunction, with its apparent singularities.
 
 Phi moves in x by the linear kernels of :mod:`numerics`, on M(x) =
-sum_i A_i/(x - t_i) (one body, ``_pole_matrix``). Derivatives are central
-finite differences with shared stencils. All spatial stencil hops of one
-grid point are integrated in one batched solve (:meth:`Frame.phi_nodes`:
-the Dormand-Prince step propagators of every hop at once), and so
-are all its time hops, which move the whole bundle (A, ln tau, Phi at the
-attached points) to every shifted time tuple (:meth:`Frame.shift_t`, on the
-one fixed-step driver ``dp_fixed_batch``; C3 and C11 move bare B-states
-through it too). Each hop takes a fixed (deterministic) step count so the
-integration error stays a smooth function of the endpoint and does not
-pollute second differences. Long time paths use the adaptive
-:meth:`Frame.shift_t_adaptive`.
+sum_i A_i/(x - t_i) (one body, ``_pole_matrix``): adaptive Dormand-Prince
+steps for the base transports, and one batched fixed-step solve for all
+spatial stencil hops of a grid point (:meth:`Frame.phi_nodes`), whose error
+stays a smooth function of the endpoint. Every move in time runs on Taylor
+coefficients of the whole bundle (A, ln tau, Phi at the attached points): a
+time stencil moves along one axis e_d, so one series per direction, summed
+at each offset, serves all its hops (:meth:`Frame.shift_t`; C3 and C11 move
+bare B-states through it too), and long time paths take Taylor steps on the
+same series (:meth:`Frame.shift_t_adaptive`). Derivatives are central
+finite differences with shared stencils.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -56,15 +56,17 @@ from .numerics import (
     check_clearance,
     combine_stencil,
     det2,
-    dp_fixed_batch,
     inv2,
     linear_adaptive,
     linear_fixed_batch,
-    ode_integrate,
     quad_roots,
     stencil_multipliers,
+    taylor_integrate,
+    taylor_stencil,
 )
-from .schlesinger import SchlesingerState, ThetaGO, flow_derivative, shift_normalization
+from .numerics import ode_integrate  # noqa: F401 - unused here; perfbench's tracer wraps every module's copy
+from .schlesinger import SchlesingerState, ThetaGO, _flow_taylor, shift_normalization
+from .schlesinger import flow_derivative  # noqa: F401 - unused here; perfbench's tracer counts this module's copy
 
 __all__ = [
     "AlphaBeta",
@@ -98,7 +100,7 @@ QPG_FD = FDScheme(order=4, step=5e-4, richardson=True)
 # diagonal guard; a time hop keeps a quarter of it from its singular sets
 EXCLUSION = 0.04
 
-# length of one fixed Dormand-Prince step of a stencil hop
+# length of one fixed Dormand-Prince step of a spatial stencil hop (Phi in x)
 STENCIL_STEP_LENGTH = 5e-4
 
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -281,7 +283,7 @@ def _report(equation_id, points, rows, scheme) -> ResidualReport:
 
 
 def _nsteps(length: float) -> int:
-    """Fixed-step count of a stencil hop of the given length."""
+    """Fixed-step count of a spatial stencil hop of the given length."""
     return max(6, int(math.ceil(length / STENCIL_STEP_LENGTH)))
 
 
@@ -326,13 +328,12 @@ class Frame:
         x: complex,
         tnode: TNode | None = None,
         anchor: PhiNode | None = None,
-        cache: bool = True,
     ) -> PhiNode:
         """Transport Phi (and the gauge logs) to x along a straight segment.
 
         The segment is checked against the x = t_i exclusion discs, and the
         gauge logs gain the principal log((x - t_i)/(anchor.x - t_i)): the
-        exact continuation along a chord that misses every x = t_i.
+        exact continuation along a chord that misses every x = t_i. Cached: base-time nodes from the base node.
         """
         x = complex(x)
         base_time = tnode is None
@@ -340,7 +341,8 @@ class Frame:
         anchor = anchor or (self.base_node if base_time else None)
         if anchor is None:
             raise ValueError("an anchor node is required away from the base time")
-        if base_time and cache and x in self._phi_cache:
+        cache = base_time and anchor is self.base_node
+        if cache and x in self._phi_cache:
             return self._phi_cache[x]
         if x == anchor.x:
             return anchor
@@ -349,7 +351,7 @@ class Frame:
         x0, dx = anchor.x, x - anchor.x
         phi = linear_adaptive(lambda s: _pole_matrix(x0 + s * dx, tnode.t, tnode.A), dx, anchor.phi)
         node = PhiNode(x=x, t=tnode.t.copy(), phi=phi, logs=anchor.logs + np.log(w1 / w0))
-        if base_time and cache:
+        if cache:
             self._phi_cache[x] = node
         return node
 
@@ -391,24 +393,23 @@ class Frame:
         self,
         tnode: TNode,
         nodes: Sequence[PhiNode],
-        t_news: Sequence[np.ndarray],
+        d: int,
+        offsets: Sequence[complex],
     ) -> list[tuple[TNode, list[PhiNode]]]:
-        """Move the bundle (A, ln tau, attached Phi nodes) to every t_new in one batched solve.
+        """Move the bundle (A, ln tau, attached Phi nodes) to t_{d+1} + m for every offset m, on one series.
 
-        The rows share their start state and differ only in the velocity
-        t_new - tnode.t. Every hop is checked by :meth:`_time_hops` before
-        anything is integrated and takes ``_nsteps(|t_new - tnode.t|)`` fixed
-        Dormand-Prince steps; a row whose t_new equals tnode.t returns
-        (tnode, nodes).
+        Every hop is checked by :meth:`_time_hops` before any coefficient is formed. Then one Taylor
+        series of the bundle along e_d (:meth:`_bundle`) is summed at each stored t_{d+1} less the start's,
+        so each state sits exactly at its time (``numerics.taylor_stencil``: SingularityApproach for an
+        offset past its step). An offset of 0 returns (tnode, nodes).
         """
         nodes = list(nodes)
-        t_news = [np.asarray(t_new, dtype=complex) for t_new in t_news]
-        moving = [k for k, t_new in enumerate(t_news) if np.any(t_new != tnode.t)]
-        t1 = np.array([t_news[k] for k in moving], dtype=complex).reshape(-1, 4)
-        dlogs = self._time_hops(tnode, nodes, t1)
-        n_steps = [_nsteps(float(np.sqrt(np.sum(np.abs(d) ** 2)))) for d in t1 - tnode.t]
-        y1 = dp_fixed_batch(self._bundle_field(nodes), self._bundle_state(tnode, nodes), tnode.t, t1, n_steps)
-        out = [(tnode, list(nodes)) for _t in t_news]
+        t_news = np.repeat(tnode.t[None], len(offsets), axis=0)
+        t_news[:, d] += offsets
+        moving = np.flatnonzero(np.any(t_news != tnode.t, axis=1))
+        dlogs = self._time_hops(tnode, nodes, t_news[moving])
+        y1 = taylor_stencil(*self._bundle(tnode, nodes), tnode.t, np.eye(4)[d], t_news[moving, d] - tnode.t[d])
+        out = [(tnode, list(nodes)) for _m in offsets]
         for k, y, dlog in zip(moving, y1, dlogs):
             out[k] = self._bundle_nodes(tnode, nodes, t_news[k], y, dlog)
         return out
@@ -416,25 +417,15 @@ class Frame:
     def shift_t_adaptive(
         self, tnode: TNode, nodes: Sequence[PhiNode], t_new: np.ndarray
     ) -> tuple[TNode, list[PhiNode]]:
-        """Move the bundle to one t_new with the adaptive integrator (long time paths).
-
-        Fixed steps fail here: 369 steps of :meth:`shift_t` on C2's frame 200 t2 loop (|dt| = 0.18, max|A|
-        = 8.8e2 near a movable pole) read a loop defect of 1.5e-6, against 4.6e-11 adaptive (gate 1e-8).
-        """
+        """Move the bundle to one t_new in Taylor steps on :meth:`shift_t`'s series (long time paths)."""
         nodes = list(nodes)
         t_new = np.asarray(t_new, dtype=complex)
         if np.all(t_new == tnode.t):
             return tnode, nodes
         dlog = self._time_hops(tnode, nodes, t_new)
-        field = self._bundle_field(nodes)
-
-        def one_row(point, velocity, y):
-            t = np.array([point], dtype=complex)
-            return field(t, np.array([velocity], dtype=complex), y[None])[0]
-
-        y0 = self._bundle_state(tnode, nodes)
-        traj = ode_integrate(one_row, y0, PathPlan([tuple(tnode.t), tuple(t_new)], EXCLUSION / 4))
-        return self._bundle_nodes(tnode, nodes, t_new, traj[-1][1], dlog)
+        path = PathPlan([tuple(tnode.t), tuple(t_new)], EXCLUSION / 4)
+        y = taylor_integrate(*self._bundle(tnode, nodes), path)
+        return self._bundle_nodes(tnode, nodes, t_new, y[-1][1], dlog)
 
     @staticmethod
     def _time_hops(tnode: TNode, nodes: Sequence[PhiNode], t_new: np.ndarray) -> np.ndarray:
@@ -456,29 +447,10 @@ class Frame:
         return np.log(w1 / w0)
 
     @staticmethod
-    def _bundle_field(nodes: Sequence[PhiNode]):
-        """d/ds of bundle rows (A, ln tau, Phi at each node) as the times move.
-
-        ``field(t, v, y)`` takes per-row times t and velocities v of shape
-        (B, 4) and states y of shape (B, 17 + 4 len(nodes)).
-        """
-        xs = np.array([n.x for n in nodes], dtype=complex)
-
-        def field(t, v, y):
-            b = len(y)
-            A = y[:, :16].reshape(b, 4, 2, 2)
-            dA, dtau = flow_derivative(A, t, v)
-            coef = -v[:, None, :] / (xs[None, :, None] - t[:, None, :])
-            dphi = np.einsum("bki,biac->bkac", coef, A) @ y[:, 17:].reshape(b, len(xs), 2, 2)
-            return np.concatenate(
-                [dA.reshape(b, 16), dtau[:, None], dphi.reshape(b, 4 * len(xs))], axis=1
-            )
-
-        return field
-
-    @staticmethod
-    def _bundle_state(tnode: TNode, nodes: Sequence[PhiNode]) -> np.ndarray:
-        return np.concatenate([tnode.A.ravel(), [tnode.ln_tau], *[n.phi.ravel() for n in nodes]])
+    def _bundle(tnode: TNode, nodes: Sequence[PhiNode]):
+        """The bundle's coefficient function (``schlesinger._flow_taylor``) and state: A, ln tau, Phi at each node."""
+        y0 = np.concatenate([tnode.A.ravel(), [tnode.ln_tau], *[n.phi.ravel() for n in nodes]])
+        return partial(_flow_taylor, xs=[n.x for n in nodes]), y0
 
     @staticmethod
     def _bundle_nodes(
@@ -550,7 +522,7 @@ def phi_via(frame: Frame, x: complex, t12: tuple[complex, complex], order: str =
     t_new[0], t_new[1] = t12
     if order == "tx":
         tn, (nb,) = frame.shift_t_adaptive(frame.base_tnode, [frame.base_node], t_new)
-        return frame.phi_node(x, tnode=tn, anchor=nb, cache=False).phi
+        return frame.phi_node(x, tnode=tn, anchor=nb).phi
     if order == "xt":
         nx = frame.phi_node(x)
         _tn, (nx2,) = frame.shift_t_adaptive(frame.base_tnode, [nx], t_new)
@@ -574,9 +546,9 @@ def zero_curvature_loop(
     t1v = t0.copy()
     t1v[t_index] += dt
     n0 = frame.phi_node(x0)
-    n1 = frame.phi_node(x1, anchor=n0, cache=False)
+    n1 = frame.phi_node(x1, anchor=n0)
     tn_up, (n1_up,) = frame.shift_t_adaptive(frame.base_tnode, [n1], t1v)
-    n0_up = frame.phi_node(x0, tnode=tn_up, anchor=n1_up, cache=False)
+    n0_up = frame.phi_node(x0, tnode=tn_up, anchor=n1_up)
     _tn_dn, (n0_back,) = frame.shift_t_adaptive(tn_up, [n0_up], t0)
     diff = n0_back.phi - n0.phi
     return float(np.max(np.abs(diff)))
@@ -588,13 +560,6 @@ def zero_curvature_loop(
 
 def _norm_max(mats: Iterable[np.ndarray]) -> float:
     return max(float(np.max(np.abs(m))) for m in mats)
-
-
-def _shifted(t: np.ndarray, d: int, dt: float) -> np.ndarray:
-    """The time tuple t with t_{d+1} moved by dt."""
-    t_new = t.copy()
-    t_new[d] += dt
-    return t_new
 
 
 @dataclass
@@ -642,15 +607,14 @@ def _y_derivs(
     yy = combine_stencil(vals_y, hy, scheme, 1)
     yyy = combine_stencil(vals_y, hy, scheme, 2)
 
-    # t-stencils: every bundle hop in one batched transport
+    # t-stencils: the bundle moves on one series per direction
     t0 = tnode.t
     ht = {d: scheme.scaled_step(t0[d]) for d in t_dirs}
-    keys = [(d, m) for d in t_dirs for m in mults1 if m != 0.0]
-    moved = frame.shift_t(tnode, [nx0, ny0], [_shifted(t0, d, m * ht[d]) for d, m in keys])
-    vals_t = {d: {0.0: y_center} for d in t_dirs}
-    for (d, m), (tn, (nxm, nym)) in zip(keys, moved):
-        vals_t[d][m] = frame.Y_of(tn, nxm, nym)
-    yt = {d: combine_stencil(vals_t[d], ht[d], scheme, 1) for d in t_dirs}
+    yt = {}
+    for d in t_dirs:
+        moved = frame.shift_t(tnode, [nx0, ny0], d, [m * ht[d] for m in mults1])
+        vals = {m: frame.Y_of(tn, nxm, nym) for m, (tn, (nxm, nym)) in zip(mults1, moved)}
+        yt[d] = combine_stencil(vals, ht[d], scheme, 1)
     return YDerivs(x=x, y=y, t=t0, Y=y_center, Yx=yx, Yxx=yxx, Yy=yy, Yyy=yyy, Yt=yt)
 
 
@@ -816,14 +780,14 @@ def _v_derivs(
         if mz != 0.0:
             row_hint = points["z", mz][1:3]
             chain(("ze", mz), mults1, lambda me: (zeta + mz * hz, eta + me * he), row_hint)
-    # t1/t2 stencils at fixed (zeta, eta): the bundle moves in one batched
-    # transport, then the preimages
+    # t1/t2 stencils at fixed (zeta, eta): the bundle moves on one series
+    # per direction, then the preimages
     ht = {ddir: _branch_safe_step(scheme, point, axes[2 + ddir], (x0, y0)) for ddir in (0, 1)}
-    keys = [(ddir, m) for ddir in (0, 1) for m in mults1 if m != 0.0]
-    moved = frame.shift_t(tnode, [nx0, ny0], [_shifted(t, d, m * ht[d]) for d, m in keys])
-    for (ddir, m), (tn, (nxm, nym)) in zip(keys, moved):
-        xm, ym = zeta_eta_inverse(zeta, eta, tn.t[0], tn.t[1], (x0, y0))
-        points["t", ddir, m] = (tn, xm, ym, nxm, nym)
+    for ddir in (0, 1):
+        moved = frame.shift_t(tnode, [nx0, ny0], ddir, [m * ht[ddir] for m in mults1])
+        for m, (tn, (nxm, nym)) in zip(mults1, moved):
+            xm, ym = zeta_eta_inverse(zeta, eta, tn.t[0], tn.t[1], (x0, y0))
+            points["t", ddir, m] = (tn, xm, ym, nxm, nym)
 
     # 2. one batched transport for every hop of the grid point
     nodes = frame.phi_nodes(

@@ -7,11 +7,12 @@ the connection matrix A(x) and the log-derivative of the tau-function all
 live here, together with a seeded generator of admissible initial data.
 
 The flow has two bodies. :func:`_flow_dA` is its right-hand side, read by
-:func:`flow_derivative` and through it by the fixed-step bundle hops of
-``quantization``. :func:`_flow_taylor` is its Taylor-coefficient recurrence
-on a straight chord in (t1, t2), on which :func:`integrate_schlesinger`
-walks a path with ``numerics.taylor_integrate``; no path of the flow runs on
-Dormand-Prince steps.
+:func:`flow_derivative`, :func:`schlesinger_rhs` and :func:`tau_logderiv`.
+:func:`_flow_taylor` is its Taylor-coefficient recurrence on a straight
+chord in the four times, optionally with ln tau and Phi at attached points:
+:func:`integrate_schlesinger` walks a path on it with
+``numerics.taylor_integrate``, and ``quantization.Frame`` moves its bundle on
+it, so no move of the flow in time runs on Dormand-Prince steps.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
     "connection_matrix",
     "gen_schlesinger_b",
     "time_constraints",
+    "check_time_path",
 ]
 
 T3 = 1.0
@@ -209,7 +211,7 @@ def flow_derivative(A: np.ndarray, tvec: np.ndarray, v: np.ndarray) -> tuple[np.
     dA_j/ds = sum_{i != j} (v_i - v_j) [A_i, A_j] / (t_i - t_j) and
     dln(tau)/ds = sum_{i != j} v_i tr(A_i A_j) / (t_i - t_j); the tau term
     assumes traceless (B) normalization but is returned unconditionally.
-    The dA part is :func:`_flow_dA`, which the deformation flow uses alone.
+    The dA part is :func:`_flow_dA`, which :func:`schlesinger_rhs` uses alone.
 
     Any leading batch shape is allowed: A of shape (..., 4, 2, 2) with tvec
     and v of shape (..., 4) give dA of A's shape and dln(tau)/ds of shape
@@ -254,37 +256,65 @@ def time_constraints() -> list[AffineConstraint]:
     ]
 
 
-def _flow_taylor(point, velocity, y: np.ndarray) -> tuple[np.ndarray, float]:
-    """Taylor coefficients in s of the flow through A = y at t = (point, 1, 0) along dt/ds = (velocity, 0, 0).
+def check_time_path(path: PathPlan, t1: complex, t2: complex) -> None:
+    """Reject a flow path that is not in (t1, t2), does not start at the state's (t1, t2) or nears a singular set."""
+    if path.dim != 2:
+        raise ValueError("expected a (t1, t2) path")
+    p0 = path.points[0]
+    if abs(p0[0] - t1) + abs(p0[1] - t2) > 1e-12:
+        raise ValueError("path must start at the state's (t1, t2)")
+    path.validate_against(time_constraints())
 
-    On the chord t(s) = t + s v the weight of [A_i, A_j] in dA_j/ds is
-    e_ij/(d_ij + s e_ij) = sum_k w_ij,k s^k, with w_ij,k = r_ij (-r_ij)^k,
-    e_ij = v_i - v_j, d_ij = t_i - t_j and r_ij = e_ij/d_ij, so
-    (n + 1) A_j,n+1 = sum_i sum_k w_ij,k [A_i, A_j]_(n-k), where [A_i, A_j]_m
-    is the Cauchy product sum_l [A_i,l, A_j,m-l]. The sum over k is carried
-    as D_ij,n = r_ij ([A_i, A_j]_n - D_ij,n-1), its geometric form. Returns
-    the (TAYLOR_ORDER + 1, 16) coefficients, and the radius min |d_ij/e_ij|
-    of the weight series: the s-distance to the nearest fixed singular set.
+
+def _flow_taylor(point, velocity, y: np.ndarray, xs=None) -> tuple[np.ndarray, float]:
+    """Taylor coefficients in s of the flow through y at the times ``point`` along dt/ds = ``velocity`` (4-vectors).
+
+    On the chord t(s) = t + s v the weight of [A_i, A_j] in dA_j/ds is e_ij/(d_ij + s e_ij) =
+    sum_k r_ij (-r_ij)^k s^k, e_ij = v_i - v_j, d_ij = t_i - t_j, r_ij = e_ij/d_ij, so (n + 1) A_j,n+1
+    = sum_i D_ij,n, D_ij,n = r_ij ([A_i, A_j]_n - D_ij,n-1), with [A_i, A_j]_m the Cauchy product
+    sum_l [A_i,l, A_j,m-l]. With the positions ``xs`` of attached nodes, y is the bundle of
+    ``quantization.Frame`` (A, ln tau, Phi at each x_k), whose rows the same loop forms from the
+    products A_i A_j: (n + 1) ln tau_n+1 = sum_ij E_ij,n, E_ij,n = (v_i/d_ij) tr(A_i A_j)_n - r_ij
+    E_ij,n-1; with rho_ik = v_i/(x_k - t_i), H_ik,n = rho_ik (H_ik,n-1 - A_i,n) is the series of A_i's
+    weight in dPhi_k/ds, and (n + 1) Phi_k,n+1 = sum_l sum_i H_ik,l Phi_k,n-l. Returns the
+    (TAYLOR_ORDER + 1, len(y)) coefficients and the radius, min |d_ij/e_ij| and |(x_k - t_i)/v_i|.
     """
     p = TAYLOR_ORDER
-    t = np.array([point[0], point[1], T3, T4], dtype=complex)
-    v = np.array([velocity[0], velocity[1], 0.0, 0.0], dtype=complex)
-    r = (v[:, None] - v[None, :]) * (_OFF4 / (t[:, None] - t[None, :] + _EYE4))
+    t = np.array(point, dtype=complex)
+    v = np.array(velocity, dtype=complex)
+    w = _OFF4 / (t[:, None] - t[None, :] + _EYE4)
+    r = (v[:, None] - v[None, :]) * w
     rr = r[:, None, :, None]
     # every product A_i,l A_j,n-l of one order as one 8 x 2(n+1) by 2(n+1) x 8 einsum (no BLAS)
     X = np.empty((4, 2, p + 1, 2), dtype=complex)  # [i, a, l, b] = A_i,l[a, b]
     Y = np.empty((p + 1, 2, 4, 2), dtype=complex)  # [p - l, b, j, c] = A_j,l[b, c]
-    A = y.reshape(4, 2, 2)
+    A = y[:16].reshape(4, 2, 2)
     X[:, :, 0] = A
     Y[p] = A.transpose(1, 0, 2)
     X2, Y2 = X.reshape(8, 2 * p + 2), Y.reshape(2 * p + 2, 8)
     D = np.zeros((4, 2, 4, 2), dtype=complex)  # [i, a, j, c]
+    rate = float(np.max(np.abs(r)))
+    if xs is not None:  # Hi[k, i, a, b] = H_ik,n, H[n, k] = sum_i H_ik,n, Phi[n, k] = Phi_k,n
+        rho = (v / (np.asarray(xs, dtype=complex)[:, None] - t))[:, :, None, None]  # [k, i]
+        wv, E, Hi = v[:, None] * w, 0.0, 0.0
+        rate = max(rate, float(np.max(np.abs(rho), initial=0.0)))
+        tau, H, Phi = np.empty(p + 1, dtype=complex), *np.empty((2, p + 1, len(rho), 2, 2), dtype=complex)
+        tau[0], Phi[0] = y[16], y[17:].reshape(-1, 2, 2)
     for n in range(p):
         P = np.einsum("xk,ky->xy", X2[:, : 2 * n + 2], Y2[2 * (p - n) :]).reshape(4, 2, 4, 2)
         D = rr * (P - P.transpose(2, 1, 0, 3) - D)
         Y[p - n - 1] = D.sum(axis=0) / (n + 1)
+        if xs is not None:
+            E = wv * np.einsum("iaja->ij", P) - r * E
+            tau[n + 1] = E.sum() / (n + 1)
+            Hi = rho * (Hi - X[:, :, n])
+            H[n] = Hi.sum(axis=1)
+            Phi[n + 1] = np.einsum("lkab,lkbc->kac", H[: n + 1], Phi[n::-1]) / (n + 1)
         X[:, :, n + 1] = Y[p - n - 1].transpose(1, 0, 2)
-    return X.transpose(2, 0, 1, 3).reshape(p + 1, 16), 1.0 / float(np.max(np.abs(r)))
+    c = X.transpose(2, 0, 1, 3).reshape(p + 1, 16)
+    if xs is not None:
+        c = np.concatenate([c, tau[:, None], Phi.reshape(p + 1, -1)], axis=1)
+    return c, 1.0 / rate
 
 
 def integrate_schlesinger(
@@ -301,13 +331,9 @@ def integrate_schlesinger(
     ``numerics.taylor_integrate``). Returns [(s, state)] at s = 0, each
     sample and s = 1.
     """
-    if path.dim != 2:
-        raise ValueError("expected a (t1, t2) path")
-    p0 = path.points[0]
-    if abs(p0[0] - state.t1) + abs(p0[1] - state.t2) > 1e-12:
-        raise ValueError("path must start at the state's (t1, t2)")
-    path.validate_against(time_constraints())
-    traj = taylor_integrate(_flow_taylor, state.A.ravel(), path, rtol=rtol, samples=samples)
+    check_time_path(path, state.t1, state.t2)
+    coeffs = lambda pt, vel, y: _flow_taylor((*pt, T3, T4), (*vel, 0.0, 0.0), y)  # noqa: E731
+    traj = taylor_integrate(coeffs, state.A.ravel(), path, rtol=rtol, samples=samples)
     out = []
     for s, y in traj:
         t1, t2 = path.point(s)

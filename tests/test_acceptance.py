@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from garnier_lab.acceptance import CRITERIA, criterion_1, criterion_5
+from garnier_lab.acceptance import CRITERIA, criterion_1, criterion_2, criterion_5
 
 
 def _run(cid):
@@ -34,6 +34,17 @@ def test_criterion_01_reports_its_taylor_work():
 
 def test_criterion_02_zero_curvature_transport():
     _run("C2")
+
+
+def test_criterion_02_reports_its_taylor_work():
+    # as C1: frame 200's two loops take 60 Taylor steps on their time legs,
+    # and the t2 loop passes a movable pole at 0.0235 of the distance to the
+    # nearest fixed singular set; both counters are deterministic
+    first, second = (criterion_2(n_frames=1).metrics for _ in range(2))
+    assert first == second
+    assert set(first) == {"max_loop_defect", "taylor_steps", "min_radius_ratio"}
+    assert first["taylor_steps"] == 60
+    assert first["min_radius_ratio"] == pytest.approx(0.023508854137585355, rel=1e-9)
 
 
 def test_criterion_03_go_cross_picture():

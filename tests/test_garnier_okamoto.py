@@ -328,6 +328,14 @@ def test_integrate_go_from_lambda_on_a_pole_raises_singularity_approach(pole, k)
         integrate_go(bad, path)
 
 
+def test_integrate_go_rejects_a_path_not_starting_at_the_state():
+    # a path from t1 + 0.1 would relabel the state's (lambda, mu) as the state there
+    g0, _path = _c3_go_start()
+    path = PathPlan([(g0.t1 + 0.1, g0.t2), (g0.t1 + 0.1, g0.t2 + 0.05)], 0.05)
+    with pytest.raises(ValueError, match="start at the state"):
+        integrate_go(g0, path)
+
+
 @pytest.mark.parametrize("rtol", [0.0, 1.0, -1e-12, 2.0])
 def test_integrate_go_rejects_rtol_outside_the_unit_interval(rtol):
     g0, path = _c3_go_start()

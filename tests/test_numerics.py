@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from garnier_lab.numerics import (
     check_clearance,
     combine_stencil,
     count_work,
-    dp_fixed_batch,
     fd_derivative,
     linear_adaptive,
     linear_fixed_batch,
@@ -29,6 +29,7 @@ from garnier_lab.numerics import (
     quad_roots,
     stencil_multipliers,
     taylor_integrate,
+    taylor_stencil,
 )
 
 from conftest import fixed_step_hop
@@ -233,43 +234,59 @@ def test_taylor_failures_are_typed_with_a_location(monkeypatch, y0, radius, budg
 
 
 def test_integrate_fixed_steps_deterministic():
-    # the fixed-step driver: the same bits from run to run, and the exact
+    # the fixed-step kernel: the same bits from run to run, and the exact
     # exponential to the scheme's accuracy
-    def field(t, v, y):
-        return v * y
+    def coef(rows, s):
+        return np.ones((len(rows), 1, 1), dtype=complex)
 
-    a = dp_fixed_batch(field, np.array([1.0 + 0j]), 0.0, np.array([[0.3]]), [12])[0]
-    b = dp_fixed_batch(field, np.array([1.0 + 0j]), 0.0, np.array([[0.3]]), [12])[0]
-    assert np.array_equal(a, b)
-    assert abs(a[0] - np.exp(0.3)) < 1e-10
+    a = linear_fixed_batch(coef, np.array([[[0.3]]]), np.ones((1, 1, 1)), [12])[0, 0, 0]
+    b = linear_fixed_batch(coef, np.array([[[0.3]]]), np.ones((1, 1, 1)), [12])[0, 0, 0]
+    assert a == b
+    assert abs(a - np.exp(0.3)) < 1e-10
 
 
-def test_dp_fixed_batch_matches_per_row_fixed_steps():
-    # rows with different step counts on their own hops from one start, nonlinear field
-    start = 0.1 + 0.2j
-    ends = np.array([[0.35 + 0.1j], [-0.1 + 0.3j], [0.2 + 0.25j]])
-    n_steps = [6, 17, 9]
-    y0 = np.array([1.0 + 0.5j, 0.2 - 0.1j])
+def test_taylor_stencil_sums_one_series_at_every_offset():
+    # one coefficient call from the centre, then a Horner sum per complex offset
+    calls = []
 
-    def rhs(t, v, y):
-        z = t[..., 0]
-        return v * np.array([y[..., 0] * y[..., 1] + np.sin(z), -y[..., 0] ** 2 + z * y[..., 1]]).T
+    def coeffs(point, velocity, y):
+        calls.append((point, velocity))
+        return _exp_coeffs(10.0)(point[0], velocity[0], y)
 
-    seen = []
+    offsets = [0.2, -0.1j, 0.05 - 0.15j, 0.0]
+    got = taylor_stencil(coeffs, np.array([2.0 + 0j]), (0.3,), (1.0,), offsets)
+    assert calls == [((0.3,), (1.0,))]
+    assert got.shape == (4, 1)
+    for s, y in zip(offsets, got):
+        assert abs(y[0] - 2.0 * np.exp(s)) <= 1e-15 * abs(2.0 * np.exp(s))
 
-    def batch_field(t, v, y):
-        seen.append((v[:, 0].copy(), t[:, 0].copy()))
-        return rhs(t, v, y)
 
-    got = dp_fixed_batch(batch_field, y0, start, ends, n_steps)
-    for k, n in enumerate(n_steps):
-        ref = fixed_step_hop(rhs, y0, np.array([start]), ends[k], n)
-        assert np.max(np.abs(got[k] - ref)) <= 1e-15 * np.max(np.abs(ref))
-        # a retired row is never evaluated again: 6 stages per step plus the first
-        v = ends[k, 0] - start
-        evals = [(t[list(vs).index(v)] - start) / v for vs, t in seen if v in vs]
-        assert len(evals) == 6 * n + 1
-        assert max(s.real for s in evals) <= 1.0 + 1e-15
+def test_taylor_stencil_raises_past_the_step_naming_the_point():
+    # the exponential's step at rtol 1e-12 is (1e-12 * 20!)^(1/20) ~ 2.5; a
+    # declared radius of 0.1 caps it at 0.05, so the offset 0.06 fails
+    offsets = [0.04, -0.06]
+    with pytest.raises(SingularityApproach, match="past the Taylor step") as info:
+        taylor_stencil(lambda p, v, y: _exp_coeffs(0.1)(p[0], v[0], y), np.array([1.0 + 0j]), (0.3,), (1j,), offsets)
+    assert info.value.location == (0.3 - 0.06j,)
+    # a non-finite offset fails the same way
+    with pytest.raises(SingularityApproach):
+        taylor_stencil(lambda p, v, y: _exp_coeffs(10.0)(p[0], v[0], y), np.array([1.0 + 0j]), (0.0,), (1.0,), [np.nan])
+
+
+def test_taylor_stencil_of_a_constant_raises_no_warning():
+    # an all-zero tail has an infinite Jorba-Zou step: the radius cap decides,
+    # with no division warning
+    def coeffs(point, velocity, y):
+        c = np.zeros((TAYLOR_ORDER + 1, len(y)), dtype=complex)
+        c[0] = y
+        return c, 1.0
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = taylor_stencil(coeffs, np.array([0.0, 1.0 + 1j]), (0.0,), (1.0,), [0.3, -0.5])
+    assert np.array_equal(got, [[0.0, 1.0 + 1j], [0.0, 1.0 + 1j]])
+    with pytest.raises(SingularityApproach):
+        taylor_stencil(coeffs, np.array([1.0 + 0j]), (0.0,), (1.0,), [0.6])
 
 
 def _dp_step_generator_sums(f, s0, y, h, k1):

@@ -225,11 +225,18 @@ def _old_pg_field(s0):
 
 
 def _pg_field(s0, rows=5):
-    """The field of hop_pg at the exponents of s0; with rows=4 its (q1, q2, p1, p2) rows on a state without ln u."""
-    field = partial(poly_garnier._pg_field, s0.params)
-    if rows == 5:
-        return field
-    return lambda point, velocity, y: field(point, velocity, np.append(y, 0.0))[:4]
+    """d(q1, q2, p1, p2, ln u)/ds at the exponents of s0 from the one body of the right-hand sides, the field
+    hop_pg took Dormand-Prince steps on before its Taylor series; with rows=4 its (q1, q2, p1, p2) rows."""
+
+    def field(point, velocity, y):
+        D0, D1, g1, g2 = poly_garnier._pg_values(point[0], point[1], y[0], y[1], y[2], y[3], s0.params)
+        v = np.array(velocity, dtype=complex)
+        dy = np.empty(5, dtype=complex)
+        dy[:4] = v @ np.array([D0, D1], dtype=complex)
+        dy[4] = v[0] * g1 + v[1] * g2
+        return dy[:rows]
+
+    return field
 
 
 def _c5_start(k=0):
@@ -267,24 +274,49 @@ def test_integrate_pg_matches_old_field_on_c5_path():
 
 
 def test_hop_pg_matches_rows_alone_and_old_field_loop():
-    # C5's stencil hops (24 fixed steps, every offset of both directions)
-    # from each stored state of its first trajectory, bit for bit
+    # C5's stencil hops (every offset of both directions) from each stored
+    # state of its first trajectory: each offset of one series bit for bit
+    # as that offset alone, and 24 fixed Dormand-Prince steps of the old
+    # field, the hops' former scheme, to rounding (measured <= 7.6e-16 over
+    # C5's five trajectories)
     s0, path = _c5_start()
     scheme = FDScheme(order=4, step=1e-5, richardson=True)
     mults = [m for m in stencil_multipliers(scheme, (1,)) if m != 0.0]
     for _s, st in integrate_pg(s0, path, samples=[0.5]):
         t0 = np.array([st.t1, st.t2])
-        t_news = [(st.t1 + m * scheme.scaled_step(st.t1), st.t2) for m in mults]
-        t_news += [(st.t1, st.t2 + m * scheme.scaled_step(st.t2)) for m in mults]
         old = _old_pg_field(st)
         y0 = np.array([st.q1, st.q2, st.p1, st.p2, 0.0], dtype=complex)
-        for t_new, (st1, dlnu) in zip(t_news, hop_pg(st, t_news, 24, 0.005)):
-            assert (st1.t1, st1.t2) == t_new
-            got = np.array([st1.q1, st1.q2, st1.p1, st1.p2, dlnu])
-            ((alone, dlnu_alone),) = hop_pg(st, [t_new], 24, 0.005)
-            assert np.array_equal(got, [alone.q1, alone.q2, alone.p1, alone.p2, dlnu_alone])
-            ref = fixed_step_hop(lambda t, v, y: old(tuple(t.tolist()), v, y), y0, t0, np.array(t_new), 24)
-            assert np.array_equal(got, ref)
+        for d in (0, 1):
+            offsets = [m * scheme.scaled_step(t0[d]) for m in mults]
+            for m, (st1, dlnu) in zip(offsets, hop_pg(st, d, offsets, 0.005)):
+                t_new = t0.copy()
+                t_new[d] += m
+                assert (st1.t1, st1.t2) == tuple(t_new)
+                got = np.array([st1.q1, st1.q2, st1.p1, st1.p2, dlnu])
+                ((alone, dlnu_alone),) = hop_pg(st, d, [m], 0.005)
+                assert np.array_equal(got, [alone.q1, alone.q2, alone.p1, alone.p2, dlnu_alone])
+                ref = fixed_step_hop(lambda t, v, y: old(tuple(t.tolist()), v, y), y0, t0, t_new, 24)
+                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_hop_pg_makes_one_taylor_call_per_stencil(monkeypatch):
+    # every offset of a stencil is a Horner sum of one series from its centre
+    s0, _path = _c5_start()
+    calls = []
+    real = poly_garnier._pg_taylor
+    monkeypatch.setattr(poly_garnier, "_pg_taylor", lambda *args: calls.append(args[1:3]) or real(*args))
+    hops = hop_pg(s0, 1, [2e-5, -1e-5, 1e-5j, -2e-5j, 3e-5 - 1e-5j], 0.005)
+    assert len(hops) == 5 and calls == [((s0.t1, s0.t2), (0.0, 1.0))]
+
+
+def test_hop_pg_rejects_an_offset_past_the_taylor_step():
+    # the series' radius from C5's start is the distance to its nearest fixed
+    # singular set; an offset a tenth of the way there is far past the step
+    s0, _path = _c5_start()
+    reach = min(abs(s0.t1), abs(s0.t1 - 1.0), abs(s0.t1 - s0.t2))
+    with pytest.raises(SingularityApproach, match="past the Taylor step") as info:
+        hop_pg(s0, 0, [1e-5, -0.1 * reach], 1e-7)
+    assert info.value.location == (s0.t1 - 0.1 * reach, s0.t2)
 
 
 def test_hop_pg_rejects_a_hop_into_the_collision_disc(monkeypatch):
@@ -292,10 +324,10 @@ def test_hop_pg_rejects_a_hop_into_the_collision_disc(monkeypatch):
         raise AssertionError("integrated before the hop was checked")
 
     s0, _path = _c5_start()
-    monkeypatch.setattr(poly_garnier, "dp_fixed_batch", no_integration)
+    monkeypatch.setattr(poly_garnier, "_pg_taylor", no_integration)
     # the second hop ends 0.003 from t1 = t2, inside the 0.005 disc
     with pytest.raises(PathViolation):
-        hop_pg(s0, [(s0.t1 + 1e-3, s0.t2), (s0.t2 + 0.003j, s0.t2)], 24, 0.005)
+        hop_pg(s0, 0, [1e-3, s0.t2 + 0.003j - s0.t1], 0.005)
 
 
 @pytest.mark.parametrize("where", ["t1=0", "t1=1", "t1=t2"])
@@ -310,7 +342,7 @@ def test_pg_field_raises_time_collision(where):
 
 @pytest.mark.parametrize("with_lnu", [False, True], ids=["no_lnu", "lnu"])
 def test_pg_taylor_coefficients_match_pg_field(with_lnu):
-    # coefficient 1 of the recurrence is the field of hop_pg; coefficient 2 is
+    # coefficient 1 of the recurrence is the flow's field; coefficient 2 is
     # half the derivative along s of that field on the trajectory, here its
     # own Taylor sum; the radius is the s-distance to t_i in {0, 1} or t1 = t2
     rng = np.random.default_rng(43)
@@ -422,14 +454,13 @@ def test_u_logderiv_closedness():
     scheme = FDScheme(order=4, step=1e-5, richardson=True)
     mults = [m for m in stencil_multipliers(scheme, (1,)) if m != 0.0]
 
-    def g_at(dts):
-        hops = hop_pg(s0, [(s0.t1 + dt1, s0.t2 + dt2) for dt1, dt2 in dts], 24, 0.004)
-        return [u_logderiv(st) for st, _dlnu in hops]
+    def g_at(d, offsets):
+        return [u_logderiv(st) for st, _dlnu in hop_pg(s0, d, offsets, 0.004)]
 
     h = scheme.scaled_step(s0.t2)
-    d12 = combine_stencil({m: g[0] for m, g in zip(mults, g_at([(0, m * h) for m in mults]))}, h, scheme, 1)
+    d12 = combine_stencil({m: g[0] for m, g in zip(mults, g_at(1, [m * h for m in mults]))}, h, scheme, 1)
     h = scheme.scaled_step(s0.t1)
-    d21 = combine_stencil({m: g[1] for m, g in zip(mults, g_at([(m * h, 0) for m in mults]))}, h, scheme, 1)
+    d21 = combine_stencil({m: g[1] for m, g in zip(mults, g_at(0, [m * h for m in mults]))}, h, scheme, 1)
     assert abs(d12 - d21) < 1e-6
 
 
@@ -637,7 +668,7 @@ def test_pvi_hamilton_system_residual():
     mults = [m for m in stencil_multipliers(scheme, (1,)) if m != 0.0]
     h = scheme.scaled_step(pv0.omega)
     vq, vp = {}, {}
-    hops = hop_pg(s0, [(omega_to_t1(pv0.omega + m * h, s0.t2), s0.t2) for m in mults], 16, 1e-7)
+    hops = hop_pg(s0, 0, [omega_to_t1(pv0.omega + m * h, s0.t2) - s0.t1 for m in mults], 1e-7)
     for m, (st, _dlnu) in zip(mults, hops):
         pvm = pvi_reduce(st, tol=1e-5)
         vq[m], vp[m] = pvm.Q, pvm.P

@@ -16,7 +16,7 @@ from garnier_lab.numerics import PathPlan, check_clearance, linear_adaptive, ode
 from garnier_lab.poly_garnier import (
     PGState,
     ThetaPG,
-    _pg_field,
+    _pg_values,
     bridge_lambda_from_q,
     bridge_q_from_lambda,
     integrate_pg,
@@ -197,11 +197,19 @@ def test_taylor_flow_matches_dp5_reference(t1, t2, abc, d1, d2):
     assert np.max(np.abs(got.ravel() - ref)) <= 1e-11 * np.max(np.abs(ref))
 
 
+def _pg_field(th, point, velocity, y):
+    """d(q1, q2, p1, p2, ln u)/ds at (t1, t2) = point as dt/ds = velocity, from the one body of the right-hand
+    sides: the Dormand-Prince reference of the Taylor series, as hop_pg's field was before them."""
+    D0, D1, g1, g2 = _pg_values(point[0], point[1], y[0], y[1], y[2], y[3], th)
+    v = np.array(velocity, dtype=complex)
+    return np.concatenate([v @ np.array([D0, D1], dtype=complex), [v[0] * g1 + v[1] * g2]])
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(_TIME, _TIME, st.lists(_Q, min_size=4, max_size=4), st.lists(_THETA, min_size=5, max_size=5), _HOP, _HOP)
 def test_pg_taylor_flow_matches_dp5_reference(t1, t2, qp, thetas, d1, d2):
     # random state and exponents on a short chord clear of the fixed singular
-    # sets, with ln u; reference: ode_integrate over hop_pg's field at rtol 1e-13
+    # sets, with ln u; reference: ode_integrate over the field _pg_field at rtol 1e-13
     assume(abs(d1) + abs(d2) > 1e-3)
     th = ThetaPG(*thetas, -sum(thetas))
     s0 = PGState(t1, t2, *qp, th)

@@ -11,6 +11,7 @@ from garnier_lab.errors import (
     NotOnReduction,
     PathViolation,
     PoleEvaluation,
+    SingularityApproach,
 )
 from garnier_lab.numerics import (
     FDScheme,
@@ -37,7 +38,6 @@ from garnier_lab.quantization import (
     AlphaBeta,
     Frame,
     ResidualReport,
-    _shifted,
     _y_derivs,
     bpz_residual,
     garx_residual,
@@ -165,12 +165,7 @@ def test_gauge_exponent_derivative_matches_stated_sum(frame):
     th = frame.theta.theta
     t = frame.base_tnode.t
     h = scheme.scaled_step(t[0])
-    t_news = []
-    for m in mults:
-        t_new = t.copy()
-        t_new[0] += m * h
-        t_news.append(t_new)
-    moved = frame.shift_t(frame.base_tnode, [], t_news)
+    moved = frame.shift_t(frame.base_tnode, [], 0, [m * h for m in mults])
     vals = {m: frame.gauge_exponent(tn) for m, (tn, _) in zip(mults, moved)}
     ds = combine_stencil(vals, h, scheme, 1)
     want = (th[0] / 2.0) * sum(th[j] / (t[0] - t[j]) for j in (1, 2, 3))
@@ -453,9 +448,7 @@ def test_phi_nodes_batch_matches_hops_alone(frame):
     base = frame.base_tnode
     nx = frame.phi_node(0.35 + 1.0j)
     ny = frame.phi_node(1.15 + 1.45j)
-    t_new = base.t.copy()
-    t_new[0] += 2e-3
-    ((tn, (nxs, nys)),) = frame.shift_t(base, [nx, ny], [t_new])
+    ((tn, (nxs, nys)),) = frame.shift_t(base, [nx, ny], 0, [2e-3])
     hops = [
         (nx.x + 4e-3, base, nx),
         (ny.x - 2e-3j, base, ny),
@@ -479,7 +472,7 @@ def test_phi_nodes_batch_matches_hops_alone(frame):
         fixed = fixed_step_hop(_phi_field(tn_k), anchor.phi.ravel(), anchor.x, x, n_steps)
         assert agree(node.phi.ravel(), fixed)
         # and the adaptive transport agrees to integrator accuracy
-        ref = frame.phi_node(x, tnode=tn_k, anchor=anchor, cache=False)
+        ref = frame.phi_node(x, tnode=tn_k, anchor=anchor)
         assert np.max(np.abs(node.phi - ref.phi)) < 1e-11
         assert np.max(np.abs(node.logs - ref.logs)) < 1e-13
 
@@ -522,14 +515,12 @@ def _record_coefficient_points(monkeypatch, driver):
 def test_phi_node_kernel_matches_old_adaptive_field(seed, monkeypatch):
     frame = Frame(_seeded_b_state(seed), base_x=BASE_X)
     base = frame.base_tnode
-    t_new = base.t.copy()
-    t_new[1] += 3e-3 - 1e-3j
-    ((tn, (anchor,)),) = frame.shift_t(base, [frame.phi_node(0.35 + 1.0j)], [t_new])
+    ((tn, (anchor,)),) = frame.shift_t(base, [frame.phi_node(0.35 + 1.0j)], 1, [3e-3 - 1e-3j])
     seen = _record_coefficient_points(monkeypatch, "linear_adaptive")
     hops = [(x, None, frame.base_node) for x, _y in default_grid(4)] + [(1.1 + 1.4j, tn, anchor)]
     for x, tnode, anchor in hops:
         seen.clear()
-        node = frame.phi_node(x, tnode=tnode, anchor=anchor, cache=False)
+        node = frame.phi_node(x, tnode=tnode, anchor=anchor)
         fld = _phi_field(tnode or base)
         rhs = []
         ref = ode_integrate(
@@ -550,9 +541,7 @@ def test_phi_nodes_kernel_matches_old_batched_field(frame, monkeypatch):
     base = frame.base_tnode
     nx = frame.phi_node(0.35 + 1.0j)
     ny = frame.phi_node(1.15 + 1.45j)
-    t_new = base.t.copy()
-    t_new[0] += 2e-3
-    ((tn, (nxs, nys)),) = frame.shift_t(base, [nx, ny], [t_new])
+    ((tn, (nxs, nys)),) = frame.shift_t(base, [nx, ny], 0, [2e-3])
     hops = [  # unsorted, of mixed length, one of length zero
         (nx.x + 1e-3, base, nx),
         (ny.x - 6e-3j, base, ny),
@@ -596,10 +585,10 @@ def test_phi_nodes_continue_far_chord_logs_like_phi_node(frame):
     # and its principal log still continues the log, in both transports
     t = frame.base_tnode.t
     u = (BASE_X - t[1]) / abs(BASE_X - t[1])
-    anchor = frame.phi_node(t[1] + 0.06 * u, cache=False)
+    anchor = frame.phi_node(t[1] + 0.06 * u)
     x = t[1] + 0.18 * u
     (node,) = frame.phi_nodes([(x, frame.base_tnode, anchor)])
-    ref = frame.phi_node(x, anchor=anchor, cache=False)
+    ref = frame.phi_node(x, anchor=anchor)
     assert np.max(np.abs(node.logs - ref.logs)) <= 1e-15
     assert np.max(np.abs(node.phi - ref.phi)) < 1e-11
 
@@ -649,15 +638,16 @@ def test_hop_screen_leaves_the_disc_edge_to_the_exact_check(frame, inside):
     edge = 1.0 - 1e-12 if inside else 1.0 + 1e-12
     # spatial hop: radially onto the x = t2 disc
     u = (BASE_X - t[1]) / abs(BASE_X - t[1])
-    anchor = frame.phi_node(t[1] + 0.06 * u, cache=False)
+    anchor = frame.phi_node(t[1] + 0.06 * u)
     hops = [(anchor.x + 1e-3 * u, base, anchor), (t[1] + quantization.EXCLUSION * edge * u, base, anchor)]
-    # time hop: t1 moved onto the t1 = x disc of an attached node
-    near = frame.phi_node(t[0] + 0.05, cache=False)
-    ok = t.copy()
-    ok[1] += 1e-3
-    onto = t.copy()
-    onto[0] = near.x - quantization.EXCLUSION / 4 * edge
-    for run in (lambda: frame.phi_nodes(hops), lambda: frame.shift_t(base, [near], [ok, onto])):
+    # time hop: t1 moved onto the t1 = x disc of an attached node, from a
+    # time tuple just outside it (a hop within one series' step)
+    near = frame.phi_node(t[0] + 0.05)
+    close = t.copy()
+    close[0] = near.x - 1.01 * quantization.EXCLUSION / 4
+    tn_close, (near_close,) = frame.shift_t_adaptive(base, [near], close)
+    onto = near.x - quantization.EXCLUSION / 4 * edge - close[0]
+    for run in (lambda: frame.phi_nodes(hops), lambda: frame.shift_t(tn_close, [near_close], 0, [-1e-4, onto])):
         if inside:
             with pytest.raises(PathViolation):
                 run()
@@ -665,8 +655,8 @@ def test_hop_screen_leaves_the_disc_edge_to_the_exact_check(frame, inside):
             run()
 
 
-def _bundle_alone(frame, tnode, nodes, t_new, n_steps):
-    """Reference bundle solve: the packed (A, ln tau, Phi...) state of one hop in n fixed steps, in a plain loop."""
+def _bundle_alone(tnode, nodes, t_new):
+    """Reference bundle move: the packed (A, ln tau, Phi...) state of one hop by ode_integrate at rtol 1e-13."""
 
     def field(point, velocity, y):
         t = np.asarray(point, dtype=complex)
@@ -680,7 +670,7 @@ def _bundle_alone(frame, tnode, nodes, t_new, n_steps):
         return np.concatenate(out)
 
     y0 = np.concatenate([tnode.A.ravel(), [tnode.ln_tau], *[n.phi.ravel() for n in nodes]])
-    return fixed_step_hop(field, y0, tnode.t, t_new, n_steps)
+    return ode_integrate(field, y0, PathPlan([tuple(tnode.t), tuple(t_new)], 0.01), rtol=1e-13)[-1][1]
 
 
 def _bundle_vector(tn, nodes):
@@ -688,77 +678,84 @@ def _bundle_vector(tn, nodes):
 
 
 def test_shift_t_batch_matches_each_alone(frame, monkeypatch):
+    # every offset of one direction is a Horner sum of one series, bit for bit
+    # that offset alone; the series agrees with ode_integrate over the bundle
+    # field at rtol 1e-13 in A, ln tau and the Phi of several nodes (measured
+    # <= 1.1e-15, 2.2e-14 and 3.8e-16 relative over these moves), and with
+    # the Taylor steps of shift_t_adaptive to rounding (measured <= 8.3e-17)
     base = frame.base_tnode
-    nx = frame.phi_node(0.35 + 1.0j)
-    ny = frame.phi_node(1.15 + 1.45j)
-    moves = [(0, 1e-3), (1, -4e-3j), (2, 6e-3 + 2e-3j), (3, -5e-3), (0, 2.5e-3 - 1e-3j)]
-    t_news = []
-    for d, dt in moves:
-        t_new = base.t.copy()
-        t_new[d] += dt
-        t_news.append(t_new)
-    t_news.append(base.t.copy())  # no move: the inputs themselves
+    nodes3 = [frame.phi_node(x) for x in (0.35 + 1.0j, 1.15 + 1.45j, 0.9 + 1.4j)]
+    offsets = [1e-3, -4e-3j, 6e-3 + 2e-3j, 0.0, -5e-3, 2.5e-3 - 1e-3j]
+    calls = []
+    real = quantization._flow_taylor
+    monkeypatch.setattr(quantization, "_flow_taylor", lambda *a, **k: calls.append(a[:2]) or real(*a, **k))
 
-    def agree(a, b):  # same arithmetic: equal up to a few ulp on any platform
-        return np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
+    def agree(a, b, rel):
+        return np.max(np.abs(a - b)) <= rel * np.max(np.abs(b))
 
-    real_batch = quantization.dp_fixed_batch
-    for nodes in ([], [nx], [nx, ny]):
-        calls = []
+    for nodes in ([], nodes3[:1], nodes3):
+        for d in range(4):
+            calls.clear()
+            batch = frame.shift_t(base, nodes, d, offsets)
+            assert len(calls) == 1 and np.array_equal(calls[0][1], np.eye(4)[d])
+            tn_still, nodes_still = batch[3]
+            assert tn_still is base and all(a is b for a, b in zip(nodes_still, nodes))
+            for m, (tn, moved) in zip(offsets, batch):
+                if m == 0.0:
+                    continue
+                t_new = base.t.copy()
+                t_new[d] += m
+                assert np.array_equal(tn.t, t_new) and all(np.array_equal(n.t, t_new) for n in moved)
+                got = _bundle_vector(tn, moved)
+                ref = _bundle_alone(base, nodes, t_new)
+                assert agree(got[:16], ref[:16], 1e-14) and abs(got[16] - ref[16]) <= 1e-12 * abs(ref[16])
+                if nodes:
+                    assert agree(got[17:], ref[17:], 1e-14)
+                ((tn1, moved1),) = frame.shift_t(base, nodes, d, [m])
+                assert np.array_equal(got, _bundle_vector(tn1, moved1))
+                assert np.array_equal(tn.pair_logs, tn1.pair_logs)
+                for n, n1 in zip(moved, moved1):
+                    assert np.array_equal(n.logs, n1.logs)
+                tn2, moved2 = frame.shift_t_adaptive(base, nodes, t_new)
+                assert agree(got, _bundle_vector(tn2, moved2), 1e-14)
+                assert np.array_equal(tn.pair_logs, tn2.pair_logs)
 
-        def counting(field, y0, t0, t1, n_steps):
-            live = []  # rows per field call
 
-            def counted(t, v, y):
-                live.append(len(y))
-                return field(t, v, y)
-
-            calls.append((live, list(n_steps)))
-            assert np.array_equal(y0, _bundle_vector(base, nodes)) and np.array_equal(t0, base.t)
-            return real_batch(counted, y0, t0, t1, n_steps)
-
-        monkeypatch.setattr(quantization, "dp_fixed_batch", counting)
-        batch = frame.shift_t(base, nodes, t_news)
-        monkeypatch.setattr(quantization, "dp_fixed_batch", real_batch)
-        (live, n_steps), = calls
-        assert len(set(n_steps)) >= 4  # rows with different step counts
-        # rows run by descending step count, each evaluated 6 n + 1 times
-        assert [sum(b > r for b in live) for r in range(len(n_steps))] == [6 * n + 1 for n in sorted(n_steps)[::-1]]
-        tn_still, nodes_still = batch[-1]
-        assert tn_still is base and all(a is b for a, b in zip(nodes_still, nodes))
-
-        for t_new, n, (tn, moved) in zip(t_news, n_steps, batch):
-            assert n == quantization._nsteps(float(np.sqrt(np.sum(np.abs(t_new - base.t) ** 2))))
-            assert np.array_equal(tn.t, t_new) and all(np.array_equal(m.t, t_new) for m in moved)
-            got = _bundle_vector(tn, moved)
-            assert agree(got, _bundle_alone(frame, base, nodes, t_new, n))
-            ((tn1, moved1),) = frame.shift_t(base, nodes, [t_new])
-            assert agree(got, _bundle_vector(tn1, moved1))
-            assert np.array_equal(tn.pair_logs, tn1.pair_logs)
-            for m, m1 in zip(moved, moved1):
-                assert np.array_equal(m.logs, m1.logs)
-            # the adaptive transport agrees to integrator accuracy
-            tn2, moved2 = frame.shift_t_adaptive(base, nodes, t_new)
-            assert np.max(np.abs(got - _bundle_vector(tn2, moved2))) < 1e-11
-            assert np.array_equal(tn.pair_logs, tn2.pair_logs)
+def test_shift_t_rejects_an_offset_past_the_taylor_step(frame):
+    # a node 0.011 from t1 (the time hop's disc is 0.01): the series' radius
+    # is 0.011, and LAB_FD's widest t1 offset, 2 * 2e-3 * (1 + |t1|), sits
+    # past its step; a stencil ten times finer passes
+    base = frame.base_tnode
+    t = base.t
+    node = frame.phi_node(t[0] + 0.05j)
+    close = t.copy()
+    close[0] += 0.039j
+    tn, nodes = frame.shift_t_adaptive(base, [node], close)
+    mults = stencil_multipliers(LAB_FD, (1,))
+    h = LAB_FD.scaled_step(close[0])
+    with pytest.raises(SingularityApproach, match="past the Taylor step") as info:
+        frame.shift_t(tn, nodes, 0, [m * h for m in mults])
+    assert info.value.location[0] == close[0] + min(mults) * h
+    frame.shift_t(tn, nodes, 0, [m * h / 10 for m in mults])
 
 
 @pytest.mark.parametrize("seed", range(300, 305))
 def test_shift_t_of_a_b_state_shifted_to_q_matches_the_q_flow(seed):
     # C3's route: hop the B state through Frame.shift_t, then shift it to Q.
     # The flow is built from commutators, which the theta_i/2 shift leaves
-    # alone, so this agrees with the adaptive flow of the Q state (measured
-    # up to 1.7e-14 relative on C3's five states)
+    # alone, so this agrees with the Taylor-stepped flow of the Q state
+    # (measured up to 1.9e-16 relative on C3's five states; the offsets stay
+    # within one series' step, ~0.05 here)
     b0 = _seeded_b_state(seed)
     frame = Frame(b0, base_x=BASE_X)
     q0 = shift_normalization(b0, "BtoQ")
-    moves = [(0, 1.3e-4), (1, -2.6e-4j), (0, 0.03 - 0.02j), (1, 0.054), (0, -0.054j), (1, -0.04 + 0.02j)]
-    moved = frame.shift_t(frame.base_tnode, [], [_shifted(b0.tvec, d, dt) for d, dt in moves])
-    for tn, _nodes in moved:
-        got = shift_normalization(SchlesingerState(tn.t[0], tn.t[1], tn.A, "B", b0.theta), "BtoQ").A
-        seg = PathPlan([(q0.t1, q0.t2), (tn.t[0], tn.t[1])], quantization.EXCLUSION / 4)
-        ref = integrate_schlesinger(q0, seg, rtol=1e-13)[-1][1].A
-        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    moves = [(0, [1.3e-4, 0.02 - 0.01j, -0.025j]), (1, [-2.6e-4j, 0.025, -0.02 + 0.01j])]
+    for d, offsets in moves:
+        for tn, _nodes in frame.shift_t(frame.base_tnode, [], d, offsets):
+            got = shift_normalization(SchlesingerState(tn.t[0], tn.t[1], tn.A, "B", b0.theta), "BtoQ").A
+            seg = PathPlan([(q0.t1, q0.t2), (tn.t[0], tn.t[1])], quantization.EXCLUSION / 4)
+            ref = integrate_schlesinger(q0, seg, rtol=1e-13)[-1][1].A
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_time_hop_rejected_in_singular_disc(frame, monkeypatch):
@@ -767,22 +764,20 @@ def test_time_hop_rejected_in_singular_disc(frame, monkeypatch):
 
     base = frame.base_tnode
     t = base.t
-    near = frame.phi_node(t[0] + 0.05, cache=False)  # outside the 0.04 x-disc of t1
-    monkeypatch.setattr(quantization, "dp_fixed_batch", no_integration)
-    monkeypatch.setattr(quantization, "ode_integrate", no_integration)
-    ok = t.copy()
-    ok[1] += 1e-3
-    onto_node = t.copy()
-    onto_node[0] += 0.045  # ends 0.005 from x: inside the 0.01 time-hop disc
-    onto_t2 = t.copy()
-    onto_t2[0] = t[1] - 0.005  # ends 0.005 from t1 = t2
-    onto_t4 = t.copy()
-    onto_t4[3] = t[1] + 0.004j  # the frozen t4 moved next to t2
-    for bad, nodes in ((onto_node, [near]), (onto_t2, []), (onto_t4, [])):
+    near = frame.phi_node(t[0] + 0.05)  # outside the 0.04 x-disc of t1
+    monkeypatch.setattr(quantization, "_flow_taylor", no_integration)
+    monkeypatch.setattr(quantization, "taylor_integrate", no_integration)
+    # (direction, offset that ends inside a disc, attached nodes)
+    onto_node = (0, 0.045, [near])  # ends 0.005 from x: inside the 0.01 time-hop disc
+    onto_t2 = (0, t[1] - 0.005 - t[0], [])  # ends 0.005 from t1 = t2
+    onto_t4 = (3, t[1] + 0.004j - t[3], [])  # the frozen t4 moved next to t2
+    for d, bad, nodes in (onto_node, onto_t2, onto_t4):
         with pytest.raises(PathViolation):
-            frame.shift_t(base, nodes, [ok, bad])
+            frame.shift_t(base, nodes, d, [1e-3, bad])
+        t_bad = t.copy()
+        t_bad[d] += bad
         with pytest.raises(PathViolation):
-            frame.shift_t_adaptive(base, nodes, bad)
+            frame.shift_t_adaptive(base, nodes, t_bad)
 
 
 def test_branch_coherence_of_gauge_logs(frame):
@@ -790,7 +785,7 @@ def test_branch_coherence_of_gauge_logs(frame):
     # segment; the stored chart must agree
     x = 1.2 + 1.6j
     node_direct = frame.phi_node(x)
-    mid = frame.phi_node(0.9 + 1.9j, anchor=frame.base_node, cache=False)
-    node_via = frame.phi_node(x, anchor=mid, cache=False)
+    mid = frame.phi_node(0.9 + 1.9j, anchor=frame.base_node)
+    node_via = frame.phi_node(x, anchor=mid)
     assert np.max(np.abs(node_direct.logs - node_via.logs)) < 1e-10
     assert np.max(np.abs(node_direct.phi - node_via.phi)) < 1e-9
