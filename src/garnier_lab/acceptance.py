@@ -166,7 +166,7 @@ def criterion_1(n_states: int = 20, rtol: float = 1e-12, tol: float = 1e-9, seed
 # ---------------------------------------------------------------------------
 
 def criterion_2(n_frames: int = 5, tol: float = 1e-8, seed0: int = 200):
-    """Zero-curvature loops in (x, t_i); the metrics carry the Taylor work of the time legs, as in C1."""
+    """Zero-curvature loops in (x, t_i); the metrics carry the Taylor work of the x and time legs, as in C1."""
     worst = 0.0
     with count_work() as work:
         for k in range(n_frames):
@@ -376,15 +376,16 @@ def criterion_7(
     grid = default_grid(grid_points)
     reports: list[ResidualReport] = []
     worst = 0.0
-    for k in range(n_frames):
-        frame = Frame(_seeded_b_state(seed0 + k), base_x=BASE_X)
-        reps = bpz_residual(frame, grid, scheme)
-        reports.extend(reps)
-        worst = max(worst, max(r.max_rel_residual for r in reps))
-    # degenerate closed-form oracle
-    zth = ThetaGO(theta=(0, 0, 0, 0), k_inf=0.0)
-    zstate = SchlesingerState(BASE_T1, BASE_T2, np.zeros((4, 2, 2), complex), "B", zth)
-    zreps = bpz_residual(Frame(zstate, base_x=BASE_X), grid[: max(5, grid_points // 5)], scheme)
+    with count_work() as work:
+        for k in range(n_frames):
+            frame = Frame(_seeded_b_state(seed0 + k), base_x=BASE_X)
+            reps = bpz_residual(frame, grid, scheme)
+            reports.extend(reps)
+            worst = max(worst, max(r.max_rel_residual for r in reps))
+        # degenerate closed-form oracle
+        zth = ThetaGO(theta=(0, 0, 0, 0), k_inf=0.0)
+        zstate = SchlesingerState(BASE_T1, BASE_T2, np.zeros((4, 2, 2), complex), "B", zth)
+        zreps = bpz_residual(Frame(zstate, base_x=BASE_X), grid[: max(5, grid_points // 5)], scheme)
     reports.extend(zreps)
     worst_degenerate = max(r.max_rel_residual for r in zreps)
     # the wall time decides the verdict but stays out of the (deterministic) report
@@ -399,7 +400,7 @@ def criterion_7(
             f"(tol {tol_degenerate:.0e}); {'within' if in_budget else 'over'} the "
             f"{budget_s:.0f}s wall-time budget"
         ),
-        metrics={"max_rel": worst, "max_rel_degenerate": worst_degenerate},
+        metrics={"max_rel": worst, "max_rel_degenerate": worst_degenerate, **work},
         reports=reports,
     )
 
@@ -427,26 +428,27 @@ def criterion_8(
     grid = default_grid(grid_points)
     reports = []
     worst = 0.0
-    for k in range(n_frames):
-        frame = Frame(_seeded_b_state(seed0 + k), base_x=BASE_X)
-        reps = kevol_residual(frame, grid, scheme)
-        reports.extend(reps)
-        worst = max(worst, max(r.max_rel_residual for r in reps))
-    # symmetry: the two equations exchange under (t1, theta1) <-> (t2, theta2)
-    s = _seeded_b_state(seed0)
-    swapped = SchlesingerState(
-        t1=s.t2,
-        t2=s.t1,
-        A=np.array([s.A[1], s.A[0], s.A[2], s.A[3]]),
-        norm="B",
-        theta=ThetaGO(
-            theta=(s.theta.theta[1], s.theta.theta[0], s.theta.theta[2], s.theta.theta[3]),
-            k_inf=s.theta.k_inf,
-        ),
-    )
-    sub = default_grid(5)
-    r_orig = kevol_residual(Frame(s, base_x=BASE_X), sub, scheme)
-    r_swap = kevol_residual(Frame(swapped, base_x=BASE_X), sub, scheme)
+    with count_work() as work:
+        for k in range(n_frames):
+            frame = Frame(_seeded_b_state(seed0 + k), base_x=BASE_X)
+            reps = kevol_residual(frame, grid, scheme)
+            reports.extend(reps)
+            worst = max(worst, max(r.max_rel_residual for r in reps))
+        # symmetry: the two equations exchange under (t1, theta1) <-> (t2, theta2)
+        s = _seeded_b_state(seed0)
+        swapped = SchlesingerState(
+            t1=s.t2,
+            t2=s.t1,
+            A=np.array([s.A[1], s.A[0], s.A[2], s.A[3]]),
+            norm="B",
+            theta=ThetaGO(
+                theta=(s.theta.theta[1], s.theta.theta[0], s.theta.theta[2], s.theta.theta[3]),
+                k_inf=s.theta.k_inf,
+            ),
+        )
+        sub = default_grid(5)
+        r_orig = kevol_residual(Frame(s, base_x=BASE_X), sub, scheme)
+        r_swap = kevol_residual(Frame(swapped, base_x=BASE_X), sub, scheme)
     swap_gap = 0.0
     for a, b in ((r_orig[0], r_swap[1]), (r_orig[1], r_swap[0])):
         for (pa, abs_a, _ra), (_pb, abs_b, _rb) in zip(a.rows, b.rows):
@@ -459,7 +461,7 @@ def criterion_8(
             f"max relative residual of both evolution equations = {worst:.3e} (tol {tol:.0e}); "
             f"index-swap asymmetry {swap_gap:.3e} (tol {swap_tol:.0e})"
         ),
-        metrics={"max_rel": worst, "swap_gap": swap_gap},
+        metrics={"max_rel": worst, "swap_gap": swap_gap, **work},
         reports=reports,
     )
 
@@ -481,19 +483,20 @@ def criterion_9(
     reports = []
     worst = 0.0
     worst_round = 0.0
-    for k in range(n_frames):
-        state = _seeded_b_state(seed0 + k)
-        frame = Frame(state, base_x=BASE_X)
-        ab = solve_alpha_beta(state.theta)
-        grid = []
-        for x, y in xy:
-            zeta, eta = zeta_eta_map(x, y, state.t1, state.t2)
-            xx, yy = zeta_eta_inverse(zeta, eta, state.t1, state.t2, (x, y))
-            worst_round = max(worst_round, abs(xx - x) + abs(yy - y))
-            grid.append((zeta, eta, (x, y)))
-        reps = quantized_pg_residual(frame, grid, ab, scheme)
-        reports.extend(reps)
-        worst = max(worst, max(r.max_rel_residual for r in reps))
+    with count_work() as work:
+        for k in range(n_frames):
+            state = _seeded_b_state(seed0 + k)
+            frame = Frame(state, base_x=BASE_X)
+            ab = solve_alpha_beta(state.theta)
+            grid = []
+            for x, y in xy:
+                zeta, eta = zeta_eta_map(x, y, state.t1, state.t2)
+                xx, yy = zeta_eta_inverse(zeta, eta, state.t1, state.t2, (x, y))
+                worst_round = max(worst_round, abs(xx - x) + abs(yy - y))
+                grid.append((zeta, eta, (x, y)))
+            reps = quantized_pg_residual(frame, grid, ab, scheme)
+            reports.extend(reps)
+            worst = max(worst, max(r.max_rel_residual for r in reps))
     passed = worst <= tol and worst_round <= roundtrip_tol
     return CheckResult(
         criterion="C9",
@@ -502,7 +505,7 @@ def criterion_9(
             f"max relative residual of the quantized polynomial pair = {worst:.3e} (tol {tol:.0e}); "
             f"inverse-map roundtrip {worst_round:.3e} (tol {roundtrip_tol:.0e})"
         ),
-        metrics={"max_rel": worst, "max_roundtrip": worst_round},
+        metrics={"max_rel": worst, "max_roundtrip": worst_round, **work},
         reports=reports,
     )
 

@@ -7,17 +7,16 @@ This is the substrate every other module builds on:
   affine values (:func:`check_clearance`), which decides every path and
   transport hop against its singular sets,
 * an adaptive Dormand-Prince 5(4) integrator for states of complex numbers,
-  with exact landing on requested parameter values (:func:`ode_integrate`),
+  with exact landing on requested parameter values (:func:`ode_integrate`);
+  nothing in the package calls it: it is the independent reference that the
+  tests hold the Taylor steps to,
 * a Taylor-series driver of fixed order (:func:`taylor_integrate`) for
   analytic flows whose caller supplies the series: the same path walk and
   landing, each step sized from the last two coefficients and capped below
-  the radius of the field's own series; it serves every move in time, and
-  :func:`count_work` collects its steps and radius ratios for reports; its
-  stencil form (:func:`taylor_stencil`) sums one series at every offset,
-* the Dormand-Prince scheme for the linear system of Phi in x, y' = v C(s) y:
-  :func:`linear_adaptive` (2x2, the same steps on Python complex scalars) and
-  :func:`linear_fixed_batch` (the products of the step propagators of every
-  step of every row, formed stage by stage),
+  the radius of the field's own series; it serves every move of the flows
+  and of Phi, in time and in x, and :func:`count_work` collects its steps
+  and radius ratios for reports; its stencil form (:func:`taylor_stencil`)
+  sums one series at every offset, or many series (rows) each at its own,
 * central finite-difference schemes of order 2/4 with optional Richardson
   extrapolation: :func:`fd_derivative` is the one path for a derivative in
   one direction (its evaluator takes every stencil point at once and may
@@ -60,8 +59,6 @@ __all__ = [
     "taylor_integrate",
     "count_work",
     "taylor_stencil",
-    "linear_adaptive",
-    "linear_fixed_batch",
     "FDScheme",
     "fd_derivative",
     "stencil_multipliers",
@@ -263,9 +260,6 @@ _DP_E = (
 )
 
 
-_DP_C5 = np.array(_DP_C[1:6])  # the distinct points of stages 2..7 (c_7 = c_6 = 1), in units of h
-
-
 def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, rtol: float, atol: float) -> float:
     scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
     return float(np.sqrt(np.add.reduce(np.abs(err / scale) ** 2, axis=None) / err.size))
@@ -345,7 +339,8 @@ def taylor_integrate(
     """Integrate an analytic flow along a polyline path in Taylor steps of order p = ``TAYLOR_ORDER``.
 
     Users: ``schlesinger.integrate_schlesinger``, ``poly_garnier.integrate_pg``,
-    ``garnier_okamoto.integrate_go`` and ``quantization.Frame.shift_t_adaptive``.
+    ``garnier_okamoto.integrate_go``, ``quantization.Frame.shift_t_adaptive`` and
+    ``quantization.Frame.phi_node``.
 
     ``coeffs(point, velocity, y)`` (arguments as ``field``'s in
     :func:`ode_integrate`) returns the coefficients c_0 = y, ..., c_p of the
@@ -372,7 +367,7 @@ def taylor_integrate(
             with np.errstate(all="ignore"):
                 c, radius = coeffs(pt[0], vel[0], y) if path.scalar else coeffs(pt, vel, y)
             h, step_ratio = _taylor_step(c, radius, rtol, pt)
-            h, ratio = min(h, s_target - s), min(ratio, step_ratio)
+            h, ratio = min(float(h), s_target - s), min(ratio, float(step_ratio))
             if not h >= 1e-14:
                 raise SingularityApproach("step size underflow during path integration", location=pt)
             n_steps += 1
@@ -395,41 +390,56 @@ def taylor_integrate(
 def taylor_stencil(coeffs: Callable, y0, point, velocity, offsets) -> np.ndarray:
     """y(s), shape (len(offsets), d), at every offset s of the series ``coeffs(point, velocity, y0)``.
 
-    Users: ``quantization.Frame.shift_t`` and ``poly_garnier.hop_pg``. An |s| past the step
-    :func:`taylor_integrate` would take there at the default rtol raises SingularityApproach,
-    naming the first such stencil point point + s velocity, before any state is returned.
+    Users: ``quantization.Frame.shift_t``, ``quantization.Frame.phi_nodes`` and ``poly_garnier.hop_pg``.
+    Coefficients with a row axis, shape (p + 1, R, d) from ``point`` and ``velocity`` of shape (R, 1),
+    are summed with row r at offsets[r]. An |s| past the step :func:`taylor_integrate` would take there
+    (row by row) at the default rtol raises SingularityApproach, naming the first such stencil point
+    point + s velocity, before any state is returned; so does a non-finite sum.
     """
     offsets = np.asarray(offsets, dtype=complex)
     with np.errstate(all="ignore"):
         c, radius = coeffs(point, velocity, np.asarray(y0, dtype=complex))
-    h = _taylor_step(c, radius, DEFAULT_RTOL, tuple(point))[0]
-    far = offsets[~(np.abs(offsets) <= h)]
+    h = _taylor_step(c, radius, DEFAULT_RTOL, point)[0]
+    far = np.flatnonzero(~(np.abs(offsets) <= h))
     if far.size:
-        where = tuple(complex(a + far[0] * v) for a, v in zip(point, velocity))
-        raise SingularityApproach(f"stencil offset {abs(far[0]):.3e} past the Taylor step {h:.3e}", location=where)
+        k = far[0]
+        step, where = np.broadcast_to(h, offsets.shape)[k], _stencil_point(point, velocity, offsets, k)
+        raise SingularityApproach(
+            f"stencil offset {abs(offsets[k]):.3e} past the Taylor step {step:.3e}", location=where
+        )
     with np.errstate(all="ignore"):
         y = _horner(c, offsets[:, None])
-    if not np.all(np.isfinite(y)):
-        raise SingularityApproach("non-finite Taylor sum", location=tuple(point))
+    bad = np.flatnonzero(~np.isfinite(y).all(axis=-1))
+    if bad.size:
+        raise SingularityApproach("non-finite Taylor sum", location=_stencil_point(point, velocity, offsets, bad[0]))
     return y
 
 
-def _taylor_step(c: np.ndarray, radius: float, rtol: float, where) -> tuple[float, float]:
+def _stencil_point(point, velocity, offsets, k) -> tuple[complex, ...]:
+    """The k-th stencil point point + offsets[k] velocity of :func:`taylor_stencil` (with rows, row k's)."""
+    return tuple((np.asarray(point) + offsets[:, None] * np.asarray(velocity))[k].tolist())
+
+
+def _taylor_step(c: np.ndarray, radius, rtol: float, where):
     """The Jorba-Zou step of the coefficients c_0..c_p, capped at ``_TAYLOR_REACH`` of ``radius``, and its radius ratio.
 
     h = min over k = p - 1, p of (tol/|c_k|)^(1/k), tol = DEFAULT_ATOL + rtol * max|c_0| (inf on an
     all-zero tail, and the cap decides); the ratio is min over the same k of (|c_0|/|c_k|)^(1/k),
-    over ``radius``. A non-finite coefficient raises SingularityApproach at ``where``.
+    over ``radius``. Coefficients of shape (p + 1, R, d) give one step and ratio per row, for a
+    ``radius`` of shape (R,). A non-finite coefficient raises SingularityApproach at ``where``
+    (with rows, at row r of ``where``, shape (R, 1), for the first such row r).
     """
     p = len(c) - 1
     with np.errstate(all="ignore"):
-        norm = np.max(np.abs(c), axis=1)
-        if not np.all(np.isfinite(norm)):
-            raise SingularityApproach("non-finite Taylor coefficient", location=where)
+        norm = np.max(np.abs(c), axis=-1)
+        finite = np.isfinite(norm)
+        if not finite.all():  # named at the first row with a non-finite coefficient
+            row = np.reshape(where, (-1, np.shape(where)[-1]))[np.argmin(finite.all(axis=0))]
+            raise SingularityApproach("non-finite Taylor coefficient", location=tuple(row.tolist()))
         tail, root = norm[p - 1 :], 1.0 / np.arange(p - 1, p + 1)
-        h = float(np.min(((DEFAULT_ATOL + rtol * norm[0]) / tail) ** root))
-        ratio = float(np.min((norm[0] / tail) ** root)) / radius
-    return min(h, _TAYLOR_REACH * radius), ratio
+        h = np.min(((DEFAULT_ATOL + rtol * norm[0]) / tail).T ** root, axis=-1)
+        ratio = np.min((norm[0] / tail).T ** root, axis=-1) / radius
+    return np.minimum(h, _TAYLOR_REACH * radius), ratio
 
 
 def _horner(c: np.ndarray, h):
@@ -463,7 +473,7 @@ def _checkpoints(path: PathPlan, samples) -> tuple[list[float], list[float]]:
 def _advance(step, s, s_end, y, k1, h, n_steps, where):
     """Error-controlled steps ``step(s, y, h, k1) -> (y1, k7, error norm)`` from s to s_end.
 
-    The one accept/grow rule of the adaptive drivers; returns (s, y, h, n_steps).
+    The accept/grow rule of :func:`ode_integrate`'s steps; returns (s, y, h, n_steps).
     """
     while s < s_end - 1e-15:
         h = min(h, s_end - s)
@@ -482,101 +492,6 @@ def _advance(step, s, s_end, y, k1, h, n_steps, where):
         else:
             h *= max(0.2, 0.9 * en ** -0.2)
     return s, y, h, n_steps
-
-
-def linear_adaptive(coef: Callable, v: complex, y0) -> np.ndarray:
-    """y(1) of the 2x2 linear system dy/ds = v * coef(s) @ y, y(0) = y0, adaptively.
-
-    :func:`ode_integrate`'s scheme, initial step and step control at the default
-    tolerances, each step on Python complex scalars (row-major 4-tuples): one
-    ``coef`` call, stacked on the shape of s, for its five distinct stage points
-    (c_6 = c_7 = 1), then no numpy call. User: ``quantization.Frame.phi_node``.
-    """
-    a2, a3, a4, a5, a6, b = _DP_A[1:]
-    e1, _, e3, e4, e5, e6, e7 = _DP_E
-
-    def mv(m, y):  # m @ y
-        (m00, m01), (m10, m11) = m
-        y00, y01, y10, y11 = y
-        return (m00 * y00 + m01 * y10, m00 * y01 + m01 * y11, m10 * y00 + m11 * y10, m10 * y01 + m11 * y11)
-
-    def fv(s, yv):  # the numpy form that _initial_step reads
-        return np.reshape(mv((v * coef(np.array([s]))).tolist()[0], yv.ravel().tolist()), (2, 2))
-
-    def step(s, y, h, k1):
-        m2, m3, m4, m5, m6 = (v * coef(s + _DP_C5 * h)).tolist()
-        k2 = mv(m2, [u + h * (a2[0] * p1) for u, p1 in zip(y, k1)])
-        k3 = mv(m3, [u + h * (a3[0] * p1 + a3[1] * p2) for u, p1, p2 in zip(y, k1, k2)])
-        k4 = mv(m4, [u + h * (a4[0] * p1 + a4[1] * p2 + a4[2] * p3) for u, p1, p2, p3 in zip(y, k1, k2, k3)])
-        k5 = mv(m5, [u + h * (a5[0] * p1 + a5[1] * p2 + a5[2] * p3 + a5[3] * p4)
-                     for u, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)])
-        k6 = mv(m6, [u + h * (a6[0] * p1 + a6[1] * p2 + a6[2] * p3 + a6[3] * p4 + a6[4] * p5)
-                     for u, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)])
-        y1 = [u + h * (b[0] * p1 + b[2] * p3 + b[3] * p4 + b[4] * p5 + b[5] * p6)
-              for u, p1, p3, p4, p5, p6 in zip(y, k1, k3, k4, k5, k6)]
-        k7 = mv(m6, y1)
-        en = 0.0
-        try:
-            for u, q, p1, p3, p4, p5, p6, p7 in zip(y, y1, k1, k3, k4, k5, k6, k7):
-                r = h * (e1 * p1 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6 + e7 * p7)
-                r /= DEFAULT_ATOL + DEFAULT_RTOL * max(abs(u), abs(q))
-                en += r.real * r.real + r.imag * r.imag
-        except OverflowError as exc:  # |y| past the float range
-            raise SingularityApproach(f"linear transport blew up: {exc}", location=s) from exc
-        return y1, k7, math.sqrt(0.25 * en)
-
-    y = np.asarray(y0, dtype=complex)
-    k1 = fv(0.0, y)
-    h = min(_initial_step(fv, 0.0, y, k1, DEFAULT_RTOL, DEFAULT_ATOL, 1.0, float), 1.0)
-    y1 = _advance(step, 0.0, 1.0, y.ravel().tolist(), k1.ravel().tolist(), h, 0, float)[1]
-    return np.reshape(y1, (2, 2))
-
-
-_PAIR_BLOCK = 384  # (row, step) pairs per block of linear_fixed_batch
-
-
-def linear_fixed_batch(coef: Callable, v, y0, n_steps) -> np.ndarray:
-    """End states of B linear systems dy/ds = v[k] * coef(s) @ y[k], y (B, m, m), v (B, 1, 1), in fixed steps.
-
-    The Dormand-Prince scheme in n equal steps per row, as propagators: a step h
-    from s maps y to P y, P = I + h sum_j b_j K_j, K_j = v M(s + c_j h)(I + h
-    sum_l a_jl K_l). The P of all (row, step) pairs are formed stage by stage
-    in blocks of at most ``_PAIR_BLOCK`` pairs (or one step), so that scratch
-    memory does not grow with the batch, then applied in step order. M =
-    ``coef(rows, s)``, (P, m, m) for rows and s of shape (P,), at 5 n + 1
-    points per row: a step's end is the next step's first stage point.
-    ``n_steps`` must not increase. User: ``quantization.Frame.phi_nodes``.
-    """
-    n = np.asarray(n_steps, dtype=int)
-    if np.any(n[1:] > n[:-1]):
-        raise ValueError("n_steps must not increase along the rows")
-    y = np.array(y0, dtype=complex)
-    eye, live = np.eye(y.shape[-1]), np.count_nonzero(n > np.arange(n.max(initial=0))[:, None], axis=1)
-    first = np.concatenate(([0], np.cumsum(live)))  # live: rows stepping, per step; first: its first pair
-    i0 = 0
-    while i0 < len(live):  # one block: the pairs of steps i0 .. i1 - 1, stages kept as h K_j
-        i1 = max(i0 + 1, int(np.searchsorted(first, first[i0] + _PAIR_BLOCK, side="right")) - 1)
-        lv, off = live[i0:i1], first[i0:i1] - first[i0]
-        rows, steps = np.arange(first[i1] - first[i0]) - np.repeat(off, lv), np.repeat(np.arange(i0, i1), lv)
-        h = 1.0 / n[rows]
-        hv = h[:, None, None] * v[rows]
-        m6 = hv * coef(rows, steps * h + h)  # at the step's end: its stage 6 and the next step's stage 1
-        # stage 1 at s = 0 or the row's previous step end: the last block's last step, or lv[q - 1] pairs back
-        m1 = m_end[: lv[0]] if i0 else hv[: lv[0]] * coef(rows[: lv[0]], np.zeros(lv[0]))
-        k = [np.concatenate([m1, m6[np.arange(lv[0], len(rows)) - np.repeat(lv[:-1], lv[1:])]])]
-        for j in range(1, 6):  # elementwise sums: as BLAS matvecs they stalled ~0.15 s a call on idle threads
-            acc = sum(a * kl for a, kl in zip(_DP_A[j], k)) + eye
-            k.append(_small_matmul(m6 if j == 5 else hv * coef(rows, steps * h + _DP_C[j] * h), acc))
-        prop = sum(b * kl for b, kl in zip(_DP_A[6], k)) + eye
-        for L, o in zip(lv, off):
-            y[:L] = _small_matmul(prop[o : o + L], y[:L])
-        i0, m_end = i1, m6[off[-1] :]
-    return y
-
-
-def _small_matmul(a, b):
-    """a @ b on the last two axes by broadcasting, ~5x faster than np.matmul on stacks of 2x2 complex."""
-    return sum(a[..., :, j : j + 1] * b[..., j : j + 1, :] for j in range(a.shape[-1]))
 
 
 def _dp_step(f, y, h, k1):

@@ -19,23 +19,23 @@ engines:
 * the scalar second-order equation in x satisfied by the first component
   of the shifted wavefunction, with its apparent singularities.
 
-Phi moves in x by the linear kernels of :mod:`numerics`, on M(x) =
-sum_i A_i/(x - t_i) (one body, ``_pole_matrix``): adaptive Dormand-Prince
-steps for the base transports, and one batched fixed-step solve for all
-spatial stencil hops of a grid point (:meth:`Frame.phi_nodes`), whose error
-stays a smooth function of the endpoint. Every move in time runs on Taylor
-coefficients of the whole bundle (A, ln tau, Phi at the attached points): a
-time stencil moves along one axis e_d, so one series per direction, summed
-at each offset, serves all its hops (:meth:`Frame.shift_t`; C3 and C11 move
-bare B-states through it too), and long time paths take Taylor steps on the
-same series (:meth:`Frame.shift_t_adaptive`). Derivatives are central
-finite differences with shared stencils.
+Every move of Phi runs on Taylor coefficients. In x at fixed times,
+:func:`_x_series` gives the series of Phi_x = sum_i A_i/(x - t_i) Phi along a
+chord, for any number of rows at once: the base transports walk their chord
+in Taylor steps on it (:meth:`Frame.phi_node`), and every spatial stencil hop
+of a grid point is one row, summed at the hop's end in one call
+(:meth:`Frame.phi_nodes`). In time the series is that of the whole bundle (A,
+ln tau, Phi at the attached points): a time stencil moves along one axis e_d,
+so one series per direction, summed at each offset, serves all its hops
+(:meth:`Frame.shift_t`; C3 and C11 move bare B-states through it too), and
+long time paths take Taylor steps on the same series
+(:meth:`Frame.shift_t_adaptive`). Derivatives are central finite differences
+with shared stencils.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterable, Sequence
@@ -51,14 +51,13 @@ from .errors import (
 )
 from .garnier_okamoto import extract_go, garx_coefficients, hamiltonian_K
 from .numerics import (
+    TAYLOR_ORDER,
     FDScheme,
     PathPlan,
     check_clearance,
     combine_stencil,
     det2,
     inv2,
-    linear_adaptive,
-    linear_fixed_batch,
     quad_roots,
     stencil_multipliers,
     taylor_integrate,
@@ -99,9 +98,6 @@ QPG_FD = FDScheme(order=4, step=5e-4, richardson=True)
 # radius of the x = t_i discs a spatial hop must avoid and of the x = y
 # diagonal guard; a time hop keeps a quarter of it from its singular sets
 EXCLUSION = 0.04
-
-# length of one fixed Dormand-Prince step of a spatial stencil hop (Phi in x)
-STENCIL_STEP_LENGTH = 5e-4
 
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _PAIR_I, _PAIR_J = np.array(_PAIRS).T
@@ -282,14 +278,29 @@ def _report(equation_id, points, rows, scheme) -> ResidualReport:
     )
 
 
-def _nsteps(length: float) -> int:
-    """Fixed-step count of a spatial stencil hop of the given length."""
-    return max(6, int(math.ceil(length / STENCIL_STEP_LENGTH)))
+def _x_series(t, A, x, v, phi) -> tuple[np.ndarray, np.ndarray]:
+    """Taylor coefficients in s of Phi(x + s v) through phi at the fixed times t, for every row at once.
 
-
-def _pole_matrix(z, t, A) -> np.ndarray:
-    """M(z) = sum_i A_i / (z - t_i) of Phi_x = M Phi; t (..., 4), A (..., 4, 2, 2) broadcast on z."""
-    return np.einsum("...i,...iab->...ab", 1.0 / (z[..., None] - t), A)
+    On the chord the weight v/(x - t_i + s v) of A_i in dPhi/ds is sum_l rho_i (-rho_i)^l s^l, rho_i =
+    v/(x - t_i); so with M_l = sum_i A_i rho_i (-rho_i)^l, (n + 1) Phi_n+1 = sum_l M_l Phi_n-l. Rows are
+    leading axes that broadcast: t (..., 4), A (..., 4, 2, 2), x and v scalars or (..., 1), phi (..., 4).
+    Returns the (TAYLOR_ORDER + 1, ..., 4) coefficients and the radius min_i |x - t_i|/|v| of each row.
+    """
+    p = TAYLOR_ORDER
+    rho = v / (x - t)
+    rows = rho.shape[:-1]
+    powers = rho[..., None, :] * (-rho[..., None, :]) ** np.arange(p)[:, None]  # [..., l, i] = rho_i (-rho_i)^l
+    # the orders l of M side by side, and Phi stored reversed, so that each order of the Cauchy
+    # product is one 2 x 2(n + 1) by 2(n + 1) x 2 einsum per row (no BLAS)
+    M = np.einsum("...li,...iab->...alb", powers, A).reshape(rows + (2, 2 * p))  # [..., a, (l, b)] = M_l[a, b]
+    P = np.empty(rows + (p + 1, 2, 2), dtype=complex)  # [..., p - n] = Phi_n
+    P[..., p, :, :] = np.reshape(phi, rows + (2, 2))
+    P2 = P.reshape(rows + (2 * p + 2, 2))
+    for n in range(p):
+        product = np.einsum("...ak,...kc->...ac", M[..., : 2 * n + 2], P2[..., 2 * (p - n) :, :])
+        P[..., p - n - 1, :, :] = product / (n + 1)
+    c = np.moveaxis(P[..., ::-1, :, :], -3, 0).reshape((p + 1,) + rows + (4,))
+    return c, 1.0 / np.max(np.abs(rho), axis=-1)
 
 
 class Frame:
@@ -329,7 +340,7 @@ class Frame:
         tnode: TNode | None = None,
         anchor: PhiNode | None = None,
     ) -> PhiNode:
-        """Transport Phi (and the gauge logs) to x along a straight segment.
+        """Transport Phi (and the gauge logs) to x along a straight segment, in Taylor steps on :func:`_x_series`.
 
         The segment is checked against the x = t_i exclusion discs, and the
         gauge logs gain the principal log((x - t_i)/(anchor.x - t_i)): the
@@ -348,43 +359,37 @@ class Frame:
             return anchor
         w0, w1 = anchor.x - tnode.t, x - tnode.t
         check_clearance(w0, w1, EXCLUSION, _X_SETS)
-        x0, dx = anchor.x, x - anchor.x
-        phi = linear_adaptive(lambda s: _pole_matrix(x0 + s * dx, tnode.t, tnode.A), dx, anchor.phi)
+        path = PathPlan([anchor.x, x], EXCLUSION)
+        phi = taylor_integrate(partial(_x_series, tnode.t, tnode.A), anchor.phi, path)[-1][1].reshape(2, 2)
         node = PhiNode(x=x, t=tnode.t.copy(), phi=phi, logs=anchor.logs + np.log(w1 / w0))
         if cache:
             self._phi_cache[x] = node
         return node
 
     def phi_nodes(self, hops: Sequence[tuple[complex, TNode, PhiNode]]) -> list[PhiNode]:
-        """Transport Phi along every stencil hop (x, tnode, anchor) in one batched solve.
+        """Transport Phi along every stencil hop (x, tnode, anchor) on one series each, summed in one call.
 
-        Each hop runs from anchor.x to x at the times of its tnode and takes
-        ``_nsteps(|x - anchor.x|)`` fixed Dormand-Prince steps, as step
-        propagators (``linear_fixed_batch``). All hops are checked, and
-        continue their gauge logs, as in :meth:`phi_node`, in one pass. A hop
-        that ends at its anchor returns the anchor. Nothing is cached.
+        Each moving hop is one row of :func:`_x_series`, from s = 0 at anchor.x to s = 1 at x, at the
+        times of its tnode (``numerics.taylor_stencil``: SingularityApproach, naming x, for a hop past
+        its Taylor step). All hops are checked, and continue their gauge logs, as in :meth:`phi_node`,
+        in one pass. A hop that ends at its anchor returns the anchor. Nothing is cached.
         """
         hops = [(complex(x), tnode, anchor) for x, tnode, anchor in hops]
+        out = [anchor for _x, _tn, anchor in hops]
         moving = [k for k, (x, _tn, anchor) in enumerate(hops) if x != anchor.x]
+        if not moving:
+            return out
         x0 = np.array([hops[k][2].x for k in moving], dtype=complex)
         x1 = np.array([hops[k][0] for k in moving], dtype=complex)
-        t = np.array([hops[k][1].t for k in moving], dtype=complex).reshape(-1, 4)
+        t = np.array([hops[k][1].t for k in moving], dtype=complex)
         w0, w1 = x0[:, None] - t, x1[:, None] - t
         check_clearance(w0, w1, EXCLUSION, _X_SETS)
-        n_steps = [_nsteps(abs(d)) for d in x1 - x0]
-        order = sorted(range(len(moving)), key=lambda r: -n_steps[r])  # stable
-        moving, n_steps = [moving[r] for r in order], [n_steps[r] for r in order]
-        x0, x1, t, dlogs = x0[order], x1[order], t[order], np.log(w1 / w0)[order]
-        A = np.array([hops[k][1].A for k in moving], dtype=complex).reshape(-1, 4, 2, 2)
-        phi0 = np.array([hops[k][2].phi for k in moving], dtype=complex).reshape(-1, 2, 2)
-        dx = x1 - x0
-        phi1 = linear_fixed_batch(
-            lambda rows, s: _pole_matrix(x0[rows] + s * dx[rows], t[rows], A[rows]), dx[:, None, None], phi0, n_steps
-        )
-        logs = np.array([hops[k][2].logs for k in moving], dtype=complex).reshape(-1, 4) + dlogs
-        out = [anchor for _x, _tn, anchor in hops]
+        A = np.array([hops[k][1].A for k in moving], dtype=complex)
+        phi0 = np.array([hops[k][2].phi.ravel() for k in moving], dtype=complex)
+        phi1 = taylor_stencil(partial(_x_series, t, A), phi0, x0[:, None], (x1 - x0)[:, None], np.ones(len(moving)))
+        logs = np.array([hops[k][2].logs for k in moving], dtype=complex) + np.log(w1 / w0)
         for k, phi, lg in zip(moving, phi1, logs):
-            out[k] = PhiNode(x=hops[k][0], t=hops[k][1].t.copy(), phi=phi, logs=lg)
+            out[k] = PhiNode(x=hops[k][0], t=hops[k][1].t.copy(), phi=phi.reshape(2, 2), logs=lg)
         return out
 
     # -- time transport -----------------------------------------------------

@@ -8,7 +8,15 @@ import time
 
 import pytest
 
-from garnier_lab.acceptance import CRITERIA, criterion_1, criterion_2, criterion_5
+from garnier_lab.acceptance import (
+    CRITERIA,
+    criterion_1,
+    criterion_2,
+    criterion_5,
+    criterion_7,
+    criterion_8,
+    criterion_9,
+)
 
 
 def _run(cid):
@@ -37,13 +45,14 @@ def test_criterion_02_zero_curvature_transport():
 
 
 def test_criterion_02_reports_its_taylor_work():
-    # as C1: frame 200's two loops take 60 Taylor steps on their time legs,
-    # and the t2 loop passes a movable pole at 0.0235 of the distance to the
-    # nearest fixed singular set; both counters are deterministic
+    # as C1: frame 200's two loops take 73 Taylor steps, 60 on their time legs
+    # and 13 on their x legs, and the t2 loop passes a movable pole at 0.0235
+    # of the distance to the nearest fixed singular set; both counters are
+    # deterministic
     first, second = (criterion_2(n_frames=1).metrics for _ in range(2))
     assert first == second
     assert set(first) == {"max_loop_defect", "taylor_steps", "min_radius_ratio"}
-    assert first["taylor_steps"] == 60
+    assert first["taylor_steps"] == 73
     assert first["min_radius_ratio"] == pytest.approx(0.023508854137585355, rel=1e-9)
 
 
@@ -78,6 +87,25 @@ def test_criterion_07_bpz_verification():
     t0 = time.perf_counter()
     _run("C7")
     assert time.perf_counter() - t0 <= 300.0
+
+
+@pytest.mark.parametrize(
+    "criterion, keys, steps, ratio",
+    [
+        (criterion_7, {"max_rel", "max_rel_degenerate"}, 16, 0.9150532899916181),
+        (criterion_8, {"max_rel", "swap_gap"}, 58, 0.9150532899916181),
+        (criterion_9, {"max_rel", "max_roundtrip"}, 10, 0.9150532899916182),
+    ],
+    ids=["C7", "C8", "C9"],
+)
+def test_criteria_07_to_09_report_their_taylor_work(criterion, keys, steps, ratio):
+    # the base transports walk their chords in Taylor steps: at one frame and
+    # two grid points, the same counts on every run
+    first, second = (criterion(n_frames=1, grid_points=2).metrics for _ in range(2))
+    assert first == second
+    assert set(first) == keys | {"taylor_steps", "min_radius_ratio"}
+    assert first["taylor_steps"] == steps
+    assert first["min_radius_ratio"] == pytest.approx(ratio, rel=1e-9)
 
 
 def test_criterion_08_quantized_go():

@@ -31,3 +31,48 @@ def test_every_name_the_package_reexports_resolves():
     assert imported
     for module, name in imported:
         assert getattr(garnier_lab, name) is getattr(importlib.import_module(f"garnier_lab.{module}"), name)
+
+
+SOURCES = {path.stem: path for path in sorted(Path(garnier_lab.__file__).parent.glob("*.py"))}
+
+
+def _called_name(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+
+
+def test_dormand_prince_steps_run_only_in_the_reference_integrator():
+    # every move in src/ takes Taylor steps; DP5 is left only in
+    # numerics.ode_integrate, the tests' reference, which nothing in src/ calls
+    dp_callers, ode_callers = set(), set()
+    for stem, path in SOURCES.items():
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and _called_name(node) == "_dp_step":
+                    dp_callers.add(f"{stem}.{getattr(top, 'name', '<module>')}")
+                if isinstance(node, ast.Call) and _called_name(node) == "ode_integrate":
+                    ode_callers.add(f"{stem}.{getattr(top, 'name', '<module>')}")
+    assert dp_callers == {"numerics.ode_integrate"}
+    assert ode_callers == set()
+
+
+@pytest.mark.parametrize("name", sorted(set(SOURCES) - {"__init__"}))  # the package's imports are its exports
+def test_every_module_level_import_is_used(name):
+    # no linter runs here; a name a module imports and never reads is flagged
+    # unless its line says why (`# noqa: F401`), and a name in __all__ is read
+    source = SOURCES[name].read_text()
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    unused = [
+        (node.lineno, alias.asname or alias.name.split(".")[0])
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+        if (alias.asname or alias.name.split(".")[0]) not in read
+        and "# noqa: F401" not in "".join(lines[node.lineno - 1 : node.end_lineno])
+    ]
+    assert unused == []

@@ -23,16 +23,12 @@ from garnier_lab.numerics import (
     combine_stencil,
     count_work,
     fd_derivative,
-    linear_adaptive,
-    linear_fixed_batch,
     ode_integrate,
     quad_roots,
     stencil_multipliers,
     taylor_integrate,
     taylor_stencil,
 )
-
-from conftest import fixed_step_hop
 
 
 # ---------------------------------------------------------------------------
@@ -233,18 +229,6 @@ def test_taylor_failures_are_typed_with_a_location(monkeypatch, y0, radius, budg
     assert info.value.location is not None
 
 
-def test_integrate_fixed_steps_deterministic():
-    # the fixed-step kernel: the same bits from run to run, and the exact
-    # exponential to the scheme's accuracy
-    def coef(rows, s):
-        return np.ones((len(rows), 1, 1), dtype=complex)
-
-    a = linear_fixed_batch(coef, np.array([[[0.3]]]), np.ones((1, 1, 1)), [12])[0, 0, 0]
-    b = linear_fixed_batch(coef, np.array([[[0.3]]]), np.ones((1, 1, 1)), [12])[0, 0, 0]
-    assert a == b
-    assert abs(a - np.exp(0.3)) < 1e-10
-
-
 def test_taylor_stencil_sums_one_series_at_every_offset():
     # one coefficient call from the centre, then a Horner sum per complex offset
     calls = []
@@ -271,6 +255,49 @@ def test_taylor_stencil_raises_past_the_step_naming_the_point():
     # a non-finite offset fails the same way
     with pytest.raises(SingularityApproach):
         taylor_stencil(lambda p, v, y: _exp_coeffs(10.0)(p[0], v[0], y), np.array([1.0 + 0j]), (0.0,), (1.0,), [np.nan])
+
+
+def _exp_rows(radius):
+    """The rows of dy/ds = v_r y at once: coefficients (p + 1, R, d) for point and velocity of shape (R, 1)."""
+    k = np.arange(TAYLOR_ORDER + 1)[:, None, None]
+    inv_fact = np.array([1.0 / math.factorial(int(j)) for j in k.ravel()])[:, None, None]
+    return lambda z, v, y: (y[None] * (v[None] ** k * inv_fact), np.asarray(radius, dtype=float))
+
+
+def test_taylor_step_of_rows_is_each_row_alone(rng):
+    # the row axis broadcasts through the same arithmetic: bit for bit each row's step and ratio
+    c = (rng.normal(size=(TAYLOR_ORDER + 1, 5, 3)) + 1j * rng.normal(size=(TAYLOR_ORDER + 1, 5, 3))) * 0.3 ** np.arange(
+        TAYLOR_ORDER + 1
+    )[:, None, None]
+    radii = rng.uniform(0.5, 20.0, size=5)
+    h, ratio = numerics._taylor_step(c, radii, 1e-12, np.zeros((5, 1)))
+    for r in range(5):
+        h_r, ratio_r = numerics._taylor_step(c[:, r], radii[r], 1e-12, (0.0,))
+        assert h[r] == h_r and ratio[r] == ratio_r
+
+
+def test_taylor_stencil_sums_row_r_at_offset_r():
+    # one coefficient call for every row; row r at offsets[r], bit for bit that row alone
+    point = np.array([[0.3], [0.1j], [-0.2]])
+    v = np.array([[1.0], [1j], [-0.5 + 0.5j]])
+    y0 = np.array([[2.0, 1j], [1.0, -1.0], [0.5j, 3.0]])
+    offsets = np.array([0.2, -0.3, 0.1 + 0.1j])
+    got = taylor_stencil(_exp_rows([10.0] * 3), y0, point, v, offsets)
+    assert got.shape == (3, 2)
+    for r in range(3):
+        alone = taylor_stencil(_exp_rows([10.0]), y0[r : r + 1], point[r : r + 1], v[r : r + 1], offsets[r : r + 1])
+        assert np.array_equal(got[r], alone[0])
+        want = y0[r] * np.exp(v[r, 0] * offsets[r])
+        assert np.max(np.abs(got[r] - want)) <= 1e-15 * np.max(np.abs(want))
+    # a row past its own step (radius 0.1 caps it at 0.05) names its stencil point
+    with pytest.raises(SingularityApproach, match="past the Taylor step") as info:
+        taylor_stencil(_exp_rows([10.0, 0.1, 10.0]), y0, point, v, [0.2, 0.06, 0.2])
+    assert info.value.location == (0.1j + 0.06 * 1j,)
+    # a non-finite row names its own centre
+    y0[2, 1] = np.nan
+    with pytest.raises(SingularityApproach, match="non-finite Taylor coefficient") as info:
+        taylor_stencil(_exp_rows([10.0] * 3), y0, point, v, offsets)
+    assert info.value.location == (-0.2,)
 
 
 def test_taylor_stencil_of_a_constant_raises_no_warning():
@@ -324,73 +351,13 @@ def test_dp_step_matches_generator_sums(rng, batch):
         assert numerics._error_norm(row, row, row, 1e-12, 1e-14) == want
 
 
-def test_linear_fixed_batch_wants_non_increasing_step_counts():
-    def coef(rows, s):
-        return np.zeros(s.shape + (2, 2), dtype=complex)
-
-    y0 = np.tile(np.eye(2, dtype=complex), (2, 1, 1))
-    with pytest.raises(ValueError):
-        linear_fixed_batch(coef, np.ones((2, 1, 1)), y0, [6, 7])
-    assert np.array_equal(linear_fixed_batch(coef, np.ones((2, 1, 1)), y0, [7, 6]), y0)
-
-
-def test_linear_fixed_batch_constant_coefficient_is_the_stability_polynomial(rng):
-    # for M = C a step of size h is R(h v C), R(z) = sum_{k<=5} z^k/k! + z^6/600
-    # (the DP5 stability polynomial), so n steps give R(h v C)^n y0; 48 rows
-    # of 6-12 steps make more (row, step) pairs than one block holds
-    n = sorted(rng.integers(6, 13, size=48), reverse=True)
-    C = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    v = 0.3 * (rng.normal(size=(48, 1, 1)) + 1j * rng.normal(size=(48, 1, 1)))
-    y0 = rng.normal(size=(48, 2, 2)) + 1j * rng.normal(size=(48, 2, 2))
-    got = linear_fixed_batch(lambda rows, s: np.broadcast_to(C, s.shape + (2, 2)), v, y0, n)
-    assert sum(n) > numerics._PAIR_BLOCK
-    for k in range(48):
-        z = v[k] / n[k] * C
-        powers = [np.linalg.matrix_power(z, p) for p in range(7)]
-        R = sum(pw / math.factorial(p) for p, pw in enumerate(powers[:6])) + powers[6] / 600.0
-        want = np.linalg.matrix_power(R, n[k]) @ y0[k]
-        assert np.max(np.abs(got[k] - want)) <= 1e-14 * np.max(np.abs(want))
-
-
-def _constant(m):
-    m = np.asarray(m, dtype=complex)
-    return lambda s: np.broadcast_to(m, s.shape + (2, 2))
-
-
-_EYE = np.eye(2, dtype=complex)
-
-
-@pytest.mark.parametrize(
-    "coef, v, y0, at",
-    [
-        # growth e^(40 s) from 1e300: the state leaves the float range mid-hop
-        (_constant(_EYE), 40.0, 1e300 * _EYE, (0.2, 0.5)),
-        # |y| past the float range in the error norm's abs (an OverflowError)
-        (_constant(0 * _EYE), 1.0, np.diag([1.5e308 + 1.5e308j, 1.0]), (0.0, 0.0)),
-        # a first stage past the float range in the initial step (h0 = 0)
-        (_constant([[1.0, 0.5], [0.0, -1.0]]), 40.0, 1e305 * _EYE, (0.0, 0.0)),
-        # non-finite coefficients: everywhere (a NaN first step), and from s = 1/2 on
-        (_constant(np.full((2, 2), np.nan)), 1.0, _EYE, (0.0, 0.0)),
-        (lambda s: np.where(s[..., None, None] < 0.5, _EYE, np.inf), 1.0, _EYE, (0.49, 0.5)),
-    ],
-    ids=["blow-up", "abs-overflow", "first-stage-overflow", "nan", "inf-past-half"],
-)
-def test_linear_adaptive_failures_are_typed_with_a_location(coef, v, y0, at):
-    # the scalar complex arithmetic raises OverflowError where numpy
-    # returned inf, and an overflowed first stage leaves no initial step;
-    # none of them may escape untyped
-    with np.errstate(all="ignore"), pytest.raises(SingularityApproach) as info:
-        linear_adaptive(coef, v, y0)
-    assert at[0] <= info.value.location <= at[1]
-
-
 def test_ode_integrate_first_stage_overflow_is_typed():
     # a first stage past the float range makes the initial step 0; it is
     # reported where the path starts, not as a ZeroDivisionError
     m = np.array([[1.0, 0.5], [0.0, -1.0]])
     path = PathPlan([0.0, 1.0], 0.1)
     with np.errstate(all="ignore"), pytest.raises(SingularityApproach) as info:
-        ode_integrate(lambda z, v, y: 40 * v * (m @ y.reshape(2, 2)).ravel(), (1e305 * _EYE).ravel(), path)
+        ode_integrate(lambda z, v, y: 40 * v * (m @ y.reshape(2, 2)).ravel(), np.array([1e305, 0, 0, 1e305]), path)
     assert info.value.location == path.point(0.0)
 
 

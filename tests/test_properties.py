@@ -1,6 +1,6 @@
 """Property tests over random inputs: space-variable map, quadratic roots, logs continued
-along cleared chords, seeded Schlesinger data, the coordinate bridge, the adaptive Phi kernel and
-the Taylor steps of the Schlesinger, polynomial Garnier and Garnier-Okamoto flows."""
+along cleared chords, seeded Schlesinger data, the coordinate bridge, the Taylor series of Phi in x
+and the Taylor steps of the Schlesinger, polynomial Garnier and Garnier-Okamoto flows."""
 
 import cmath
 import math
@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from garnier_lab.errors import GarnierLabError, PathViolation
 from garnier_lab.garnier_okamoto import GOState, go_vector_field, integrate_go
-from garnier_lab.numerics import PathPlan, check_clearance, linear_adaptive, ode_integrate, quad_roots
+from garnier_lab import numerics
+from garnier_lab.numerics import PathPlan, check_clearance, ode_integrate, quad_roots
 from garnier_lab.poly_garnier import (
     PGState,
     ThetaPG,
@@ -21,7 +22,7 @@ from garnier_lab.poly_garnier import (
     bridge_q_from_lambda,
     integrate_pg,
 )
-from garnier_lab.quantization import _pole_matrix, zeta_eta_inverse, zeta_eta_map
+from garnier_lab.quantization import Frame, PhiNode, TNode, _x_series, zeta_eta_inverse, zeta_eta_map
 from garnier_lab.schlesinger import (
     T3,
     T4,
@@ -143,32 +144,36 @@ def test_bridge_round_trip_off_the_reduction_locus(q1, q2, t1, t2):
     assert abs(qq1 - q1) + abs(qq2 - q2) <= 1e-11 * (1.0 + abs(q1) + abs(q2))
 
 
+_X_FRAME = Frame(gen_schlesinger_b([0.31 - 0.12j, 0.47 + 0.08j, -0.29 + 0.21j, 0.55 - 0.03j], seed=11), 0.45 + 1.1j)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     _TIME, _TIME, st.lists(_ENTRY, min_size=12, max_size=12), _POINT, _POINT, st.lists(_ENTRY, min_size=4, max_size=4)
 )
-def test_linear_adaptive_matches_ode_integrate_on_the_same_field(t1, t2, abc, x0, x1, y0):
+def test_x_series_matches_ode_integrate_on_the_same_field(t1, t2, abc, x0, x1, y0):
     # Phi_x = M(x) Phi, M = sum_i A_i/(x - t_i) with random traceless A_i, on a
-    # hop in the upper half-plane, clear of the times near the real axis
+    # hop in the upper half-plane, clear of the times near the real axis:
+    # phi_node walks it in Taylor steps at the default rtol (measured <=
+    # 3.7e-13 from the reference in 400 draws), and a one-row phi_nodes sums
+    # one series within its step (measured <= 2.1e-14)
     assume(abs(t1 - t2) > 0.05 and abs(x1 - x0) > 1e-3)
     t = np.array([t1, t2, 1.0, 0.0])
     A = np.array([[[a, b], [c, -a]] for a, b, c in zip(abc[0::3], abc[1::3], abc[2::3])])
-    y0 = np.reshape(y0, (2, 2))
-    dx = x1 - x0
-    seen = []
-    got = linear_adaptive(lambda s: seen.append(s.size) or _pole_matrix(x0 + s * dx, t, A), dx, y0)
-    rhs = []
+    tnode = TNode(t, A, 0.0j, np.zeros(6, dtype=complex))
+    anchor = PhiNode(x0, t, np.reshape(y0, (2, 2)), np.log(x0 - t))
+    coeffs = partial(_x_series, t, A)
+    h = float(numerics._taylor_step(*coeffs(x0, x1 - x0, anchor.phi.ravel()), numerics.DEFAULT_RTOL, (x0,))[0])
+    x_step = x0 + min(1.0, 0.9 * h) * (x1 - x0)
 
     def field(z, v, y):
-        rhs.append(1)
         return (v * (np.einsum("i,iab->ab", 1.0 / (z - t), A) @ y.reshape(2, 2))).ravel()
 
-    ref = ode_integrate(field, y0.ravel(), PathPlan([x0, x1], 0.05))[-1][1].reshape(2, 2)
-    # the same steps, accepted and rejected (two RHS for the initial step,
-    # then six per step against one coef call per step) ...
-    assert seen[:2] == [1, 1] and 6 * len(seen[2:]) == len(rhs) - 2
-    # ... to the same Phi up to rounding (measured: <= 1.9e-14 in 2400 draws)
-    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    walked = _X_FRAME.phi_node(x1, tnode, anchor)
+    (summed,) = _X_FRAME.phi_nodes([(x_step, tnode, anchor)])
+    for x, node, rel in ((x1, walked, numerics.DEFAULT_RTOL), (x_step, summed, 1e-13)):
+        ref = ode_integrate(field, anchor.phi.ravel(), PathPlan([x0, x], 0.05), rtol=1e-13)[-1][1].reshape(2, 2)
+        assert np.max(np.abs(node.phi - ref)) <= rel * np.max(np.abs(ref))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -17,12 +17,13 @@ from garnier_lab.numerics import (
     FDScheme,
     PathPlan,
     combine_stencil,
+    count_work,
     det2,
     inv2,
     ode_integrate,
     stencil_multipliers,
 )
-from garnier_lab import numerics, quantization
+from garnier_lab import quantization
 from garnier_lab.acceptance import _seeded_b_state, default_grid
 from garnier_lab.schlesinger import (
     SchlesingerState,
@@ -37,7 +38,9 @@ from garnier_lab.quantization import (
     QPG_FD,
     AlphaBeta,
     Frame,
+    PhiNode,
     ResidualReport,
+    TNode,
     _y_derivs,
     bpz_residual,
     garx_residual,
@@ -50,8 +53,6 @@ from garnier_lab.quantization import (
     zeta_eta_inverse,
     zeta_eta_map,
 )
-
-from conftest import fixed_step_hop
 
 BASE_X = 0.45 + 1.1j
 THETA4 = [0.31 - 0.12j, 0.47 + 0.08j, -0.29 + 0.21j, 0.55 - 0.03j]
@@ -466,15 +467,24 @@ def test_phi_nodes_batch_matches_hops_alone(frame):
         (alone,) = frame.phi_nodes([(x, tn_k, anchor)])
         assert agree(node.phi, alone.phi) and agree(node.logs, alone.logs)
         assert np.array_equal(node.t, tn_k.t)
-
-        # the loop reference: one fixed-step solve of the same hop
-        n_steps = quantization._nsteps(abs(x - anchor.x))
-        fixed = fixed_step_hop(_phi_field(tn_k), anchor.phi.ravel(), anchor.x, x, n_steps)
-        assert agree(node.phi.ravel(), fixed)
-        # and the adaptive transport agrees to integrator accuracy
+        # and the Taylor steps of phi_node agree to their tolerance
         ref = frame.phi_node(x, tnode=tn_k, anchor=anchor)
         assert np.max(np.abs(node.phi - ref.phi)) < 1e-11
         assert np.max(np.abs(node.logs - ref.logs)) < 1e-13
+
+
+def test_phi_nodes_without_a_moving_hop_forms_no_series(frame, monkeypatch):
+    # no hop, or only hops that end at their anchors: the anchors come back
+    # as they are, and no series is formed
+    nx = frame.phi_node(0.35 + 1.0j)
+
+    def no_series(*_args):
+        raise AssertionError("formed a series with no moving hop")
+
+    monkeypatch.setattr(quantization, "_x_series", no_series)
+    assert frame.phi_nodes([]) == []
+    out = frame.phi_nodes([(nx.x, frame.base_tnode, nx), (frame.base_x, frame.base_tnode, frame.base_node)])
+    assert out[0] is nx and out[1] is frame.base_node
 
 
 def test_phi_nodes_rejects_hop_into_exclusion_disc(frame):
@@ -483,13 +493,13 @@ def test_phi_nodes_rejects_hop_into_exclusion_disc(frame):
     hops = [(BASE_X + 1e-3, base, frame.base_node), (1.0 + 0.02j, base, frame.base_node)]
     with pytest.raises(PathViolation):
         frame.phi_nodes(hops)
-    # a non-finite end is rejected too, before its step count is taken
+    # a non-finite end is rejected too, before any series is formed
     with pytest.raises(PathViolation):
         frame.phi_nodes([(complex("nan"), base, frame.base_node)])
 
 
 def _phi_field(tnode):
-    """Reference: the adaptive Phi field that phi_node gave ode_integrate before the linear kernel."""
+    """Reference: the Phi field dPhi/ds = v sum_i A_i/(x - t_i) Phi for ode_integrate's DP5 steps."""
     t, A = tnode.t, tnode.A
 
     def fld(z, v, yv):
@@ -499,42 +509,27 @@ def _phi_field(tnode):
     return fld
 
 
-def _record_coefficient_points(monkeypatch, driver):
-    """Wrap quantization.<driver> so that every coefficient call records its parameters s."""
-    real = getattr(quantization, driver)
-    seen = []
-
-    def wrapped(coef, *args):
-        return real(lambda s: seen.append(np.array(s)) or coef(s), *args)
-
-    monkeypatch.setattr(quantization, driver, wrapped)
-    return seen
+def _dp5_hop(tnode, anchor, x):
+    """Phi at x from anchor by ode_integrate at rtol 1e-13."""
+    path = PathPlan([anchor.x, x], quantization.EXCLUSION)
+    return ode_integrate(_phi_field(tnode), anchor.phi.ravel(), path, rtol=1e-13)[-1][1].reshape(2, 2)
 
 
 @pytest.mark.parametrize("seed", [700, 701])
-def test_phi_node_kernel_matches_old_adaptive_field(seed, monkeypatch):
+def test_phi_node_kernel_matches_old_adaptive_field(seed):
+    # C7's base transports and one hop at moved times: Taylor steps of the
+    # x-series, which count_work sees (measured <= 4.1e-14 from the DP5
+    # reference at rtol 1e-13)
     frame = Frame(_seeded_b_state(seed), base_x=BASE_X)
     base = frame.base_tnode
     ((tn, (anchor,)),) = frame.shift_t(base, [frame.phi_node(0.35 + 1.0j)], 1, [3e-3 - 1e-3j])
-    seen = _record_coefficient_points(monkeypatch, "linear_adaptive")
     hops = [(x, None, frame.base_node) for x, _y in default_grid(4)] + [(1.1 + 1.4j, tn, anchor)]
     for x, tnode, anchor in hops:
-        seen.clear()
-        node = frame.phi_node(x, tnode=tnode, anchor=anchor)
-        fld = _phi_field(tnode or base)
-        rhs = []
-        ref = ode_integrate(
-            lambda z, v, y: rhs.append(1) or fld(z, v, y),
-            anchor.phi.ravel(),
-            PathPlan([anchor.x, x], quantization.EXCLUSION),
-        )[-1][1]
-        ref = ref.reshape(2, 2)
-        assert np.max(np.abs(node.phi - ref)) <= 1e-14 * np.max(np.abs(ref))
-        # the same steps, accepted and rejected: the old field took two RHS
-        # for the initial step and six per step, the kernel takes two points
-        # and then one coef call of five distinct stage points per step
-        assert [s.size for s in seen[:2]] == [1, 1] and {s.size for s in seen[2:]} == {5}
-        assert 6 * len(seen[2:]) == len(rhs) - 2
+        with count_work() as work:
+            node = frame.phi_node(x, tnode=tnode, anchor=anchor)
+        assert work["taylor_steps"] >= 1
+        ref = _dp5_hop(tnode or base, anchor, x)
+        assert np.max(np.abs(node.phi - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_phi_nodes_kernel_matches_old_batched_field(frame, monkeypatch):
@@ -550,47 +545,69 @@ def test_phi_nodes_kernel_matches_old_batched_field(frame, monkeypatch):
         (nys.x + 2e-3j, tn, nys),
         (nx.x - 9e-3, base, nx),
     ]
-    seen = []  # (rows, s) of every coefficient call
-    real = quantization.linear_fixed_batch
-
-    def wrapped(coef, *args):
-        return real(lambda rows, s: seen.append((rows.copy(), s.copy())) or coef(rows, s), *args)
-
-    monkeypatch.setattr(quantization, "linear_fixed_batch", wrapped)
+    calls = []
+    real = quantization._x_series
+    monkeypatch.setattr(quantization, "_x_series", lambda *args: calls.append(args) or real(*args))
     batch = frame.phi_nodes(hops)
     assert batch[2] is nx
-    moving = [hop for hop in hops if hop[0] != hop[2].x]
-    n_steps = [quantization._nsteps(abs(x - a.x)) for x, _tn, a in moving]
-    assert len(set(n_steps)) == 4 and n_steps != sorted(n_steps, reverse=True)
-    # reference: each hop alone, in fixed steps of the Phi field that phi_nodes had before the linear kernel
-    ref = [fixed_step_hop(_phi_field(tn), a.phi.ravel(), a.x, x, n) for (x, tn, a), n in zip(moving, n_steps)]
-    got = [node for hop, node in zip(hops, batch) if hop[0] != hop[2].x]
-    for node, r in zip(got, ref):
-        assert np.max(np.abs(node.phi - r.reshape(2, 2))) <= 1e-14 * np.max(np.abs(r))
-    # each moving hop's M once at each distinct point of the stepping scheme:
-    # five per step (a step's end is the next step's first stage) and s = 0;
-    # the kernel runs the hops in the order of descending step count
-    n_sorted = sorted(n_steps, reverse=True)
-    rows = np.concatenate([r for r, _s in seen])
-    points = np.concatenate([s for _r, s in seen])
-    assert list(np.bincount(rows)) == [5 * n + 1 for n in n_sorted]
-    for r, n in enumerate(n_sorted):
-        h = 1.0 / n
-        want = {0.0} | {i * h + c * h for i in range(n) for c in numerics._DP_C[1:]}
-        assert set(points[rows == r]) == want
+    # one series for all moving hops, one row each, from s = 0 at its anchor
+    moving = [(hop, node) for hop, node in zip(hops, batch) if hop[0] != hop[2].x]
+    ((t, A, x0, v, phi0),) = calls
+    assert x0.shape == v.shape == (5, 1) and t.shape == (5, 4) and A.shape == (5, 4, 2, 2)
+    assert [complex(z) for z in x0[:, 0]] == [a.x for (_x, _tn, a), _n in moving]
+    # each row against the DP5 reference (measured <= 1.9e-16)
+    for (x, tn_k, a), node in moving:
+        ref = _dp5_hop(tn_k, a, x)
+        assert np.max(np.abs(node.phi - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
-def test_phi_nodes_continue_far_chord_logs_like_phi_node(frame):
-    # a hop that triples its distance to t2: that chord ratio is far from 1,
-    # and its principal log still continues the log, in both transports
+def test_far_chord_is_past_the_step_of_phi_nodes_and_walked_by_phi_node(frame):
+    # a hop that triples its distance to t2: the series at the anchor reaches
+    # a quarter of the chord (half its radius, itself half the chord), so
+    # phi_nodes raises naming x before any node is returned; phi_node walks
+    # it in Taylor steps, and the principal log of its chord ratio, far from
+    # 1, continues the log as two sub-chords do
     t = frame.base_tnode.t
     u = (BASE_X - t[1]) / abs(BASE_X - t[1])
     anchor = frame.phi_node(t[1] + 0.06 * u)
     x = t[1] + 0.18 * u
-    (node,) = frame.phi_nodes([(x, frame.base_tnode, anchor)])
-    ref = frame.phi_node(x, anchor=anchor)
-    assert np.max(np.abs(node.logs - ref.logs)) <= 1e-15
-    assert np.max(np.abs(node.phi - ref.phi)) < 1e-11
+    with pytest.raises(SingularityApproach, match="past the Taylor step") as info:
+        frame.phi_nodes([(x, frame.base_tnode, anchor)])
+    (where,) = info.value.location
+    assert abs(where - x) <= 1e-15 * abs(x)
+    node = frame.phi_node(x, anchor=anchor)
+    via = frame.phi_node(x, anchor=frame.phi_node(t[1] + 0.12 * u, anchor=anchor))
+    assert np.max(np.abs(node.logs - via.logs)) <= 1e-15
+    assert np.max(np.abs(node.phi - via.phi)) < 1e-11
+
+
+@pytest.mark.parametrize("transport", ["phi_node", "phi_nodes"])
+@pytest.mark.parametrize("case", ["nan-A", "inf-phi", "blow-up"])
+def test_x_transport_failures_are_typed_with_a_location(frame, case, transport):
+    # a non-finite residue or Phi, or a Phi that leaves the float range on
+    # the way, raises SingularityApproach at a point of the failing chord;
+    # phi_nodes names that hop's chord, behind a healthy one
+    base = frame.base_tnode
+    A, phi = base.A.copy(), np.eye(2, dtype=complex)
+    if case == "nan-A":
+        A[2, 0, 1] = np.nan
+    elif case == "inf-phi":
+        phi[1, 0] = np.inf
+    else:  # |Phi| grows 3.3-fold along the chord
+        A, phi = 30.0 * A, 1e308 * phi
+    x0, x = 0.35 + 1.0j, 0.37 + 1.01j
+    tnode = TNode(base.t, A, base.ln_tau, base.pair_logs)
+    anchor = PhiNode(x0, base.t, phi, np.log(x0 - base.t))
+    healthy = frame.phi_node(1.15 + 1.45j)
+    message = "non-finite Taylor sum" if case == "blow-up" else "non-finite Taylor coefficient"
+    with np.errstate(all="ignore"), pytest.raises(SingularityApproach, match=message) as info:
+        if transport == "phi_node":
+            frame.phi_node(x, tnode=tnode, anchor=anchor)
+        else:
+            frame.phi_nodes([(healthy.x + 2e-3, base, healthy), (x, tnode, anchor)])
+    (where,) = info.value.location
+    s = (where - x0) / (x - x0)
+    assert abs(s.imag) <= 1e-12 and -1e-12 <= s.real <= 1.0 + 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -616,8 +633,7 @@ def test_phi_nodes_keep_det_phi_on_every_hop_of_a_c9_point(c9_point_hops):
 
 
 def test_phi_nodes_memory_of_a_c9_point_is_bounded(c9_point_hops):
-    # the step propagators are formed block by block: scratch memory stays
-    # flat however many (hop, step) pairs a call has
+    # one series row per hop, summed once: scratch memory stays small
     frame, hops = c9_point_hops
     frame.phi_nodes(hops)
     tracemalloc.start()
@@ -636,9 +652,10 @@ def test_hop_screen_leaves_the_disc_edge_to_the_exact_check(frame, inside):
     base = frame.base_tnode
     t = base.t
     edge = 1.0 - 1e-12 if inside else 1.0 + 1e-12
-    # spatial hop: radially onto the x = t2 disc
+    # spatial hop: radially onto the x = t2 disc, from a point just outside
+    # it (a hop within one series' step)
     u = (BASE_X - t[1]) / abs(BASE_X - t[1])
-    anchor = frame.phi_node(t[1] + 0.06 * u)
+    anchor = frame.phi_node(t[1] + 1.01 * quantization.EXCLUSION * u)
     hops = [(anchor.x + 1e-3 * u, base, anchor), (t[1] + quantization.EXCLUSION * edge * u, base, anchor)]
     # time hop: t1 moved onto the t1 = x disc of an attached node, from a
     # time tuple just outside it (a hop within one series' step)
