@@ -58,6 +58,7 @@ __all__ = [
     "ode_integrate",
     "taylor_integrate",
     "count_work",
+    "tally",
     "taylor_stencil",
     "FDScheme",
     "fd_derivative",
@@ -453,13 +454,21 @@ def _horner(c: np.ndarray, h):
 @contextmanager
 def count_work():
     """Yield a dict that sums the ``taylor_steps`` and takes the ``min_radius_ratio`` of every
-    :func:`taylor_integrate` call in the block (inf without steps); both are deterministic."""
+    :func:`taylor_integrate` call in the block (inf without steps), and sums what :func:`tally` adds
+    there; all are deterministic."""
     work = {"taylor_steps": 0, "min_radius_ratio": math.inf}
     token = _WORK.set(work)
     try:
         yield work
     finally:
         _WORK.reset(token)
+
+
+def tally(key: str, n: int = 1) -> None:
+    """Add n to ``key`` of the enclosing :func:`count_work` block's dict, which gains the key at its first tally."""
+    work = _WORK.get()
+    if work is not None:
+        work[key] = work.get(key, 0) + n
 
 
 def _checkpoints(path: PathPlan, samples) -> tuple[list[float], list[float]]:

@@ -22,15 +22,15 @@ engines:
 Every move of Phi runs on Taylor coefficients. In x at fixed times,
 :func:`_x_series` gives the series of Phi_x = sum_i A_i/(x - t_i) Phi along a
 chord, for any number of rows at once: the base transports walk their chord
-in Taylor steps on it (:meth:`Frame.phi_node`), and every spatial stencil hop
-of a grid point is one row, summed at the hop's end in one call
-(:meth:`Frame.phi_nodes`). In time the series is that of the whole bundle (A,
-ln tau, Phi at the attached points): a time stencil moves along one axis e_d,
-so one series per direction, summed at each offset, serves all its hops
-(:meth:`Frame.shift_t`; C3 and C11 move bare B-states through it too), and
-long time paths take Taylor steps on the same series
-(:meth:`Frame.shift_t_adaptive`). Derivatives are central finite differences
-with shared stencils.
+in Taylor steps on it (:meth:`Frame.phi_node`), and each spatial stencil hop
+is one row, summed at its end (:meth:`Frame.phi_nodes`). In time the series
+is that of the bundle (A, ln tau, Phi at the attached points), summed at
+every offset along one axis e_d (:meth:`Frame.shift_t`; C3 and C11 move bare
+B-states too) or walked in Taylor steps (:meth:`Frame.shift_t_adaptive`).
+Derivatives are central finite differences. The residual engines take their
+stencil values from one grid pass (:func:`_stencil_values`): every time
+stencil is centred at the base time, so one bundle series per direction
+carries every grid point's nodes, and every spatial hop moves in one call.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from .numerics import (
     inv2,
     quad_roots,
     stencil_multipliers,
+    tally,
     taylor_integrate,
     taylor_stencil,
 )
@@ -330,7 +331,6 @@ class Frame:
             phi=np.eye(2, dtype=complex),
             logs=np.log(self.base_x - t),
         )
-        self._phi_cache: dict[complex, PhiNode] = {self.base_x: self.base_node}
 
     # -- spatial transport --------------------------------------------------
 
@@ -344,27 +344,20 @@ class Frame:
 
         The segment is checked against the x = t_i exclusion discs, and the
         gauge logs gain the principal log((x - t_i)/(anchor.x - t_i)): the
-        exact continuation along a chord that misses every x = t_i. Cached: base-time nodes from the base node.
+        exact continuation along a chord that misses every x = t_i.
         """
         x = complex(x)
-        base_time = tnode is None
+        anchor = anchor or (self.base_node if tnode is None else None)
         tnode = tnode or self.base_tnode
-        anchor = anchor or (self.base_node if base_time else None)
         if anchor is None:
             raise ValueError("an anchor node is required away from the base time")
-        cache = base_time and anchor is self.base_node
-        if cache and x in self._phi_cache:
-            return self._phi_cache[x]
         if x == anchor.x:
             return anchor
         w0, w1 = anchor.x - tnode.t, x - tnode.t
         check_clearance(w0, w1, EXCLUSION, _X_SETS)
         path = PathPlan([anchor.x, x], EXCLUSION)
         phi = taylor_integrate(partial(_x_series, tnode.t, tnode.A), anchor.phi, path)[-1][1].reshape(2, 2)
-        node = PhiNode(x=x, t=tnode.t.copy(), phi=phi, logs=anchor.logs + np.log(w1 / w0))
-        if cache:
-            self._phi_cache[x] = node
-        return node
+        return PhiNode(x=x, t=tnode.t.copy(), phi=phi, logs=anchor.logs + np.log(w1 / w0))
 
     def phi_nodes(self, hops: Sequence[tuple[complex, TNode, PhiNode]]) -> list[PhiNode]:
         """Transport Phi along every stencil hop (x, tnode, anchor) on one series each, summed in one call.
@@ -372,7 +365,7 @@ class Frame:
         Each moving hop is one row of :func:`_x_series`, from s = 0 at anchor.x to s = 1 at x, at the
         times of its tnode (``numerics.taylor_stencil``: SingularityApproach, naming x, for a hop past
         its Taylor step). All hops are checked, and continue their gauge logs, as in :meth:`phi_node`,
-        in one pass. A hop that ends at its anchor returns the anchor. Nothing is cached.
+        in one pass. A hop that ends at its anchor returns the anchor.
         """
         hops = [(complex(x), tnode, anchor) for x, tnode, anchor in hops]
         out = [anchor for _x, _tn, anchor in hops]
@@ -563,10 +556,6 @@ def zero_curvature_loop(
 # shared stencil machinery for the residual engines
 # ---------------------------------------------------------------------------
 
-def _norm_max(mats: Iterable[np.ndarray]) -> float:
-    return max(float(np.max(np.abs(m))) for m in mats)
-
-
 @dataclass
 class YDerivs:
     x: complex
@@ -580,47 +569,71 @@ class YDerivs:
     Yt: dict[int, np.ndarray]
 
 
+def _stencil_values(frame: Frame, stencils: Sequence[tuple], t_mults, value) -> list[dict]:
+    """Every grid point's stencil values by key, from one bundle move per time direction and one batch of hops.
+
+    A point's stencil is (base, spatial, ht, place): its nodes at the base time, the anchors of its hops;
+    key -> their positions at the base time; d -> its time step along e_d; and place(tnode) -> their
+    positions at a moved time. Along each e_d one :meth:`Frame.shift_t` call moves the bundle, with every
+    point's base nodes attached, to the union of the points' offsets m * ht[d] (m in ``t_mults``; exactly
+    equal offsets move once). Those moved nodes' hops to ``place`` and every spatial hop go to one
+    :meth:`Frame.phi_nodes` call, where a zero-length hop returns its anchor; so a failing hop fails the
+    whole grid. Returns per point key -> value(tnode, *nodes), with time keys ("t", d, m).
+    """
+    if not stencils:
+        return []
+    bases, spatials, hts, places = zip(*stencils)
+    tnode, width = frame.base_tnode, len(bases[0])
+    base = [n for nodes in bases for n in nodes]
+    ends = [(k, key, tnode, pos, bases[k]) for k, spatial in enumerate(spatials) for key, pos in spatial.items()]
+    for d in hts[0]:
+        mults = [(k, m) for k in range(len(stencils)) for m in t_mults]
+        offsets, which = np.unique([m * hts[k][d] for k, m in mults], return_inverse=True)
+        moved = frame.shift_t(tnode, base, d, offsets)
+        for (k, m), i in zip(mults, which):
+            tn, nodes = moved[i]
+            ends.append((k, ("t", d, m), tn, places[k](tn), nodes[width * k : width * (k + 1)]))
+    nodes = iter(frame.phi_nodes([(p, tn, a) for _k, _key, tn, pos, anchors in ends for p, a in zip(pos, anchors)]))
+    out = [{} for _s in stencils]
+    for k, key, tn, pos, _anchors in ends:
+        out[k][key] = value(tn, *[next(nodes) for _p in pos])
+    return out
+
+
+def _line(vals: dict, *prefix) -> dict:
+    """One stencil line of :func:`_stencil_values`' values, keyed by multiplier: m -> vals[prefix + (m,)]."""
+    return {key[-1]: v for key, v in vals.items() if key[:-1] == prefix}
+
+
 def _y_derivs(
     frame: Frame,
-    x: complex,
-    y: complex,
+    grid: Sequence[tuple[complex, complex]],
     scheme: FDScheme,
     t_dirs: Sequence[int],
-) -> YDerivs:
-    tnode = frame.base_tnode
-    nx0 = frame.phi_node(x)
-    ny0 = frame.phi_node(y)
-    y_center = frame.Y_of(tnode, nx0, ny0)
-
+) -> list[YDerivs]:
+    """Y and its stencil derivatives at every grid point (x, y), from one :func:`_stencil_values` pass."""
+    t0 = frame.base_tnode.t
     mults2 = stencil_multipliers(scheme, (1, 2))
     mults1 = stencil_multipliers(scheme, (1,))
-
-    # x- and y-stencils: every hop in one batched transport
-    hx = scheme.scaled_step(x)
-    hy = scheme.scaled_step(y)
-    offs = [m for m in mults2 if m != 0.0]
-    nodes = frame.phi_nodes(
-        [(x + m * hx, tnode, nx0) for m in offs] + [(y + m * hy, tnode, ny0) for m in offs]
-    )
-    vals_x = {0.0: y_center}
-    vals_y = {0.0: y_center}
-    for m, nxm, nym in zip(offs, nodes[: len(offs)], nodes[len(offs) :]):
-        vals_x[m] = frame.Y_of(tnode, nxm, ny0)
-        vals_y[m] = frame.Y_of(tnode, nx0, nym)
-    yx = combine_stencil(vals_x, hx, scheme, 1)
-    yxx = combine_stencil(vals_x, hx, scheme, 2)
-    yy = combine_stencil(vals_y, hy, scheme, 1)
-    yyy = combine_stencil(vals_y, hy, scheme, 2)
-
-    # t-stencils: the bundle moves on one series per direction
-    t0 = tnode.t
     ht = {d: scheme.scaled_step(t0[d]) for d in t_dirs}
-    yt = {}
-    for d in t_dirs:
-        moved = frame.shift_t(tnode, [nx0, ny0], d, [m * ht[d] for m in mults1])
-        vals = {m: frame.Y_of(tn, nxm, nym) for m, (tn, (nxm, nym)) in zip(mults1, moved)}
-        yt[d] = combine_stencil(vals, ht[d], scheme, 1)
-    return YDerivs(x=x, y=y, t=t0, Y=y_center, Yx=yx, Yxx=yxx, Yy=yy, Yyy=yyy, Yt=yt)
+    stencils = []
+    for x, y in grid:
+        hx, hy = scheme.scaled_step(x), scheme.scaled_step(y)
+        spatial = {("x", m): (x + m * hx, y) for m in mults2} | {("y", m): (x, y + m * hy) for m in mults2}
+        stencils.append(((frame.phi_node(x), frame.phi_node(y)), spatial, ht, lambda _tn, xy=(x, y): xy))
+    out = []
+    for (x, y), vals in zip(grid, _stencil_values(frame, stencils, mults1, frame.Y_of)):
+        hx, hy = scheme.scaled_step(x), scheme.scaled_step(y)
+        vx, vy = _line(vals, "x"), _line(vals, "y")
+        yt = {d: combine_stencil(_line(vals, "t", d), ht[d], scheme, 1) for d in t_dirs}
+        out.append(
+            YDerivs(
+                x=x, y=y, t=t0, Y=vx[0.0], Yt=yt,
+                Yx=combine_stencil(vx, hx, scheme, 1), Yxx=combine_stencil(vx, hx, scheme, 2),
+                Yy=combine_stencil(vy, hy, scheme, 1), Yyy=combine_stencil(vy, hy, scheme, 2),
+            )
+        )
+    return out
 
 
 def bpz_residual(
@@ -638,9 +651,8 @@ def bpz_residual(
     th = frame.theta.theta
     lam = frame.theta.bpz_lambda
     rows = {k: [] for k in ("bpz_x", "bpz_y", "odn_sum", "odn_euler")}
-    for x, y in grid:
-        d = _y_derivs(frame, x, y, scheme, t_dirs=(0, 1, 2, 3))
-        t = d.t
+    for d in _y_derivs(frame, grid, scheme, t_dirs=(0, 1, 2, 3)):
+        x, y, t = d.x, d.y, d.t
         # second-order equation in x
         terms = [d.Yt[i] / (x - t[i]) for i in range(4)]
         terms += [-d.Yxx, -(d.Yx - d.Yy) / (x - y)]
@@ -662,7 +674,7 @@ def bpz_residual(
 
 def _push(rows: list, point, terms: list[np.ndarray]) -> None:
     residual = sum(terms)
-    norm = _norm_max(terms)
+    norm = max(float(np.max(np.abs(m))) for m in terms)
     abs_r = float(np.max(np.abs(residual)))
     rows.append((point, abs_r, abs_r / (norm + 1e-300), norm))
 
@@ -703,10 +715,9 @@ def kevol_residual(
     scheme = scheme or LAB_FD
     lam = frame.theta.bpz_lambda
     rows = {"kevol_t1": [], "kevol_t2": []}
-    for x, y in grid:
-        d = _y_derivs(frame, x, y, scheme, t_dirs=(0, 1))
-        _push(rows["kevol_t1"], (x, y), _kevol_terms(d, 0, frame.theta.theta, lam))
-        _push(rows["kevol_t2"], (x, y), _kevol_terms(d, 1, frame.theta.theta, lam))
+    for d in _y_derivs(frame, grid, scheme, t_dirs=(0, 1)):
+        _push(rows["kevol_t1"], (d.x, d.y), _kevol_terms(d, 0, frame.theta.theta, lam))
+        _push(rows["kevol_t2"], (d.x, d.y), _kevol_terms(d, 1, frame.theta.theta, lam))
     return [_report(k, grid, rows[k], scheme) for k in rows]
 
 
@@ -718,8 +729,6 @@ def kevol_residual(
 class VDerivs:
     zeta: complex
     eta: complex
-    x: complex
-    y: complex
     V: np.ndarray
     Vz: np.ndarray
     Vzz: np.ndarray
@@ -736,89 +745,71 @@ def _branch_safe_step(scheme: FDScheme, point, direction, hint) -> float:
     V(zeta, eta, t) branches where the two preimages collide; the chart's
     smoothness radius there is roughly |x - y| / |d(x - y)/d(var)|, probed
     by one extra inversion. The step is kept at a small fraction of it.
+    Within ``numerics.count_work`` each call counts one ``stencil_steps``
+    and, when the radius wins, one ``clamped_steps``.
     """
     var0 = np.dot(direction, point)
     probe = 1e-6 * (1.0 + abs(var0))
     x0, y0 = hint
     x1, y1 = zeta_eta_inverse(*(p + probe * e for p, e in zip(point, direction)), hint)
     rate = abs((x1 - y1) - (x0 - y0)) / probe
-    radius = abs(x0 - y0) / (2.0 * rate + 1e-30)
-    return min(scheme.scaled_step(var0), radius / 50.0)
+    h, cap = scheme.scaled_step(var0), abs(x0 - y0) / (2.0 * rate + 1e-30) / 50.0
+    tally("stencil_steps")
+    tally("clamped_steps", int(cap < h))
+    return min(h, cap)
 
 
 def _v_derivs(
     frame: Frame,
-    zeta: complex,
-    eta: complex,
-    hint: tuple[complex, complex],
+    grid: Sequence[tuple[complex, complex, tuple[complex, complex]]],
     ab: AlphaBeta,
     scheme: FDScheme,
-) -> VDerivs:
-    tnode = frame.base_tnode
-    t = tnode.t
-    x0, y0 = zeta_eta_inverse(zeta, eta, t[0], t[1], hint)
-    nx0 = frame.phi_node(x0)
-    ny0 = frame.phi_node(y0)
+) -> list[VDerivs]:
+    """V and its stencil derivatives at every grid point (zeta, eta, hint), from one :func:`_stencil_values` pass.
 
+    Each point's steps are clamped by :func:`_branch_safe_step`. Its spatial stencil points are inverted
+    outward from its preimage (x0, y0), hint by hint, the centre sitting at ("z", 0.0) and ("e", 0.0); at
+    a moved time its (zeta, eta) is inverted from (x0, y0).
+    """
+    t = frame.base_tnode.t
     mults2 = stencil_multipliers(scheme, (1, 2))
     mults1 = stencil_multipliers(scheme, (1,))
-    point = (zeta, eta, t[0], t[1])
-    axes = np.eye(4)  # directions zeta, eta, t1, t2
-    hz = _branch_safe_step(scheme, point, axes[0], (x0, y0))
-    he = _branch_safe_step(scheme, point, axes[1], (x0, y0))
+    stencils, steps = [], []
+    for zeta, eta, hint in grid:
+        x0, y0 = zeta_eta_inverse(zeta, eta, t[0], t[1], hint)
+        hz, he, ht1, ht2 = (_branch_safe_step(scheme, (zeta, eta, t[0], t[1]), e, (x0, y0)) for e in np.eye(4))
+        spatial = {("z", 0.0): (x0, y0), ("e", 0.0): (x0, y0)}
 
-    # 1. stencil points: key -> (tnode, x, y, anchor of x, anchor of y)
-    points: dict[tuple, tuple] = {}
+        def chain(key, ms, zeta_eta_at, start):
+            """Invert the offsets of each sign outward from start, hint by hint."""
+            for sign in (1.0, -1.0):
+                hint_pt = start
+                for m in sorted([m for m in ms if m * sign > 0], key=abs):
+                    hint_pt = spatial[key + (m,)] = zeta_eta_inverse(*zeta_eta_at(m), t[0], t[1], hint_pt)
 
-    def chain(key, ms, zeta_eta_at, start):
-        """Invert the offsets of each sign outward from start, hint by hint."""
-        for sign in (1.0, -1.0):
-            hint_pt = start
-            for m in sorted([m for m in ms if m * sign > 0], key=abs):
-                hint_pt = zeta_eta_inverse(*zeta_eta_at(m), t[0], t[1], hint_pt)
-                points[key + (m,)] = (tnode, *hint_pt, nx0, ny0)
-
-    chain(("z",), mults2, lambda m: (zeta + m * hz, eta), (x0, y0))
-    chain(("e",), mults2, lambda m: (zeta, eta + m * he), (x0, y0))
-    # tensor stencil of the mixed derivative, each row hinted by its zeta point
-    for mz in mults1:
-        if mz != 0.0:
-            row_hint = points["z", mz][1:3]
-            chain(("ze", mz), mults1, lambda me: (zeta + mz * hz, eta + me * he), row_hint)
-    # t1/t2 stencils at fixed (zeta, eta): the bundle moves on one series
-    # per direction, then the preimages
-    ht = {ddir: _branch_safe_step(scheme, point, axes[2 + ddir], (x0, y0)) for ddir in (0, 1)}
-    for ddir in (0, 1):
-        moved = frame.shift_t(tnode, [nx0, ny0], ddir, [m * ht[ddir] for m in mults1])
-        for m, (tn, (nxm, nym)) in zip(mults1, moved):
-            xm, ym = zeta_eta_inverse(zeta, eta, tn.t[0], tn.t[1], (x0, y0))
-            points["t", ddir, m] = (tn, xm, ym, nxm, nym)
-
-    # 2. one batched transport for every hop of the grid point
-    nodes = frame.phi_nodes(
-        [hop for tn, x, y, ax, ay in points.values() for hop in ((x, tn, ax), (y, tn, ay))]
-    )
-
-    # 3. V at each stencil point, then the stencil combinations
-    v_center = frame.V_of(tnode, nx0, ny0, ab)
-    vals = {
-        key: frame.V_of(tn, nodes[2 * k], nodes[2 * k + 1], ab)
-        for k, (key, (tn, *_rest)) in enumerate(points.items())
-    }
-
-    def line(*prefix):
-        return {key[-1]: v for key, v in vals.items() if key[:-1] == prefix}
-
-    vals_z = {0.0: v_center, **line("z")}
-    vz = combine_stencil(vals_z, hz, scheme, 1)
-    vzz = combine_stencil(vals_z, hz, scheme, 2)
-    vals_e = {0.0: v_center, **line("e")}
-    ve = combine_stencil(vals_e, he, scheme, 1)
-    vee = combine_stencil(vals_e, he, scheme, 2)
-    outer = {mz: combine_stencil(line("ze", mz), he, scheme, 1) for mz in mults1 if mz != 0.0}
-    vze = combine_stencil(outer, hz, scheme, 1)
-    vt = {d: combine_stencil({0.0: v_center, **line("t", d)}, ht[d], scheme, 1) for d in (0, 1)}
-    return VDerivs(zeta=zeta, eta=eta, x=x0, y=y0, V=v_center, Vz=vz, Vzz=vzz, Ve=ve, Vee=vee, Vze=vze, Vt=vt)
+        chain(("z",), mults2, lambda m: (zeta + m * hz, eta), (x0, y0))
+        chain(("e",), mults2, lambda m: (zeta, eta + m * he), (x0, y0))
+        # tensor stencil of the mixed derivative, each row hinted by its zeta point
+        for mz in mults1:
+            if mz != 0.0:
+                chain(("ze", mz), mults1, lambda me: (zeta + mz * hz, eta + me * he), spatial["z", mz])
+        place = lambda tn, ze=(zeta, eta), xy=(x0, y0): zeta_eta_inverse(*ze, tn.t[0], tn.t[1], xy)  # noqa: E731
+        stencils.append(((frame.phi_node(x0), frame.phi_node(y0)), spatial, {0: ht1, 1: ht2}, place))
+        steps.append((hz, he))
+    values = _stencil_values(frame, stencils, mults1, lambda tn, nx, ny: frame.V_of(tn, nx, ny, ab))
+    out = []
+    for (zeta, eta, _hint), (_base, _spatial, ht, _place), (hz, he), vals in zip(grid, stencils, steps, values):
+        vz, ve = _line(vals, "z"), _line(vals, "e")
+        outer = {mz: combine_stencil(_line(vals, "ze", mz), he, scheme, 1) for mz in mults1 if mz != 0.0}
+        out.append(
+            VDerivs(
+                zeta=zeta, eta=eta, V=vz[0.0], Vze=combine_stencil(outer, hz, scheme, 1),
+                Vz=combine_stencil(vz, hz, scheme, 1), Vzz=combine_stencil(vz, hz, scheme, 2),
+                Ve=combine_stencil(ve, he, scheme, 1), Vee=combine_stencil(ve, he, scheme, 2),
+                Vt={d: combine_stencil(_line(vals, "t", d), ht[d], scheme, 1) for d in (0, 1)},
+            )
+        )
+    return out
 
 
 def _qpg_terms(d: VDerivs, which: int, theta, ab: AlphaBeta, t1, t2) -> list[np.ndarray]:
@@ -883,10 +874,9 @@ def quantized_pg_residual(
     th = frame.theta.theta
     rows = {"qpg_t1": [], "qpg_t2": []}
     pts = [(z, e) for z, e, _h in grid_zeta_eta]
-    for zeta, eta, hint in grid_zeta_eta:
-        d = _v_derivs(frame, zeta, eta, hint, ab, scheme)
-        _push(rows["qpg_t1"], (zeta, eta), _qpg_terms(d, 0, th, ab, t[0], t[1]))
-        _push(rows["qpg_t2"], (zeta, eta), _qpg_terms(d, 1, th, ab, t[0], t[1]))
+    for d in _v_derivs(frame, grid_zeta_eta, ab, scheme):
+        _push(rows["qpg_t1"], (d.zeta, d.eta), _qpg_terms(d, 0, th, ab, t[0], t[1]))
+        _push(rows["qpg_t2"], (d.zeta, d.eta), _qpg_terms(d, 1, th, ab, t[0], t[1]))
     return [_report(k, pts, rows[k], scheme) for k in rows]
 
 
@@ -911,8 +901,7 @@ def garx_residual(
     K1 = hamiltonian_K(1, go)
     K2 = hamiltonian_K(2, go)
     th = frame.theta.theta
-    tnode = frame.base_tnode
-    offs = [m for m in stencil_multipliers(scheme, (1, 2)) if m != 0.0]
+    mults2 = stencil_multipliers(scheme, (1, 2))
 
     def z_mat(node: PhiNode) -> np.ndarray:
         pref = np.exp(sum((th[i] / 2.0) * node.logs[i] for i in range(4)))
@@ -921,16 +910,17 @@ def garx_residual(
     def wronskian(node: PhiNode) -> complex:
         # both columns of Z solve the same system Z' = Q(x) Z, so the
         # Wronskian of the first components is q12(x) * det Z
-        q12 = complex(np.einsum("i,i->", qstate.A[:, 0, 1], 1.0 / (node.x - tnode.t)))
+        q12 = complex(np.einsum("i,i->", qstate.A[:, 0, 1], 1.0 / (node.x - node.t)))
         return q12 * det2(z_mat(node))
 
     rows_eq = []
     rows_abel = []
-    for x in x_samples:
-        nx0 = frame.phi_node(x)
+    stencils = [
+        ((frame.phi_node(x),), {m: (x + m * scheme.scaled_step(x),) for m in mults2}, {}, None)
+        for x in x_samples
+    ]
+    for x, nodes in zip(x_samples, _stencil_values(frame, stencils, (), lambda _tn, node: node)):
         hx = scheme.scaled_step(x)
-        hopped = frame.phi_nodes([(x + m * hx, tnode, nx0) for m in offs])
-        nodes = {0.0: nx0, **dict(zip(offs, hopped))}
         vals = {m: z_mat(n)[0, :] for m, n in nodes.items()}
         z0 = vals[0.0]
         z1 = combine_stencil(vals, hx, scheme, 1)

@@ -17,6 +17,7 @@ from garnier_lab.acceptance import (
     criterion_8,
     criterion_9,
 )
+from garnier_lab.numerics import FDScheme
 
 
 def _run(cid):
@@ -45,14 +46,14 @@ def test_criterion_02_zero_curvature_transport():
 
 
 def test_criterion_02_reports_its_taylor_work():
-    # as C1: frame 200's two loops take 73 Taylor steps, 60 on their time legs
-    # and 13 on their x legs, and the t2 loop passes a movable pole at 0.0235
-    # of the distance to the nearest fixed singular set; both counters are
-    # deterministic
+    # as C1: frame 200's two loops take 74 Taylor steps, 60 on their time legs
+    # and 14 on their x legs (each loop walks the base transport to x0 itself),
+    # and the t2 loop passes a movable pole at 0.0235 of the distance to the
+    # nearest fixed singular set; both counters are deterministic
     first, second = (criterion_2(n_frames=1).metrics for _ in range(2))
     assert first == second
     assert set(first) == {"max_loop_defect", "taylor_steps", "min_radius_ratio"}
-    assert first["taylor_steps"] == 73
+    assert first["taylor_steps"] == 74
     assert first["min_radius_ratio"] == pytest.approx(0.023508854137585355, rel=1e-9)
 
 
@@ -90,22 +91,33 @@ def test_criterion_07_bpz_verification():
 
 
 @pytest.mark.parametrize(
-    "criterion, keys, steps, ratio",
+    "criterion, keys, steps, ratio, counts",
     [
-        (criterion_7, {"max_rel", "max_rel_degenerate"}, 16, 0.9150532899916181),
-        (criterion_8, {"max_rel", "swap_gap"}, 58, 0.9150532899916181),
-        (criterion_9, {"max_rel", "max_roundtrip"}, 10, 0.9150532899916182),
+        (criterion_7, {"max_rel", "max_rel_degenerate"}, 16, 0.9150532899916181, {}),
+        (criterion_8, {"max_rel", "swap_gap"}, 58, 0.9150532899916181, {}),
+        (criterion_9, {"max_rel", "max_roundtrip"}, 10, 0.9150532899916182, {"stencil_steps": 8, "clamped_steps": 8}),
     ],
     ids=["C7", "C8", "C9"],
 )
-def test_criteria_07_to_09_report_their_taylor_work(criterion, keys, steps, ratio):
+def test_criteria_07_to_09_report_their_taylor_work(criterion, keys, steps, ratio, counts):
     # the base transports walk their chords in Taylor steps: at one frame and
-    # two grid points, the same counts on every run
+    # two grid points, the same counts on every run; C9 also counts its
+    # stencil steps (4 per point) and those its branch radius clamped
     first, second = (criterion(n_frames=1, grid_points=2).metrics for _ in range(2))
     assert first == second
-    assert set(first) == keys | {"taylor_steps", "min_radius_ratio"}
+    assert set(first) == keys | {"taylor_steps", "min_radius_ratio"} | set(counts)
     assert first["taylor_steps"] == steps
     assert first["min_radius_ratio"] == pytest.approx(ratio, rel=1e-9)
+    assert {key: first[key] for key in counts} == counts
+
+
+@pytest.mark.parametrize("step, clamped", [(5e-4, 8), (1e-4, 1), (5e-5, 0)])
+def test_criterion_09_reports_how_many_steps_its_branch_radius_clamped(step, clamped):
+    # an overridden FD step reaches C9's stencils only where the branch
+    # radius leaves room for it; the report says how often it did not
+    scheme = FDScheme(order=4, step=step, richardson=True)
+    metrics = criterion_9(n_frames=1, grid_points=2, scheme=scheme).metrics
+    assert (metrics["stencil_steps"], metrics["clamped_steps"]) == (8, clamped)
 
 
 def test_criterion_08_quantized_go():

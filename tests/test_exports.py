@@ -56,6 +56,23 @@ def test_dormand_prince_steps_run_only_in_the_reference_integrator():
     assert ode_callers == set()
 
 
+def test_only_the_grid_assembly_moves_stencil_nodes():
+    # one stencil path: the residual engines take their values from
+    # quantization._stencil_values, which makes the one phi_nodes call of a
+    # grid and its one shift_t call per time direction; acceptance._moved
+    # moves bare B-states for C3 and C11
+    callers = {"phi_nodes": set(), "shift_t": set()}
+    for stem, path in SOURCES.items():
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and _called_name(node) in callers:
+                    callers[_called_name(node)].add(f"{stem}.{getattr(top, 'name', '<module>')}")
+    assert callers == {
+        "phi_nodes": {"quantization._stencil_values"},
+        "shift_t": {"quantization._stencil_values", "acceptance._moved"},
+    }
+
+
 @pytest.mark.parametrize("name", sorted(set(SOURCES) - {"__init__"}))  # the package's imports are its exports
 def test_every_module_level_import_is_used(name):
     # no linter runs here; a name a module imports and never reads is flagged

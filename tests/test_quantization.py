@@ -1,5 +1,6 @@
 """Wavefunction transport, gauges, branch handling and the PDE residuals."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -41,6 +42,7 @@ from garnier_lab.quantization import (
     PhiNode,
     ResidualReport,
     TNode,
+    _v_derivs,
     _y_derivs,
     bpz_residual,
     garx_residual,
@@ -208,7 +210,7 @@ def test_kevol_consistent_with_bpz_solve(frame):
     # solving the four Y-equations for the time derivatives must reproduce
     # the right-hand side of the first evolution equation
     x, y = GRID[0]
-    d = _y_derivs(frame, x, y, LAB_FD, t_dirs=(0, 1, 2, 3))
+    (d,) = _y_derivs(frame, [(x, y)], LAB_FD, t_dirs=(0, 1, 2, 3))
     t = d.t
     th = frame.theta.theta
     lam = frame.theta.bpz_lambda
@@ -608,6 +610,94 @@ def test_x_transport_failures_are_typed_with_a_location(frame, case, transport):
     (where,) = info.value.location
     s = (where - x0) / (x - x0)
     assert abs(s.imag) <= 1e-12 and -1e-12 <= s.real <= 1.0 + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the grid pass: one bundle series per time direction, one batch of hops
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def c9_frame():
+    """A C9 frame (seed 700), its exponents and the (zeta, eta, hint) grid of 7 C7 points."""
+    frame = Frame(_seeded_b_state(700), base_x=BASE_X)
+    grid = [(*zeta_eta_map(x, y, frame.state.t1, frame.state.t2), (x, y)) for x, y in default_grid(7)]
+    return frame, solve_alpha_beta(frame.theta), grid
+
+
+def _same_derivs(a, b) -> bool:
+    """Every field of two derivative records equal, entry by entry (dict fields key by key)."""
+    for f in dataclasses.fields(a):
+        u, v = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(u, dict):
+            if u.keys() != v.keys() or not all(np.array_equal(u[k], v[k]) for k in u):
+                return False
+        elif not np.array_equal(u, v):
+            return False
+    return True
+
+
+def test_grid_pass_of_y_equals_each_point_alone(c9_frame):
+    # the bundle moves once per direction with every point's nodes attached,
+    # yet each point's values are bit-identical to its own pass
+    frame, _ab, _grid = c9_frame
+    grid = default_grid(7)
+    together = _y_derivs(frame, grid, LAB_FD, t_dirs=(0, 1, 2, 3))
+    assert len(together) == len(grid)
+    for point, d in zip(grid, together):
+        (alone,) = _y_derivs(frame, [point], LAB_FD, t_dirs=(0, 1, 2, 3))
+        assert _same_derivs(d, alone), point
+
+
+def test_grid_pass_of_v_equals_each_point_alone(c9_frame):
+    # per-point clamped time steps: the union of the offsets moves once per
+    # direction, and each point reads its own
+    frame, ab, grid = c9_frame
+    together = _v_derivs(frame, grid, ab, QPG_FD)
+    assert len(together) == len(grid)
+    for point, d in zip(grid, together):
+        (alone,) = _v_derivs(frame, [point], ab, QPG_FD)
+        assert _same_derivs(d, alone), point[:2]
+
+
+@pytest.mark.parametrize("column", [0, 1])
+def test_grid_pass_of_garx_equals_each_sample_alone(c9_frame, column):
+    frame, _ab, _grid = c9_frame
+    xs = [x for x, _y in default_grid(7)]
+    together = garx_residual(frame, xs, column=column)
+    for k, x in enumerate(xs):
+        alone = garx_residual(frame, [x], column=column)
+        for rep, rep_alone in zip(together, alone):
+            assert rep.rows[k] == rep_alone.rows[0], (rep.equation_id, x)
+
+
+def _counted(calls: dict, name: str):
+    """Frame.<name>, counting its calls in calls[name]."""
+    real = getattr(Frame, name)
+
+    def method(self, *args):
+        calls[name] += 1
+        return real(self, *args)
+
+    return method
+
+
+@pytest.mark.parametrize("n_points", [1, 7])
+@pytest.mark.parametrize("engine, t_moves", [("bpz", 4), ("kevol", 2), ("qpg", 2), ("garx", 0)])
+def test_each_engine_moves_the_bundle_once_per_direction_and_hops_in_one_call(c9_frame, engine, t_moves, n_points):
+    frame, ab, grid = c9_frame
+    xy = default_grid(7)[:n_points]
+    run = {
+        "bpz": lambda: bpz_residual(frame, xy),
+        "kevol": lambda: kevol_residual(frame, xy),
+        "qpg": lambda: quantized_pg_residual(frame, grid[:n_points], ab),
+        "garx": lambda: garx_residual(frame, [x for x, _y in xy]),
+    }[engine]
+    calls = {"phi_nodes": 0, "shift_t": 0}
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            mp.setattr(Frame, name, _counted(calls, name))
+        run()
+    assert calls == {"phi_nodes": 1, "shift_t": t_moves}
 
 
 @pytest.fixture(scope="module")
