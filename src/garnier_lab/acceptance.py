@@ -140,13 +140,14 @@ def conservation_drift(s0: SchlesingerState, s1: SchlesingerState) -> float:
     return d
 
 
-def criterion_1(n_states: int = 20, rtol: float = 1e-12, tol: float = 1e-9, seed0: int = 100):
+def criterion_1(n_states: int = 20, rtol: float = 1e-12, seed0: int = 100):
     """Drift of tr A_i, det A_i and A_inf along a unit-length path.
 
     The metrics also carry the Taylor steps taken and their smallest radius
     ratio (``numerics.count_work``); a ratio far below 1 flags a movable pole
     near the path.
     """
+    tol = 1e-9
     worst = 0.0
     path = PathPlan(LONG_T_PATH, 0.05)
     with count_work() as work:
@@ -165,8 +166,9 @@ def criterion_1(n_states: int = 20, rtol: float = 1e-12, tol: float = 1e-9, seed
 # 2. zero-curvature transport
 # ---------------------------------------------------------------------------
 
-def criterion_2(n_frames: int = 5, tol: float = 1e-8, seed0: int = 200):
+def criterion_2(n_frames: int = 5, seed0: int = 200):
     """Zero-curvature loops in (x, t_i); the metrics carry the Taylor work of the x and time legs, as in C1."""
+    tol = 1e-8
     worst = 0.0
     with count_work() as work:
         for k in range(n_frames):
@@ -186,7 +188,8 @@ def criterion_2(n_frames: int = 5, tol: float = 1e-8, seed0: int = 200):
 # 3. Garnier-Okamoto cross-picture
 # ---------------------------------------------------------------------------
 
-def criterion_3(n_states: int = 5, tol: float = 1e-6, seed0: int = 300):
+def criterion_3(n_states: int = 5, seed0: int = 300):
+    tol = 1e-6
     scheme = FDScheme(order=4, step=1e-4, richardson=True)
     worst = 0.0
     for k in range(n_states):
@@ -227,7 +230,8 @@ def criterion_3(n_states: int = 5, tol: float = 1e-6, seed0: int = 300):
 # 4. Hamilton-equation identity for the polynomial system
 # ---------------------------------------------------------------------------
 
-def criterion_4(n_states: int = 200, tol: float = 1e-8, seed0: int = 400):
+def criterion_4(n_states: int = 200, seed0: int = 400):
+    tol = 1e-8
     scheme = FDScheme(order=4, step=1e-5, richardson=True)
     worst = 0.0
     worst_pair = 0.0
@@ -271,12 +275,13 @@ def _s_matrices_of(st: PGState, ln_u: complex):
     return to_schlesinger(st, np.exp(ln_u)).A
 
 
-def criterion_5(n_traj: int = 5, tol: float = 1e-6, eig_tol: float = 1e-10, seed0: int = 500):
+def criterion_5(n_traj: int = 5, seed0: int = 500):
     """Eigenvalues and deformation equations of the Schlesinger matrices of polynomial Garnier trajectories.
 
     The metrics also carry the Taylor steps of the trajectories and their
     smallest radius ratio (``numerics.count_work``), as in C1.
     """
+    tol, eig_tol = 1e-6, 1e-10
     scheme = FDScheme(order=4, step=1e-5, richardson=True)
     worst = 0.0
     worst_eig = 0.0
@@ -365,12 +370,10 @@ def criterion_6(n_states: int = 50, seed0: int = 600):
 def criterion_7(
     n_frames: int = 5,
     grid_points: int = 50,
-    tol: float = 1e-5,
-    tol_degenerate: float = 1e-8,
-    budget_s: float = 300.0,
     seed0: int = 700,
     scheme: FDScheme | None = None,
 ):
+    tol, tol_degenerate, budget_s = 1e-5, 1e-8, 300.0
     scheme = scheme or LAB_FD
     t_start = time.time()
     grid = default_grid(grid_points)
@@ -412,8 +415,6 @@ def criterion_7(
 def criterion_8(
     n_frames: int = 5,
     grid_points: int = 50,
-    tol: float = 1e-5,
-    swap_tol: float = 1e-8,
     seed0: int = 700,
     scheme: FDScheme | None = None,
 ):
@@ -424,6 +425,7 @@ def criterion_8(
     transcription asymmetry would show at the equation scale, so the
     tolerance sits between the two.
     """
+    tol, swap_tol = 1e-5, 1e-8
     scheme = scheme or LAB_FD
     grid = default_grid(grid_points)
     reports = []
@@ -473,11 +475,10 @@ def criterion_8(
 def criterion_9(
     n_frames: int = 3,
     grid_points: int = 20,
-    tol: float = 1e-4,
-    roundtrip_tol: float = 1e-10,
     seed0: int = 700,
     scheme: FDScheme | None = None,
 ):
+    tol, roundtrip_tol = 1e-4, 1e-10
     scheme = scheme or QPG_FD
     xy = default_grid(grid_points)
     reports = []
@@ -514,13 +515,8 @@ def criterion_9(
 # 10. Painleve VI reduction
 # ---------------------------------------------------------------------------
 
-def criterion_10(
-    omega_length: float = 0.5,
-    drift_tol: float = 1e-9,
-    ham_tol: float = 1e-6,
-    seed0: int = 1000,
-    initial_state: PGState | None = None,
-):
+def criterion_10(seed0: int = 1000, initial_state: PGState | None = None):
+    omega_length, drift_tol, ham_tol = 0.5, 1e-9, 1e-6
     if initial_state is not None:
         s0 = initial_state
         th = s0.params
@@ -567,7 +563,8 @@ def criterion_10(
 # 11. tau consistency and the gauge exponent
 # ---------------------------------------------------------------------------
 
-def criterion_11(closed_tol: float = 1e-6, s_tol: float = 1e-9, seed0: int = 1100):
+def criterion_11(seed0: int = 1100):
+    closed_tol, s_tol = 1e-6, 1e-9
     s0 = _seeded_b_state(seed0)
     scheme = FDScheme(order=4, step=1e-5, richardson=True)
     mults = [m for m in stencil_multipliers(scheme, (1,)) if m != 0.0]

@@ -14,8 +14,9 @@ engines:
 * the pair of quantized Garnier-Okamoto evolution equations (which need
   only t1/t2 derivatives),
 * the pair of quantized polynomial-Garnier equations for V(zeta, eta, t)
-  obtained through the rational change of space variables and a power-law
-  prefactor,
+  obtained through a power-law prefactor and the rational change of space
+  variables, which is the classical bridge lambda -> q of ``poly_garnier``
+  taken at (lambda_1, lambda_2) = (x, y),
 * the scalar second-order equation in x satisfied by the first component
   of the shifted wavefunction, with its apparent singularities.
 
@@ -31,6 +32,7 @@ Derivatives are central finite differences. The residual engines take their
 stencil values from one grid pass (:func:`_stencil_values`): every time
 stencil is centred at the base time, so one bundle series per direction
 carries every grid point's nodes, and every spatial hop moves in one call.
+Each stencil point of V is inverted from its centre's preimage (:func:`_v_derivs`).
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .errors import (
     DegenerateJacobian,
     DiagonalCollision,
     NearSingularPhi,
-    PoleEvaluation,
 )
 from .garnier_okamoto import extract_go, garx_coefficients, hamiltonian_K
 from .numerics import (
@@ -65,6 +66,7 @@ from .numerics import (
     taylor_stencil,
 )
 from .numerics import ode_integrate  # noqa: F401 - unused here; perfbench's tracer wraps every module's copy
+from .poly_garnier import bridge_lambda_from_q, bridge_q_from_lambda
 from .schlesinger import SchlesingerState, ThetaGO, _flow_taylor, shift_normalization
 from .schlesinger import flow_derivative  # noqa: F401 - unused here; perfbench's tracer counts this module's copy
 
@@ -149,39 +151,22 @@ def solve_alpha_beta(
 # ---------------------------------------------------------------------------
 
 def zeta_eta_map(x, y, t1, t2) -> tuple[complex, complex]:
-    """(zeta, eta) from (x, y); symmetric under x <-> y."""
-    if abs(x - 1.0) < 1e-12 or abs(y - 1.0) < 1e-12:
-        raise PoleEvaluation("x or y equals 1")
-    if abs(t1 - t2) < 1e-12:
-        raise PoleEvaluation("t1 = t2")
-    den = (t1 - t2) * (x - 1.0) * (y - 1.0)
-    zeta = (1.0 - t2) * (x - t1) * (y - t1) / den
-    eta = -(1.0 - t1) * (x - t2) * (y - t2) / den
-    return zeta, eta
+    """(zeta, eta) from (x, y): the bridge ``poly_garnier.bridge_q_from_lambda`` with (lambda_1, lambda_2) = (x, y).
+
+    Symmetric under x <-> y; raises its PoleEvaluation at x or y = 1 and TimeCollision at t1 = t2.
+    """
+    return bridge_q_from_lambda(x, y, t1, t2)
 
 
 def zeta_eta_inverse(zeta, eta, t1, t2, hint: tuple[complex, complex]) -> tuple[complex, complex]:
     """Invert the space-variable map near a hint point (x0, y0).
 
-    Both defining relations are linear in the symmetric functions
-    (e1, e2) = (x + y, x*y); the root pair is then disambiguated by the hint.
-    The forward map of the result must reproduce (zeta, eta) to 1e-10.
+    The root pair is ``poly_garnier.bridge_lambda_from_q``'s (ReductionLocus on zeta + eta = 1, where
+    the map has no inverse), ordered by the hint. The forward map of the result must reproduce
+    (zeta, eta) to 1e-10.
     """
     x0, y0 = hint
-    d = t1 - t2
-    m11 = -zeta * d + (1.0 - t2) * t1
-    m12 = zeta * d - (1.0 - t2)
-    r1 = -(zeta * d - (1.0 - t2) * t1 * t1)
-    m21 = -eta * d - (1.0 - t1) * t2
-    m22 = eta * d + (1.0 - t1)
-    r2 = -(eta * d + (1.0 - t1) * t2 * t2)
-    det = m11 * m22 - m12 * m21
-    scale = max(abs(m11), abs(m12), abs(m21), abs(m22), 1e-30)
-    if abs(det) < 1e-13 * scale * scale:
-        raise DegenerateJacobian("linear system for (x + y, x*y) is singular")
-    e1 = (r1 * m22 - m12 * r2) / det
-    e2 = (m11 * r2 - r1 * m21) / det
-    ra, rb = quad_roots(1.0, -e1, e2)
+    ra, rb = bridge_lambda_from_q(zeta, eta, t1, t2)
     d_keep = abs(ra - x0) + abs(rb - y0)
     d_swap = abs(rb - x0) + abs(ra - y0)
     if abs(d_keep - d_swap) < 1e-12 * (1.0 + abs(ra) + abs(rb)):
@@ -767,32 +752,21 @@ def _v_derivs(
 ) -> list[VDerivs]:
     """V and its stencil derivatives at every grid point (zeta, eta, hint), from one :func:`_stencil_values` pass.
 
-    Each point's steps are clamped by :func:`_branch_safe_step`. Its spatial stencil points are inverted
-    outward from its preimage (x0, y0), hint by hint, the centre sitting at ("z", 0.0) and ("e", 0.0); at
-    a moved time its (zeta, eta) is inverted from (x0, y0).
+    Each point's steps are clamped by :func:`_branch_safe_step`, which keeps them far inside the x = y
+    branch radius; so every stencil point, spatial, mixed or at a moved time, is inverted from the centre's
+    preimage (x0, y0), which itself sits at ("z", 0.0) and ("e", 0.0).
     """
     t = frame.base_tnode.t
-    mults2 = stencil_multipliers(scheme, (1, 2))
+    mults2 = [m for m in stencil_multipliers(scheme, (1, 2)) if m != 0.0]
     mults1 = stencil_multipliers(scheme, (1,))
     stencils, steps = [], []
     for zeta, eta, hint in grid:
         x0, y0 = zeta_eta_inverse(zeta, eta, t[0], t[1], hint)
         hz, he, ht1, ht2 = (_branch_safe_step(scheme, (zeta, eta, t[0], t[1]), e, (x0, y0)) for e in np.eye(4))
+        points = {("z", m): (zeta + m * hz, eta) for m in mults2} | {("e", m): (zeta, eta + m * he) for m in mults2}
+        points |= {("ze", mz, me): (zeta + mz * hz, eta + me * he) for mz in mults1 for me in mults1}  # mixed tensor
         spatial = {("z", 0.0): (x0, y0), ("e", 0.0): (x0, y0)}
-
-        def chain(key, ms, zeta_eta_at, start):
-            """Invert the offsets of each sign outward from start, hint by hint."""
-            for sign in (1.0, -1.0):
-                hint_pt = start
-                for m in sorted([m for m in ms if m * sign > 0], key=abs):
-                    hint_pt = spatial[key + (m,)] = zeta_eta_inverse(*zeta_eta_at(m), t[0], t[1], hint_pt)
-
-        chain(("z",), mults2, lambda m: (zeta + m * hz, eta), (x0, y0))
-        chain(("e",), mults2, lambda m: (zeta, eta + m * he), (x0, y0))
-        # tensor stencil of the mixed derivative, each row hinted by its zeta point
-        for mz in mults1:
-            if mz != 0.0:
-                chain(("ze", mz), mults1, lambda me: (zeta + mz * hz, eta + me * he), spatial["z", mz])
+        spatial |= {key: zeta_eta_inverse(*ze, t[0], t[1], (x0, y0)) for key, ze in points.items()}
         place = lambda tn, ze=(zeta, eta), xy=(x0, y0): zeta_eta_inverse(*ze, tn.t[0], tn.t[1], xy)  # noqa: E731
         stencils.append(((frame.phi_node(x0), frame.phi_node(y0)), spatial, {0: ht1, 1: ht2}, place))
         steps.append((hz, he))
@@ -800,7 +774,7 @@ def _v_derivs(
     out = []
     for (zeta, eta, _hint), (_base, _spatial, ht, _place), (hz, he), vals in zip(grid, stencils, steps, values):
         vz, ve = _line(vals, "z"), _line(vals, "e")
-        outer = {mz: combine_stencil(_line(vals, "ze", mz), he, scheme, 1) for mz in mults1 if mz != 0.0}
+        outer = {mz: combine_stencil(_line(vals, "ze", mz), he, scheme, 1) for mz in mults1}
         out.append(
             VDerivs(
                 zeta=zeta, eta=eta, V=vz[0.0], Vze=combine_stencil(outer, hz, scheme, 1),
@@ -867,7 +841,8 @@ def quantized_pg_residual(
     """Residuals of the quantized polynomial-Garnier pair on V(zeta, eta, t).
 
     Grid entries are (zeta, eta, hint) with the hint an (x, y) pair in the
-    preimage neighbourhood; stencil points are inverted with chained hints.
+    preimage neighbourhood; each stencil point is inverted from the
+    preimage of its centre.
     """
     scheme = scheme or QPG_FD
     t = frame.base_tnode.t

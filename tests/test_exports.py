@@ -73,6 +73,24 @@ def test_only_the_grid_assembly_moves_stencil_nodes():
     }
 
 
+def test_the_bridge_is_the_only_inverse_of_the_chart():
+    # quantization.zeta_eta_inverse takes its root pair from
+    # poly_garnier.bridge_lambda_from_q; a second transcription of that
+    # inverse would need a quadratic solve of its own
+    callers = {"quad_roots": set(), "bridge_lambda_from_q": set()}
+    for stem, path in SOURCES.items():
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and _called_name(node) in callers:
+                    callers[_called_name(node)].add(f"{stem}.{getattr(top, 'name', '<module>')}")
+    assert callers["quad_roots"] == {
+        "garnier_okamoto.extract_lambda",
+        "poly_garnier.bridge_lambda_from_q",
+        "quantization.solve_alpha_beta",
+    }
+    assert "quantization.zeta_eta_inverse" in callers["bridge_lambda_from_q"]
+
+
 @pytest.mark.parametrize("name", sorted(set(SOURCES) - {"__init__"}))  # the package's imports are its exports
 def test_every_module_level_import_is_used(name):
     # no linter runs here; a name a module imports and never reads is flagged

@@ -12,7 +12,9 @@ from garnier_lab.errors import (
     NotOnReduction,
     PathViolation,
     PoleEvaluation,
+    ReductionLocus,
     SingularityApproach,
+    TimeCollision,
 )
 from garnier_lab.numerics import (
     FDScheme,
@@ -26,6 +28,7 @@ from garnier_lab.numerics import (
 )
 from garnier_lab import quantization
 from garnier_lab.acceptance import _seeded_b_state, default_grid
+from garnier_lab.poly_garnier import bridge_lambda_from_q
 from garnier_lab.schlesinger import (
     SchlesingerState,
     ThetaGO,
@@ -319,6 +322,29 @@ def test_inverse_branch_ambiguity():
     mid = 0.5 * (x + y)
     with pytest.raises(BranchAmbiguity):
         zeta_eta_inverse(zeta, eta, t1, t2, (mid, mid))
+
+
+def test_map_at_equal_times_raises_time_collision():
+    # the chart is the bridge at (x, y), so t1 = t2 is its TimeCollision (exit 3)
+    with pytest.raises(TimeCollision):
+        zeta_eta_map(0.3 + 1.0j, 1.1 + 1.4j, 0.3 + 0.05j, 0.3 + 0.05j)
+
+
+def test_inverse_on_the_reduction_locus_raises_reduction_locus():
+    # zeta + eta = 1 is the bridge's reduction locus, where the map has no inverse (exit 3)
+    with pytest.raises(ReductionLocus):
+        zeta_eta_inverse(0.4 + 0.1j, 0.6 - 0.1j, 0.3 + 0.05j, 0.62 - 0.04j, (0.3 + 1.0j, 1.1 + 1.4j))
+
+
+def test_inverse_is_the_bridge_pair_ordered_by_the_hint(rng):
+    t1, t2 = 0.3 + 0.05j, 0.62 - 0.04j
+    for _ in range(50):
+        x, y = rng.uniform(-1.5, 1.5, 2) + 1j * rng.uniform(0.2, 1.5, 2)
+        zeta, eta = zeta_eta_map(x, y, t1, t2)
+        pair = bridge_lambda_from_q(zeta, eta, t1, t2)
+        got = zeta_eta_inverse(zeta, eta, t1, t2, (x, y))
+        assert got in (pair, pair[::-1])
+        assert zeta_eta_inverse(zeta, eta, t1, t2, (y, x)) == got[::-1]
 
 
 def test_alpha_beta_branches():
@@ -668,6 +694,33 @@ def test_grid_pass_of_garx_equals_each_sample_alone(c9_frame, column):
         alone = garx_residual(frame, [x], column=column)
         for rep, rep_alone in zip(together, alone):
             assert rep.rows[k] == rep_alone.rows[0], (rep.equation_id, x)
+
+
+def test_every_c9_stencil_point_is_inverted_from_its_centre_with_a_wide_margin():
+    # at criterion_9's default grids, every inversion but the centre's is hinted by the centre's preimage
+    # (x0, y0): the four branch-radius probes, the 6 + 6 points of the zeta and eta lines, the 36 of the
+    # mixed tensor stencil and the 12 at moved times; the other root ordering stays >= 10x farther from
+    # (x0, y0) than the returned one
+    inversions = []
+    real = quantization.zeta_eta_inverse
+
+    def recorded(zeta, eta, t1, t2, hint):
+        xy = real(zeta, eta, t1, t2, hint)
+        inversions.append((hint, xy))
+        return xy
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quantization, "zeta_eta_inverse", recorded)
+        for seed in (700, 701, 702):
+            frame = Frame(_seeded_b_state(seed), base_x=BASE_X)
+            grid = [(*zeta_eta_map(x, y, frame.state.t1, frame.state.t2), (x, y)) for x, y in default_grid(20)]
+            quantized_pg_residual(frame, grid, solve_alpha_beta(frame.theta))
+    starts = set(default_grid(20))
+    centres = {xy for hint, xy in inversions if hint in starts}
+    assert len(inversions) == 3 * 20 * (1 + 4 + 6 + 6 + 36 + 12)
+    assert all(hint in starts | centres for hint, _xy in inversions)
+    for (x0, y0), (x, y) in inversions:
+        assert abs(y - x0) + abs(x - y0) >= 10.0 * (abs(x - x0) + abs(y - y0)), (x0, y0)
 
 
 def _counted(calls: dict, name: str):
