@@ -13,10 +13,11 @@ This is the substrate every other module builds on:
 * a Taylor-series driver of fixed order (:func:`taylor_integrate`) for
   analytic flows whose caller supplies the series: the same path walk and
   landing, each step sized from the last two coefficients and capped below
-  the radius of the field's own series; it serves every move of the flows
-  and of Phi, in time and in x, and :func:`count_work` collects its steps
-  and radius ratios for reports; its stencil form (:func:`taylor_stencil`)
-  sums one series at every offset, or many series (rows) each at its own,
+  the radius of the field's own series, for the flows and Phi in time; its
+  row form (:func:`taylor_walk`) walks many chords in lockstep, each with
+  its own steps, for Phi in x; :func:`count_work` collects the steps and
+  radius ratios of both; its stencil form (:func:`taylor_stencil`) sums one
+  series at every offset,
 * central finite-difference schemes of order 2/4 with optional Richardson
   extrapolation: :func:`fd_derivative` is the one path for a derivative in
   one direction (its evaluator takes every stencil point at once and may
@@ -57,6 +58,7 @@ __all__ = [
     "check_clearance",
     "ode_integrate",
     "taylor_integrate",
+    "taylor_walk",
     "count_work",
     "tally",
     "taylor_stencil",
@@ -340,8 +342,7 @@ def taylor_integrate(
     """Integrate an analytic flow along a polyline path in Taylor steps of order p = ``TAYLOR_ORDER``.
 
     Users: ``schlesinger.integrate_schlesinger``, ``poly_garnier.integrate_pg``,
-    ``garnier_okamoto.integrate_go``, ``quantization.Frame.shift_t_adaptive`` and
-    ``quantization.Frame.phi_node``.
+    ``garnier_okamoto.integrate_go`` and ``quantization.Frame.shift_t_adaptive``.
 
     ``coeffs(point, velocity, y)`` (arguments as ``field``'s in
     :func:`ode_integrate`) returns the coefficients c_0 = y, ..., c_p of the
@@ -388,37 +389,66 @@ def taylor_integrate(
     return out
 
 
+def taylor_walk(coeffs: Callable, y0, point, velocity) -> np.ndarray:
+    """Walk R rows along the chords point + s velocity, s from 0 to 1, in lockstep Taylor steps; y(1), shape (R, d).
+
+    Users: ``quantization.Frame.phi_nodes``. ``point`` and ``velocity`` have shape (R, D), ``y0`` (R, d).
+    ``coeffs(rows, point, velocity, y)`` is :func:`taylor_integrate`'s for the rows still moving (an index
+    into the R rows, ``slice(None)`` while all move, so nothing is copied). Each row takes
+    :func:`_taylor_step`'s step, capped at what is left of its chord, and drops out once it lands at s = 1:
+    its steps and end value are :func:`taylor_integrate`'s on its chord alone, and so are the errors it
+    raises, at the first failing row's point. Within :func:`count_work` it adds every row's steps.
+    """
+    y, s, moving = np.array(y0, dtype=complex), np.zeros(len(y0)), np.ones(len(y0), dtype=bool)
+    n_rounds, n_steps, ratio = 0, 0, math.inf
+    while moving.any():
+        live = slice(None) if moving.all() else np.flatnonzero(moving)
+        pt = point[live] + s[live, None] * velocity[live]
+        with np.errstate(all="ignore"):
+            c, radius = coeffs(live, pt, velocity[live], y[live])
+            h, step_ratio = _taylor_step(c, radius, DEFAULT_RTOL, pt)
+            h, ratio = np.minimum(h, 1.0 - s[live]), np.fmin.reduce(step_ratio, initial=ratio)
+            y_new = _horner(c, h[:, None])
+        n_rounds, n_steps = n_rounds + 1, n_steps + len(h)
+        for failed, message in (  # in taylor_integrate's order; every moving row has taken n_rounds steps
+            (~(h >= 1e-14), "step size underflow during path integration"),
+            (np.full(len(h), n_rounds > MAX_STEPS), "step budget exhausted"),
+            (~np.isfinite(y_new).all(axis=-1), "non-finite Taylor sum"),
+        ):
+            if failed.any():
+                raise SingularityApproach(message, location=tuple(pt[np.argmax(failed)].tolist()))
+        y[live], s[live] = y_new, np.where(h == 1.0 - s[live], 1.0, s[live] + h)
+        moving = s < 1.0 - 1e-15
+    work = _WORK.get()
+    if work is not None:
+        work["taylor_steps"] += n_steps
+        work["min_radius_ratio"] = min(work["min_radius_ratio"], float(ratio))
+    return y
+
+
 def taylor_stencil(coeffs: Callable, y0, point, velocity, offsets) -> np.ndarray:
     """y(s), shape (len(offsets), d), at every offset s of the series ``coeffs(point, velocity, y0)``.
 
-    Users: ``quantization.Frame.shift_t``, ``quantization.Frame.phi_nodes`` and ``poly_garnier.hop_pg``.
-    Coefficients with a row axis, shape (p + 1, R, d) from ``point`` and ``velocity`` of shape (R, 1),
-    are summed with row r at offsets[r]. An |s| past the step :func:`taylor_integrate` would take there
-    (row by row) at the default rtol raises SingularityApproach, naming the first such stencil point
-    point + s velocity, before any state is returned; so does a non-finite sum.
+    Users: ``quantization.Frame.shift_t`` and ``poly_garnier.hop_pg``.
+    An |s| past the step :func:`taylor_integrate` would take there at the default rtol raises
+    SingularityApproach, naming the first such stencil point point + s velocity, before any state is
+    returned; so does a non-finite sum.
     """
     offsets = np.asarray(offsets, dtype=complex)
     with np.errstate(all="ignore"):
         c, radius = coeffs(point, velocity, np.asarray(y0, dtype=complex))
     h = _taylor_step(c, radius, DEFAULT_RTOL, point)[0]
+    where = lambda k: tuple((np.asarray(point) + offsets[k] * np.asarray(velocity)).tolist())  # noqa: E731
     far = np.flatnonzero(~(np.abs(offsets) <= h))
     if far.size:
-        k = far[0]
-        step, where = np.broadcast_to(h, offsets.shape)[k], _stencil_point(point, velocity, offsets, k)
-        raise SingularityApproach(
-            f"stencil offset {abs(offsets[k]):.3e} past the Taylor step {step:.3e}", location=where
-        )
+        message = f"stencil offset {abs(offsets[far[0]]):.3e} past the Taylor step {h:.3e}"
+        raise SingularityApproach(message, location=where(far[0]))
     with np.errstate(all="ignore"):
         y = _horner(c, offsets[:, None])
     bad = np.flatnonzero(~np.isfinite(y).all(axis=-1))
     if bad.size:
-        raise SingularityApproach("non-finite Taylor sum", location=_stencil_point(point, velocity, offsets, bad[0]))
+        raise SingularityApproach("non-finite Taylor sum", location=where(bad[0]))
     return y
-
-
-def _stencil_point(point, velocity, offsets, k) -> tuple[complex, ...]:
-    """The k-th stencil point point + offsets[k] velocity of :func:`taylor_stencil` (with rows, row k's)."""
-    return tuple((np.asarray(point) + offsets[:, None] * np.asarray(velocity))[k].tolist())
 
 
 def _taylor_step(c: np.ndarray, radius, rtol: float, where):
@@ -428,7 +458,7 @@ def _taylor_step(c: np.ndarray, radius, rtol: float, where):
     all-zero tail, and the cap decides); the ratio is min over the same k of (|c_0|/|c_k|)^(1/k),
     over ``radius``. Coefficients of shape (p + 1, R, d) give one step and ratio per row, for a
     ``radius`` of shape (R,). A non-finite coefficient raises SingularityApproach at ``where``
-    (with rows, at row r of ``where``, shape (R, 1), for the first such row r).
+    (with rows, at row r of ``where``, shape (R, D), for the first such row r).
     """
     p = len(c) - 1
     with np.errstate(all="ignore"):
@@ -454,8 +484,8 @@ def _horner(c: np.ndarray, h):
 @contextmanager
 def count_work():
     """Yield a dict that sums the ``taylor_steps`` and takes the ``min_radius_ratio`` of every
-    :func:`taylor_integrate` call in the block (inf without steps), and sums what :func:`tally` adds
-    there; all are deterministic."""
+    :func:`taylor_integrate` and :func:`taylor_walk` call in the block (inf without steps), and sums
+    what :func:`tally` adds there; all are deterministic."""
     work = {"taylor_steps": 0, "min_radius_ratio": math.inf}
     token = _WORK.set(work)
     try:

@@ -22,16 +22,16 @@ engines:
 
 Every move of Phi runs on Taylor coefficients. In x at fixed times,
 :func:`_x_series` gives the series of Phi_x = sum_i A_i/(x - t_i) Phi along a
-chord, for any number of rows at once: the base transports walk their chord
-in Taylor steps on it (:meth:`Frame.phi_node`), and each spatial stencil hop
-is one row, summed at its end (:meth:`Frame.phi_nodes`). In time the series
-is that of the bundle (A, ln tau, Phi at the attached points), summed at
-every offset along one axis e_d (:meth:`Frame.shift_t`; C3 and C11 move bare
+chord, for any number of rows at once; every move of Phi in x, a base
+transport or a stencil hop, is a row of one lockstep walk on it
+(:meth:`Frame.phi_nodes`), in its own Taylor steps. In time the series is
+that of the bundle (A, ln tau, Phi at the attached points), summed at every
+offset along one axis e_d (:meth:`Frame.shift_t`; C3 and C11 move bare
 B-states too) or walked in Taylor steps (:meth:`Frame.shift_t_adaptive`).
 Derivatives are central finite differences. The residual engines take their
-stencil values from one grid pass (:func:`_stencil_values`): every time
-stencil is centred at the base time, so one bundle series per direction
-carries every grid point's nodes, and every spatial hop moves in one call.
+stencil values from one grid pass (:func:`_stencil_values`): one call moves
+the base nodes, one bundle series per direction (every time stencil is
+centred at the base time) carries them, and one call moves every x hop.
 Each stencil point of V is inverted from its centre's preimage (:func:`_v_derivs`).
 """
 
@@ -64,6 +64,7 @@ from .numerics import (
     tally,
     taylor_integrate,
     taylor_stencil,
+    taylor_walk,
 )
 from .numerics import ode_integrate  # noqa: F401 - unused here; perfbench's tracer wraps every module's copy
 from .poly_garnier import bridge_lambda_from_q, bridge_q_from_lambda
@@ -319,53 +320,37 @@ class Frame:
 
     # -- spatial transport --------------------------------------------------
 
-    def phi_node(
-        self,
-        x: complex,
-        tnode: TNode | None = None,
-        anchor: PhiNode | None = None,
-    ) -> PhiNode:
-        """Transport Phi (and the gauge logs) to x along a straight segment, in Taylor steps on :func:`_x_series`.
+    def phi_node(self, x: complex, tnode: TNode | None = None, anchor: PhiNode | None = None) -> PhiNode:
+        """Transport Phi (and the gauge logs) to x along a straight segment: the one-hop :meth:`phi_nodes`.
 
-        The segment is checked against the x = t_i exclusion discs, and the
-        gauge logs gain the principal log((x - t_i)/(anchor.x - t_i)): the
-        exact continuation along a chord that misses every x = t_i.
+        Without ``tnode`` the hop is at the base time, from the base node unless ``anchor`` is given.
         """
-        x = complex(x)
         anchor = anchor or (self.base_node if tnode is None else None)
-        tnode = tnode or self.base_tnode
         if anchor is None:
             raise ValueError("an anchor node is required away from the base time")
-        if x == anchor.x:
-            return anchor
-        w0, w1 = anchor.x - tnode.t, x - tnode.t
-        check_clearance(w0, w1, EXCLUSION, _X_SETS)
-        path = PathPlan([anchor.x, x], EXCLUSION)
-        phi = taylor_integrate(partial(_x_series, tnode.t, tnode.A), anchor.phi, path)[-1][1].reshape(2, 2)
-        return PhiNode(x=x, t=tnode.t.copy(), phi=phi, logs=anchor.logs + np.log(w1 / w0))
+        return self.phi_nodes([(x, tnode or self.base_tnode, anchor)])[0]
 
     def phi_nodes(self, hops: Sequence[tuple[complex, TNode, PhiNode]]) -> list[PhiNode]:
-        """Transport Phi along every stencil hop (x, tnode, anchor) on one series each, summed in one call.
+        """Transport Phi (and the gauge logs) along every hop (x, tnode, anchor), each a row of one lockstep walk.
 
-        Each moving hop is one row of :func:`_x_series`, from s = 0 at anchor.x to s = 1 at x, at the
-        times of its tnode (``numerics.taylor_stencil``: SingularityApproach, naming x, for a hop past
-        its Taylor step). All hops are checked, and continue their gauge logs, as in :meth:`phi_node`,
-        in one pass. A hop that ends at its anchor returns the anchor.
+        Each moving hop, the chord anchor.x -> x at the times of its tnode, is checked against the x = t_i
+        discs and walked on :func:`_x_series` (``numerics.taylor_walk``; one step if it fits in one). Its logs
+        gain the principal log((x - t_i)/(anchor.x - t_i)), their exact continuation along a checked chord.
+        A hop that ends at its anchor returns the anchor.
         """
         hops = [(complex(x), tnode, anchor) for x, tnode, anchor in hops]
         out = [anchor for _x, _tn, anchor in hops]
         moving = [k for k, (x, _tn, anchor) in enumerate(hops) if x != anchor.x]
         if not moving:
             return out
-        x0 = np.array([hops[k][2].x for k in moving], dtype=complex)
-        x1 = np.array([hops[k][0] for k in moving], dtype=complex)
-        t = np.array([hops[k][1].t for k in moving], dtype=complex)
+        x1, tnodes, anchors = zip(*[hops[k] for k in moving])
+        x0, x1 = np.array([a.x for a in anchors], dtype=complex), np.array(x1)
+        t, A = np.array([tn.t for tn in tnodes], dtype=complex), np.array([tn.A for tn in tnodes], dtype=complex)
         w0, w1 = x0[:, None] - t, x1[:, None] - t
         check_clearance(w0, w1, EXCLUSION, _X_SETS)
-        A = np.array([hops[k][1].A for k in moving], dtype=complex)
-        phi0 = np.array([hops[k][2].phi.ravel() for k in moving], dtype=complex)
-        phi1 = taylor_stencil(partial(_x_series, t, A), phi0, x0[:, None], (x1 - x0)[:, None], np.ones(len(moving)))
-        logs = np.array([hops[k][2].logs for k in moving], dtype=complex) + np.log(w1 / w0)
+        series = lambda rows, x, v, phi: _x_series(t[rows], A[rows], x, v, phi)  # noqa: E731
+        phi1 = taylor_walk(series, [a.phi.ravel() for a in anchors], x0[:, None], (x1 - x0)[:, None])
+        logs = np.array([a.logs for a in anchors], dtype=complex) + np.log(w1 / w0)
         for k, phi, lg in zip(moving, phi1, logs):
             out[k] = PhiNode(x=hops[k][0], t=hops[k][1].t.copy(), phi=phi.reshape(2, 2), logs=lg)
         return out
@@ -555,29 +540,30 @@ class YDerivs:
 
 
 def _stencil_values(frame: Frame, stencils: Sequence[tuple], t_mults, value) -> list[dict]:
-    """Every grid point's stencil values by key, from one bundle move per time direction and one batch of hops.
+    """Every grid point's stencil values by key, from two batches of x moves and one bundle move per time direction.
 
-    A point's stencil is (base, spatial, ht, place): its nodes at the base time, the anchors of its hops;
-    key -> their positions at the base time; d -> its time step along e_d; and place(tnode) -> their
-    positions at a moved time. Along each e_d one :meth:`Frame.shift_t` call moves the bundle, with every
-    point's base nodes attached, to the union of the points' offsets m * ht[d] (m in ``t_mults``; exactly
-    equal offsets move once). Those moved nodes' hops to ``place`` and every spatial hop go to one
-    :meth:`Frame.phi_nodes` call, where a zero-length hop returns its anchor; so a failing hop fails the
-    whole grid. Returns per point key -> value(tnode, *nodes), with time keys ("t", d, m).
+    A point's stencil is (base, spatial, ht, place): the positions of its nodes at the base time (all moved
+    from the base node in one :meth:`Frame.phi_nodes` call), the anchors of its hops; key -> their positions
+    at the base time; d -> its time step along e_d; place(tnode) -> their positions at a moved time. Along
+    each e_d one :meth:`Frame.shift_t` call moves the bundle, with every base node attached, to the union of
+    the points' offsets m * ht[d] (m in ``t_mults``; equal offsets move once). Those nodes' hops to ``place``
+    and every spatial hop go to a second :meth:`Frame.phi_nodes` call (a zero-length hop returns its anchor),
+    so a failing hop fails the grid. Returns per point key -> value(tnode, *nodes), time keys ("t", d, m).
     """
     if not stencils:
         return []
     bases, spatials, hts, places = zip(*stencils)
     tnode, width = frame.base_tnode, len(bases[0])
-    base = [n for nodes in bases for n in nodes]
-    ends = [(k, key, tnode, pos, bases[k]) for k, spatial in enumerate(spatials) for key, pos in spatial.items()]
+    base = frame.phi_nodes([(x, tnode, frame.base_node) for xs in bases for x in xs])
+    of_point = lambda nodes, k: nodes[width * k : width * (k + 1)]  # noqa: E731
+    ends = [(k, key, tnode, pos, of_point(base, k)) for k, sp in enumerate(spatials) for key, pos in sp.items()]
     for d in hts[0]:
         mults = [(k, m) for k in range(len(stencils)) for m in t_mults]
         offsets, which = np.unique([m * hts[k][d] for k, m in mults], return_inverse=True)
         moved = frame.shift_t(tnode, base, d, offsets)
         for (k, m), i in zip(mults, which):
             tn, nodes = moved[i]
-            ends.append((k, ("t", d, m), tn, places[k](tn), nodes[width * k : width * (k + 1)]))
+            ends.append((k, ("t", d, m), tn, places[k](tn), of_point(nodes, k)))
     nodes = iter(frame.phi_nodes([(p, tn, a) for _k, _key, tn, pos, anchors in ends for p, a in zip(pos, anchors)]))
     out = [{} for _s in stencils]
     for k, key, tn, pos, _anchors in ends:
@@ -605,7 +591,7 @@ def _y_derivs(
     for x, y in grid:
         hx, hy = scheme.scaled_step(x), scheme.scaled_step(y)
         spatial = {("x", m): (x + m * hx, y) for m in mults2} | {("y", m): (x, y + m * hy) for m in mults2}
-        stencils.append(((frame.phi_node(x), frame.phi_node(y)), spatial, ht, lambda _tn, xy=(x, y): xy))
+        stencils.append(((x, y), spatial, ht, lambda _tn, xy=(x, y): xy))
     out = []
     for (x, y), vals in zip(grid, _stencil_values(frame, stencils, mults1, frame.Y_of)):
         hx, hy = scheme.scaled_step(x), scheme.scaled_step(y)
@@ -768,7 +754,7 @@ def _v_derivs(
         spatial = {("z", 0.0): (x0, y0), ("e", 0.0): (x0, y0)}
         spatial |= {key: zeta_eta_inverse(*ze, t[0], t[1], (x0, y0)) for key, ze in points.items()}
         place = lambda tn, ze=(zeta, eta), xy=(x0, y0): zeta_eta_inverse(*ze, tn.t[0], tn.t[1], xy)  # noqa: E731
-        stencils.append(((frame.phi_node(x0), frame.phi_node(y0)), spatial, {0: ht1, 1: ht2}, place))
+        stencils.append(((x0, y0), spatial, {0: ht1, 1: ht2}, place))
         steps.append((hz, he))
     values = _stencil_values(frame, stencils, mults1, lambda tn, nx, ny: frame.V_of(tn, nx, ny, ab))
     out = []
@@ -890,10 +876,7 @@ def garx_residual(
 
     rows_eq = []
     rows_abel = []
-    stencils = [
-        ((frame.phi_node(x),), {m: (x + m * scheme.scaled_step(x),) for m in mults2}, {}, None)
-        for x in x_samples
-    ]
+    stencils = [((x,), {m: (x + m * scheme.scaled_step(x),) for m in mults2}, {}, None) for x in x_samples]
     for x, nodes in zip(x_samples, _stencil_values(frame, stencils, (), lambda _tn, node: node)):
         hx = scheme.scaled_step(x)
         vals = {m: z_mat(n)[0, :] for m, n in nodes.items()}

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from garnier_lab import cli
-from garnier_lab.acceptance import CheckResult, criterion_6
+from garnier_lab.acceptance import BASE_T2, CheckResult, criterion_6
 from garnier_lab.cli import MODES, main, run_scenario, write_report
 from garnier_lab.errors import ConfigInvalid
 from garnier_lab.poly_garnier import PGState, gen_pg, random_theta_pg
@@ -243,6 +243,18 @@ def test_run_pvi_off_reduction_exits_3(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"spec": 1, "mode": "pvi", "initial_state": state}))
     assert main(["run", "--config", str(cfg)]) == 3
+
+
+@pytest.mark.parametrize("fd_step, code", [(0.012, 0), (0.014, 3)])
+def test_run_bpz_time_stencil_past_its_step_exits_3(tmp_path, capsys, fd_step, code):
+    # x hops walk, so only a time hop can be too long: at seed 45, one frame
+    # and one point, the t2 stencil offset 2 * fd_step * (1 + |t2|) passes
+    # the bundle's Taylor step at fd_step 0.014 and not at 0.012
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"spec": 1, "mode": "bpz", "scale": {"n_frames": 1, "grid_points": 1}}))
+    assert main(["run", "--config", str(cfg), "--seed", "45", "--fd-step", str(fd_step)]) == code
+    offset = f"stencil offset {2 * fd_step * (1 + abs(BASE_T2)):.3e} past the Taylor step"
+    assert (offset in capsys.readouterr().err) == (code == 3)
 
 
 def test_run_reports_are_deterministic(tmp_path):

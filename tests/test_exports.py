@@ -36,59 +36,66 @@ def test_every_name_the_package_reexports_resolves():
 SOURCES = {path.stem: path for path in sorted(Path(garnier_lab.__file__).parent.glob("*.py"))}
 
 
-def _called_name(call: ast.Call) -> str | None:
-    func = call.func
-    return func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+def _users(*names: str) -> dict[str, set[str]]:
+    """Every function of src/ (a method as Class.method) that names each of ``names``, as module.function.
+
+    A call, an attribute or a bare reference (say, inside functools.partial) all count.
+    """
+    users = {name: set() for name in names}
+    for stem, path in SOURCES.items():
+        for top in ast.parse(path.read_text()).body:
+            members = top.body if isinstance(top, ast.ClassDef) else []
+            units = [(f"{top.name}.{getattr(m, 'name', '<body>')}", m) for m in members]
+            for qualname, unit in units or [(getattr(top, "name", "<module>"), top)]:
+                for node in ast.walk(unit):
+                    name = getattr(node, "id", None) if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                    if name in users:
+                        users[name].add(f"{stem}.{qualname}")
+    return users
 
 
 def test_dormand_prince_steps_run_only_in_the_reference_integrator():
     # every move in src/ takes Taylor steps; DP5 is left only in
     # numerics.ode_integrate, the tests' reference, which nothing in src/ calls
-    dp_callers, ode_callers = set(), set()
-    for stem, path in SOURCES.items():
-        for top in ast.parse(path.read_text()).body:
-            for node in ast.walk(top):
-                if isinstance(node, ast.Call) and _called_name(node) == "_dp_step":
-                    dp_callers.add(f"{stem}.{getattr(top, 'name', '<module>')}")
-                if isinstance(node, ast.Call) and _called_name(node) == "ode_integrate":
-                    ode_callers.add(f"{stem}.{getattr(top, 'name', '<module>')}")
-    assert dp_callers == {"numerics.ode_integrate"}
-    assert ode_callers == set()
+    assert _users("_dp_step", "ode_integrate") == {"_dp_step": {"numerics.ode_integrate"}, "ode_integrate": set()}
 
 
 def test_only_the_grid_assembly_moves_stencil_nodes():
     # one stencil path: the residual engines take their values from
-    # quantization._stencil_values, which makes the one phi_nodes call of a
-    # grid and its one shift_t call per time direction; acceptance._moved
+    # quantization._stencil_values, which makes the two phi_nodes calls of a
+    # grid (its base nodes, then its hops) and its one shift_t call per time
+    # direction; Frame.phi_node is the one-hop phi_nodes; acceptance._moved
     # moves bare B-states for C3 and C11
-    callers = {"phi_nodes": set(), "shift_t": set()}
-    for stem, path in SOURCES.items():
-        for top in ast.parse(path.read_text()).body:
-            for node in ast.walk(top):
-                if isinstance(node, ast.Call) and _called_name(node) in callers:
-                    callers[_called_name(node)].add(f"{stem}.{getattr(top, 'name', '<module>')}")
-    assert callers == {
-        "phi_nodes": {"quantization._stencil_values"},
+    assert _users("phi_nodes", "shift_t") == {
+        "phi_nodes": {"quantization._stencil_values", "quantization.Frame.phi_node"},
         "shift_t": {"quantization._stencil_values", "acceptance._moved"},
     }
+
+
+def test_phi_moves_in_x_through_one_walk():
+    # one spatial path: only Frame.phi_nodes forms x-series (on
+    # numerics.taylor_walk), the only walk of quantization on
+    # taylor_integrate is the bundle's long time move, and no residual
+    # engine moves a node through the one-hop Frame.phi_node
+    users = _users("_x_series", "taylor_integrate", "phi_node")
+    assert users["_x_series"] == {"quantization.Frame.phi_nodes"}
+    assert {u for u in users["taylor_integrate"] if u.startswith("quantization.")} == {
+        "quantization.Frame.shift_t_adaptive"
+    }
+    assert users["phi_node"] == {"quantization.phi_via", "quantization.zero_curvature_loop"}
 
 
 def test_the_bridge_is_the_only_inverse_of_the_chart():
     # quantization.zeta_eta_inverse takes its root pair from
     # poly_garnier.bridge_lambda_from_q; a second transcription of that
     # inverse would need a quadratic solve of its own
-    callers = {"quad_roots": set(), "bridge_lambda_from_q": set()}
-    for stem, path in SOURCES.items():
-        for top in ast.parse(path.read_text()).body:
-            for node in ast.walk(top):
-                if isinstance(node, ast.Call) and _called_name(node) in callers:
-                    callers[_called_name(node)].add(f"{stem}.{getattr(top, 'name', '<module>')}")
-    assert callers["quad_roots"] == {
+    users = _users("quad_roots", "bridge_lambda_from_q")
+    assert users["quad_roots"] == {
         "garnier_okamoto.extract_lambda",
         "poly_garnier.bridge_lambda_from_q",
         "quantization.solve_alpha_beta",
     }
-    assert "quantization.zeta_eta_inverse" in callers["bridge_lambda_from_q"]
+    assert "quantization.zeta_eta_inverse" in users["bridge_lambda_from_q"]
 
 
 @pytest.mark.parametrize("name", sorted(set(SOURCES) - {"__init__"}))  # the package's imports are its exports

@@ -28,6 +28,7 @@ from garnier_lab.numerics import (
     stencil_multipliers,
     taylor_integrate,
     taylor_stencil,
+    taylor_walk,
 )
 
 
@@ -258,10 +259,11 @@ def test_taylor_stencil_raises_past_the_step_naming_the_point():
 
 
 def _exp_rows(radius):
-    """The rows of dy/ds = v_r y at once: coefficients (p + 1, R, d) for point and velocity of shape (R, 1)."""
+    """The rows of dy/ds = v_r y at once, in taylor_walk's form: coefficients (p + 1, r, d) and the radii of
+    the rows still moving, for point and velocity of shape (r, 1)."""
     k = np.arange(TAYLOR_ORDER + 1)[:, None, None]
     inv_fact = np.array([1.0 / math.factorial(int(j)) for j in k.ravel()])[:, None, None]
-    return lambda z, v, y: (y[None] * (v[None] ** k * inv_fact), np.asarray(radius, dtype=float))
+    return lambda rows, z, v, y: (y[None] * (v[None] ** k * inv_fact), np.asarray(radius, dtype=float)[rows])
 
 
 def test_taylor_step_of_rows_is_each_row_alone(rng):
@@ -276,28 +278,63 @@ def test_taylor_step_of_rows_is_each_row_alone(rng):
         assert h[r] == h_r and ratio[r] == ratio_r
 
 
-def test_taylor_stencil_sums_row_r_at_offset_r():
-    # one coefficient call for every row; row r at offsets[r], bit for bit that row alone
-    point = np.array([[0.3], [0.1j], [-0.2]])
-    v = np.array([[1.0], [1j], [-0.5 + 0.5j]])
-    y0 = np.array([[2.0, 1j], [1.0, -1.0], [0.5j, 3.0]])
-    offsets = np.array([0.2, -0.3, 0.1 + 0.1j])
-    got = taylor_stencil(_exp_rows([10.0] * 3), y0, point, v, offsets)
-    assert got.shape == (3, 2)
-    for r in range(3):
-        alone = taylor_stencil(_exp_rows([10.0]), y0[r : r + 1], point[r : r + 1], v[r : r + 1], offsets[r : r + 1])
-        assert np.array_equal(got[r], alone[0])
-        want = y0[r] * np.exp(v[r, 0] * offsets[r])
-        assert np.max(np.abs(got[r] - want)) <= 1e-15 * np.max(np.abs(want))
-    # a row past its own step (radius 0.1 caps it at 0.05) names its stencil point
-    with pytest.raises(SingularityApproach, match="past the Taylor step") as info:
-        taylor_stencil(_exp_rows([10.0, 0.1, 10.0]), y0, point, v, [0.2, 0.06, 0.2])
-    assert info.value.location == (0.1j + 0.06 * 1j,)
-    # a non-finite row names its own centre
-    y0[2, 1] = np.nan
-    with pytest.raises(SingularityApproach, match="non-finite Taylor coefficient") as info:
-        taylor_stencil(_exp_rows([10.0] * 3), y0, point, v, offsets)
-    assert info.value.location == (-0.2,)
+_WALK_POINT = np.array([[0.3], [0.1j], [-0.2], [0.5 - 0.5j]])
+_WALK_VELOCITY = np.array([[1.0], [1j], [-0.5 + 0.5j], [0.3]])
+_WALK_Y0 = np.array([[2.0, 1j], [1.0, -1.0], [0.5j, 3.0], [1.0, 1.0]])
+_WALK_RADII = [10.0, 0.1, 1.0, 0.7]  # a cap of half the radius: 1, 20, 2 and 3 steps
+
+
+def test_taylor_walk_moves_each_row_as_it_moves_alone():
+    # rows of different lengths and radii step in lockstep, each with its own h; a row that lands drops
+    # out, and the coefficient function then sees only the rows still moving
+    seen = []
+    coeffs = _exp_rows(_WALK_RADII)
+    with count_work() as work:
+        got = taylor_walk(
+            lambda rows, *args: seen.append(rows) or coeffs(rows, *args), _WALK_Y0, _WALK_POINT, _WALK_VELOCITY
+        )
+    assert got.shape == (4, 2)
+    assert seen[0] == slice(None) and [rows.tolist() for rows in seen[1:3]] == [[1, 2, 3], [1, 3]]
+    assert [rows.tolist() for rows in seen[3:]] == [[1]] * 17
+    steps, ratio = 0, math.inf
+    for r in range(4):
+        row = slice(r, r + 1)
+        with count_work() as alone:
+            (end,) = taylor_walk(_exp_rows(_WALK_RADII[row]), _WALK_Y0[row], _WALK_POINT[row], _WALK_VELOCITY[row])
+        assert np.array_equal(got[r], end)
+        want = _WALK_Y0[r] * np.exp(_WALK_VELOCITY[r, 0])
+        assert np.max(np.abs(got[r] - want)) <= 1e-14 * np.max(np.abs(want))
+        steps, ratio = steps + alone["taylor_steps"], min(ratio, alone["min_radius_ratio"])
+    # count_work adds every row's steps and keeps the smallest ratio
+    assert work["taylor_steps"] == steps == 26 and work["min_radius_ratio"] == ratio
+
+
+@pytest.mark.parametrize(
+    "y0, radius, message",
+    [
+        (1e308, 0.1, "non-finite Taylor sum"),  # |y| = 1e308 e^s overflows past s = 0.586
+        (1.0, 1e-15, "step size underflow"),  # capped at half the radius
+        (np.nan, 10.0, "non-finite Taylor coefficient"),
+    ],
+    ids=["sum_overflow", "underflow", "nan_start"],
+)
+def test_taylor_walk_raises_at_the_failing_rows_own_point(y0, radius, message):
+    # the failing row sits behind a healthy one that walks on: the error is raised at the
+    # point where that row fails walked alone
+    point, velocity = np.array([[0.3], [-0.2j]]), np.array([[1j], [1.0]])
+    y = np.array([[1.0, 2.0], [1.0, y0]], dtype=complex)
+    coeffs = _exp_rows([0.1, radius])
+    with np.errstate(all="ignore"):
+        with pytest.raises(SingularityApproach, match=message) as info:
+            taylor_walk(coeffs, y, point, velocity)
+        with pytest.raises(SingularityApproach, match=message) as alone:
+            taylor_walk(_exp_rows([radius]), y[1:], point[1:], velocity[1:])
+    assert info.value.location == alone.value.location
+    (where,) = info.value.location
+    s = (where - point[1, 0]) / velocity[1, 0]
+    assert s.imag == 0.0 and 0.0 <= s.real < 1.0
+    if message == "non-finite Taylor sum":
+        assert s.real == pytest.approx(0.55)
 
 
 def test_taylor_stencil_of_a_constant_raises_no_warning():

@@ -589,21 +589,23 @@ def test_phi_nodes_kernel_matches_old_batched_field(frame, monkeypatch):
         assert np.max(np.abs(node.phi - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
-def test_far_chord_is_past_the_step_of_phi_nodes_and_walked_by_phi_node(frame):
+def test_far_chord_is_walked_by_phi_nodes_beside_a_near_hop(frame):
     # a hop that triples its distance to t2: the series at the anchor reaches
     # a quarter of the chord (half its radius, itself half the chord), so
-    # phi_nodes raises naming x before any node is returned; phi_node walks
-    # it in Taylor steps, and the principal log of its chord ratio, far from
-    # 1, continues the log as two sub-chords do
-    t = frame.base_tnode.t
+    # phi_nodes walks it in Taylor steps, while a near hop in the same call
+    # takes its one step, bit for bit as alone; the principal log of the far
+    # chord's ratio, far from 1, continues the log as two sub-chords do
+    base, t = frame.base_tnode, frame.base_tnode.t
     u = (BASE_X - t[1]) / abs(BASE_X - t[1])
     anchor = frame.phi_node(t[1] + 0.06 * u)
     x = t[1] + 0.18 * u
-    with pytest.raises(SingularityApproach, match="past the Taylor step") as info:
-        frame.phi_nodes([(x, frame.base_tnode, anchor)])
-    (where,) = info.value.location
-    assert abs(where - x) <= 1e-15 * abs(x)
-    node = frame.phi_node(x, anchor=anchor)
+    near = (anchor.x + 2e-3 * u, base, anchor)
+    with count_work() as work:
+        node, near_node = frame.phi_nodes([(x, base, anchor), near])
+    with count_work() as alone:
+        (near_alone,) = frame.phi_nodes([near])
+    assert alone["taylor_steps"] == 1 and work["taylor_steps"] - 1 >= 2
+    assert np.array_equal(near_node.phi, near_alone.phi) and np.array_equal(near_node.logs, near_alone.logs)
     via = frame.phi_node(x, anchor=frame.phi_node(t[1] + 0.12 * u, anchor=anchor))
     assert np.max(np.abs(node.logs - via.logs)) <= 1e-15
     assert np.max(np.abs(node.phi - via.phi)) < 1e-11
@@ -737,6 +739,7 @@ def _counted(calls: dict, name: str):
 @pytest.mark.parametrize("n_points", [1, 7])
 @pytest.mark.parametrize("engine, t_moves", [("bpz", 4), ("kevol", 2), ("qpg", 2), ("garx", 0)])
 def test_each_engine_moves_the_bundle_once_per_direction_and_hops_in_one_call(c9_frame, engine, t_moves, n_points):
+    # one phi_nodes call moves every point's base nodes, and a second every hop
     frame, ab, grid = c9_frame
     xy = default_grid(7)[:n_points]
     run = {
@@ -750,12 +753,13 @@ def test_each_engine_moves_the_bundle_once_per_direction_and_hops_in_one_call(c9
         for name in calls:
             mp.setattr(Frame, name, _counted(calls, name))
         run()
-    assert calls == {"phi_nodes": 1, "shift_t": t_moves}
+    assert calls == {"phi_nodes": 2, "shift_t": t_moves}
 
 
 @pytest.fixture(scope="module")
 def c9_point_hops():
-    """A C9 frame and the hops that quantized_pg_residual sends to phi_nodes for one grid point."""
+    """A C9 frame and the hops that quantized_pg_residual sends to phi_nodes for one grid point (its second
+    call; the first moves the point's base nodes)."""
     frame = Frame(_seeded_b_state(700), base_x=BASE_X)
     x, y = default_grid(20)[0]
     zeta, eta = zeta_eta_map(x, y, frame.state.t1, frame.state.t2)
@@ -764,7 +768,7 @@ def c9_point_hops():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Frame, "phi_nodes", lambda self, hops: calls.append(list(hops)) or real(self, hops))
         quantized_pg_residual(frame, [(zeta, eta, (x, y))], solve_alpha_beta(frame.theta), QPG_FD)
-    (hops,) = calls
+    _base, hops = calls
     return frame, hops
 
 
