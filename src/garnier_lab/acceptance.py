@@ -192,37 +192,38 @@ def criterion_3(n_states: int = 5, seed0: int = 300):
     tol = 1e-6
     scheme = FDScheme(order=4, step=1e-4, richardson=True)
     worst = 0.0
-    for k in range(n_states):
-        frame = Frame(_seeded_b_state(seed0 + k), base_x=BASE_X)
-        g0 = extract_go(shift_normalization(frame.state, "BtoQ"))
-        vf = go_vector_field(g0)
-        for d in (0, 1):
-            t_d = (frame.state.t1, frame.state.t2)[d]
+    with count_work() as work:
+        for k in range(n_states):
+            frame = Frame(_seeded_b_state(seed0 + k), base_x=BASE_X)
+            g0 = extract_go(shift_normalization(frame.state, "BtoQ"))
+            vf = go_vector_field(g0)
+            for d in (0, 1):
+                t_d = (frame.state.t1, frame.state.t2)[d]
 
-            def lam_mu_at(tds):
-                """[lambda, mu] of the state flowed in B form, then shifted to Q, with t_{d+1} moved to each td."""
-                out = []
-                for _tn, st in _moved(frame, d, [td - t_d for td in tds]):
-                    g = extract_go(shift_normalization(st, "BtoQ"))
-                    lam, mu = list(g.lam), list(g.mu)
-                    if abs(lam[0] - g0.lam[0]) > abs(lam[1] - g0.lam[0]):
-                        lam.reverse()
-                        mu.reverse()
-                    out.append(np.array([lam, mu]))
-                return out
+                def lam_mu_at(tds):
+                    """[lambda, mu] of the state flowed in B form, then shifted to Q, with t_{d+1} moved to each td."""
+                    out = []
+                    for _tn, st in _moved(frame, d, [td - t_d for td in tds]):
+                        g = extract_go(shift_normalization(st, "BtoQ"))
+                        lam, mu = list(g.lam), list(g.mu)
+                        if abs(lam[0] - g0.lam[0]) > abs(lam[1] - g0.lam[0]):
+                            lam.reverse()
+                            mu.reverse()
+                        out.append(np.array([lam, mu]))
+                    return out
 
-            dlam, dmu = fd_derivative(lam_mu_at, t_d, scheme)
-            scale = max(np.max(np.abs(dlam)), np.max(np.abs(dmu)))
-            err = max(
-                float(np.max(np.abs(dlam - vf["dlam"][d]))),
-                float(np.max(np.abs(dmu - vf["dmu"][d]))),
-            ) / (scale + 1e-300)
-            worst = max(worst, err)
+                dlam, dmu = fd_derivative(lam_mu_at, t_d, scheme)
+                scale = max(np.max(np.abs(dlam)), np.max(np.abs(dmu)))
+                err = max(
+                    float(np.max(np.abs(dlam - vf["dlam"][d]))),
+                    float(np.max(np.abs(dmu - vf["dmu"][d]))),
+                ) / (scale + 1e-300)
+                worst = max(worst, err)
     return CheckResult(
         criterion="C3",
         passed=worst <= tol,
         detail=f"max relative mismatch flow-vs-Hamiltonian {worst:.3e} over {n_states} states (tol {tol:.0e})",
-        metrics={"max_rel_mismatch": worst},
+        metrics={"max_rel_mismatch": worst, **work},
     )
 
 
@@ -573,15 +574,16 @@ def criterion_11(seed0: int = 1100):
     t = s0.tvec
     worst_s = 0.0
     d_lnd = []  # d/dt_{i+1} of (d ln tau/dt1, d ln tau/dt2), from the same moves as the gauge exponent
-    for i in (0, 1):
-        h = scheme.scaled_step(t[i])
-        moved = _moved(frame, i, [m * h for m in mults])
-        lnd = {m: np.array(tau_logderiv(st)) for m, (_tn, st) in zip(mults, moved)}
-        d_lnd.append(combine_stencil(lnd, h, scheme, 1))
-        # gauge exponent: finite difference of the closed form vs the stated sum
-        ds = combine_stencil({m: frame.gauge_exponent(tn) for m, (tn, _st) in zip(mults, moved)}, h, scheme, 1)
-        stated = (th[i] / 2.0) * sum(th[j] / (t[i] - t[j]) for j in range(4) if j != i)
-        worst_s = max(worst_s, abs(ds - stated))
+    with count_work() as work:
+        for i in (0, 1):
+            h = scheme.scaled_step(t[i])
+            moved = _moved(frame, i, [m * h for m in mults])
+            lnd = {m: np.array(tau_logderiv(st)) for m, (_tn, st) in zip(mults, moved)}
+            d_lnd.append(combine_stencil(lnd, h, scheme, 1))
+            # gauge exponent: finite difference of the closed form vs the stated sum
+            ds = combine_stencil({m: frame.gauge_exponent(tn) for m, (tn, _st) in zip(mults, moved)}, h, scheme, 1)
+            stated = (th[i] / 2.0) * sum(th[j] / (t[i] - t[j]) for j in range(4) if j != i)
+            worst_s = max(worst_s, abs(ds - stated))
     closed_gap = abs(d_lnd[1][0] - d_lnd[0][1])
     passed = closed_gap <= closed_tol and worst_s <= s_tol
     return CheckResult(
@@ -591,7 +593,7 @@ def criterion_11(seed0: int = 1100):
             f"mixed-partial gap of ln tau {closed_gap:.3e} (tol {closed_tol:.0e}); "
             f"gauge-exponent derivative mismatch {worst_s:.3e} (tol {s_tol:.0e})"
         ),
-        metrics={"tau_closedness_gap": closed_gap, "gauge_exponent_gap": worst_s},
+        metrics={"tau_closedness_gap": closed_gap, "gauge_exponent_gap": worst_s, **work},
     )
 
 

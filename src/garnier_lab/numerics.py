@@ -14,10 +14,11 @@ This is the substrate every other module builds on:
   analytic flows whose caller supplies the series: the same path walk and
   landing, each step sized from the last two coefficients and capped below
   the radius of the field's own series, for the flows and Phi in time; its
-  row form (:func:`taylor_walk`) walks many chords in lockstep, each with
-  its own steps, for Phi in x; :func:`count_work` collects the steps and
-  radius ratios of both; its stencil form (:func:`taylor_stencil`) sums one
-  series at every offset,
+  row form (:func:`taylor_walk`) walks many chords in lockstep from one
+  first series per start, each with its own steps, for Phi in x; its
+  stencil form (:func:`taylor_stencil`) sums one series at every offset;
+  :func:`count_work` collects the steps, series and radius ratios of all
+  three,
 * central finite-difference schemes of order 2/4 with optional Richardson
   extrapolation: :func:`fd_derivative` is the one path for a derivative in
   one direction (its evaluator takes every stencil point at once and may
@@ -67,7 +68,6 @@ __all__ = [
     "stencil_multipliers",
     "combine_stencil",
     "det2",
-    "inv2",
 ]
 
 DEFAULT_RTOL = 1e-12
@@ -82,16 +82,9 @@ _WORK: ContextVar[dict | None] = ContextVar("garnier_lab_work", default=None)  #
 # 2x2 complex matrices
 # ---------------------------------------------------------------------------
 
-def det2(m: np.ndarray) -> complex:
-    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-
-
-def inv2(m: np.ndarray, min_det: float = 0.0) -> np.ndarray:
-    """Explicit 2x2 inverse; raises ValueError when |det| <= min_det."""
-    d = det2(m)
-    if abs(d) <= min_det:
-        raise ValueError(f"2x2 matrix is singular to tolerance (|det| = {abs(d):.3e})")
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex) / d
+def det2(m: np.ndarray):
+    """The determinant of a 2x2 matrix, or of each one in a stack of shape (..., 2, 2)."""
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +343,7 @@ def taylor_integrate(
     and the s-distance from ``point`` to the field's nearest fixed singular
     set, the radius of its own series. Each step is :func:`_taylor_step`'s,
     landing exactly on corners and ``samples``; y(s + h) is :func:`_horner`'s
-    sum. Within :func:`count_work` the call adds its steps and smallest ratio.
+    sum. Within :func:`count_work` the call adds its steps (a series each) and smallest ratio.
 
     Returns [(s, y(s))] at s = 0, each sample, and s = 1. Raises
     SingularityApproach on a non-finite coefficient or sum, a step underflow,
@@ -382,34 +375,39 @@ def taylor_integrate(
             s = s_target if h == s_target - s else s + h
         if s_target in want or s_target == 1.0:
             out.append((s_target, y.copy()))
-    work = _WORK.get()
-    if work is not None:
-        work["taylor_steps"] += n_steps
-        work["min_radius_ratio"] = min(work["min_radius_ratio"], ratio)
+    _record(n_steps, n_steps, ratio)
     return out
 
 
-def taylor_walk(coeffs: Callable, y0, point, velocity) -> np.ndarray:
+def taylor_walk(coeffs: Callable, y0, point, velocity, group) -> np.ndarray:
     """Walk R rows along the chords point + s velocity, s from 0 to 1, in lockstep Taylor steps; y(1), shape (R, d).
 
-    Users: ``quantization.Frame.phi_nodes``. ``point`` and ``velocity`` have shape (R, D), ``y0`` (R, d).
-    ``coeffs(rows, point, velocity, y)`` is :func:`taylor_integrate`'s for the rows still moving (an index
-    into the R rows, ``slice(None)`` while all move, so nothing is copied). Each row takes
-    :func:`_taylor_step`'s step, capped at what is left of its chord, and drops out once it lands at s = 1:
-    its steps and end value are :func:`taylor_integrate`'s on its chord alone, and so are the errors it
-    raises, at the first failing row's point. Within :func:`count_work` it adds every row's steps.
+    Users: ``quantization.Frame.phi_nodes``. ``point`` and ``velocity`` have shape (R, 1), ``y0`` (R, d);
+    ``group`` labels the rows 0..G-1, and the rows of one label share point, y0 and field.
+    ``coeffs(rows, point, velocity, y)`` is :func:`taylor_integrate`'s for the rows ``rows`` (an index into
+    the R rows, ``slice(None)`` while all move, so nothing is copied). The first round forms one series per
+    label, at its first row in powers of the displacement w (velocity 1); each row takes that series'
+    :func:`_taylor_step` step along its own chord, capped at s = 1, and sums it at its own w. Each later round
+    forms one series per moving row along its chord, with its own capped step; a row drops out once it lands
+    at s = 1. Errors are :func:`taylor_integrate`'s, raised at the first failing row's point. Within
+    :func:`count_work` it adds every row's steps and every series it formed.
     """
     y, s, moving = np.array(y0, dtype=complex), np.zeros(len(y0)), np.ones(len(y0), dtype=bool)
-    n_rounds, n_steps, ratio = 0, 0, math.inf
+    firsts = np.unique(group, return_index=True)[1]
+    n_rounds, n_steps, n_series, ratio = 0, 0, 0, math.inf
     while moving.any():
         live = slice(None) if moving.all() else np.flatnonzero(moving)
         pt = point[live] + s[live, None] * velocity[live]
+        first = not n_rounds  # every row at s = 0: one series per label, in w
+        rows, at = (firsts, firsts) if first else (live, slice(None))
         with np.errstate(all="ignore"):
-            c, radius = coeffs(live, pt, velocity[live], y[live])
-            h, step_ratio = _taylor_step(c, radius, DEFAULT_RTOL, pt)
+            c, radius = coeffs(rows, pt[at], np.ones_like(pt[at]) if first else velocity[live], y[rows])
+            h, step_ratio = _taylor_step(c, radius, DEFAULT_RTOL, pt[at])
+            if first:  # each row's share of its label's step, in s along its own chord
+                c, h = c[:, group], h[group] / np.abs(velocity[:, 0])
             h, ratio = np.minimum(h, 1.0 - s[live]), np.fmin.reduce(step_ratio, initial=ratio)
-            y_new = _horner(c, h[:, None])
-        n_rounds, n_steps = n_rounds + 1, n_steps + len(h)
+            y_new = _horner(c, h[:, None] * (velocity if first else 1.0))
+        n_rounds, n_steps, n_series = n_rounds + 1, n_steps + len(h), n_series + len(step_ratio)
         for failed, message in (  # in taylor_integrate's order; every moving row has taken n_rounds steps
             (~(h >= 1e-14), "step size underflow during path integration"),
             (np.full(len(h), n_rounds > MAX_STEPS), "step budget exhausted"),
@@ -419,10 +417,7 @@ def taylor_walk(coeffs: Callable, y0, point, velocity) -> np.ndarray:
                 raise SingularityApproach(message, location=tuple(pt[np.argmax(failed)].tolist()))
         y[live], s[live] = y_new, np.where(h == 1.0 - s[live], 1.0, s[live] + h)
         moving = s < 1.0 - 1e-15
-    work = _WORK.get()
-    if work is not None:
-        work["taylor_steps"] += n_steps
-        work["min_radius_ratio"] = min(work["min_radius_ratio"], float(ratio))
+    _record(n_steps, n_series, ratio)
     return y
 
 
@@ -432,12 +427,12 @@ def taylor_stencil(coeffs: Callable, y0, point, velocity, offsets) -> np.ndarray
     Users: ``quantization.Frame.shift_t`` and ``poly_garnier.hop_pg``.
     An |s| past the step :func:`taylor_integrate` would take there at the default rtol raises
     SingularityApproach, naming the first such stencil point point + s velocity, before any state is
-    returned; so does a non-finite sum.
+    returned; so does a non-finite sum. Within :func:`count_work` the call adds one series and its ratio.
     """
     offsets = np.asarray(offsets, dtype=complex)
     with np.errstate(all="ignore"):
         c, radius = coeffs(point, velocity, np.asarray(y0, dtype=complex))
-    h = _taylor_step(c, radius, DEFAULT_RTOL, point)[0]
+    h, ratio = _taylor_step(c, radius, DEFAULT_RTOL, point)
     where = lambda k: tuple((np.asarray(point) + offsets[k] * np.asarray(velocity)).tolist())  # noqa: E731
     far = np.flatnonzero(~(np.abs(offsets) <= h))
     if far.size:
@@ -448,6 +443,7 @@ def taylor_stencil(coeffs: Callable, y0, point, velocity, offsets) -> np.ndarray
     bad = np.flatnonzero(~np.isfinite(y).all(axis=-1))
     if bad.size:
         raise SingularityApproach("non-finite Taylor sum", location=where(bad[0]))
+    _record(0, 1, ratio)
     return y
 
 
@@ -483,15 +479,24 @@ def _horner(c: np.ndarray, h):
 
 @contextmanager
 def count_work():
-    """Yield a dict that sums the ``taylor_steps`` and takes the ``min_radius_ratio`` of every
-    :func:`taylor_integrate` and :func:`taylor_walk` call in the block (inf without steps), and sums
-    what :func:`tally` adds there; all are deterministic."""
-    work = {"taylor_steps": 0, "min_radius_ratio": math.inf}
+    """Yield a dict that sums the ``taylor_steps`` and ``taylor_series`` (one per step, per :func:`taylor_walk` row
+    step or first-round group, and per :func:`taylor_stencil` call) in the block, takes their ``min_radius_ratio``
+    (inf without a series), and sums what :func:`tally` adds there; all are deterministic."""
+    work = {"taylor_steps": 0, "taylor_series": 0, "min_radius_ratio": math.inf}
     token = _WORK.set(work)
     try:
         yield work
     finally:
         _WORK.reset(token)
+
+
+def _record(steps: int, series: int, ratio) -> None:
+    """Add steps and series to the enclosing :func:`count_work` block's dict and lower its ratio to ``ratio``."""
+    work = _WORK.get()
+    if work is not None:
+        work["taylor_steps"] += steps
+        work["taylor_series"] += series
+        work["min_radius_ratio"] = min(work["min_radius_ratio"], float(ratio))
 
 
 def tally(key: str, n: int = 1) -> None:

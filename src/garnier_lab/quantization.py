@@ -21,17 +21,18 @@ engines:
   of the shifted wavefunction, with its apparent singularities.
 
 Every move of Phi runs on Taylor coefficients. In x at fixed times,
-:func:`_x_series` gives the series of Phi_x = sum_i A_i/(x - t_i) Phi along a
-chord, for any number of rows at once; every move of Phi in x, a base
-transport or a stencil hop, is a row of one lockstep walk on it
-(:meth:`Frame.phi_nodes`), in its own Taylor steps. In time the series is
-that of the bundle (A, ln tau, Phi at the attached points), summed at every
-offset along one axis e_d (:meth:`Frame.shift_t`; C3 and C11 move bare
-B-states too) or walked in Taylor steps (:meth:`Frame.shift_t_adaptive`).
+:func:`_x_series` gives the series of Phi_x = sum_i A_i/(x - t_i) Phi, for
+any number of rows at once; the moves of Phi in x from one node share one
+row there, summed at each displacement within its step, and the longer ones
+walk on in their own Taylor steps (:meth:`Frame.phi_nodes`). In time the
+series is that of the bundle (A, ln tau, Phi at the attached points), summed
+at every offset along one axis e_d (:meth:`Frame.shift_t`; C3 and C11 move
+bare B-states too) or walked in Taylor steps (:meth:`Frame.shift_t_adaptive`).
 Derivatives are central finite differences. The residual engines take their
 stencil values from one grid pass (:func:`_stencil_values`): one call moves
 the base nodes, one bundle series per direction (every time stencil is
-centred at the base time) carries them, and one call moves every x hop.
+centred at the base time) carries them, one call moves every x hop, and one
+array call evaluates Y, V or z at every stencil point (:meth:`Frame.wave_values`).
 Each stencil point of V is inverted from its centre's preimage (:func:`_v_derivs`).
 """
 
@@ -58,7 +59,6 @@ from .numerics import (
     check_clearance,
     combine_stencil,
     det2,
-    inv2,
     quad_roots,
     stencil_multipliers,
     tally,
@@ -331,12 +331,14 @@ class Frame:
         return self.phi_nodes([(x, tnode or self.base_tnode, anchor)])[0]
 
     def phi_nodes(self, hops: Sequence[tuple[complex, TNode, PhiNode]]) -> list[PhiNode]:
-        """Transport Phi (and the gauge logs) along every hop (x, tnode, anchor), each a row of one lockstep walk.
+        """Transport Phi (and the gauge logs) along every hop (x, tnode, anchor): one series per anchor node.
 
         Each moving hop, the chord anchor.x -> x at the times of its tnode, is checked against the x = t_i
-        discs and walked on :func:`_x_series` (``numerics.taylor_walk``; one step if it fits in one). Its logs
-        gain the principal log((x - t_i)/(anchor.x - t_i)), their exact continuation along a checked chord.
-        A hop that ends at its anchor returns the anchor.
+        discs. The hops of one (tnode, anchor) pair, by identity, share one :func:`_x_series` row at the anchor,
+        in powers of w = x - anchor.x: a hop within its step lands by one sum at its own w, a longer one walks on
+        from that step in its own Taylor steps (``numerics.taylor_walk``). Its logs gain the principal
+        log((x - t_i)/(anchor.x - t_i)), their exact continuation along a checked chord. A hop that ends at its
+        anchor returns the anchor.
         """
         hops = [(complex(x), tnode, anchor) for x, tnode, anchor in hops]
         out = [anchor for _x, _tn, anchor in hops]
@@ -344,12 +346,14 @@ class Frame:
         if not moving:
             return out
         x1, tnodes, anchors = zip(*[hops[k] for k in moving])
+        labels = {}  # (tnode, anchor) by identity -> the label of its series
+        group = np.array([labels.setdefault((id(tn), id(a)), len(labels)) for tn, a in zip(tnodes, anchors)])
         x0, x1 = np.array([a.x for a in anchors], dtype=complex), np.array(x1)
         t, A = np.array([tn.t for tn in tnodes], dtype=complex), np.array([tn.A for tn in tnodes], dtype=complex)
         w0, w1 = x0[:, None] - t, x1[:, None] - t
         check_clearance(w0, w1, EXCLUSION, _X_SETS)
         series = lambda rows, x, v, phi: _x_series(t[rows], A[rows], x, v, phi)  # noqa: E731
-        phi1 = taylor_walk(series, [a.phi.ravel() for a in anchors], x0[:, None], (x1 - x0)[:, None])
+        phi1 = taylor_walk(series, [a.phi.ravel() for a in anchors], x0[:, None], (x1 - x0)[:, None], group)
         logs = np.array([a.logs for a in anchors], dtype=complex) + np.log(w1 / w0)
         for k, phi, lg in zip(moving, phi1, logs):
             out[k] = PhiNode(x=hops[k][0], t=hops[k][1].t.copy(), phi=phi.reshape(2, 2), logs=lg)
@@ -434,12 +438,20 @@ class Frame:
 
     # -- wavefunctions ------------------------------------------------------
 
+    @staticmethod
+    def _transfer(nxs: Sequence[PhiNode], nys: Sequence[PhiNode]) -> np.ndarray:
+        """Phi(x)^{-1} Phi(y) of every node pair, (K, 2, 2); NearSingularPhi at the first |det Phi(x)| < 1e-12."""
+        px, py = np.array([n.phi for n in nxs]), np.array([n.phi for n in nys])
+        d = det2(px)
+        small = np.flatnonzero(np.abs(d) < 1e-12)
+        if small.size:
+            raise NearSingularPhi(f"|det Phi(x)| = {abs(d[small[0]]):.3e}")
+        adj = np.stack([px[:, 1, 1], -px[:, 0, 1], -px[:, 1, 0], px[:, 0, 0]], axis=-1).reshape(-1, 2, 2)
+        return np.einsum("kab,kbc->kac", adj / d[:, None, None], py)  # the explicit 2x2 inverse, no BLAS
+
     def M_of(self, tnode: TNode, nx: PhiNode, ny: PhiNode) -> np.ndarray:
         """M(x, y) = tau * Phi(x)^{-1} Phi(y)."""
-        d = det2(nx.phi)
-        if abs(d) < 1e-12:
-            raise NearSingularPhi(f"|det Phi(x)| = {abs(d):.3e}")
-        return np.exp(tnode.ln_tau) * (inv2(nx.phi) @ ny.phi)
+        return np.exp(tnode.ln_tau) * self._transfer([nx], [ny])[0]
 
     def gauge_exponent(self, tnode: TNode) -> complex:
         """Closed-form S(t) = sum_{i<j} (theta_i theta_j / 2) log(t_i - t_j)."""
@@ -449,28 +461,30 @@ class Frame:
         )
 
     def Y_of(self, tnode: TNode, nx: PhiNode, ny: PhiNode) -> np.ndarray:
-        """Gauged two-point function Y = M / ((x-y) prod [...]^{theta_i/2} e^S)."""
-        if abs(nx.x - ny.x) < EXCLUSION:
-            raise DiagonalCollision("x and y collided")
-        d = det2(nx.phi)
-        if abs(d) < 1e-12:
-            raise NearSingularPhi(f"|det Phi(x)| = {abs(d):.3e}")
-        th = self.theta.theta
-        log_gauge = sum((th[i] / 2.0) * (nx.logs[i] + ny.logs[i]) for i in range(4))
-        log_gauge += self.gauge_exponent(tnode)
-        pref = np.exp(tnode.ln_tau - log_gauge) / (nx.x - ny.x)
-        return pref * (inv2(nx.phi) @ ny.phi)
+        """Gauged two-point function Y = M / ((x-y) prod [...]^{theta_i/2} e^S): :meth:`wave_values` of one triple."""
+        return self.wave_values([tnode], [nx], [ny])[0]
 
     def V_of(self, tnode: TNode, nx: PhiNode, ny: PhiNode, ab: AlphaBeta) -> np.ndarray:
-        """V = Y / ((x y)^alpha (x-1)^beta (y-1)^beta), via the node logs.
+        """V = Y / ((x y)^alpha (x-1)^beta (y-1)^beta): :meth:`wave_values` of one triple."""
+        return self.wave_values([tnode], [nx], [ny], ab)[0]
 
-        Valid while t3 = 1 and t4 = 0 (the quantized polynomial-Garnier lab
-        never moves them), so log(x) and log(x - 1) are the stored logs at
-        the fourth and third pole.
+    def wave_values(self, tnodes: Sequence[TNode], nxs: Sequence[PhiNode], nys: Sequence[PhiNode], ab=None):
+        """Y, or V with the exponents ``ab``, at every triple (tnode, nx, ny) of the sequences, (K, 2, 2), on arrays.
+
+        Raises DiagonalCollision when any |x - y| < EXCLUSION, then :meth:`_transfer`'s NearSingularPhi. V's
+        prefactor comes from the node logs, valid while t3 = 1 and t4 = 0 (the quantized polynomial-Garnier lab
+        never moves them), so log(x) and log(x - 1) are the stored logs at the fourth and third pole.
         """
-        y_val = self.Y_of(tnode, nx, ny)
-        log_pref = ab.alpha * (nx.logs[3] + ny.logs[3]) + ab.beta * (nx.logs[2] + ny.logs[2])
-        return y_val * np.exp(-log_pref)
+        x, y = np.array([n.x for n in nxs]), np.array([n.x for n in nys])
+        if np.any(np.abs(x - y) < EXCLUSION):
+            raise DiagonalCollision("x and y collided")
+        th = np.asarray(self.theta.theta)
+        logs = np.array([n.logs for n in nxs]) + np.array([n.logs for n in nys])
+        pair_logs, ln_tau = np.array([tn.pair_logs for tn in tnodes]), np.array([tn.ln_tau for tn in tnodes])
+        log_gauge = np.einsum("ki,i->k", logs, th / 2.0)
+        log_gauge += np.einsum("kp,p->k", pair_logs, th[_PAIR_I] * th[_PAIR_J] / 2.0)
+        prefactor = 1.0 if ab is None else np.exp(-np.einsum("ki,i->k", logs[:, 3:1:-1], [ab.alpha, ab.beta]))
+        return (np.exp(ln_tau - log_gauge) / (x - y) * prefactor)[:, None, None] * self._transfer(nxs, nys)
 
     def det_phi_residual(self, node: PhiNode) -> float:
         """|ln det Phi(x) - integral of tr A| via the closed form."""
@@ -540,7 +554,7 @@ class YDerivs:
 
 
 def _stencil_values(frame: Frame, stencils: Sequence[tuple], t_mults, value) -> list[dict]:
-    """Every grid point's stencil values by key, from two batches of x moves and one bundle move per time direction.
+    """Every grid point's stencil values by key: two batches of x moves, one bundle move per direction, one value call.
 
     A point's stencil is (base, spatial, ht, place): the positions of its nodes at the base time (all moved
     from the base node in one :meth:`Frame.phi_nodes` call), the anchors of its hops; key -> their positions
@@ -548,7 +562,8 @@ def _stencil_values(frame: Frame, stencils: Sequence[tuple], t_mults, value) -> 
     each e_d one :meth:`Frame.shift_t` call moves the bundle, with every base node attached, to the union of
     the points' offsets m * ht[d] (m in ``t_mults``; equal offsets move once). Those nodes' hops to ``place``
     and every spatial hop go to a second :meth:`Frame.phi_nodes` call (a zero-length hop returns its anchor),
-    so a failing hop fails the grid. Returns per point key -> value(tnode, *nodes), time keys ("t", d, m).
+    so a failing hop fails the grid. ``value(tnodes, *nodes)`` takes every key's TNode and, per node of a
+    point, that node at every key: one array call. Returns per point key -> its row, time keys ("t", d, m).
     """
     if not stencils:
         return []
@@ -564,10 +579,11 @@ def _stencil_values(frame: Frame, stencils: Sequence[tuple], t_mults, value) -> 
         for (k, m), i in zip(mults, which):
             tn, nodes = moved[i]
             ends.append((k, ("t", d, m), tn, places[k](tn), of_point(nodes, k)))
-    nodes = iter(frame.phi_nodes([(p, tn, a) for _k, _key, tn, pos, anchors in ends for p, a in zip(pos, anchors)]))
+    nodes = frame.phi_nodes([(p, tn, a) for _k, _key, tn, pos, anchors in ends for p, a in zip(pos, anchors)])
+    values = value([tn for _k, _key, tn, _pos, _anchors in ends], *(nodes[j::width] for j in range(width)))
     out = [{} for _s in stencils]
-    for k, key, tn, pos, _anchors in ends:
-        out[k][key] = value(tn, *[next(nodes) for _p in pos])
+    for (k, key, *_end), v in zip(ends, values):
+        out[k][key] = v
     return out
 
 
@@ -593,7 +609,7 @@ def _y_derivs(
         spatial = {("x", m): (x + m * hx, y) for m in mults2} | {("y", m): (x, y + m * hy) for m in mults2}
         stencils.append(((x, y), spatial, ht, lambda _tn, xy=(x, y): xy))
     out = []
-    for (x, y), vals in zip(grid, _stencil_values(frame, stencils, mults1, frame.Y_of)):
+    for (x, y), vals in zip(grid, _stencil_values(frame, stencils, mults1, frame.wave_values)):
         hx, hy = scheme.scaled_step(x), scheme.scaled_step(y)
         vx, vy = _line(vals, "x"), _line(vals, "y")
         yt = {d: combine_stencil(_line(vals, "t", d), ht[d], scheme, 1) for d in t_dirs}
@@ -756,7 +772,7 @@ def _v_derivs(
         place = lambda tn, ze=(zeta, eta), xy=(x0, y0): zeta_eta_inverse(*ze, tn.t[0], tn.t[1], xy)  # noqa: E731
         stencils.append(((x0, y0), spatial, {0: ht1, 1: ht2}, place))
         steps.append((hz, he))
-    values = _stencil_values(frame, stencils, mults1, lambda tn, nx, ny: frame.V_of(tn, nx, ny, ab))
+    values = _stencil_values(frame, stencils, mults1, partial(frame.wave_values, ab=ab))
     out = []
     for (zeta, eta, _hint), (_base, _spatial, ht, _place), (hz, he), vals in zip(grid, stencils, steps, values):
         vz, ve = _line(vals, "z"), _line(vals, "e")
@@ -859,37 +875,27 @@ def garx_residual(
     scheme = scheme or LAB_FD
     qstate = shift_normalization(frame.state, "BtoQ")
     go = extract_go(qstate)
-    K1 = hamiltonian_K(1, go)
-    K2 = hamiltonian_K(2, go)
+    K1, K2 = hamiltonian_K(1, go), hamiltonian_K(2, go)
     th = frame.theta.theta
     mults2 = stencil_multipliers(scheme, (1, 2))
 
-    def z_mat(node: PhiNode) -> np.ndarray:
-        pref = np.exp(sum((th[i] / 2.0) * node.logs[i] for i in range(4)))
-        return pref * node.phi
+    def z_and_wronskian(_tnodes, nodes) -> np.ndarray:
+        """Row 1 of Z = Phi prod (x - t_i)^{th_i/2} and its Wronskian q12(x) det Z (as Z' = Q Z) per node, (K, 3)."""
+        phi, logs = np.array([n.phi for n in nodes]), np.array([n.logs for n in nodes])
+        x, t = np.array([n.x for n in nodes]), np.array([n.t for n in nodes])
+        pref = np.exp(np.einsum("ki,i->k", logs, np.asarray(th) / 2.0))
+        q12 = np.einsum("i,ki->k", qstate.A[:, 0, 1], 1.0 / (x[:, None] - t))
+        return np.column_stack([pref[:, None] * phi[:, 0, :], q12 * pref**2 * det2(phi)])
 
-    def wronskian(node: PhiNode) -> complex:
-        # both columns of Z solve the same system Z' = Q(x) Z, so the
-        # Wronskian of the first components is q12(x) * det Z
-        q12 = complex(np.einsum("i,i->", qstate.A[:, 0, 1], 1.0 / (node.x - node.t)))
-        return q12 * det2(z_mat(node))
-
-    rows_eq = []
-    rows_abel = []
+    rows_eq, rows_abel = [], []
     stencils = [((x,), {m: (x + m * scheme.scaled_step(x),) for m in mults2}, {}, None) for x in x_samples]
-    for x, nodes in zip(x_samples, _stencil_values(frame, stencils, (), lambda _tn, node: node)):
-        hx = scheme.scaled_step(x)
-        vals = {m: z_mat(n)[0, :] for m, n in nodes.items()}
-        z0 = vals[0.0]
-        z1 = combine_stencil(vals, hx, scheme, 1)
-        z2 = combine_stencil(vals, hx, scheme, 2)
-        c_zp, c_z = garx_coefficients(go, K1, K2, x)
-        terms = [z2[column], -c_zp * z1[column], -c_z * z0[column]]
+    for x, vals in zip(x_samples, _stencil_values(frame, stencils, (), z_and_wronskian)):
+        hx, (c_zp, c_z) = scheme.scaled_step(x), garx_coefficients(go, K1, K2, x)
+        v0, v1, v2 = vals[0.0], combine_stencil(vals, hx, scheme, 1), combine_stencil(vals, hx, scheme, 2)
+        terms = [v2[column], -c_zp * v1[column], -c_z * v0[column]]
         _push(rows_eq, (x, 0.0), [np.atleast_1d(v) for v in terms])
         # Abel identity W' = c_zp W on the Wronskian of the two columns
-        w_vals = {m: wronskian(n) for m, n in nodes.items()}
-        w1 = combine_stencil(w_vals, hx, scheme, 1)
-        _push(rows_abel, (x, 0.0), [np.atleast_1d(w1), np.atleast_1d(-c_zp * w_vals[0.0])])
+        _push(rows_abel, (x, 0.0), [np.atleast_1d(v1[2]), np.atleast_1d(-c_zp * v0[2])])
     rep_eq = _report("garx", [(x, 0.0) for x in x_samples], rows_eq, scheme)
     rep_abel = _report("garx_abel", [(x, 0.0) for x in x_samples], rows_abel, scheme)
     return rep_eq, rep_abel

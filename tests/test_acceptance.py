@@ -12,10 +12,12 @@ from garnier_lab.acceptance import (
     CRITERIA,
     criterion_1,
     criterion_2,
+    criterion_3,
     criterion_5,
     criterion_7,
     criterion_8,
     criterion_9,
+    criterion_11,
 )
 from garnier_lab.numerics import FDScheme
 
@@ -48,17 +50,32 @@ def test_criterion_02_zero_curvature_transport():
 def test_criterion_02_reports_its_taylor_work():
     # as C1: frame 200's two loops take 74 Taylor steps, 60 on their time legs
     # and 14 on their x legs (each loop walks the base transport to x0 itself),
-    # and the t2 loop passes a movable pole at 0.0235 of the distance to the
-    # nearest fixed singular set; both counters are deterministic
+    # each step on a series of its own, and the t2 loop passes a movable pole
+    # at 0.0235 of the distance to the nearest fixed singular set; the
+    # counters are deterministic
     first, second = (criterion_2(n_frames=1).metrics for _ in range(2))
     assert first == second
-    assert set(first) == {"max_loop_defect", "taylor_steps", "min_radius_ratio"}
-    assert first["taylor_steps"] == 74
+    assert set(first) == {"max_loop_defect", "taylor_steps", "taylor_series", "min_radius_ratio"}
+    assert first["taylor_steps"] == first["taylor_series"] == 74
     assert first["min_radius_ratio"] == pytest.approx(0.023508854137585355, rel=1e-9)
 
 
 def test_criterion_03_go_cross_picture():
     _run("C3")
+
+
+@pytest.mark.parametrize("criterion, kwargs, ratio", [
+    (criterion_3, {"n_states": 1}, 0.6241971874865111),
+    (criterion_11, {}, 0.5856921622769128),
+], ids=["C3", "C11"])
+def test_criteria_03_and_11_report_their_taylor_work(criterion, kwargs, ratio):
+    # their moves are time stencils of bare B-states: one bundle series per
+    # direction, summed at every offset, and no walk step; the smallest ratio
+    # is the stencil series', and both counters are deterministic
+    first, second = (criterion(**kwargs).metrics for _ in range(2))
+    assert first == second
+    assert (first["taylor_steps"], first["taylor_series"]) == (0, 2)
+    assert first["min_radius_ratio"] == pytest.approx(ratio, rel=1e-9)
 
 
 def test_criterion_04_hamilton_equation_identity():
@@ -70,13 +87,15 @@ def test_criterion_05_linearization():
 
 
 def test_criterion_05_reports_its_taylor_work():
-    # as C1: seed 500's trajectory takes 11 Taylor steps, and its coefficients
-    # put the nearest singularity at 0.305 of the distance to the nearest
-    # fixed singular set; both counters are deterministic
+    # as C1: seed 500's trajectory takes 11 Taylor steps, and its 6 time
+    # stencils sum one series each; the coefficients of a stencil series put
+    # the nearest singularity at 0.279 of the distance to the nearest fixed
+    # singular set (the trajectory's own steps read 0.305); the counters are
+    # deterministic
     first, second = (criterion_5(n_traj=1).metrics for _ in range(2))
     assert first == second
-    assert first["taylor_steps"] == 11
-    assert first["min_radius_ratio"] == pytest.approx(0.3053373981432001, rel=1e-9)
+    assert (first["taylor_steps"], first["taylor_series"]) == (11, 17)
+    assert first["min_radius_ratio"] == pytest.approx(0.2787949010633855, rel=1e-9)
 
 
 def test_criterion_06_bridge_coherence():
@@ -91,23 +110,24 @@ def test_criterion_07_bpz_verification():
 
 
 @pytest.mark.parametrize(
-    "criterion, keys, steps, ratio, counts",
+    "criterion, keys, steps, series, ratio, counts",
     [
-        (criterion_7, {"max_rel", "max_rel_degenerate"}, 64, 0.9150532899916181, {}),
-        (criterion_8, {"max_rel", "swap_gap"}, 202, 0.9150532899916181, {}),
-        (criterion_9, {"max_rel", "max_roundtrip"}, 250, 0.9150532899916182, {"stencil_steps": 8, "clamped_steps": 8}),
+        (criterion_7, {"max_rel", "max_rel_degenerate"}, 64, 26, 0.5053420515672571, {}),
+        (criterion_8, {"max_rel", "swap_gap"}, 202, 67, 0.5053420515672571, {}),
+        (criterion_9, {"max_rel", "max_roundtrip"}, 250, 61, 0.505342051567257, {"stencil_steps": 8, "clamped_steps": 8}),
     ],
     ids=["C7", "C8", "C9"],
 )
-def test_criteria_07_to_09_report_their_taylor_work(criterion, keys, steps, ratio, counts):
+def test_criteria_07_to_09_report_their_taylor_work(criterion, keys, steps, series, ratio, counts):
     # every move of Phi in x walks its chord in Taylor steps, a spatial hop
-    # in one: at one frame and two grid points, the same counts on every
-    # run; C9 also counts its stencil steps (4 per point) and those its
-    # branch radius clamped
+    # in one, and the hops from one node share its series: at one frame and
+    # two grid points, the same counts on every run; the smallest ratio is a
+    # time stencil's; C9 also counts its stencil steps (4 per point) and
+    # those its branch radius clamped
     first, second = (criterion(n_frames=1, grid_points=2).metrics for _ in range(2))
     assert first == second
-    assert set(first) == keys | {"taylor_steps", "min_radius_ratio"} | set(counts)
-    assert first["taylor_steps"] == steps
+    assert set(first) == keys | {"taylor_steps", "taylor_series", "min_radius_ratio"} | set(counts)
+    assert (first["taylor_steps"], first["taylor_series"]) == (steps, series)
     assert first["min_radius_ratio"] == pytest.approx(ratio, rel=1e-9)
     assert {key: first[key] for key in counts} == counts
 

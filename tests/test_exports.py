@@ -85,6 +85,32 @@ def test_phi_moves_in_x_through_one_walk():
     assert users["phi_node"] == {"quantization.phi_via", "quantization.zero_curvature_loop"}
 
 
+def _units(stem: str, *qualnames: str) -> dict:
+    """The function nodes of module ``stem`` by qualname (a method as Class.method)."""
+    found = {}
+    for top in ast.parse(SOURCES[stem].read_text()).body:
+        members = top.body if isinstance(top, ast.ClassDef) else []
+        for unit in [top] + [m for m in members if isinstance(m, ast.FunctionDef)]:
+            name = f"{top.name}.{unit.name}" if unit is not top else getattr(top, "name", None)
+            if name in qualnames:
+                found[name] = unit
+    assert set(found) == set(qualnames)
+    return found
+
+
+def test_the_x_series_and_the_stencil_values_never_call_blas():
+    # the 2x2 products of the x-series, the grid pass and its value functions are explicit formulas or
+    # einsum: a BLAS call (@, matmul, dot, linalg) stalls when its thread pool is not pinned to one thread
+    units = _units(
+        "quantization", "_x_series", "Frame.phi_nodes", "_stencil_values", "Frame._transfer", "Frame.M_of",
+        "Frame.Y_of", "Frame.V_of", "Frame.wave_values", "garx_residual",
+    )
+    for name, unit in units.items():
+        for node in ast.walk(unit):
+            assert not (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)), name
+            assert getattr(node, "attr", getattr(node, "id", None)) not in {"matmul", "dot", "linalg"}, name
+
+
 def test_the_bridge_is_the_only_inverse_of_the_chart():
     # quantization.zeta_eta_inverse takes its root pair from
     # poly_garnier.bridge_lambda_from_q; a second transcription of that

@@ -260,10 +260,11 @@ def test_taylor_stencil_raises_past_the_step_naming_the_point():
 
 def _exp_rows(radius):
     """The rows of dy/ds = v_r y at once, in taylor_walk's form: coefficients (p + 1, r, d) and the radii of
-    the rows still moving, for point and velocity of shape (r, 1)."""
+    the given rows, for point and velocity of shape (r, 1); ``radius`` is each row's distance in the plane,
+    so its radius in s is radius / |v|."""
     k = np.arange(TAYLOR_ORDER + 1)[:, None, None]
     inv_fact = np.array([1.0 / math.factorial(int(j)) for j in k.ravel()])[:, None, None]
-    return lambda rows, z, v, y: (y[None] * (v[None] ** k * inv_fact), np.asarray(radius, dtype=float)[rows])
+    return lambda rows, z, v, y: (y[None] * (v[None] ** k * inv_fact), np.asarray(radius)[rows] / np.abs(v[:, 0]))
 
 
 def test_taylor_step_of_rows_is_each_row_alone(rng):
@@ -281,32 +282,54 @@ def test_taylor_step_of_rows_is_each_row_alone(rng):
 _WALK_POINT = np.array([[0.3], [0.1j], [-0.2], [0.5 - 0.5j]])
 _WALK_VELOCITY = np.array([[1.0], [1j], [-0.5 + 0.5j], [0.3]])
 _WALK_Y0 = np.array([[2.0, 1j], [1.0, -1.0], [0.5j, 3.0], [1.0, 1.0]])
-_WALK_RADII = [10.0, 0.1, 1.0, 0.7]  # a cap of half the radius: 1, 20, 2 and 3 steps
+_WALK_RADII = np.array([10.0, 0.1, 0.5**0.5, 0.21])  # a cap of half the radius: 1, 20, 2 and 3 steps
 
 
 def test_taylor_walk_moves_each_row_as_it_moves_alone():
-    # rows of different lengths and radii step in lockstep, each with its own h; a row that lands drops
-    # out, and the coefficient function then sees only the rows still moving
+    # rows of different lengths and radii, each its own group, step in lockstep, each with its own h; a
+    # row that lands drops out, and the coefficient function then sees only the rows still moving
     seen = []
     coeffs = _exp_rows(_WALK_RADII)
     with count_work() as work:
         got = taylor_walk(
-            lambda rows, *args: seen.append(rows) or coeffs(rows, *args), _WALK_Y0, _WALK_POINT, _WALK_VELOCITY
+            lambda rows, *args: seen.append(rows) or coeffs(rows, *args),
+            _WALK_Y0, _WALK_POINT, _WALK_VELOCITY, np.arange(4),
         )
     assert got.shape == (4, 2)
-    assert seen[0] == slice(None) and [rows.tolist() for rows in seen[1:3]] == [[1, 2, 3], [1, 3]]
+    assert [rows.tolist() for rows in seen[:3]] == [[0, 1, 2, 3], [1, 2, 3], [1, 3]]
     assert [rows.tolist() for rows in seen[3:]] == [[1]] * 17
     steps, ratio = 0, math.inf
     for r in range(4):
         row = slice(r, r + 1)
         with count_work() as alone:
-            (end,) = taylor_walk(_exp_rows(_WALK_RADII[row]), _WALK_Y0[row], _WALK_POINT[row], _WALK_VELOCITY[row])
+            (end,) = taylor_walk(
+                _exp_rows(_WALK_RADII[row]), _WALK_Y0[row], _WALK_POINT[row], _WALK_VELOCITY[row], np.zeros(1, int)
+            )
         assert np.array_equal(got[r], end)
         want = _WALK_Y0[r] * np.exp(_WALK_VELOCITY[r, 0])
         assert np.max(np.abs(got[r] - want)) <= 1e-14 * np.max(np.abs(want))
         steps, ratio = steps + alone["taylor_steps"], min(ratio, alone["min_radius_ratio"])
     # count_work adds every row's steps and keeps the smallest ratio
     assert work["taylor_steps"] == steps == 26 and work["min_radius_ratio"] == ratio
+
+
+def test_taylor_walk_forms_one_first_series_per_group():
+    # rows 0-2 share point, y0 and field (dy/dw = y along any chord), row 3 starts elsewhere: the first
+    # round forms one series per group in powers of the displacement (velocity 1); rows within its step
+    # (about 2.5 at rtol 1e-12) land by one sum, and row 2 (|v| = 3.2) walks on from that step alone
+    point, y0 = np.array([[0.3], [0.3], [0.3], [0.1j]]), np.array([[2.0, 1j]] * 3 + [[1.0, -1.0]])
+    velocity = np.array([[0.05], [0.2j], [3.0 - 1.0j], [1j]])
+    seen = []
+    coeffs = _exp_rows([10.0] * 4)
+    with count_work() as work:
+        got = taylor_walk(lambda rows, *args: seen.append((rows, args[1])) or coeffs(rows, *args), y0, point, velocity,
+                          np.array([0, 0, 0, 1]))
+    assert [rows.tolist() for rows, _v in seen] == [[0, 3], [2]]
+    assert np.all(seen[0][1] == 1.0) and np.array_equal(seen[1][1], velocity[2:3])
+    assert (work["taylor_steps"], work["taylor_series"]) == (5, 3)
+    for r in range(4):
+        want = y0[r] * np.exp(velocity[r, 0])
+        assert np.max(np.abs(got[r] - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize(
@@ -326,9 +349,9 @@ def test_taylor_walk_raises_at_the_failing_rows_own_point(y0, radius, message):
     coeffs = _exp_rows([0.1, radius])
     with np.errstate(all="ignore"):
         with pytest.raises(SingularityApproach, match=message) as info:
-            taylor_walk(coeffs, y, point, velocity)
+            taylor_walk(coeffs, y, point, velocity, np.arange(2))
         with pytest.raises(SingularityApproach, match=message) as alone:
-            taylor_walk(_exp_rows([radius]), y[1:], point[1:], velocity[1:])
+            taylor_walk(_exp_rows([radius]), y[1:], point[1:], velocity[1:], np.zeros(1, int))
     assert info.value.location == alone.value.location
     (where,) = info.value.location
     s = (where - point[1, 0]) / velocity[1, 0]

@@ -9,6 +9,7 @@ import pytest
 from garnier_lab.errors import (
     BranchAmbiguity,
     DiagonalCollision,
+    NearSingularPhi,
     NotOnReduction,
     PathViolation,
     PoleEvaluation,
@@ -22,7 +23,6 @@ from garnier_lab.numerics import (
     combine_stencil,
     count_work,
     det2,
-    inv2,
     ode_integrate,
     stencil_multipliers,
 )
@@ -578,15 +578,36 @@ def test_phi_nodes_kernel_matches_old_batched_field(frame, monkeypatch):
     monkeypatch.setattr(quantization, "_x_series", lambda *args: calls.append(args) or real(*args))
     batch = frame.phi_nodes(hops)
     assert batch[2] is nx
-    # one series for all moving hops, one row each, from s = 0 at its anchor
+    # one series for all moving hops, one row per (anchor, tnode) pair at the anchor, in powers of the
+    # displacement (velocity 1): the two hops from nx at the base time share a row, so 5 hops form 4 rows
     moving = [(hop, node) for hop, node in zip(hops, batch) if hop[0] != hop[2].x]
     ((t, A, x0, v, phi0),) = calls
-    assert x0.shape == v.shape == (5, 1) and t.shape == (5, 4) and A.shape == (5, 4, 2, 2)
-    assert [complex(z) for z in x0[:, 0]] == [a.x for (_x, _tn, a), _n in moving]
+    assert x0.shape == v.shape == (4, 1) and t.shape == (4, 4) and A.shape == (4, 4, 2, 2)
+    assert [complex(z) for z in x0[:, 0]] == [nx.x, ny.x, nxs.x, nys.x] and np.all(v == 1.0)
     # each row against the DP5 reference (measured <= 1.9e-16)
     for (x, tn_k, a), node in moving:
         ref = _dp5_hop(tn_k, a, x)
         assert np.max(np.abs(node.phi - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_phi_nodes_share_a_row_only_between_identical_nodes(frame, monkeypatch):
+    # an anchor or a tnode equal in value to another, but another object, forms a row of its own: the
+    # grouping is by identity, so no two distinct nodes are ever merged by a coincidence of values
+    base = frame.base_tnode
+    nx = frame.phi_node(0.35 + 1.0j)
+    twin, base_twin = dataclasses.replace(nx), dataclasses.replace(base)
+    hops = [(nx.x + 1e-3, base, nx), (nx.x - 2e-3j, base, nx), (nx.x + 2e-3, base, twin), (nx.x - 2e-3, base_twin, nx)]
+    calls = []
+    real = quantization._x_series
+    monkeypatch.setattr(quantization, "_x_series", lambda *args: calls.append(args) or real(*args))
+    batch = frame.phi_nodes(hops)
+    ((t, _A, x0, _v, _phi0),) = calls
+    assert x0.shape == (3, 1) and t.shape == (3, 4)
+    # equal values give equal series: each hop lands as it does from the other object
+    monkeypatch.setattr(quantization, "_x_series", real)
+    for (x, _tn, _anchor), node in zip(hops[2:], batch[2:]):
+        (ref,) = frame.phi_nodes([(x, base, nx)])
+        assert np.array_equal(node.phi, ref.phi) and np.array_equal(node.logs, ref.logs)
 
 
 def test_far_chord_is_walked_by_phi_nodes_beside_a_near_hop(frame):
@@ -611,9 +632,21 @@ def test_far_chord_is_walked_by_phi_nodes_beside_a_near_hop(frame):
     assert np.max(np.abs(node.phi - via.phi)) < 1e-11
 
 
+_SHORT_CHORD, _LONG_CHORD = (0.35 + 1.0j, 0.37 + 1.01j), (0.35 + 1.0j, -0.35 + 1.0j)
+
+
 @pytest.mark.parametrize("transport", ["phi_node", "phi_nodes"])
-@pytest.mark.parametrize("case", ["nan-A", "inf-phi", "blow-up"])
-def test_x_transport_failures_are_typed_with_a_location(frame, case, transport):
+@pytest.mark.parametrize(
+    "case, chord, message",
+    [
+        ("nan-A", _SHORT_CHORD, "non-finite Taylor coefficient"),
+        ("inf-phi", _SHORT_CHORD, "non-finite Taylor coefficient"),
+        ("blow-up", _SHORT_CHORD, "non-finite Taylor coefficient"),
+        ("blow-up-on-chord", _LONG_CHORD, "non-finite Taylor sum"),
+    ],
+    ids=["nan-A", "inf-phi", "blow-up", "blow-up-on-chord"],
+)
+def test_x_transport_failures_are_typed_with_a_location(frame, case, chord, message, transport):
     # a non-finite residue or Phi, or a Phi that leaves the float range on
     # the way, raises SingularityApproach at a point of the failing chord;
     # phi_nodes names that hop's chord, behind a healthy one
@@ -623,13 +656,16 @@ def test_x_transport_failures_are_typed_with_a_location(frame, case, transport):
         A[2, 0, 1] = np.nan
     elif case == "inf-phi":
         phi[1, 0] = np.inf
-    else:  # |Phi| grows 3.3-fold along the chord
+    elif case == "blow-up":
+        # |Phi| would grow 3.3-fold along the chord, but the anchor's series, in powers of the
+        # displacement, already overflows in its coefficients there
         A, phi = 30.0 * A, 1e308 * phi
-    x0, x = 0.35 + 1.0j, 0.37 + 1.01j
+    else:  # |Phi| grows 1.26-fold along the chord: the second of its three steps overflows
+        A, phi = 0.2 * A, 1.5e308 * phi
+    x0, x = chord
     tnode = TNode(base.t, A, base.ln_tau, base.pair_logs)
     anchor = PhiNode(x0, base.t, phi, np.log(x0 - base.t))
     healthy = frame.phi_node(1.15 + 1.45j)
-    message = "non-finite Taylor sum" if case == "blow-up" else "non-finite Taylor coefficient"
     with np.errstate(all="ignore"), pytest.raises(SingularityApproach, match=message) as info:
         if transport == "phi_node":
             frame.phi_node(x, tnode=tnode, anchor=anchor)
@@ -638,6 +674,10 @@ def test_x_transport_failures_are_typed_with_a_location(frame, case, transport):
     (where,) = info.value.location
     s = (where - x0) / (x - x0)
     assert abs(s.imag) <= 1e-12 and -1e-12 <= s.real <= 1.0 + 1e-12
+    if case == "blow-up":
+        assert where == x0
+    elif case == "blow-up-on-chord":
+        assert s.real > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -696,6 +736,79 @@ def test_grid_pass_of_garx_equals_each_sample_alone(c9_frame, column):
         alone = garx_residual(frame, [x], column=column)
         for rep, rep_alone in zip(together, alone):
             assert rep.rows[k] == rep_alone.rows[0], (rep.equation_id, x)
+
+
+def _wave_ref(frame, tnode, nx, ny, ab=None):
+    """Y (V with ab) at one triple by the per-node formula: 2x2 inverse and matrix product, sums in Python."""
+    th = frame.theta.theta
+    log_gauge = sum((th[i] / 2.0) * (nx.logs[i] + ny.logs[i]) for i in range(4)) + frame.gauge_exponent(tnode)
+    p = nx.phi
+    inverse = np.array([[p[1, 1], -p[0, 1]], [-p[1, 0], p[0, 0]]]) / det2(p)
+    y = np.exp(tnode.ln_tau - log_gauge) / (nx.x - ny.x) * (inverse @ ny.phi)
+    if ab is None:
+        return y
+    return y * np.exp(-(ab.alpha * (nx.logs[3] + ny.logs[3]) + ab.beta * (nx.logs[2] + ny.logs[2])))
+
+
+def _garx_ref(frame, node):
+    """Row 1 of Z = Phi prod (x - t_i)^{th_i/2} and the Wronskian q12(x) det Z at one node, per node."""
+    th = frame.theta.theta
+    z = np.exp(sum((th[i] / 2.0) * node.logs[i] for i in range(4))) * node.phi
+    q12 = sum(a / (node.x - t) for a, t in zip(shift_normalization(frame.state, "BtoQ").A[:, 0, 1], node.t))
+    return np.array([z[0, 0], z[0, 1], q12 * det2(z)])
+
+
+@pytest.mark.parametrize("engine", ["bpz", "qpg", "garx"])
+def test_stencil_values_on_arrays_match_the_per_node_formula(c9_frame, engine, monkeypatch):
+    # the grid pass evaluates every key in one array call; each row agrees with the per-node formula to
+    # 1e-15 of the grid's largest value (a C7 grid for Y and z, a C9 grid for V; measured 5.6e-16 for Y,
+    # 4.9e-16 for V and 1.7e-16 for z and its Wronskian)
+    frame, ab, grid = c9_frame
+    seen = []
+    real = quantization._stencil_values
+
+    def recorded(frame_, stencils, t_mults, value):
+        return real(frame_, stencils, t_mults, lambda *cols: seen.append((cols, value(*cols))) or seen[-1][1])
+
+    monkeypatch.setattr(quantization, "_stencil_values", recorded)
+    {
+        "bpz": lambda: bpz_residual(frame, default_grid(7)),
+        "qpg": lambda: quantized_pg_residual(frame, grid, ab),
+        "garx": lambda: garx_residual(frame, [x for x, _y in default_grid(7)]),
+    }[engine]()
+    ((cols, got),) = seen
+    if engine == "garx":
+        ref = np.array([_garx_ref(frame, n) for n in cols[1]])
+    else:
+        ref = np.array([_wave_ref(frame, *triple, ab if engine == "qpg" else None) for triple in zip(*cols)])
+    assert got.shape == ref.shape and len(ref) == len(cols[0]) > 7
+    assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_array_values_raise_diagonal_collision_at_any_grid_point(c9_frame):
+    # one point of the grid with |x - y| below the guard fails the whole array call
+    frame, _ab, _grid = c9_frame
+    (x, y), (x2, _y2) = default_grid(2)
+    with pytest.raises(DiagonalCollision):
+        bpz_residual(frame, [(x, y), (x2, x2 + 0.02)])
+    with pytest.raises(DiagonalCollision):
+        nys = [frame.phi_node(y), frame.phi_node(frame.base_x + 0.02)]
+        frame.wave_values([frame.base_tnode] * 2, [frame.base_node] * 2, nys)
+
+
+def test_array_values_raise_near_singular_phi_at_any_row(c9_frame):
+    # a Phi(x) with |det| = 2^-44 < 1e-12 among healthy ones: the array call names its determinant
+    frame, ab, _grid = c9_frame
+    tn, good = frame.base_tnode, frame.phi_node(0.35 + 1.0j)
+    bad = dataclasses.replace(good, phi=np.array([[1.0, 2.0], [0.5, 1.0 + 2.0**-44]], dtype=complex))
+    ny = frame.phi_node(1.15 + 1.45j)
+    for call in (
+        lambda: frame.wave_values([tn] * 3, [good, bad, good], [ny] * 3),
+        lambda: frame.wave_values([tn] * 3, [good, bad, good], [ny] * 3, ab),
+        lambda: frame.M_of(tn, bad, ny),
+    ):
+        with pytest.raises(NearSingularPhi, match="5.684e-14"):
+            call()
 
 
 def test_every_c9_stencil_point_is_inverted_from_its_centre_with_a_wide_margin():
