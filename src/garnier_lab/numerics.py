@@ -17,8 +17,12 @@ This is the substrate every other module builds on:
   row form (:func:`taylor_walk`) walks many chords in lockstep from one
   first series per start, each with its own steps, for Phi in x; its
   stencil form (:func:`taylor_stencil`) sums one series at every offset;
-  :func:`count_work` collects the steps, series and radius ratios of all
-  three,
+  a series summed only within a reach known in advance (a stencil's, or
+  the walk's first round) is summed only to the order at which its terms
+  there fall below rounding, and its coefficient kernel stops forming
+  orders there (:class:`SeriesStop`); :func:`count_work` collects the
+  steps, series, orders and radius ratios of all three, and the
+  clearances :func:`check_clearance` passes,
 * central finite-difference schemes of order 2/4 with optional Richardson
   extrapolation: :func:`fd_derivative` is the one path for a derivative in
   one direction (its evaluator takes every stencil point at once and may
@@ -63,6 +67,7 @@ __all__ = [
     "count_work",
     "tally",
     "taylor_stencil",
+    "SeriesStop",
     "FDScheme",
     "fd_derivative",
     "stencil_multipliers",
@@ -73,7 +78,9 @@ __all__ = [
 DEFAULT_RTOL = 1e-12
 DEFAULT_ATOL = 1e-14
 MAX_STEPS = 2_000_000  # attempted adaptive or Taylor steps before SingularityApproach
-TAYLOR_ORDER = 20  # the order p of every taylor_integrate step
+TAYLOR_ORDER = 20  # the order p of every taylor_integrate step, and the most any series forms
+_STOP_FROM = 4  # the lowest order at which a series summed within a known reach may stop
+_STOP_LOG = 52 * math.log(2.0)  # -ln of the share of max|c_0| below which a term is rounding: 2^-52
 _TAYLOR_REACH = 0.5  # largest Taylor step, as a fraction of the field's own series radius
 _WORK: ContextVar[dict | None] = ContextVar("garnier_lab_work", default=None)  # count_work's collector
 
@@ -155,7 +162,7 @@ def check_clearance(w0, w1, radius: float, labels: Sequence[str]) -> None:
     The first segment (then set, in order) closer than ``radius``, or whose
     clearance is NaN (a non-finite end value), raises PathViolation. A chord
     that passes also misses 0, so log(w1/w0) is the exact continuation of
-    log w along it.
+    log w along it. Within :func:`count_work` passed chords lower its ``min_clearance``.
     """
     w0, w1 = np.broadcast_arrays(np.asarray(w0, dtype=complex), np.asarray(w1, dtype=complex))
     with np.errstate(invalid="ignore"):
@@ -170,6 +177,9 @@ def check_clearance(w0, w1, radius: float, labels: Sequence[str]) -> None:
             f"segment {k} passes within {d.flat[bad[0]]:.3e} of singular set "
             f"'{labels[j]}' (exclusion radius {radius})"
         )
+    work = _WORK.get()
+    if work is not None:
+        work["min_clearance"] = min(work["min_clearance"], float(np.min(d, initial=math.inf)))
 
 
 class PathPlan:
@@ -343,7 +353,8 @@ def taylor_integrate(
     and the s-distance from ``point`` to the field's nearest fixed singular
     set, the radius of its own series. Each step is :func:`_taylor_step`'s,
     landing exactly on corners and ``samples``; y(s + h) is :func:`_horner`'s
-    sum. Within :func:`count_work` the call adds its steps (a series each) and smallest ratio.
+    sum. Every series has order p: ``coeffs`` gets no reach. Within :func:`count_work` the call adds its steps
+    (a series each), their orders and smallest ratio.
 
     Returns [(s, y(s))] at s = 0, each sample, and s = 1. Raises
     SingularityApproach on a non-finite coefficient or sum, a step underflow,
@@ -354,7 +365,7 @@ def taylor_integrate(
     y = np.asarray(y0, dtype=complex).ravel().copy()
     out: list[tuple[float, np.ndarray]] = [(0.0, y.copy())]
     want, checkpoints = _checkpoints(path, samples)
-    s, n_steps, ratio = 0.0, 0, math.inf
+    s, n_steps, n_orders, ratio = 0.0, 0, 0, math.inf
     for s_target in checkpoints:
         vel = path.velocity(path._segment_of(0.5 * (s + s_target)))
         while s < s_target - 1e-15:
@@ -365,7 +376,7 @@ def taylor_integrate(
             h, ratio = min(float(h), s_target - s), min(ratio, float(step_ratio))
             if not h >= 1e-14:
                 raise SingularityApproach("step size underflow during path integration", location=pt)
-            n_steps += 1
+            n_steps, n_orders = n_steps + 1, n_orders + len(c) - 1
             if n_steps > MAX_STEPS:
                 raise SingularityApproach("step budget exhausted", location=pt)
             with np.errstate(all="ignore"):
@@ -375,7 +386,7 @@ def taylor_integrate(
             s = s_target if h == s_target - s else s + h
         if s_target in want or s_target == 1.0:
             out.append((s_target, y.copy()))
-    _record(n_steps, n_steps, ratio)
+    _record(n_steps, n_steps, n_orders, ratio)
     return out
 
 
@@ -384,30 +395,41 @@ def taylor_walk(coeffs: Callable, y0, point, velocity, group) -> np.ndarray:
 
     Users: ``quantization.Frame.phi_nodes``. ``point`` and ``velocity`` have shape (R, 1), ``y0`` (R, d);
     ``group`` labels the rows 0..G-1, and the rows of one label share point, y0 and field.
-    ``coeffs(rows, point, velocity, y)`` is :func:`taylor_integrate`'s for the rows ``rows`` (an index into
-    the R rows, ``slice(None)`` while all move, so nothing is copied). The first round forms one series per
-    label, at its first row in powers of the displacement w (velocity 1); each row takes that series'
-    :func:`_taylor_step` step along its own chord, capped at s = 1, and sums it at its own w. Each later round
-    forms one series per moving row along its chord, with its own capped step; a row drops out once it lands
-    at s = 1. Errors are :func:`taylor_integrate`'s, raised at the first failing row's point. Within
-    :func:`count_work` it adds every row's steps and every series it formed.
+    ``coeffs(rows, point, velocity, y, reach=...)`` is :func:`taylor_integrate`'s for the rows ``rows`` (an index
+    into the R rows, ``slice(None)`` while all move, so nothing is copied). The first round forms one series per
+    label, at its first row in powers of the displacement w (velocity 1), with ``reach`` each label's longest
+    hop |velocity| (shape (G,)), so its kernel may stop forming orders once every label has converged there.
+    Each row sums its label's series at its own w only to its own stop order (:func:`_stop_orders`, at its own
+    hop) and takes the :func:`_taylor_step` step of those orders along its own chord, capped at s = 1: a row
+    lands bit for bit as it does in any other call. Each later round forms one order-p series (``reach`` None)
+    per moving row along its chord, with its own capped step; a row drops out once it lands at s = 1. Errors are
+    :func:`taylor_integrate`'s, raised at the first failing row's point. Within :func:`count_work` it adds every
+    row's steps and every series it formed, with their orders.
     """
     y, s, moving = np.array(y0, dtype=complex), np.zeros(len(y0)), np.ones(len(y0), dtype=bool)
-    firsts = np.unique(group, return_index=True)[1]
-    n_rounds, n_steps, n_series, ratio = 0, 0, 0, math.inf
+    firsts, speed = np.unique(group, return_index=True)[1], np.abs(velocity[:, 0])
+    reach = np.zeros(len(firsts))  # each label's longest hop, the reach of its first series
+    np.maximum.at(reach, group, speed)
+    n_rounds, n_steps, n_series, n_orders, ratio = 0, 0, 0, 0, math.inf
     while moving.any():
         live = slice(None) if moving.all() else np.flatnonzero(moving)
         pt = point[live] + s[live, None] * velocity[live]
         first = not n_rounds  # every row at s = 0: one series per label, in w
         rows, at = (firsts, firsts) if first else (live, slice(None))
         with np.errstate(all="ignore"):
-            c, radius = coeffs(rows, pt[at], np.ones_like(pt[at]) if first else velocity[live], y[rows])
-            h, step_ratio = _taylor_step(c, radius, DEFAULT_RTOL, pt[at])
-            if first:  # each row's share of its label's step, in s along its own chord
-                c, h = c[:, group], h[group] / np.abs(velocity[:, 0])
+            c, radius = coeffs(rows, pt[at], np.ones_like(pt[at]) if first else velocity[live], y[rows],
+                               reach=reach if first else None)
+            n_series, n_orders = n_series + len(radius), n_orders + (len(c) - 1) * len(radius)
+            if first:  # every row on its label's series in w, to its own stop order at its own hop
+                norm = _norms(c, pt[at])[:, group]
+                orders = _stop_orders(norm, _series_bounds(norm[0], speed))
+                h, step_ratio = _norm_step(norm, radius[group], DEFAULT_RTOL, orders)
+                c, h = np.where(np.arange(len(c))[:, None, None] <= orders[:, None], c[:, group], 0.0), h / speed
+            else:
+                h, step_ratio = _taylor_step(c, radius, DEFAULT_RTOL, pt)
             h, ratio = np.minimum(h, 1.0 - s[live]), np.fmin.reduce(step_ratio, initial=ratio)
             y_new = _horner(c, h[:, None] * (velocity if first else 1.0))
-        n_rounds, n_steps, n_series = n_rounds + 1, n_steps + len(h), n_series + len(step_ratio)
+        n_rounds, n_steps = n_rounds + 1, n_steps + len(h)
         for failed, message in (  # in taylor_integrate's order; every moving row has taken n_rounds steps
             (~(h >= 1e-14), "step size underflow during path integration"),
             (np.full(len(h), n_rounds > MAX_STEPS), "step budget exhausted"),
@@ -417,55 +439,129 @@ def taylor_walk(coeffs: Callable, y0, point, velocity, group) -> np.ndarray:
                 raise SingularityApproach(message, location=tuple(pt[np.argmax(failed)].tolist()))
         y[live], s[live] = y_new, np.where(h == 1.0 - s[live], 1.0, s[live] + h)
         moving = s < 1.0 - 1e-15
-    _record(n_steps, n_series, ratio)
+    _record(n_steps, n_series, n_orders, ratio)
     return y
 
 
 def taylor_stencil(coeffs: Callable, y0, point, velocity, offsets) -> np.ndarray:
-    """y(s), shape (len(offsets), d), at every offset s of the series ``coeffs(point, velocity, y0)``.
+    """y(s), shape (len(offsets), d), at every offset s of the series ``coeffs(point, velocity, y0, reach=max|s|)``.
 
-    Users: ``quantization.Frame.shift_t`` and ``poly_garnier.hop_pg``.
-    An |s| past the step :func:`taylor_integrate` would take there at the default rtol raises
+    Users: ``quantization.Frame.shift_t`` and ``poly_garnier.hop_pg``. The series is summed only to its stop
+    order at the largest |s| (:func:`_stop_orders`), and ``coeffs`` may stop forming orders there; one that
+    does not converge by order p is formed in full. An |s| past the :func:`_taylor_step` step of the orders
+    summed (at the default rtol) raises
     SingularityApproach, naming the first such stencil point point + s velocity, before any state is
-    returned; so does a non-finite sum. Within :func:`count_work` the call adds one series and its ratio.
+    returned; so does a non-finite sum. Within :func:`count_work` the call adds one series, its orders and
+    its ratio.
     """
     offsets = np.asarray(offsets, dtype=complex)
     with np.errstate(all="ignore"):
-        c, radius = coeffs(point, velocity, np.asarray(y0, dtype=complex))
-    h, ratio = _taylor_step(c, radius, DEFAULT_RTOL, point)
+        reach = float(np.max(np.abs(offsets), initial=0.0))
+        c, radius = coeffs(point, velocity, np.asarray(y0, dtype=complex), reach=reach)
+        norm = _norms(c, point)
+        k = int(_stop_orders(norm, _series_bounds(norm[0], reach)))
+        h, ratio = _norm_step(norm[: k + 1], radius, DEFAULT_RTOL)
     where = lambda k: tuple((np.asarray(point) + offsets[k] * np.asarray(velocity)).tolist())  # noqa: E731
     far = np.flatnonzero(~(np.abs(offsets) <= h))
     if far.size:
         message = f"stencil offset {abs(offsets[far[0]]):.3e} past the Taylor step {h:.3e}"
         raise SingularityApproach(message, location=where(far[0]))
     with np.errstate(all="ignore"):
-        y = _horner(c, offsets[:, None])
+        y = _horner(c[: k + 1], offsets[:, None])
     bad = np.flatnonzero(~np.isfinite(y).all(axis=-1))
     if bad.size:
         raise SingularityApproach("non-finite Taylor sum", location=where(bad[0]))
-    _record(0, 1, ratio)
+    _record(0, 1, len(c) - 1, ratio)
     return y
+
+
+def _series_bounds(norm0, reach) -> np.ndarray:
+    """The largest |c_j| whose terms |c_j| reach^j stay within 2^-52 max|c_0|, j = 0..TAYLOR_ORDER: the bounds of
+    the stop rule (:func:`_stop_orders`) for a series summed only within ``reach``.
+
+    ``norm0`` is max|c_0| of each row, shaped as ``reach`` (scalars for one row). The bounds 2^-52 max|c_0| /
+    reach^j are products of 1/reach, so a row's bounds do not depend on the other rows; shape
+    (TAYLOR_ORDER + 1, *rows).
+    """
+    scale = np.empty((TAYLOR_ORDER + 1,) + np.shape(reach))
+    scale[0], scale[1:] = 2.0**-52 * norm0, np.divide(1.0, reach)
+    return scale.cumprod(axis=0)
+
+
+class SeriesStop:
+    """Where a coefficient kernel may stop forming a series that is summed only within ``reach`` (None: nowhere).
+
+    ``c0`` holds c_0, each row's components on its last axis and the rows (the shape of ``reach``) before.
+    A kernel calls it once it has formed order k = ``next``, with ``order(j)`` giving the coefficients of
+    order j (as c_0, or values whose absolute values bound theirs). It says whether orders k - 1 and k are
+    both within :func:`_series_bounds` in every row: then every row's own stop order (:func:`_stop_orders`)
+    is k or less, and no further order is needed. Otherwise ``next`` becomes the order where the terms would
+    fall within the bounds if they kept shrinking at their average rate from c_0 to c_k (past TAYLOR_ORDER,
+    never, if they do not shrink). So a kernel looks at a few orders, from order 4 on, and may form an order
+    past the stop, which the sums of its callers drop.
+    """
+
+    def __init__(self, c0, reach):
+        self.next = TAYLOR_ORDER + 1 if reach is None else _STOP_FROM
+        if reach is not None:
+            self.bounds = _series_bounds(np.abs(c0).max(axis=-1), reach)
+
+    def __call__(self, order: Callable, k: int) -> bool:
+        excess = float((np.abs(order(k)) / self.bounds[k][..., None]).max())  # NaN never stops
+        if excess <= 1.0 and (np.abs(order(k - 1)) <= self.bounds[k - 1][..., None]).all():
+            return True
+        shrink = _STOP_LOG - math.log(max(excess, 1.0)) if excess < math.inf else 0.0  # -ln of the terms at k
+        self.next = max(k + 1, math.ceil(k * _STOP_LOG / shrink)) if shrink > 0.0 else TAYLOR_ORDER + 1
+        return False
+
+
+def _stop_orders(norm: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """The stop rule: each row's stop order in a series of norms max|c_j|, shape (k + 1, R) or (k + 1,).
+
+    The first order k' >= 4 whose orders k' - 1 and k' are both within the row's ``bounds``
+    (:func:`_series_bounds`): their terms at any offset within the reach are then below the rounding of the
+    sum (Jorba & Zou's choice of order from the tolerance, at the reach the caller sums). A row with no such
+    order keeps all k. It depends on nothing but the row's own norms and reach.
+    """
+    below = norm <= bounds[: len(norm)]
+    both = below[_STOP_FROM - 1 : -1] & below[_STOP_FROM:]  # both[j]: orders j + _STOP_FROM - 1 and j + _STOP_FROM
+    return np.where(both.any(axis=0), _STOP_FROM + np.argmax(both, axis=0), len(norm) - 1)
 
 
 def _taylor_step(c: np.ndarray, radius, rtol: float, where):
     """The Jorba-Zou step of the coefficients c_0..c_p, capped at ``_TAYLOR_REACH`` of ``radius``, and its radius ratio.
 
+    p = len(c) - 1, the last order formed: TAYLOR_ORDER, or less for a series a :class:`SeriesStop` stopped.
     h = min over k = p - 1, p of (tol/|c_k|)^(1/k), tol = DEFAULT_ATOL + rtol * max|c_0| (inf on an
     all-zero tail, and the cap decides); the ratio is min over the same k of (|c_0|/|c_k|)^(1/k),
     over ``radius``. Coefficients of shape (p + 1, R, d) give one step and ratio per row, for a
     ``radius`` of shape (R,). A non-finite coefficient raises SingularityApproach at ``where``
     (with rows, at row r of ``where``, shape (R, D), for the first such row r).
     """
-    p = len(c) - 1
     with np.errstate(all="ignore"):
-        norm = np.max(np.abs(c), axis=-1)
-        finite = np.isfinite(norm)
-        if not finite.all():  # named at the first row with a non-finite coefficient
-            row = np.reshape(where, (-1, np.shape(where)[-1]))[np.argmin(finite.all(axis=0))]
-            raise SingularityApproach("non-finite Taylor coefficient", location=tuple(row.tolist()))
+        return _norm_step(_norms(c, where), radius, rtol)
+
+
+def _norms(c: np.ndarray, where) -> np.ndarray:
+    """max|c_j| of each order and row, shape (p + 1, R) or (p + 1,); non-finite raises as :func:`_taylor_step` says."""
+    norm = np.abs(c).max(axis=-1)
+    finite = np.isfinite(norm)
+    if not finite.all():  # named at the first row with a non-finite coefficient
+        row = np.reshape(where, (-1, np.shape(where)[-1]))[np.argmin(finite.all(axis=0))]
+        raise SingularityApproach("non-finite Taylor coefficient", location=tuple(row.tolist()))
+    return norm
+
+
+def _norm_step(norm: np.ndarray, radius, rtol: float, orders=None):
+    """:func:`_taylor_step` from its coefficients' norms; ``orders`` (R,) may give each row its own last order p."""
+    p = len(norm) - 1
+    if orders is None:
         tail, root = norm[p - 1 :], 1.0 / np.arange(p - 1, p + 1)
-        h = np.min(((DEFAULT_ATOL + rtol * norm[0]) / tail).T ** root, axis=-1)
-        ratio = np.min((norm[0] / tail).T ** root, axis=-1) / radius
+    else:
+        last = np.stack([orders - 1, orders])
+        tail, root = norm[last, np.arange(len(orders))], (1.0 / last).T
+    h = (((DEFAULT_ATOL + rtol * norm[0]) / tail).T ** root).min(axis=-1)
+    ratio = ((norm[0] / tail).T ** root).min(axis=-1) / radius
     return np.minimum(h, _TAYLOR_REACH * radius), ratio
 
 
@@ -480,9 +576,12 @@ def _horner(c: np.ndarray, h):
 @contextmanager
 def count_work():
     """Yield a dict that sums the ``taylor_steps`` and ``taylor_series`` (one per step, per :func:`taylor_walk` row
-    step or first-round group, and per :func:`taylor_stencil` call) in the block, takes their ``min_radius_ratio``
-    (inf without a series), and sums what :func:`tally` adds there; all are deterministic."""
-    work = {"taylor_steps": 0, "taylor_series": 0, "min_radius_ratio": math.inf}
+    step or first-round group, and per :func:`taylor_stencil` call) in the block, and ``taylor_orders``, the orders
+    each series formed past c_0; takes their ``min_radius_ratio`` (inf without a series) and the
+    ``min_clearance`` of every chord :func:`check_clearance` passed (inf without one); and sums what
+    :func:`tally` adds there. All are deterministic."""
+    work = {"taylor_steps": 0, "taylor_series": 0, "taylor_orders": 0, "min_radius_ratio": math.inf,
+            "min_clearance": math.inf}
     token = _WORK.set(work)
     try:
         yield work
@@ -490,12 +589,13 @@ def count_work():
         _WORK.reset(token)
 
 
-def _record(steps: int, series: int, ratio) -> None:
-    """Add steps and series to the enclosing :func:`count_work` block's dict and lower its ratio to ``ratio``."""
+def _record(steps: int, series: int, orders: int, ratio) -> None:
+    """Add steps, series and orders to the enclosing :func:`count_work` block's dict; lower its ratio to ``ratio``."""
     work = _WORK.get()
     if work is not None:
         work["taylor_steps"] += steps
         work["taylor_series"] += series
+        work["taylor_orders"] += orders
         work["min_radius_ratio"] = min(work["min_radius_ratio"], float(ratio))
 
 

@@ -37,7 +37,7 @@ from .errors import (
     TimeCollision,
     ZeroGauge,
 )
-from .numerics import DEFAULT_RTOL, TAYLOR_ORDER, PathPlan, quad_roots, taylor_integrate, taylor_stencil
+from .numerics import DEFAULT_RTOL, TAYLOR_ORDER, PathPlan, SeriesStop, quad_roots, taylor_integrate, taylor_stencil
 from .numerics import ode_integrate  # noqa: F401 - unused here; perfbench's tracer wraps every module's copy
 from .schlesinger import SchlesingerState, ThetaGO, check_time_path, time_constraints
 
@@ -463,7 +463,7 @@ def _pg_table(th: ThetaPG) -> np.ndarray:
 _LAG = np.subtract.outer(np.arange(TAYLOR_ORDER + 1), np.arange(TAYLOR_ORDER + 1))  # k - l
 
 
-def _pg_taylor(table: np.ndarray, point, velocity, y) -> tuple[np.ndarray, float]:
+def _pg_taylor(table: np.ndarray, point, velocity, y, reach=None) -> tuple[np.ndarray, float]:
     """Taylor coefficients in s of the flow through y = (q1, q2, p1, p2[, ln u]) at (t1, t2) = point along velocity.
 
     On the chord t(s) = t + s v, T1 and T2 are linear in s, and W, Z1 =
@@ -473,7 +473,9 @@ def _pg_taylor(table: np.ndarray, point, velocity, y) -> tuple[np.ndarray, float
     C_m of the coefficient of each y-monomial in each row of dy/ds. Then for
     each order n: the y-monomials of degree 2, 3, 4 at order n as three
     batched Cauchy products, F_n = sum_m sum_k C_m,k Y_m,n-k, and y_n+1 =
-    F_n/(n + 1). Returns the (TAYLOR_ORDER + 1, len(y)) coefficients and the
+    F_n/(n + 1). With ``reach`` (how far in s the series is summed) the orders
+    stop where a ``numerics.SeriesStop`` finds it converged. Returns the
+    (k + 1, len(y)) coefficients, k = TAYLOR_ORDER or that order, and the
     s-distance to the nearest t_i in {0, 1} or t1 = t2, the radius of the C_m.
     """
     p, tr = TAYLOR_ORDER, _pg_trace()
@@ -499,11 +501,15 @@ def _pg_taylor(table: np.ndarray, point, velocity, y) -> tuple[np.ndarray, float
     c[0] = y
     Y = np.zeros((tr.n_mons, p + 1), dtype=complex)  # Y[m, p - k]: order k of y^m, reversed
     Y[:4, p], Y[4, p] = c[0, :4], 1.0
+    stop = SeriesStop(y, reach)
     for n in range(p):
         for lower, rows, flat in tr.levels:  # every product y^lower * y_i at order n, then the ones wanted
             Y[rows, p - n] = np.einsum("ki,mk->mi", c[: n + 1, :4], Y[lower, p - n :]).ravel()[flat]
         c[n + 1] = np.einsum("rmk,mk->r", C[:d, :, : n + 1], Y[:, p - n :]) / (n + 1)
         Y[:4, p - n - 1] = c[n + 1, :4]
+        if n + 1 == stop.next and stop(lambda j: c[j], n + 1):
+            c = c[: n + 2]
+            break
     return c, 1.0 / float(np.max(np.abs(rate)))
 
 

@@ -56,6 +56,7 @@ from .numerics import (
     TAYLOR_ORDER,
     FDScheme,
     PathPlan,
+    SeriesStop,
     check_clearance,
     combine_stencil,
     det2,
@@ -265,15 +266,17 @@ def _report(equation_id, points, rows, scheme) -> ResidualReport:
     )
 
 
-def _x_series(t, A, x, v, phi) -> tuple[np.ndarray, np.ndarray]:
+def _x_series(t, A, x, v, phi, reach=None) -> tuple[np.ndarray, np.ndarray]:
     """Taylor coefficients in s of Phi(x + s v) through phi at the fixed times t, for every row at once.
 
     On the chord the weight v/(x - t_i + s v) of A_i in dPhi/ds is sum_l rho_i (-rho_i)^l s^l, rho_i =
     v/(x - t_i); so with M_l = sum_i A_i rho_i (-rho_i)^l, (n + 1) Phi_n+1 = sum_l M_l Phi_n-l. Rows are
     leading axes that broadcast: t (..., 4), A (..., 4, 2, 2), x and v scalars or (..., 1), phi (..., 4).
-    Returns the (TAYLOR_ORDER + 1, ..., 4) coefficients and the radius min_i |x - t_i|/|v| of each row.
+    With ``reach`` (the rows' shape: how far in s each row's series is summed) the orders stop where
+    a ``numerics.SeriesStop`` finds every row converged. Returns the (k + 1, ..., 4) coefficients, k =
+    TAYLOR_ORDER or that order, and the radius min_i |x - t_i|/|v| of each row.
     """
-    p = TAYLOR_ORDER
+    p = k = TAYLOR_ORDER
     rho = v / (x - t)
     rows = rho.shape[:-1]
     powers = rho[..., None, :] * (-rho[..., None, :]) ** np.arange(p)[:, None]  # [..., l, i] = rho_i (-rho_i)^l
@@ -282,11 +285,15 @@ def _x_series(t, A, x, v, phi) -> tuple[np.ndarray, np.ndarray]:
     M = np.einsum("...li,...iab->...alb", powers, A).reshape(rows + (2, 2 * p))  # [..., a, (l, b)] = M_l[a, b]
     P = np.empty(rows + (p + 1, 2, 2), dtype=complex)  # [..., p - n] = Phi_n
     P[..., p, :, :] = np.reshape(phi, rows + (2, 2))
-    P2 = P.reshape(rows + (2 * p + 2, 2))
+    P2, flat = P.reshape(rows + (2 * p + 2, 2)), P.reshape(rows + (p + 1, 4))
+    stop = SeriesStop(flat[..., p, :], reach)
     for n in range(p):
         product = np.einsum("...ak,...kc->...ac", M[..., : 2 * n + 2], P2[..., 2 * (p - n) :, :])
         P[..., p - n - 1, :, :] = product / (n + 1)
-    c = np.moveaxis(P[..., ::-1, :, :], -3, 0).reshape((p + 1,) + rows + (4,))
+        if n + 1 == stop.next and stop(lambda j: flat[..., p - j, :], n + 1):
+            k = n + 1
+            break
+    c = np.moveaxis(P[..., p - k :, :, :][..., ::-1, :, :], -3, 0).reshape((k + 1,) + rows + (4,))
     return c, 1.0 / np.max(np.abs(rho), axis=-1)
 
 
@@ -352,7 +359,7 @@ class Frame:
         t, A = np.array([tn.t for tn in tnodes], dtype=complex), np.array([tn.A for tn in tnodes], dtype=complex)
         w0, w1 = x0[:, None] - t, x1[:, None] - t
         check_clearance(w0, w1, EXCLUSION, _X_SETS)
-        series = lambda rows, x, v, phi: _x_series(t[rows], A[rows], x, v, phi)  # noqa: E731
+        series = lambda rows, x, v, phi, reach: _x_series(t[rows], A[rows], x, v, phi, reach)  # noqa: E731
         phi1 = taylor_walk(series, [a.phi.ravel() for a in anchors], x0[:, None], (x1 - x0)[:, None], group)
         logs = np.array([a.logs for a in anchors], dtype=complex) + np.log(w1 / w0)
         for k, phi, lg in zip(moving, phi1, logs):

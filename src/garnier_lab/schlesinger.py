@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InfeasibleTheta, PoleEvaluation, TimeCollision
-from .numerics import DEFAULT_RTOL, TAYLOR_ORDER, AffineConstraint, PathPlan, taylor_integrate
+from .numerics import DEFAULT_RTOL, TAYLOR_ORDER, AffineConstraint, PathPlan, SeriesStop, taylor_integrate
 from .numerics import ode_integrate  # noqa: F401 - unused here; perfbench's tracer wraps every module's copy
 
 __all__ = [
@@ -266,7 +266,7 @@ def check_time_path(path: PathPlan, t1: complex, t2: complex) -> None:
     path.validate_against(time_constraints())
 
 
-def _flow_taylor(point, velocity, y: np.ndarray, xs=None) -> tuple[np.ndarray, float]:
+def _flow_taylor(point, velocity, y: np.ndarray, xs=None, reach=None) -> tuple[np.ndarray, float]:
     """Taylor coefficients in s of the flow through y at the times ``point`` along dt/ds = ``velocity`` (4-vectors).
 
     On the chord t(s) = t + s v the weight of [A_i, A_j] in dA_j/ds is e_ij/(d_ij + s e_ij) =
@@ -276,10 +276,12 @@ def _flow_taylor(point, velocity, y: np.ndarray, xs=None) -> tuple[np.ndarray, f
     ``quantization.Frame`` (A, ln tau, Phi at each x_k), whose rows the same loop forms from the
     products A_i A_j: (n + 1) ln tau_n+1 = sum_ij E_ij,n, E_ij,n = (v_i/d_ij) tr(A_i A_j)_n - r_ij
     E_ij,n-1; with rho_ik = v_i/(x_k - t_i), H_ik,n = rho_ik (H_ik,n-1 - A_i,n) is the series of A_i's
-    weight in dPhi_k/ds, and (n + 1) Phi_k,n+1 = sum_l sum_i H_ik,l Phi_k,n-l. Returns the
-    (TAYLOR_ORDER + 1, len(y)) coefficients and the radius, min |d_ij/e_ij| and |(x_k - t_i)/v_i|.
+    weight in dPhi_k/ds, and (n + 1) Phi_k,n+1 = sum_l sum_i H_ik,l Phi_k,n-l. With ``reach`` (how far
+    in s the series is summed) the orders stop where a ``numerics.SeriesStop`` finds it converged.
+    Returns the (k + 1, len(y)) coefficients, k = TAYLOR_ORDER or that order, and the radius, min
+    |d_ij/e_ij| and |(x_k - t_i)/v_i|.
     """
-    p = TAYLOR_ORDER
+    p = k = TAYLOR_ORDER
     t = np.array(point, dtype=complex)
     v = np.array(velocity, dtype=complex)
     w = _OFF4 / (t[:, None] - t[None, :] + _EYE4)
@@ -300,6 +302,11 @@ def _flow_taylor(point, velocity, y: np.ndarray, xs=None) -> tuple[np.ndarray, f
         rate = max(rate, float(np.max(np.abs(rho), initial=0.0)))
         tau, H, Phi = np.empty(p + 1, dtype=complex), *np.empty((2, p + 1, len(rho), 2, 2), dtype=complex)
         tau[0], Phi[0] = y[16], y[17:].reshape(-1, 2, 2)
+    stop = SeriesStop(y, reach)
+
+    def order(j):  # c_j: A, then ln tau and the Phi rows
+        return Y[p - j] if xs is None else np.concatenate((Y[p - j].ravel(), tau[j : j + 1], Phi[j].ravel()))
+
     for n in range(p):
         P = np.einsum("xk,ky->xy", X2[:, : 2 * n + 2], Y2[2 * (p - n) :]).reshape(4, 2, 4, 2)
         D = rr * (P - P.transpose(2, 1, 0, 3) - D)
@@ -311,9 +318,12 @@ def _flow_taylor(point, velocity, y: np.ndarray, xs=None) -> tuple[np.ndarray, f
             H[n] = Hi.sum(axis=1)
             Phi[n + 1] = np.einsum("lkab,lkbc->kac", H[: n + 1], Phi[n::-1]) / (n + 1)
         X[:, :, n + 1] = Y[p - n - 1].transpose(1, 0, 2)
-    c = X.transpose(2, 0, 1, 3).reshape(p + 1, 16)
+        if n + 1 == stop.next and stop(order, n + 1):
+            k = n + 1
+            break
+    c = X[:, :, : k + 1].transpose(2, 0, 1, 3).reshape(k + 1, 16)
     if xs is not None:
-        c = np.concatenate([c, tau[:, None], Phi.reshape(p + 1, -1)], axis=1)
+        c = np.concatenate([c, tau[: k + 1, None], Phi[: k + 1].reshape(k + 1, -1)], axis=1)
     return c, 1.0 / rate
 
 

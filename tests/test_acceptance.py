@@ -36,10 +36,13 @@ def test_criterion_01_schlesinger_conservation():
 def test_criterion_01_reports_its_taylor_work():
     # the work counters are deterministic, so they sit in the byte-identical
     # report: seed 100's path takes 24 Taylor steps, and its coefficients put
-    # the nearest singularity at 0.386 of the distance to the nearest t_i = t_j
+    # the nearest singularity at 0.386 of the distance to the nearest t_i = t_j;
+    # a path integration is summed at steps it does not know in advance, so
+    # every series forms all 20 orders
     first, second = (criterion_1(n_states=1).metrics for _ in range(2))
     assert first == second
     assert first["taylor_steps"] == 24
+    assert first["taylor_orders"] == 20 * first["taylor_steps"]
     assert first["min_radius_ratio"] == pytest.approx(0.3857915440447372, rel=1e-9)
 
 
@@ -50,31 +53,37 @@ def test_criterion_02_zero_curvature_transport():
 def test_criterion_02_reports_its_taylor_work():
     # as C1: frame 200's two loops take 74 Taylor steps, 60 on their time legs
     # and 14 on their x legs (each loop walks the base transport to x0 itself),
-    # each step on a series of its own, and the t2 loop passes a movable pole
-    # at 0.0235 of the distance to the nearest fixed singular set; the
-    # counters are deterministic
+    # each step on a series of its own of all 20 orders, and the t2 loop passes
+    # a movable pole at 0.0235 of the distance to the nearest fixed singular
+    # set; the counters are deterministic. The closest any checked chord comes
+    # to a singular set is the t2 loop's far corner: t2 + dt2 = 0.5 + 0.1i
+    # lies |0.2 + 0.05i| from t1
     first, second = (criterion_2(n_frames=1).metrics for _ in range(2))
     assert first == second
-    assert set(first) == {"max_loop_defect", "taylor_steps", "taylor_series", "min_radius_ratio"}
-    assert first["taylor_steps"] == first["taylor_series"] == 74
+    assert set(first) == {"max_loop_defect", "taylor_steps", "taylor_series", "taylor_orders", "min_radius_ratio",
+                          "min_clearance"}
+    assert first["taylor_steps"] == first["taylor_series"] == 74 and first["taylor_orders"] == 20 * 74
     assert first["min_radius_ratio"] == pytest.approx(0.023508854137585355, rel=1e-9)
+    assert first["min_clearance"] == pytest.approx(abs(0.2 + 0.05j), rel=1e-12)
 
 
 def test_criterion_03_go_cross_picture():
     _run("C3")
 
 
-@pytest.mark.parametrize("criterion, kwargs, ratio", [
-    (criterion_3, {"n_states": 1}, 0.6241971874865111),
-    (criterion_11, {}, 0.5856921622769128),
+@pytest.mark.parametrize("criterion, kwargs, orders, ratio", [
+    (criterion_3, {"n_states": 1}, 14, 0.5041722757689349),
+    (criterion_11, {}, 12, 0.5108404123820364),
 ], ids=["C3", "C11"])
-def test_criteria_03_and_11_report_their_taylor_work(criterion, kwargs, ratio):
+def test_criteria_03_and_11_report_their_taylor_work(criterion, kwargs, orders, ratio):
     # their moves are time stencils of bare B-states: one bundle series per
-    # direction, summed at every offset, and no walk step; the smallest ratio
-    # is the stencil series', and both counters are deterministic
+    # direction, summed at every offset, and no walk step; each series stops
+    # at the order its largest offset needs (7 and 6 of 20), and the smallest
+    # ratio is read from the last two orders formed; all counters are
+    # deterministic
     first, second = (criterion(**kwargs).metrics for _ in range(2))
     assert first == second
-    assert (first["taylor_steps"], first["taylor_series"]) == (0, 2)
+    assert (first["taylor_steps"], first["taylor_series"], first["taylor_orders"]) == (0, 2, orders)
     assert first["min_radius_ratio"] == pytest.approx(ratio, rel=1e-9)
 
 
@@ -87,15 +96,15 @@ def test_criterion_05_linearization():
 
 
 def test_criterion_05_reports_its_taylor_work():
-    # as C1: seed 500's trajectory takes 11 Taylor steps, and its 6 time
-    # stencils sum one series each; the coefficients of a stencil series put
-    # the nearest singularity at 0.279 of the distance to the nearest fixed
-    # singular set (the trajectory's own steps read 0.305); the counters are
-    # deterministic
+    # as C1: seed 500's trajectory takes 11 Taylor steps of 20 orders, and its
+    # 6 time stencils sum one series each, of 6 orders; the last two orders of
+    # a stencil series put the nearest singularity at 0.230 of the distance to
+    # the nearest fixed singular set (the trajectory's own steps read 0.305);
+    # the counters are deterministic
     first, second = (criterion_5(n_traj=1).metrics for _ in range(2))
     assert first == second
-    assert (first["taylor_steps"], first["taylor_series"]) == (11, 17)
-    assert first["min_radius_ratio"] == pytest.approx(0.2787949010633855, rel=1e-9)
+    assert (first["taylor_steps"], first["taylor_series"], first["taylor_orders"]) == (11, 17, 11 * 20 + 6 * 6)
+    assert first["min_radius_ratio"] == pytest.approx(0.2300767454744685, rel=1e-9)
 
 
 def test_criterion_06_bridge_coherence():
@@ -110,24 +119,28 @@ def test_criterion_07_bpz_verification():
 
 
 @pytest.mark.parametrize(
-    "criterion, keys, steps, series, ratio, counts",
+    "criterion, keys, steps, series, orders, ratio, counts",
     [
-        (criterion_7, {"max_rel", "max_rel_degenerate"}, 64, 26, 0.5053420515672571, {}),
-        (criterion_8, {"max_rel", "swap_gap"}, 202, 67, 0.5053420515672571, {}),
-        (criterion_9, {"max_rel", "max_roundtrip"}, 250, 61, 0.505342051567257, {"stencil_steps": 8, "clamped_steps": 8}),
+        (criterion_7, {"max_rel", "max_rel_degenerate"}, 64, 26, 300, 0.4971067760661927, {}),
+        (criterion_8, {"max_rel", "swap_gap"}, 202, 67, 1051, 0.4971067760661927, {}),
+        (criterion_9, {"max_rel", "max_roundtrip"}, 250, 61, 728, 0.47566595081940116,
+         {"stencil_steps": 8, "clamped_steps": 8}),
     ],
     ids=["C7", "C8", "C9"],
 )
-def test_criteria_07_to_09_report_their_taylor_work(criterion, keys, steps, series, ratio, counts):
+def test_criteria_07_to_09_report_their_taylor_work(criterion, keys, steps, series, orders, ratio, counts):
     # every move of Phi in x walks its chord in Taylor steps, a spatial hop
     # in one, and the hops from one node share its series: at one frame and
-    # two grid points, the same counts on every run; the smallest ratio is a
-    # time stencil's; C9 also counts its stencil steps (4 per point) and
-    # those its branch radius clamped
+    # two grid points, the same counts on every run; the time stencils and
+    # the hop series stop at the order their offsets need (at 20 orders each
+    # series would form 520, 1340 and 1220); the smallest ratio is a time
+    # stencil's, from its last two orders; C9 also counts its stencil steps
+    # (4 per point) and those its branch radius clamped
     first, second = (criterion(n_frames=1, grid_points=2).metrics for _ in range(2))
     assert first == second
-    assert set(first) == keys | {"taylor_steps", "taylor_series", "min_radius_ratio"} | set(counts)
-    assert (first["taylor_steps"], first["taylor_series"]) == (steps, series)
+    assert set(first) == keys | {"taylor_steps", "taylor_series", "taylor_orders", "min_radius_ratio",
+                                 "min_clearance"} | set(counts)
+    assert (first["taylor_steps"], first["taylor_series"], first["taylor_orders"]) == (steps, series, orders)
     assert first["min_radius_ratio"] == pytest.approx(ratio, rel=1e-9)
     assert {key: first[key] for key in counts} == counts
 

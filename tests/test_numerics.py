@@ -18,6 +18,7 @@ from garnier_lab.numerics import (
     AffineConstraint,
     FDScheme,
     PathPlan,
+    SeriesStop,
     TAYLOR_ORDER,
     check_clearance,
     combine_stencil,
@@ -234,7 +235,7 @@ def test_taylor_stencil_sums_one_series_at_every_offset():
     # one coefficient call from the centre, then a Horner sum per complex offset
     calls = []
 
-    def coeffs(point, velocity, y):
+    def coeffs(point, velocity, y, reach):
         calls.append((point, velocity))
         return _exp_coeffs(10.0)(point[0], velocity[0], y)
 
@@ -251,20 +252,23 @@ def test_taylor_stencil_raises_past_the_step_naming_the_point():
     # declared radius of 0.1 caps it at 0.05, so the offset 0.06 fails
     offsets = [0.04, -0.06]
     with pytest.raises(SingularityApproach, match="past the Taylor step") as info:
-        taylor_stencil(lambda p, v, y: _exp_coeffs(0.1)(p[0], v[0], y), np.array([1.0 + 0j]), (0.3,), (1j,), offsets)
+        taylor_stencil(lambda p, v, y, reach: _exp_coeffs(0.1)(p[0], v[0], y), np.array([1.0 + 0j]), (0.3,), (1j,),
+                       offsets)
     assert info.value.location == (0.3 - 0.06j,)
     # a non-finite offset fails the same way
     with pytest.raises(SingularityApproach):
-        taylor_stencil(lambda p, v, y: _exp_coeffs(10.0)(p[0], v[0], y), np.array([1.0 + 0j]), (0.0,), (1.0,), [np.nan])
+        taylor_stencil(lambda p, v, y, reach: _exp_coeffs(10.0)(p[0], v[0], y), np.array([1.0 + 0j]), (0.0,), (1.0,),
+                       [np.nan])
 
 
 def _exp_rows(radius):
     """The rows of dy/ds = v_r y at once, in taylor_walk's form: coefficients (p + 1, r, d) and the radii of
     the given rows, for point and velocity of shape (r, 1); ``radius`` is each row's distance in the plane,
-    so its radius in s is radius / |v|."""
+    so its radius in s is radius / |v|; every series has all orders, whatever its reach."""
     k = np.arange(TAYLOR_ORDER + 1)[:, None, None]
     inv_fact = np.array([1.0 / math.factorial(int(j)) for j in k.ravel()])[:, None, None]
-    return lambda rows, z, v, y: (y[None] * (v[None] ** k * inv_fact), np.asarray(radius)[rows] / np.abs(v[:, 0]))
+    return lambda rows, z, v, y, reach: (y[None] * (v[None] ** k * inv_fact),
+                                         np.asarray(radius)[rows] / np.abs(v[:, 0]))
 
 
 def test_taylor_step_of_rows_is_each_row_alone(rng):
@@ -292,7 +296,7 @@ def test_taylor_walk_moves_each_row_as_it_moves_alone():
     coeffs = _exp_rows(_WALK_RADII)
     with count_work() as work:
         got = taylor_walk(
-            lambda rows, *args: seen.append(rows) or coeffs(rows, *args),
+            lambda rows, *args, **kw: seen.append(rows) or coeffs(rows, *args, **kw),
             _WALK_Y0, _WALK_POINT, _WALK_VELOCITY, np.arange(4),
         )
     assert got.shape == (4, 2)
@@ -322,8 +326,8 @@ def test_taylor_walk_forms_one_first_series_per_group():
     seen = []
     coeffs = _exp_rows([10.0] * 4)
     with count_work() as work:
-        got = taylor_walk(lambda rows, *args: seen.append((rows, args[1])) or coeffs(rows, *args), y0, point, velocity,
-                          np.array([0, 0, 0, 1]))
+        got = taylor_walk(lambda rows, *args, **kw: seen.append((rows, args[1])) or coeffs(rows, *args, **kw), y0,
+                          point, velocity, np.array([0, 0, 0, 1]))
     assert [rows.tolist() for rows, _v in seen] == [[0, 3], [2]]
     assert np.all(seen[0][1] == 1.0) and np.array_equal(seen[1][1], velocity[2:3])
     assert (work["taylor_steps"], work["taylor_series"]) == (5, 3)
@@ -363,7 +367,7 @@ def test_taylor_walk_raises_at_the_failing_rows_own_point(y0, radius, message):
 def test_taylor_stencil_of_a_constant_raises_no_warning():
     # an all-zero tail has an infinite Jorba-Zou step: the radius cap decides,
     # with no division warning
-    def coeffs(point, velocity, y):
+    def coeffs(point, velocity, y, reach):
         c = np.zeros((TAYLOR_ORDER + 1, len(y)), dtype=complex)
         c[0] = y
         return c, 1.0
@@ -374,6 +378,78 @@ def test_taylor_stencil_of_a_constant_raises_no_warning():
     assert np.array_equal(got, [[0.0, 1.0 + 1j], [0.0, 1.0 + 1j]])
     with pytest.raises(SingularityApproach):
         taylor_stencil(coeffs, np.array([1.0 + 0j]), (0.0,), (1.0,), [0.6])
+
+
+def _pole(rho, power=1):
+    """The series at z along v of y(x) = y(z) (1 - (z/rho)^power) / (1 - (x/rho)^power), component by component
+    (power > 1 only at z = 0), formed order by order until a SeriesStop at ``reach`` stops it, and the
+    s-distance to the nearest pole; z, v and rho broadcast against y, so rows may lead."""
+
+    def coeffs(z, v, y, reach=None):
+        q = (v / (rho - z)) ** power
+        c = np.zeros((TAYLOR_ORDER + 1,) + np.shape(y), dtype=complex)
+        c[0], stop = y, SeriesStop(y, reach)
+        for k in range(1, TAYLOR_ORDER + 1):
+            c[k] = c[k - power] * q if k >= power else 0.0
+            if k == stop.next and stop(lambda j: c[j], k):
+                break
+        return c[: k + 1], np.min(np.abs((rho - z) / v), axis=-1)
+
+    return coeffs
+
+
+@pytest.mark.parametrize("offsets", [[1e-3, -2e-3, 0.5e-3], [1e-3j, -1.5e-3 + 1e-3j, 2e-3 - 0.5e-3j]],
+                         ids=["real", "complex"])
+def test_taylor_stencil_stops_where_the_terms_at_its_largest_offset_are_rounding(offsets):
+    # 1/(1 - s/rho) per component: at |s| <= 2.1e-3 its terms fall below 2^-52 of c_0 by order 8 or so, so
+    # the series stops well before order 20, and its sum is the order-20 sum to rounding
+    rho, y0, s = np.array([0.3, 0.5j, -0.8 + 0.2j]), np.array([1.0, 2.0 - 1j, -0.5j]), np.asarray(offsets)[:, None]
+    coeffs = _pole(rho)
+    with count_work() as work:
+        got = taylor_stencil(lambda p, v, y, reach: coeffs(p[0], v[0], y, reach), y0, (0.0,), (1.0,), offsets)
+    assert work["taylor_series"] == 1 and 4 <= work["taylor_orders"] < TAYLOR_ORDER
+    full, _radius = coeffs(0.0, 1.0, y0)
+    assert len(full) == TAYLOR_ORDER + 1
+    bound = 4 * np.finfo(float).eps * np.max(np.abs(y0))
+    assert np.max(np.abs(got - numerics._horner(full, s))) <= bound
+    assert np.max(np.abs(got - y0 / (1.0 - s / rho))) <= bound
+
+
+def test_a_series_whose_orders_1_to_3_vanish_keeps_order_4():
+    # 1/(1 - s^4) has c_1 = c_2 = c_3 = 0: orders 2 and 3 are within the bounds at any reach, but the rule
+    # looks from order 4 on, so the s^4 term (1e-12 at the largest offset) stays in the sum
+    coeffs, s = _pole(1.0, power=4), np.array([1e-3, -1e-3j, 0.5e-3])
+    with count_work() as work:
+        got = taylor_stencil(lambda p, v, y, reach: coeffs(p[0], v[0], y, reach), np.array([1.0 + 0j]), (0.0,),
+                             (1.0,), s)
+    assert 4 <= work["taylor_orders"] < TAYLOR_ORDER
+    assert np.max(np.abs(got[:, 0] - (1.0 + s**4))) <= 2 * np.finfo(float).eps
+    assert np.all(np.abs(got[:, 0] - 1.0) >= 0.5 * np.abs(s) ** 4)
+
+
+def test_taylor_walk_stops_its_first_series_only_where_every_label_has_converged():
+    # two labels of a pole row each: label 0's hops are short; label 1's are short too, or its longest is half
+    # its radius, where no order up to 20 reaches rounding. The first series stops before order 20 only in the
+    # first case, and label 0's rows land bit for bit in both (each row is summed to its own order); every
+    # short hop lands by one sum, exact to rounding, and the long one walks on within the step tolerance
+    rho, group = np.array([[0.4], [0.4], [0.3j], [0.3j]]), np.array([0, 0, 1, 1])
+    y0, point = np.array([[1.0, 2.0j]] * 2 + [[0.5, -1.0]] * 2), np.array([[0.0], [0.0], [0.1], [0.1]])
+    formed, ends = [], {}
+
+    def coeffs(rows, z, v, y, reach):
+        c, radius = _pole(rho[rows])(z, v, y, reach)
+        formed.append(len(c) - 1)
+        return c, radius
+
+    for case, far in (("short", 0.5e-3), ("long", 0.15j)):
+        velocity = np.array([[1e-3], [-2e-3j], [1e-3j], [far]])
+        formed.clear()
+        ends[case] = taylor_walk(coeffs, y0, point, velocity, group)
+        assert (formed[0] < TAYLOR_ORDER) == (case == "short")
+        error = np.max(np.abs(ends[case] - y0 * (rho - point) / (rho - point - velocity)), axis=-1)
+        assert np.max(error[:3] if case == "long" else error) <= 8 * np.finfo(float).eps * 2.0
+        assert error[3] <= 1e-12 * 2.0
+    assert np.array_equal(ends["short"][:2], ends["long"][:2])
 
 
 def _dp_step_generator_sums(f, s0, y, h, k1):

@@ -304,7 +304,7 @@ def test_hop_pg_makes_one_taylor_call_per_stencil(monkeypatch):
     s0, _path = _c5_start()
     calls = []
     real = poly_garnier._pg_taylor
-    monkeypatch.setattr(poly_garnier, "_pg_taylor", lambda *args: calls.append(args[1:3]) or real(*args))
+    monkeypatch.setattr(poly_garnier, "_pg_taylor", lambda *args, **kw: calls.append(args[1:3]) or real(*args, **kw))
     hops = hop_pg(s0, 1, [2e-5, -1e-5, 1e-5j, -2e-5j, 3e-5 - 1e-5j], 0.005)
     assert len(hops) == 5 and calls == [((s0.t1, s0.t2), (0.0, 1.0))]
 

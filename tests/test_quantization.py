@@ -579,11 +579,13 @@ def test_phi_nodes_kernel_matches_old_batched_field(frame, monkeypatch):
     batch = frame.phi_nodes(hops)
     assert batch[2] is nx
     # one series for all moving hops, one row per (anchor, tnode) pair at the anchor, in powers of the
-    # displacement (velocity 1): the two hops from nx at the base time share a row, so 5 hops form 4 rows
+    # displacement (velocity 1): the two hops from nx at the base time share a row, so 5 hops form 4 rows,
+    # each summed no farther than its longest hop
     moving = [(hop, node) for hop, node in zip(hops, batch) if hop[0] != hop[2].x]
-    ((t, A, x0, v, phi0),) = calls
+    ((t, A, x0, v, phi0, reach),) = calls
     assert x0.shape == v.shape == (4, 1) and t.shape == (4, 4) and A.shape == (4, 4, 2, 2)
     assert [complex(z) for z in x0[:, 0]] == [nx.x, ny.x, nxs.x, nys.x] and np.all(v == 1.0)
+    assert reach == pytest.approx([9e-3, 6e-3, abs(4e-3 - 1e-3j), 2e-3], rel=1e-9)
     # each row against the DP5 reference (measured <= 1.9e-16)
     for (x, tn_k, a), node in moving:
         ref = _dp5_hop(tn_k, a, x)
@@ -601,7 +603,7 @@ def test_phi_nodes_share_a_row_only_between_identical_nodes(frame, monkeypatch):
     real = quantization._x_series
     monkeypatch.setattr(quantization, "_x_series", lambda *args: calls.append(args) or real(*args))
     batch = frame.phi_nodes(hops)
-    ((t, _A, x0, _v, _phi0),) = calls
+    ((t, _A, x0, _v, _phi0, _reach),) = calls
     assert x0.shape == (3, 1) and t.shape == (3, 4)
     # equal values give equal series: each hop lands as it does from the other object
     monkeypatch.setattr(quantization, "_x_series", real)
