@@ -530,24 +530,23 @@ def criterion_10(seed0: int = 1000, initial_state: PGState | None = None):
     t1_end = omega_to_t1(omega_end, s0.t2)
     path = PathPlan([(s0.t1, s0.t2), (t1_end, s0.t2)], 0.02)
     samples = [0.2, 0.4, 0.6, 0.8]
-    with count_work() as work:
-        traj = integrate_pg(s0, path, samples=samples)
-    drift = max(abs(st.q1 + st.q2 - 1.0) for _s, st in traj)
-
     scheme = FDScheme(order=4, step=1e-5, richardson=True)
     worst_ham = 0.0
-    for _s, st in traj[1:-1]:
-        pv = pvi_reduce(st, tol=1e-6)
+    with count_work() as work:
+        traj = integrate_pg(s0, path, samples=samples)
+        drift = max(abs(st.q1 + st.q2 - 1.0) for _s, st in traj)
+        for _s, st in traj[1:-1]:
+            pv = pvi_reduce(st, tol=1e-6)
 
-        def q_p_at(oms):
-            """[Q, P] of the flow moved along t1 to each omega = om."""
-            hops = hop_pg(st, 0, [omega_to_t1(om, st.t2) - st.t1 for om in oms], 1e-7)
-            return [np.array([pvm.Q, pvm.P]) for pvm in (pvi_reduce(st2, tol=1e-5) for st2, _dlnu in hops)]
+            def q_p_at(oms):
+                """[Q, P] of the flow moved along t1 to each omega = om."""
+                hops = hop_pg(st, 0, [omega_to_t1(om, st.t2) - st.t1 for om in oms], 1e-7)
+                return [np.array([pvm.Q, pvm.P]) for pvm in (pvi_reduce(st2, tol=1e-5) for st2, _dlnu in hops)]
 
-        dQ, dP = fd_derivative(q_p_at, pv.omega, scheme)
-        rq, rp = pvi_rhs(pv.omega, pv.Q, pv.P, th)
-        scale = max(abs(dQ), abs(dP), 1.0)
-        worst_ham = max(worst_ham, abs(dQ - rq) / scale, abs(dP - rp) / scale)
+            dQ, dP = fd_derivative(q_p_at, pv.omega, scheme)
+            rq, rp = pvi_rhs(pv.omega, pv.Q, pv.P, th)
+            scale = max(abs(dQ), abs(dP), 1.0)
+            worst_ham = max(worst_ham, abs(dQ - rq) / scale, abs(dP - rp) / scale)
     passed = drift <= drift_tol and worst_ham <= ham_tol
     return CheckResult(
         criterion="C10",

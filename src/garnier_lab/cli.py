@@ -27,7 +27,7 @@ import numpy as np
 from . import acceptance
 from .acceptance import CRITERIA, CheckResult
 from .errors import ConfigInvalid, GarnierLabError
-from .numerics import FDScheme, PathPlan
+from .numerics import FDScheme, PathPlan, count_work
 from .poly_garnier import PGState, ThetaPG, gen_pg, random_theta_pg
 from .quantization import write_residual_csv
 from .schlesinger import SchlesingerState, gen_schlesinger_b, integrate_schlesinger
@@ -184,13 +184,14 @@ def _custom_schlesinger_check(cfg: dict) -> CheckResult:
     if abs(waypoints[0][0] - state.t1) + abs(waypoints[0][1] - state.t2) > 1e-12:
         raise ConfigInvalid("t_path must start at the state's times", field="paths.t_path")
     rtol = float(cfg.get("tolerances", {}).get("rtol", 1e-12))
-    drift = acceptance.conservation_drift(state, integrate_schlesinger(state, path, rtol=rtol)[-1][1])
+    with count_work() as work:
+        drift = acceptance.conservation_drift(state, integrate_schlesinger(state, path, rtol=rtol)[-1][1])
     tol = 1e-9
     return CheckResult(
         criterion="C1",
         passed=drift <= tol,
         detail=f"max conserved-quantity drift {drift:.3e} on the configured path (tol {tol:.0e})",
-        metrics={"max_drift": drift, "path_length": path.total_length},
+        metrics={"max_drift": drift, "path_length": path.total_length, **work},
     )
 
 

@@ -7,11 +7,12 @@ entries, and the two Hamiltonians K_i drive the commuting flows in
 K_i, written once in plain arithmetic (``_k_gradient_body``), so no finite
 differences run inside the flow. On numbers it serves go_vector_field,
 which the acceptance criterion C3 checks against finite differences of the
-extracted flow. Run once per process on a tape of its operations
-(``_go_trace``, at the first Taylor step) and folded at the exponents into
-products and quotients of affine maps (``_go_program``), it gives the
-Taylor coefficients of the flow on a straight chord (``_go_taylor``);
-integrate_go walks its paths on those coefficients with
+extracted flow. Run once per process on the package's one recorder of a
+flow body, ``numerics._Tape`` (``_go_trace``, at the first Taylor step;
+``poly_garnier`` records its flows on the same tape), and folded at the
+exponents into products and quotients of affine maps (``_go_program``), it
+gives the Taylor coefficients of the flow on a straight chord
+(``_go_taylor``); integrate_go walks its paths on those coefficients with
 ``numerics.taylor_integrate``, and no path of the flow runs on
 Dormand-Prince steps. The scalar second-order equation satisfied by the
 first component of the gauged wavefunction provides an independent
@@ -34,7 +35,7 @@ from .errors import (
     PoleEvaluation,
     TimeCollision,
 )
-from .numerics import DEFAULT_RTOL, TAYLOR_ORDER, PathPlan, quad_roots, taylor_integrate
+from .numerics import DEFAULT_RTOL, TAYLOR_ORDER, PathPlan, _plus, _Tape, quad_roots, taylor_integrate
 from .numerics import ode_integrate  # noqa: F401 - unused here; perfbench's tracer wraps every module's copy
 from .schlesinger import T3, T4, SchlesingerState, ThetaGO, check_time_path
 
@@ -277,65 +278,6 @@ def go_vector_field(g: GOState) -> dict[str, np.ndarray]:
     return {"dlam": np.array([dm1, dm2], dtype=complex), "dmu": -np.array([dl1, dl2], dtype=complex)}
 
 
-class _Tape:
-    """The operations of one traced run of :func:`_k_gradient_body`, each recorded once.
-
-    An entry is (op, a, b): ("in", k, None) for input k, ("num", value,
-    None) for a number, and "+", "-", "*" or "/" of the entries at indices
-    a and b (-x is x * -1). Equal entries share one index, so
-    subexpressions that the i = 1 and i = 2 bodies have in common are
-    traced once.
-    """
-
-    def __init__(self):
-        self.ops: list[tuple] = []
-        self.index: dict[tuple, int] = {}
-
-    def node(self, op, a, b) -> "_Node":
-        if op in ("+", "*"):
-            a, b = min(a, b), max(a, b)
-        key = (op, a, b)
-        if key not in self.index:
-            self.index[key] = len(self.ops)
-            self.ops.append(key)
-        return _Node(self, self.index[key])
-
-    def of(self, x) -> int:
-        return x.i if isinstance(x, _Node) else self.node("num", complex(x), None).i
-
-
-class _Node:
-    """A value of the traced body: its index on the tape."""
-
-    __slots__ = ("tape", "i")
-
-    def __init__(self, tape: _Tape, i: int):
-        self.tape, self.i = tape, i
-
-    def __add__(self, o):
-        return self.tape.node("+", self.i, self.tape.of(o))
-
-    def __sub__(self, o):
-        return self.tape.node("-", self.i, self.tape.of(o))
-
-    def __rsub__(self, o):
-        return self.tape.node("-", self.tape.of(o), self.i)
-
-    def __mul__(self, o):
-        return self.tape.node("*", self.i, self.tape.of(o))
-
-    def __truediv__(self, o):
-        return self.tape.node("/", self.i, self.tape.of(o))
-
-    def __rtruediv__(self, o):
-        return self.tape.node("/", self.tape.of(o), self.i)
-
-    def __neg__(self):
-        return self * -1.0
-
-    __radd__, __rmul__ = __add__, __mul__
-
-
 @functools.cache
 def _go_trace() -> tuple[list[tuple], list[list[int]]]:
     """The tape of :func:`_k_gradient_body` for i = 1, 2 and, per t_j, its entries of d(lambda_1, lambda_2, mu_1, mu_2)/dt_j.
@@ -388,12 +330,6 @@ def _go_program(theta: ThetaGO) -> _GoProgram:
     def affine(n):
         return lin[n] if lin[n] is not None else {0: value[n]}
 
-    def plus(a, b, sign):
-        out = dict(a)
-        for k, w in b.items():
-            out[k] = out.get(k, 0.0) + sign * w
-        return out
-
     for n, (op, a, b) in enumerate(ops):
         if op == "num":
             value[n] = a
@@ -405,7 +341,7 @@ def _go_program(theta: ThetaGO) -> _GoProgram:
         elif lin[a] is None and lin[b] is None:
             value[n] = _NUMBER_OPS[op](value[a], value[b])
         elif op in ("+", "-"):
-            lin[n] = plus(affine(a), affine(b), 1.0 if op == "+" else -1.0)
+            lin[n] = _plus(affine(a), affine(b), 1.0 if op == "+" else -1.0)
         elif lin[b] is None or (op == "*" and lin[a] is None):
             number, series = (value[b], lin[a]) if lin[b] is None else (value[a], lin[b])
             factor = 1.0 / number if op == "/" else number

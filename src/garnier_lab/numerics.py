@@ -23,6 +23,9 @@ This is the substrate every other module builds on:
   orders there (:class:`SeriesStop`); :func:`count_work` collects the
   steps, series, orders and radius ratios of all three, and the
   clearances :func:`check_clearance` passes,
+* one recorder of a flow body (:class:`_Tape`), which ``poly_garnier`` and
+  ``garnier_okamoto`` fold, with the sparse sum :func:`_plus`, into their
+  Taylor programs: a monomial table, products and quotients of affine maps,
 * central finite-difference schemes of order 2/4 with optional Richardson
   extrapolation: :func:`fd_derivative` is the one path for a derivative in
   one direction (its evaluator takes every stencil point at once and may
@@ -38,7 +41,9 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import functools
 import math
+import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -677,6 +682,76 @@ def _initial_step(fv, s0, y, k1, rtol, atol, span, where) -> float:
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
     return min(100 * h0, h1, span)
+
+
+# ---------------------------------------------------------------------------
+# the recorder of a flow body
+# ---------------------------------------------------------------------------
+
+class _Tape:
+    """The operations of one traced run of a flow body in plain arithmetic, each recorded once.
+
+    An entry is (op, a, b): ("in", k, None) for input k, ("num", value, None) for a number, and "+", "-",
+    "*" or "/" of the entries at indices a and b (-x is x * -1, x**n is n - 1 products). Equal entries
+    share one index, so subexpressions that several outputs have in common are traced once. Users:
+    ``garnier_okamoto._go_trace`` and ``poly_garnier._pg_trace``, each of which folds the tape on its own.
+    """
+
+    def __init__(self):
+        self.ops: list[tuple] = []
+        self.index: dict[tuple, int] = {}
+
+    def node(self, op, a, b) -> "_Node":
+        if op in ("+", "*"):
+            a, b = min(a, b), max(a, b)
+        key = (op, a, b)
+        if key not in self.index:
+            self.index[key] = len(self.ops)
+            self.ops.append(key)
+        return _Node(self, self.index[key])
+
+    def of(self, x) -> int:
+        return x.i if isinstance(x, _Node) else self.node("num", complex(x), None).i
+
+
+class _Node:
+    """A value of the traced body: its index on the tape."""
+
+    __slots__ = ("tape", "i")
+
+    def __init__(self, tape: _Tape, i: int):
+        self.tape, self.i = tape, i
+
+    def __add__(self, o):
+        return self.tape.node("+", self.i, self.tape.of(o))
+
+    def __sub__(self, o):
+        return self.tape.node("-", self.i, self.tape.of(o))
+
+    def __mul__(self, o):
+        return self.tape.node("*", self.i, self.tape.of(o))
+
+    def __truediv__(self, o):
+        return self.tape.node("/", self.i, self.tape.of(o))
+
+    def __rtruediv__(self, o):
+        return self.tape.node("/", self.tape.of(o), self.i)
+
+    def __neg__(self):
+        return self * -1.0
+
+    def __pow__(self, n: int):
+        return functools.reduce(operator.mul, [self] * n)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+def _plus(a: dict, b: dict, sign: complex) -> dict:
+    """a + sign * b for sparse maps {key: weight}: the sum in both folds of a :class:`_Tape`."""
+    out = dict(a)
+    for k, w in b.items():
+        out[k] = out.get(k, 0.0) + sign * w
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,15 @@ locus q1 + q2 = 1.
 
 The eight right-hand sides and both gauge-log derivatives live in one body,
 ``_pg_flows``, in plain arithmetic. On numbers it serves pg_rhs_explicit,
-raw_rhs_pair and u_logderiv. Run once per process on sparse polynomials
-(``_pg_trace``, at the first Taylor step), it gives the table of monomials
-from which ``_pg_taylor`` forms the Taylor coefficients of the flow on a
-straight chord; integrate_pg walks its paths on those coefficients with
-``numerics.taylor_integrate``, and hop_pg sums one series at every offset
-of a stencil (``numerics.taylor_stencil``), so no move of the flow runs on
-Dormand-Prince steps.
+raw_rhs_pair and u_logderiv. Run once per process on the package's one
+recorder of a flow body, ``numerics._Tape`` (``_pg_trace``, at the first
+Taylor step; ``garnier_okamoto`` records its field on the same tape), and
+folded into sparse polynomials (``_pg_polys``), it gives the table of
+monomials from which ``_pg_taylor`` forms the Taylor coefficients of the
+flow on a straight chord; integrate_pg walks its paths on those
+coefficients with ``numerics.taylor_integrate``, and hop_pg sums one series
+at every offset of a stencil (``numerics.taylor_stencil``), so no move of
+the flow runs on Dormand-Prince steps.
 
 Index convention: formulas are written for the pair (i, n) where n is the
 other index; the t2-flow equations are the literal transcriptions, which
@@ -23,6 +25,7 @@ coincide with the i <-> n images of the t1-flow ones.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from functools import cache, partial
 from typing import NamedTuple, Sequence
@@ -38,6 +41,7 @@ from .errors import (
     ZeroGauge,
 )
 from .numerics import DEFAULT_RTOL, TAYLOR_ORDER, PathPlan, SeriesStop, quad_roots, taylor_integrate, taylor_stencil
+from .numerics import _plus, _Tape
 from .numerics import ode_integrate  # noqa: F401 - unused here; perfbench's tracer wraps every module's copy
 from .schlesinger import SchlesingerState, ThetaGO, check_time_path, time_constraints
 
@@ -207,7 +211,7 @@ def _pg_flows(t1, t2, q1, q2, p1, p2, th: ThetaPG):
     one place the formulas are written: pure arithmetic (+, -, *, integer
     powers and division by t1 - t2) that does not check its times, so the
     same body runs on numbers, for pg_rhs_explicit, raw_rhs_pair and
-    u_logderiv, and on the polynomials of :func:`_pg_trace`.
+    u_logderiv, and on the tape nodes of :func:`_pg_trace`.
     """
     a1, a2 = th.tht1, th.tht2
     th0, b1, b2 = th.th0, th.th1, th.thinf2
@@ -335,56 +339,35 @@ def u_logderiv(s: PGState) -> tuple[complex, complex]:
 _N_VARS = 14
 
 
-class _Poly:
-    """Sparse polynomial {exponents: coefficient} over the ``_N_VARS`` variables of :func:`_pg_trace`.
+def _pg_polys(ops: list[tuple]) -> list[dict]:
+    """Each entry of the tape of :func:`_pg_trace` as a polynomial {exponents: number} over the ``_N_VARS`` variables.
 
-    It divides only by t1 - t2, t1(t1 - 1) and t2(t2 - 1), as a product
-    with their reciprocal variables w, z1 and z2.
+    Inputs 0-10 are t1, t2, q1, q2, p1, p2 and the five exponents. A quotient is allowed only by t1 - t2,
+    t1(t1 - 1) or t2(t2 - 1), as a product with its reciprocal variable w, z1 or z2. Terms that cancel are dropped.
     """
 
-    def __init__(self, terms: dict):
-        self.terms = {k: c for k, c in terms.items() if c != 0.0}
+    def var(i, n=1):
+        return tuple(n * (j == i) for j in range(_N_VARS))
 
-    @staticmethod
-    def of(x) -> "_Poly":
-        return x if isinstance(x, _Poly) else _Poly({(0,) * _N_VARS: x})
-
-    @staticmethod
-    def var(i: int) -> "_Poly":
-        return _Poly({tuple(int(j == i) for j in range(_N_VARS)): 1.0})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in _Poly.of(other).terms.items():
-            out[k] = out.get(k, 0.0) + c
-        return _Poly(out)
-
-    def __neg__(self):
-        return _Poly({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + -_Poly.of(other)
-
-    def __mul__(self, other):
+    def times(a, b):
         out: dict = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in _Poly.of(other).terms.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
-                out[k] = out.get(k, 0.0) + c1 * c2
-        return _Poly(out)
-
-    def __pow__(self, n: int):
-        out = _Poly.of(1.0)
-        for _ in range(n):
-            out = out * self
+        for ka, ca in a.items():
+            out = _plus(out, {tuple(map(operator.add, ka, kb)): cb for kb, cb in b.items()}, ca)
         return out
 
-    def __truediv__(self, other):
-        t1, t2 = _Poly.var(0), _Poly.var(1)
-        dens = [(t1 - t2).terms, (t1 * (t1 - 1.0)).terms, (t2 * (t2 - 1.0)).terms]
-        return self * _Poly.var(2 + dens.index(other.terms))
-
-    __radd__, __rmul__ = __add__, __mul__
+    dens = [{var(0): 1.0, var(1): -1.0}, {var(0, 2): 1.0, var(0): -1.0}, {var(1, 2): 1.0, var(1): -1.0}]
+    polys: list[dict] = []
+    for op, a, b in ops:
+        if op == "num":
+            p = {(0,) * _N_VARS: a}
+        elif op == "in":
+            p = {var(a if a < 2 else a + 3): 1.0}
+        elif op in ("+", "-"):
+            p = _plus(polys[a], polys[b], 1.0 if op == "+" else -1.0)
+        else:
+            p = times(polys[a], polys[b] if op == "*" else {var(2 + dens.index(polys[b])): 1.0})
+        polys.append({k: c for k, c in p.items() if c != 0.0})
+    return polys
 
 
 class _Trace(NamedTuple):
@@ -406,17 +389,18 @@ class _Trace(NamedTuple):
 def _pg_trace() -> _Trace:
     """The ten outputs of :func:`_pg_flows`, divided by their prefactors, as one monomial table.
 
-    The body runs once per process, at the first Taylor step, on
-    :class:`_Poly` variables: t1, t2, their three reciprocal denominators,
-    (q1, q2, p1, p2) and the five exponents it reads. Each y-monomial of
-    degree k >= 2 is then the product of one of degree k - 1 and a variable
-    (a missing factor joins the table as a monomial of its own).
+    The body runs once per process, at the first Taylor step, on a ``numerics._Tape`` of t1, t2, (q1, q2, p1,
+    p2) and the five exponents it reads; :func:`_pg_polys` folds the tape into polynomials over those and the
+    three reciprocal denominators. Each y-monomial of degree k >= 2 is then the product of one of degree k - 1
+    and a variable (a missing factor joins the table as a monomial of its own).
     """
-    t1, t2, _w, _z1, _z2, q1, q2, p1, p2, th0, th1, tht1, tht2, thinf2 = (_Poly.var(i) for i in range(_N_VARS))
+    tape = _Tape()
+    t1, t2, q1, q2, p1, p2, th0, th1, tht1, tht2, thinf2 = (tape.node("in", k, None) for k in range(11))
     th = ThetaPG(th0, th1, tht1, tht2, 0.0, thinf2)
     D0, D1, g1, g2 = _divided(_pg_flows(t1, t2, q1, q2, p1, p2, th), t1, t2)
+    polys = _pg_polys(tape.ops)
     outs = [(0, r, D0[r]) for r in range(4)] + [(1, r, D1[r]) for r in range(4)] + [(0, 4, g1), (1, 4, g2)]
-    terms = sorted((r, k[5:9], j, k[:5], k[9:], c) for j, r, out in outs for k, c in out.terms.items())
+    terms = sorted((r, k[5:9], j, k[:5], k[9:], c) for j, r, out in outs for k, c in polys[out.i].items())
     units = [tuple(int(j == i) for j in range(4)) for i in range(4)]
 
     def factors(m):
@@ -545,19 +529,23 @@ def integrate_pg(
 def hop_pg(s0: PGState, d: int, offsets: Sequence[complex], radius: float) -> list[tuple[PGState, complex]]:
     """(state, ln u gained) of the flow from s0 with t_{d+1} moved to t_{d+1} + m, for every offset m.
 
-    Every hop is checked as a one-segment path against :func:`time_constraints` at ``radius`` before
-    any coefficient is formed; then one :func:`_pg_taylor` series with ln u along e_d is summed at each
-    moved time less the start's, so each state sits exactly at its times (``numerics.taylor_stencil``).
+    Every moving hop is checked as a one-segment path against :func:`time_constraints` at ``radius``
+    before any coefficient is formed; then one :func:`_pg_taylor` series with ln u along e_d is summed at
+    each moved time less the start's, so each state sits exactly at its times (``numerics.taylor_stencil``).
+    An offset of 0 returns (s0, 0).
     """
     t0 = np.array([s0.t1, s0.t2], dtype=complex)
     t1 = np.repeat(t0[None], len(offsets), axis=0)
     t1[:, d] += offsets
-    for t_new in t1:
+    moving = np.flatnonzero(t1[:, d] != t0[d])
+    for t_new in t1[moving]:
         PathPlan([tuple(t0), tuple(t_new)], radius).validate_against(time_constraints())
     coeffs, y0 = partial(_pg_taylor, _pg_table(s0.params)), [s0.q1, s0.q2, s0.p1, s0.p2, 0.0]
-    y1 = taylor_stencil(coeffs, y0, tuple(t0), tuple(np.eye(2)[d]), t1[:, d] - t0[d])  # each state at its stored times
-    return [(replace(s0, t1=a, t2=b, q1=y[0], q2=y[1], p1=y[2], p2=y[3]), complex(y[4]))
-            for (a, b), y in zip(t1.tolist(), y1)]
+    y1 = taylor_stencil(coeffs, y0, tuple(t0), tuple(np.eye(2)[d]), t1[moving, d] - t0[d])  # each at its stored times
+    out = [(s0, 0j) for _m in offsets]
+    for k, (a, b), y in zip(moving, t1[moving].tolist(), y1):
+        out[k] = (replace(s0, t1=a, t2=b, q1=y[0], q2=y[1], p1=y[2], p2=y[3]), complex(y[4]))
+    return out
 
 
 # ---------------------------------------------------------------------------

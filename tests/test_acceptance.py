@@ -17,6 +17,7 @@ from garnier_lab.acceptance import (
     criterion_7,
     criterion_8,
     criterion_9,
+    criterion_10,
     criterion_11,
 )
 from garnier_lab.numerics import FDScheme
@@ -164,6 +165,18 @@ def test_criterion_09_quantized_polynomial_garnier():
 
 def test_criterion_10_pvi_reduction():
     _run("C10")
+
+
+def test_criterion_10_reports_its_taylor_work():
+    # its trajectory takes 23 Taylor steps of 20 orders, and the Hamilton-system
+    # check sums one hop_pg series per inner sample (4), of 23 orders between
+    # them; the smallest radius ratio and clearance are the trajectory's; the
+    # counters are deterministic
+    first, second = (criterion_10().metrics for _ in range(2))
+    assert first == second
+    assert (first["taylor_steps"], first["taylor_series"], first["taylor_orders"]) == (23, 27, 20 * 23 + 23)
+    assert first["min_radius_ratio"] == pytest.approx(0.7677078101303005, rel=1e-9)
+    assert first["min_clearance"] == pytest.approx(0.2816025568065745, rel=1e-12)
 
 
 def test_criterion_11_tau_consistency():

@@ -63,6 +63,22 @@ def test_run_zero_matrices_passes(tmp_path):
     assert report["checks"][0]["metrics"]["max_drift"] < 1e-13
 
 
+def test_run_custom_schlesinger_reports_its_taylor_work(capsys):
+    # the custom-state check counts the Taylor work of its path as C1 does:
+    # seed 3's B-state on the default custom path passes a movable pole at
+    # 0.0034 of the distance to the nearest fixed singular set, the sign that
+    # its drift (8.1e-7 against the tolerance 1e-9) comes from a pole near
+    # the path; a path integration forms all 20 orders of every series
+    assert main(["gen", "--kind", "schlesinger-B", "--seed", "3"]) == 0
+    cfg = {"spec": 1, "mode": "schlesinger", "initial_state": json.loads(capsys.readouterr().out)}
+    metrics = run_scenario(cfg)["checks"][0]["metrics"]
+    assert set(metrics) == {"max_drift", "path_length", "taylor_steps", "taylor_series", "taylor_orders",
+                            "min_radius_ratio", "min_clearance"}
+    assert metrics["taylor_steps"] == metrics["taylor_series"] > 0
+    assert metrics["taylor_orders"] == 20 * metrics["taylor_steps"]
+    assert metrics["min_radius_ratio"] == pytest.approx(0.003385627564523017, rel=1e-9)
+
+
 def test_run_detects_check_failure(tmp_path):
     # a sloppy integrator tolerance must surface as a failed verdict (exit 1)
     cfg_path = tmp_path / "cfg.json"

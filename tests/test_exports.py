@@ -54,6 +54,19 @@ def _users(*names: str) -> dict[str, set[str]]:
     return users
 
 
+def test_one_tracer_type_records_every_flow_body():
+    # poly_garnier and garnier_okamoto both trace their fields on
+    # numerics._Tape: the only class of src/ that overloads * or / is its
+    # node type, and the old polynomial tracer of the PG flows is gone
+    classes = [(stem, node) for stem, path in SOURCES.items() for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef)]
+    tracers = {f"{stem}.{node.name}" for stem, node in classes
+               if {"__mul__", "__truediv__"} & {m.name for m in node.body if isinstance(m, ast.FunctionDef)}}
+    assert tracers == {"numerics._Node"}
+    assert [node.name for _stem, node in classes if node.name == "_Poly"] == []
+    assert _users("_Poly") == {"_Poly": set()}
+
+
 def test_dormand_prince_steps_run_only_in_the_reference_integrator():
     # every move in src/ takes Taylor steps; DP5 is left only in
     # numerics.ode_integrate, the tests' reference, which nothing in src/ calls

@@ -16,7 +16,7 @@ from garnier_lab.errors import (
     TimeCollision,
     ZeroGauge,
 )
-from garnier_lab import numerics, poly_garnier
+from garnier_lab import garnier_okamoto, numerics, poly_garnier
 from garnier_lab.garnier_okamoto import extract_go
 from garnier_lab.numerics import FDScheme, PathPlan, combine_stencil, fd_derivative, ode_integrate, stencil_multipliers
 from garnier_lab.poly_garnier import (
@@ -319,6 +319,18 @@ def test_hop_pg_rejects_an_offset_past_the_taylor_step():
     assert info.value.location == (s0.t1 - 0.1 * reach, s0.t2)
 
 
+def test_hop_pg_returns_the_start_at_a_zero_offset():
+    # as Frame.shift_t: a zero offset is no hop, so no one-point path is
+    # checked for it (PathPlan would reject one); it returns s0 with no ln u
+    # gained, and every other offset comes out as it does alone
+    s0, _path = _c5_start()
+    for d in (0, 1):
+        (st0, dlnu0), (st1, dlnu1) = hop_pg(s0, d, [0.0, 1e-3], 1e-7)
+        assert st0 is s0 and dlnu0 == 0.0
+        assert [(st1, dlnu1)] == hop_pg(s0, d, [1e-3], 1e-7)
+        assert hop_pg(s0, d, [0.0], 1e-7) == [(s0, 0.0)]
+
+
 def test_hop_pg_rejects_a_hop_into_the_collision_disc(monkeypatch):
     def no_integration(*_args, **_kwargs):
         raise AssertionError("integrated before the hop was checked")
@@ -371,6 +383,45 @@ def test_pg_taylor_coefficients_match_pg_field(with_lnu):
             w = np.array([t[0] - t[1], t[0], t[0] - 1.0, t[1], t[1] - 1.0])
             e = np.array([v[0] - v[1], v[0], v[0], v[1], v[1]])
             assert radius == pytest.approx(np.min(np.abs(w / e)), rel=1e-14)
+
+
+def test_pg_trace_table_sums_to_the_flows_term_by_term():
+    # the monomial table that _pg_polys folds from the tape, evaluated term by
+    # term (number, exponent powers, t-monomial, y-monomial) at seeded random
+    # times, states and exponents: each of its ten rows is the one body of the
+    # flows on numbers, divided by its prefactor, to rounding (measured <= 1.4
+    # eps of the sum of the terms' magnitudes over 400 such draws)
+    tr = poly_garnier._pg_trace()
+    run = np.repeat(np.arange(len(tr.starts)), np.diff([*tr.starts, len(tr.numbers)]))
+    rng = np.random.default_rng(53)
+    for _ in range(20):
+        t1, t2, q1, q2, p1, p2, *ths = rng.uniform(-1.5, 1.5, 11) + 1j * rng.uniform(-1.5, 1.5, 11)
+        th = ThetaPG(*ths[:4], -sum(ths), ths[4])
+        tvars = np.array([t1, t2, 1 / (t1 - t2), 1 / (t1 * (t1 - 1)), 1 / (t2 * (t2 - 1))])
+        y = np.array([q1, q2, p1, p2])
+        Y = np.zeros(tr.n_mons, dtype=complex)
+        Y[:4], Y[4] = y, 1.0
+        for lower, rows, flat in tr.levels:  # each y-monomial of degree k >= 2 from one of degree k - 1
+            Y[rows] = np.outer(Y[lower], y).ravel()[flat]
+        terms = (tr.numbers * np.prod(np.array(ths) ** tr.powers, axis=1)
+                 * np.prod(tvars ** tr.tmons, axis=1)[tr.a] * Y[tr.mons[run]])
+        got, size = np.zeros((2, 5), dtype=complex), np.zeros((2, 5))
+        np.add.at(got, (tr.j, tr.rows[run]), terms)
+        np.add.at(size, (tr.j, tr.rows[run]), np.abs(terms))
+        D0, D1, g1, g2 = poly_garnier._divided(poly_garnier._pg_flows(t1, t2, q1, q2, p1, p2, th), t1, t2)
+        assert np.all(np.abs(got - [[*D0, g1], [*D1, g2]]) <= 4 * np.finfo(float).eps * size)
+
+
+def test_pg_and_go_traces_record_on_the_numerics_tape(monkeypatch):
+    # one recorder for both Taylor programs: each trace runs its body on a
+    # numerics._Tape, and the GO fold reads the entries recorded there
+    tapes = []
+    real = numerics._Tape.__init__
+    monkeypatch.setattr(numerics._Tape, "__init__", lambda self: tapes.append(self) or real(self))
+    poly_garnier._pg_trace.__wrapped__()
+    ops, _rows = garnier_okamoto._go_trace.__wrapped__()
+    assert len(tapes) == 2 and tapes[1].ops == ops
+    assert {op for op, _a, _b in tapes[0].ops} == {"in", "num", "+", "-", "*", "/"}
 
 
 def test_integrate_pg_overflowing_state_is_typed():
