@@ -12,7 +12,10 @@ flow body, ``numerics._Tape`` (``_go_trace``, at the first Taylor step;
 ``poly_garnier`` records its flows on the same tape), and folded at the
 exponents into products and quotients of affine maps (``_go_program``), it
 gives the Taylor coefficients of the flow on a straight chord
-(``_go_taylor``); integrate_go walks its paths on those coefficients with
+(``_go_taylor``): past order 0 each product or quotient is linear in its
+operands' new order and a Cauchy history sum, with the order-0 factors
+folded into its weights, so an order costs one gather and one einsum per
+level; integrate_go walks its paths on those coefficients with
 ``numerics.taylor_integrate``, and no path of the flow runs on
 Dormand-Prince steps. The scalar second-order equation satisfied by the
 first component of the gauged wavefunction provides an independent
@@ -296,16 +299,26 @@ def _go_trace() -> tuple[list[tuple], list[list[int]]]:
 
 
 class _GoProgram(NamedTuple):
-    """The traced gradient at fixed exponents, as products and quotients of affine maps.
+    """The traced gradient at fixed exponents, as products and quotients of affine maps, with its evaluation tables.
 
     Basis entry 0 is the constant 1, entries 1-6 the inputs t1, t2,
-    lambda_1, lambda_2, mu_1, mu_2, the rest one per product or quotient of
-    two series, ordered by level (the longest chain of such nodes below
-    it), within a level the products first.
+    lambda_1, lambda_2, mu_1, mu_2, the rest one per node: a product a*b
+    or quotient a/b of two affine maps a, b over the basis, ordered by
+    level (the longest chain of nodes below it), within a level the
+    products first. In a Taylor step (:func:`_go_taylor`) a row of
+    coefficients holds, after the basis, one history entry s H_n per node,
+    and every gather row has its weights times the step's factors at its
+    ``slots``: the rows of each level's gather (a node's a and b, then its
+    history entry), then those of the history gather (U_n of every node,
+    then b_n).
     """
 
     n_basis: int
-    levels: list  # per level: (lo, hi, number of products, operand basis (n, 2, W), operand weights (n, 2, W))
+    levels: list  # per level: (lo, hi, number of products, (a, b) basis (n, 2, W), (a, b) weights (n, 2, W), folded gather basis (n, K))
+    weights: np.ndarray  # the unfolded weights of every level's gather, then of the history gather, flattened
+    slots: np.ndarray  # the factor of each of those weights: an index into the factors of a step (-1: the number 1)
+    history: np.ndarray  # (2N, Wh) basis of the history gather: U_n of every node, then b_n
+    quotients: np.ndarray  # the node numbers (basis entry less 7) of the quotients
     out: np.ndarray  # (2, 4, n_basis): d(lambda_1, lambda_2, mu_1, mu_2)/dt_j as affine maps over the basis
 
 
@@ -319,7 +332,9 @@ def _go_program(theta: ThetaGO) -> _GoProgram:
     affine map {basis entry: weight} over the series inputs and the
     products and quotients of two series, which become basis entries of
     their own: sums, differences and products or quotients with a number
-    fold into the maps.
+    fold into the maps. The factors of a step are, for N nodes with Nq
+    quotients among them, b_0 (N), a_0 (N), then per quotient 1/b_0,
+    -q_0/b_0 and -1/b_0 (Nq each), and last the number 1.
     """
     ops, rows = _go_trace()
     inputs = (*theta.theta, theta.kappa)
@@ -356,38 +371,71 @@ def _go_program(theta: ThetaGO) -> _GoProgram:
     where = list(range(7)) + [0] * len(nodes)
     for pos, q in enumerate(order):
         where[7 + q] = 7 + pos
-    levels, lo = [], 7
+    # each node in basis order, with its maps a, b over the basis as [(basis entry, weight)]
+    placed = [(op, [(where[k], w) for k, w in a.items()], [(where[k], w) for k, w in b.items()])
+              for op, a, b in (nodes[q] for q in order)]
+    n_nodes, n_basis = len(placed), 7 + len(placed)
+    quotients = [e for e, (op, _a, _b) in enumerate(placed) if op == "/"]
+    n_q = len(quotients)
+    node_rows, u_rows, b_rows = [], [], []  # [(basis entry, weight, factor slot)]; slot -1 is the number 1
+    for e, (op, a, b) in enumerate(placed):
+        if op == "*":
+            slot_a, slot_b, u = e, n_nodes + e, [(k, w, -1) for k, w in a]
+        else:
+            slot_a = 2 * n_nodes + quotients.index(e)
+            slot_b, u = slot_a + n_q, [(7 + e, 1.0, slot_a + 2 * n_q)]
+        node_rows.append([(k, w, slot_a) for k, w in a] + [(k, w, slot_b) for k, w in b] + [(n_basis + e, 1.0, -1)])
+        u_rows.append(u)
+        b_rows.append([(k, w, -1) for k, w in b])
+    levels, tables, lo = [], [], 7
     for lev in sorted(set(level[7:])):
-        group = [nodes[q] for q in order if level[7 + q] == lev]
-        width = max(len(m) for _op, a, b in group for m in (a, b))
-        idx = np.zeros((len(group), 2, width), dtype=int)
-        w = np.zeros((len(group), 2, width), dtype=complex)
+        hi = lo + level[7:].count(lev)
+        group = placed[lo - 7 : hi - 7]
+        w_ab = max(len(m) for _op, a, b in group for m in (a, b))
+        idx = np.zeros((hi - lo, 2, w_ab), dtype=int)
+        w = np.zeros((hi - lo, 2, w_ab), dtype=complex)
         for r, (_op, a, b) in enumerate(group):
             for side, m in enumerate((a, b)):
-                idx[r, side, : len(m)] = [where[k] for k in m]
-                w[r, side, : len(m)] = list(m.values())
-        levels.append((lo, lo + len(group), sum(op == "*" for op, _a, _b in group), idx, w))
-        lo += len(group)
-    out = np.zeros((2, 4, lo), dtype=complex)
+                idx[r, side, : len(m)], w[r, side, : len(m)] = zip(*m)
+        tables.append(_gather_table(node_rows[lo - 7 : hi - 7]))
+        levels.append((lo, hi, sum(op == "*" for op, _a, _b in group), idx, w, tables[-1][0]))
+        lo = hi
+    tables.append(_gather_table(u_rows + b_rows))
+    out = np.zeros((2, 4, n_basis), dtype=complex)
     for j, row in enumerate(rows):
         for r, n in enumerate(row):
             for k, wk in affine(n).items():
                 out[j, r, where[k]] += wk
-    return _GoProgram(lo, levels, out)
+    weights, slots = (np.concatenate([t[i].ravel() for t in tables]) for i in (1, 2))
+    return _GoProgram(n_basis, levels, weights, slots, tables[-1][0], np.array(quotients), out)
+
+
+def _gather_table(rows: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows of [(basis entry, weight, factor slot)] as (basis, weights, slots) arrays, each row padded to the longest."""
+    shape = (len(rows), max(map(len, rows)))
+    basis, weights, slots = np.zeros(shape, dtype=int), np.zeros(shape, dtype=complex), np.full(shape, -1)
+    for r, row in enumerate(rows):
+        basis[r, : len(row)], weights[r, : len(row)], slots[r, : len(row)] = zip(*row)
+    return basis, weights, slots
 
 
 def _go_taylor(prog: _GoProgram, point, velocity, y) -> tuple[np.ndarray, float]:
     """Taylor coefficients in s of the flow through y = (lambda_1, lambda_2, mu_1, mu_2) at (t1, t2) = point along velocity.
 
-    On the chord t(s) = t + s v the inputs t1, t2 are linear in s. For each
-    order n, level by level: the order-n coefficients a_n, b_n of every
-    operand pair of ``prog`` by gathers from its affine maps, then one
-    batched Cauchy product per level, q_n = sum_j a_j b_n-j for products and
-    the quotient recurrence q_n = (a_n - sum_j>=1 b_j q_n-j)/b_0 for
-    quotients; y_n+1 = (v . dy/dt)_n/(n + 1). Raises ``ConditionIVViolated``
-    on lambda_1 = lambda_2 and ``TimeCollision`` on t_i in {0, 1, t_other}
-    at the start. Returns the (TAYLOR_ORDER + 1, 4) coefficients and the
-    s-distance to the nearest t_i in {0, 1} or t1 = t2.
+    On the chord t(s) = t + s v the inputs t1, t2 are linear in s. Order 0
+    runs level by level: a_0, b_0 of every node of ``prog`` by one gather
+    from its affine maps, then q_0 = a_0 b_0 or a_0/b_0. From order 1 on,
+    every node is linear in its operands' order n, q_n = c_a a_n + c_b b_n
+    + s H_n with H_n = sum_j=1..n-1 U_j b_n-j: (c_a, c_b, s) = (b_0, a_0, 1)
+    and U = a for a product, (1/b_0, -q_0/b_0, -1/b_0) and U = q for a
+    quotient. These factors are folded into the weights once per step, so
+    an order costs one einsum for every s H_n (from the stored history
+    rows s U_j, b_j), per level one gather and one einsum, one gather and
+    one einsum for the history row, and one einsum for y_n+1 = (v .
+    dy/dt)_n/(n + 1). Raises ``ConditionIVViolated`` on lambda_1 =
+    lambda_2 and ``TimeCollision`` on t_i in {0, 1, t_other} at the start.
+    Returns the (TAYLOR_ORDER + 1, 4) coefficients and the s-distance to
+    the nearest t_i in {0, 1} or t1 = t2.
     """
     (t1, t2), (v1, v2) = point, velocity
     l1, l2 = y[0], y[1]
@@ -395,23 +443,36 @@ def _go_taylor(prog: _GoProgram, point, velocity, y) -> tuple[np.ndarray, float]
         raise ConditionIVViolated("lambda collision during integration")
     _check_k_domain(t1, t2, (l1, l2))
     _check_k_domain(t2, t1, (l1, l2))
-    p = TAYLOR_ORDER
-    X = np.zeros((p + 1, prog.n_basis), dtype=complex)  # X[n, e]: order n of basis entry e
+    p, nb = TAYLOR_ORDER, prog.n_basis
+    nodes = nb - 7
+    X = np.zeros((p + 1, nb + nodes), dtype=complex)  # X[n, e]: order n of basis entry e, then of s H
     X[0, :3], X[1, 1:3], X[0, 3:7] = (1.0, t1, t2), (v1, v2), y
-    L = np.zeros((prog.n_basis, p + 1), dtype=complex)  # per product its a, per quotient its own q
-    B = np.zeros((prog.n_basis, p + 1), dtype=complex)  # B[e, p - n] = b_n, reversed for the products
-    out = v1 * prog.out[0] + v2 * prog.out[1]
-    for n in range(p):
+    X0 = X[0]
+    ab = np.empty((nodes, 2), dtype=complex)  # (a_0, b_0) of every node
+    for lo, hi, m, idx, w, _basis in prog.levels:
+        level = np.einsum("qsw,qsw->qs", w, X0[idx], out=ab[lo - 7 : hi - 7])
+        np.einsum("q,q->q", level[:m, 0], level[:m, 1], out=X0[lo : lo + m])
+        np.divide(level[m:, 0], level[m:, 1], out=X0[lo + m : hi])
+    out = (v1 * prog.out[0] + v2 * prog.out[1]) / np.arange(1.0, p + 1)[:, None, None]  # out[n]: y_n+1 from order n
+    np.einsum("rb,b->r", out[0], X0[:nb], out=X[1, 3:7])
+    inv = 1.0 / ab[prog.quotients, 1]
+    factors = np.concatenate((ab[:, 1], ab[:, 0], inv, -X0[7 + prog.quotients] * inv, -inv, (1.0,)))
+    folded = prog.weights * factors[prog.slots]
+    passes, at = [], 0
+    for lo, hi, _m, _idx, _w, basis in prog.levels:
+        passes.append((lo, hi, basis, folded[at : at + basis.size].reshape(basis.shape)))
+        at += basis.size
+    history = folded[at:].reshape(prog.history.shape)
+    hist = np.zeros((p - 1, 2 * nodes), dtype=complex)  # hist[j]: s U_j of every node, then b_j
+    for n in range(1, p):
         Xn = X[n]
-        for lo, hi, m, idx, w in prog.levels:
-            ab = np.einsum("qsw,qsw->qs", w, Xn[idx])
-            B[lo:hi, p - n] = ab[:, 1]
-            L[lo : lo + m, n] = ab[:m, 0]
-            q = np.einsum("qj,qj->q", L[lo:hi, : n + 1], B[lo:hi, p - n :])
-            q[m:] = (ab[m:, 0] - q[m:]) / B[lo + m : hi, p]
-            Xn[lo:hi] = q
-            L[lo + m : hi, n] = q[m:]
-        X[n + 1, 3:7] = np.einsum("rb,b->r", out, Xn) / (n + 1)
+        if n > 1:
+            np.einsum("je,je->e", hist[1:n, :nodes], hist[n - 1 : 0 : -1, nodes:], out=Xn[nb:])
+        for lo, hi, basis, w in passes:
+            np.einsum("qk,qk->q", w, Xn[basis], out=Xn[lo:hi])
+        if n < p - 1:
+            np.einsum("ek,ek->e", history, Xn[prog.history], out=hist[n])
+        np.einsum("rb,b->r", out[n], Xn[:nb], out=X[n + 1, 3:7])
     rate = np.array([v1 - v2, v1, v1, v2, v2], dtype=complex) / np.array([t1 - t2, t1 - 1.0, t1, t2 - 1.0, t2])
     return X[:, 3:7].copy(), 1.0 / float(np.max(np.abs(rate)))
 

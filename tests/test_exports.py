@@ -111,17 +111,31 @@ def _units(stem: str, *qualnames: str) -> dict:
     return found
 
 
-def test_the_x_series_and_the_stencil_values_never_call_blas():
-    # the 2x2 products of the x-series, the grid pass and its value functions are explicit formulas or
-    # einsum: a BLAS call (@, matmul, dot, linalg) stalls when its thread pool is not pinned to one thread
-    units = _units(
-        "quantization", "_x_series", "Frame.phi_nodes", "_stencil_values", "Frame._transfer", "Frame.M_of",
-        "Frame.Y_of", "Frame.V_of", "Frame.wave_values", "garx_residual",
-    )
+def _assert_no_blas(units: dict) -> None:
+    """No @, matmul, dot or linalg in any of ``units``: a BLAS call stalls when its thread pool is not pinned to one thread."""
     for name, unit in units.items():
         for node in ast.walk(unit):
             assert not (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)), name
             assert getattr(node, "attr", getattr(node, "id", None)) not in {"matmul", "dot", "linalg"}, name
+
+
+def test_the_x_series_and_the_stencil_values_never_call_blas():
+    # the 2x2 products of the x-series, the grid pass and its value functions are explicit formulas or einsum
+    _assert_no_blas(_units(
+        "quantization", "_x_series", "Frame.phi_nodes", "_stencil_values", "Frame._transfer", "Frame.M_of",
+        "Frame.Y_of", "Frame.V_of", "Frame.wave_values", "garx_residual",
+    ))
+
+
+@pytest.mark.parametrize(
+    "stem, names",
+    [("schlesinger", ("_flow_taylor",)), ("poly_garnier", ("_pg_taylor",)),
+     ("garnier_okamoto", ("_go_taylor", "_go_program"))],
+)
+def test_the_flow_taylor_kernels_never_call_blas(stem, names):
+    # perfbench pins the BLAS pool to one thread, but the CLI and the tests do not, so a dense matvec
+    # in a Taylor kernel would stall only outside the benchmark; the kernels gather and einsum
+    _assert_no_blas(_units(stem, *names))
 
 
 def test_the_bridge_is_the_only_inverse_of_the_chart():

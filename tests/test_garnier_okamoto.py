@@ -295,6 +295,51 @@ def test_go_taylor_first_coefficient_is_the_field():
             assert radius == pytest.approx(np.min(np.abs(w / e)), rel=1e-14)
 
 
+def _go_recurrence(prog, point, velocity, y):
+    """Every basis coefficient X[n, e] of the chord, order by order from the Cauchy products and the quotient recurrence.
+
+    Per order and level: a_n, b_n of each node by one gather, then q_n = sum_j a_j b_n-j for a product and
+    q_n = (a_n - sum_j>=1 b_j q_n-j)/b_0 for a quotient; y_n+1 = (v . dy/dt)_n/(n + 1).
+    """
+    (t1, t2), (v1, v2) = point, velocity
+    p = numerics.TAYLOR_ORDER
+    X = np.zeros((p + 1, prog.n_basis), dtype=complex)
+    X[0, :3], X[1, 1:3], X[0, 3:7] = (1.0, t1, t2), (v1, v2), y
+    L = np.zeros((prog.n_basis, p + 1), dtype=complex)  # per product its a, per quotient its own q
+    B = np.zeros((prog.n_basis, p + 1), dtype=complex)  # B[e, p - n] = b_n, reversed
+    out = v1 * prog.out[0] + v2 * prog.out[1]
+    for n in range(p):
+        for lo, hi, m, idx, w, _folded in prog.levels:
+            ab = np.einsum("qsw,qsw->qs", w, X[n][idx])
+            B[lo:hi, p - n], L[lo : lo + m, n] = ab[:, 1], ab[:m, 0]
+            q = np.einsum("qj,qj->q", L[lo:hi, : n + 1], B[lo:hi, p - n :])
+            q[m:] = (ab[m:, 0] - q[m:]) / B[lo + m : hi, p]
+            X[n, lo:hi], L[lo + m : hi, n] = q, q[m:]
+        X[n + 1, 3:7] = np.einsum("rb,b->r", out, X[n]) / (n + 1)
+    return X
+
+
+def test_go_taylor_matches_the_order_by_order_recurrence():
+    # the folded evaluator against the recurrence, over C3's states with perturbed y and random
+    # velocities: c_0 and c_1 are bit-identical, and an order n >= 2 differs only at the rounding of
+    # the largest basis coefficient of order n - 1 that forms it (measured <= 1.6e-15 of it over these
+    # 200 draws; bound 1e-14, a 6x margin). Relative to an order's own largest entry the two can
+    # differ by O(1): where a draw's high orders cancel far below that scale, both are rounding.
+    rng = np.random.default_rng(47)
+    for seed in range(300, 340):
+        g = extract_go(shift_normalization(_seeded_b_state(seed), "BtoQ"))
+        prog = garnier_okamoto._go_program(g.theta)
+        for _ in range(5):
+            dz = 0.05 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
+            t, v = (g.t1 + complex(dz[0]), g.t2 + complex(dz[1])), (complex(dz[2]), complex(dz[3]))
+            y = np.array([*g.lam, *g.mu]) * (1 + 0.05 * (rng.standard_normal(4) + 1j * rng.standard_normal(4)))
+            c, _radius = garnier_okamoto._go_taylor(prog, t, v, y)
+            X = _go_recurrence(prog, t, v, y)
+            assert np.array_equal(c[:2], X[:2, 3:7]), seed
+            gap = np.max(np.abs(c[2:] - X[2:, 3:7]), axis=1) / np.max(np.abs(X[1:-1]), axis=1)
+            assert np.max(gap) <= 1e-14, seed
+
+
 @pytest.mark.parametrize("gap", [0.0, 1e-11])
 def test_integrate_go_from_a_lambda_collision_raises_condition_iv(gap):
     # 1e-11 relative passes K_i's own 1e-12 check; the step's 1e-10 guard catches it
@@ -368,6 +413,30 @@ def test_flow_matches_schlesinger_extraction(b_state):
     )
     scale = max(abs(v) for v in end_s.lam + end_s.mu)
     assert lam_err / scale < 1e-6 and mu_err / scale < 1e-6
+
+
+@pytest.mark.parametrize("jitter", range(3))
+def test_go_flow_matches_the_schlesinger_flow_at_the_benchmark_geometry(jitter):
+    # perfbench's flow_paths GO op: C3's seed-300 state along 30% of the first C1 leg at rtol 1e-12,
+    # its end moved by up to 0.005. The GO flow and extract_go of the Schlesinger flow differ by
+    # 9.6e-13..1.02e-12 of the largest entry (bound 3e-12, a 2.9x margin), and the GO flow takes
+    # 24 Taylor steps on each of these three paths; a change in the step rule or the
+    # coefficients' decay would change the count.
+    q0 = shift_normalization(_seeded_b_state(300), "BtoQ")
+    rng = np.random.default_rng(jitter)
+    (t1, t2), (u1, u2) = LONG_T_PATH[:2]
+    u1, u2 = (u + 0.005 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform()) for u in (u1, u2))
+    path = PathPlan([(t1, t2), (t1 + 0.3 * (u1 - t1), t2 + 0.3 * (u2 - t2))], 0.05)
+    with numerics.count_work() as work:
+        g_end = integrate_go(extract_go(q0), path, rtol=1e-12)[-1][1]
+    s_end = extract_go(integrate_schlesinger(q0, path, rtol=1e-12)[-1][1])
+    lam, mu = np.array(s_end.lam), np.array(s_end.mu)
+    if abs(lam[0] - g_end.lam[0]) > abs(lam[1] - g_end.lam[0]):  # extraction orders the roots
+        lam, mu = lam[::-1], mu[::-1]
+    want = np.array([*g_end.lam, *g_end.mu])
+    gap = np.max(np.abs(np.concatenate([lam, mu]) - want)) / np.max(np.abs(want))
+    assert work["taylor_steps"] == 24
+    assert gap <= 3e-12
 
 
 def test_flow_retrace(b_state):
